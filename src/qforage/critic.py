@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import qcore
+from . import qcore, qrep
 from .errors import (
     DimensionNotDivisible,
     EmptyInput,
@@ -40,8 +40,6 @@ DEFAULT_EMBED_DIM = 12
 
 #: Loss floor: probabilities below this are treated as flat (zero gradient).
 PROB_FLOOR = 1e-12
-
-_RENORM_DEADBAND = 1e-13
 
 
 def class_of_reward(reward: int) -> int:
@@ -124,17 +122,13 @@ class ComplexEmbeddingTable:
         """Project amplitude rows back onto the nonnegative unit sphere.
 
         Negatives clamp to zero first; a row clamped to all zeros resets to
-        the uniform unit row. Rows already unit within the dead band are left
-        bit-identical.
+        the uniform unit row. The rest is qrep.renormalize_rows, so rows
+        already unit within its dead band are left bit-identical.
         """
         np.maximum(self.amplitudes, 0.0, out=self.amplitudes)
-        d = self.embed_dim
         sq = np.einsum("ij,ij->i", self.amplitudes, self.amplitudes)
-        for i, s in enumerate(sq):
-            if s <= 1e-300:
-                self.amplitudes[i] = 1.0 / np.sqrt(d)
-            elif abs(s - 1.0) > _RENORM_DEADBAND:
-                self.amplitudes[i] /= np.sqrt(s)
+        self.amplitudes[sq <= 1e-300] = 1.0 / np.sqrt(self.embed_dim)
+        qrep.renormalize_rows(self.amplitudes)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -191,8 +185,12 @@ def q_value(measurement: ClassMeasurement) -> float:
 @dataclass(frozen=True, eq=False)
 class CriticGradients:
     amplitudes: np.ndarray   # (V, d)
-    phases: np.ndarray       # (V, d), identically zero under block measurement
     salience: np.ndarray     # (V,)
+
+    @property
+    def phases(self) -> np.ndarray:
+        """(V, d) zeros: phases do not enter the block masses, so nothing stores or applies them."""
+        return np.zeros_like(self.amplitudes)
 
 
 def _class_masses(ids: np.ndarray, table: ComplexEmbeddingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,11 +240,7 @@ def critic_loss_and_gradients(
     loss = -float(np.log(max(p_label, PROB_FLOOR)))
 
     v_rows, d = table.amplitudes.shape
-    grads = CriticGradients(
-        amplitudes=np.zeros((v_rows, d)),
-        phases=np.zeros((v_rows, d)),
-        salience=np.zeros(v_rows),
-    )
+    grads = CriticGradients(amplitudes=np.zeros((v_rows, d)), salience=np.zeros(v_rows))
     if p_label <= PROB_FLOOR:
         return loss, grads
 

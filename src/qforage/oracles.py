@@ -176,9 +176,7 @@ def check_gradients(seed: int = 0, perturb: float = 0.0, instances: int = 10) ->
         _, cgrads = critic.critic_loss_and_gradients(tokens, label, ctable)
         if perturb:
             cgrads = critic.CriticGradients(
-                amplitudes=cgrads.amplitudes * (1.0 + perturb),
-                phases=cgrads.phases,
-                salience=cgrads.salience,
+                amplitudes=cgrads.amplitudes * (1.0 + perturb), salience=cgrads.salience
             )
 
         def cfd(array: np.ndarray, flat_index: int) -> float:

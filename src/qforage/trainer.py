@@ -110,8 +110,6 @@ class TrainConfig:
                 kwargs[f.name] = int(raw)
             elif f.type in ("float", float):
                 kwargs[f.name] = float(raw)
-            elif f.name == "checkpoint_path":
-                kwargs[f.name] = raw
             else:
                 kwargs[f.name] = raw
         return cls(**kwargs)
@@ -191,7 +189,6 @@ def _apply_critic_update(
     table: critic.ComplexEmbeddingTable, grads: critic.CriticGradients, lr: float
 ) -> None:
     table.amplitudes -= lr * grads.amplitudes
-    table.phases -= lr * grads.phases
     table.salience -= lr * grads.salience
     table.renormalize()
 
