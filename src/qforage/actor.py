@@ -52,14 +52,15 @@ class ActorParams:
 class ActorForward:
     scores: np.ndarray   # (C,)
     pooled: np.ndarray   # (C, R) per-rank products per candidate
+    dots: np.ndarray     # (C, R, n) per-position inner products <e_{r,i}, alpha_i>
 
 
 @dataclass(frozen=True, eq=False)
 class ActionOutput:
-    """One selection: chosen index, the score table, and the chosen candidate's rank profile."""
+    """One selection: chosen index, the forward pass, and the chosen candidate's rank profile."""
 
     index: int
-    scores: np.ndarray
+    forward: ActorForward
     probabilities: np.ndarray
     action_vector: np.ndarray
     log_probability: float
@@ -77,15 +78,20 @@ class ActorGradients:
 def actor_forward(params: ActorParams, candidates: Sequence[qrep.QueryState]) -> ActorForward:
     """Score every candidate. Deterministic: same inputs, bitwise-same outputs.
 
-    Scores go through qrep.project per candidate, so module-level and
-    actor-level scoring cannot drift apart.
+    One einsum takes every (candidate, rank, position) inner product, with
+    the per-candidate arithmetic of qrep.product_pool; each score is the
+    weighted sum qrep.project takes, so module-level and actor-level scoring
+    agree bit for bit. The dots ride along for actor_gradients.
     """
     if len(candidates) == 0:
         raise NoCandidates("actor_forward needs at least one candidate")
     g = params.global_rep
-    pooled = np.stack([qrep.product_pool(g, q) for q in candidates])
+    for q in candidates:
+        qrep._check_compatible(g, q)
+    dots = np.einsum("rik,cik->cri", g.factors, np.stack([q.rows for q in candidates]))
+    pooled = np.prod(dots, axis=2)
     scores = np.array([float(np.dot(g.weights, p)) for p in pooled])
-    return ActorForward(scores=scores, pooled=pooled)
+    return ActorForward(scores=scores, pooled=pooled, dots=dots)
 
 
 def policy_probabilities(scores: np.ndarray, temperature: float) -> np.ndarray:
@@ -112,15 +118,15 @@ def _log_probability(scores: np.ndarray, temperature: float, index: int) -> floa
 def select_action(
     scores: np.ndarray,
     temperature: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     greedy: bool = False,
 ) -> tuple[int, float]:
     """Pick a candidate index and its log probability.
 
     Stochastic mode samples the softmax by inverse CDF on one uniform draw, so
     a fixed generator gives a fixed index sequence. Greedy mode takes the
-    lowest-index argmax and reports log probability 0 (the zero-temperature
-    limit puts all mass there).
+    lowest-index argmax, draws nothing (rng may be None), and reports log
+    probability 0 (the zero-temperature limit puts all mass there).
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
@@ -146,7 +152,7 @@ def act(
     index, log_prob = select_action(forward.scores, params.temperature, rng, greedy=greedy)
     return ActionOutput(
         index=index,
-        scores=forward.scores,
+        forward=forward,
         probabilities=policy_probabilities(forward.scores, params.temperature),
         action_vector=forward.pooled[index].copy(),
         log_probability=log_prob,
@@ -158,12 +164,14 @@ def actor_gradients(
     candidates: Sequence[qrep.QueryState],
     chosen: int,
     advantage: float,
+    forward: ActorForward | None = None,
 ) -> ActorGradients:
     """Gradients of loss = -advantage * log pi(chosen) for all actor parameters.
 
-    The padding row's gradient is computed like any other row; the trainer is
-    the one that refuses to move it. Zero advantage short-circuits to exact
-    zeros.
+    `forward` is the pass the choice was sampled from (act's output); without
+    it the pass is recomputed, with the same arithmetic. The padding row's
+    gradient is computed like any other row; the trainer is the one that
+    refuses to move it. Zero advantage short-circuits to exact zeros.
     """
     if len(candidates) == 0:
         raise NoCandidates("actor_gradients needs at least one candidate")
@@ -179,15 +187,13 @@ def actor_gradients(
     if advantage == 0.0:
         return grads
 
-    for q in candidates:
-        qrep._check_compatible(g, q)
+    if forward is None:
+        forward = actor_forward(params, candidates)
     rows = np.stack([q.rows for q in candidates])          # (C, n, k)
     ids = np.stack([q.word_ids for q in candidates])       # (C, n)
-    dots = np.einsum("rik,cik->cri", g.factors, rows)      # (C, R, n)
-    pooled = np.prod(dots, axis=2)                         # (C, R)
-    scores = pooled @ g.weights
+    dots = forward.dots                                    # (C, R, n)
 
-    probs = policy_probabilities(scores, params.temperature)
+    probs = policy_probabilities(forward.scores, params.temperature)
     one_hot = np.zeros_like(probs)
     one_hot[chosen] = 1.0
     # d loss / d score_c; the 1/temperature comes from the softmax logits.
@@ -202,7 +208,7 @@ def actor_gradients(
         suffix[:, :, n_count - 1 - i] = suffix[:, :, n_count - i] * dots[:, :, n_count - i]
     loo = prefix * suffix                                   # (C, R, n)
 
-    grads.weights[:] = g_scores @ pooled
+    grads.weights[:] = g_scores @ forward.pooled
     w_loo = g.weights[None, :, None] * loo                  # (C, R, n)
     grads.factors[:] = np.einsum("c,crn,cnk->rnk", g_scores, w_loo, rows)
     per_row = np.einsum("c,crn,rnk->cnk", g_scores, w_loo, g.factors)

@@ -189,7 +189,7 @@ class CriticGradients:
 
     @property
     def phases(self) -> np.ndarray:
-        """(V, d) zeros: phases do not enter the block masses, so nothing stores or applies them."""
+        """(V, d) zeros: phases do not enter the block masses, so nothing stores this."""
         return np.zeros_like(self.amplitudes)
 
 

@@ -324,7 +324,6 @@ class Transition:
     chosen_index: int
     reward: int
     log_probability: float = 0.0
-    class_probabilities: np.ndarray | None = None
 
     def __post_init__(self):
         if self.reward not in REWARD_VALUES:

@@ -56,11 +56,17 @@ def ensure_normalized(v: np.ndarray, what: str = "state vector") -> None:
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    """Return v scaled to unit norm. A zero vector has no direction and is rejected."""
+    """Return v scaled to unit norm.
+
+    A zero vector has no direction, and a NaN or infinite entry no finite
+    norm to divide by; both are rejected.
+    """
     v = np.asarray(v)
     norm = vector_norm(v)
     if norm == 0.0:
         raise ValueError("cannot normalize a zero vector")
+    if not math.isfinite(norm):
+        raise ValueError(f"cannot normalize a vector of non-finite norm {norm!r}")
     return v / norm
 
 
@@ -158,14 +164,15 @@ class DensityMatrix:
             raise ShapeMismatch(f"density matrix must be square, got shape {m.shape}")
         if m.shape[0] > DENSE_CAP:
             raise DenseCapExceeded(f"density matrix side {m.shape[0]} exceeds cap {DENSE_CAP}")
+        # Each check asks "not within bound" so that a NaN defect fails it.
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
-        if herm_defect > 1e-10:
+        if not herm_defect <= 1e-10:
             raise ValueError(f"matrix is not Hermitian: max defect {herm_defect:.3e}")
         trace_defect = abs(complex(np.trace(m)) - 1.0)
-        if trace_defect > 1e-10:
+        if not trace_defect <= 1e-10:
             raise ValueError(f"trace differs from 1 by {trace_defect:.3e}")
         min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -1e-8:
+        if not min_eig >= -1e-8:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

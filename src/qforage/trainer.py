@@ -1,16 +1,20 @@
 """Actor-critic training loop, evaluation, and text checkpoints.
 
 One step: the actor samples a candidate from its softmax policy, the
-environment pays the candidate's label as reward, the critic measures the
-(keywords, chosen query) pair, and both sides take a plain SGD step. The actor
-coefficient is the advantage, reward minus the critic's expected-reward
-estimate; the critic trains supervised against the true label. After every
-step all unit-norm rows (actor amplitudes, factor vectors, critic amplitudes)
-are renormalized, the actor padding row stays pinned, and critic amplitudes
-stay nonnegative.
+environment pays the candidate's label as reward, the critic judges the
+(keywords, chosen query) pair, and both sides take a plain SGD step. The critic
+judges by its class block masses (critic.class_probabilities), which equal
+measuring its density matrix on unit rows, so no density matrix is built
+during training or evaluation. The actor coefficient is the advantage, reward
+minus the critic's expected-reward estimate; the critic trains supervised
+against the true label. The policy gradient reuses the forward pass the action
+was sampled from. After every step all unit-norm rows (actor amplitudes,
+factor vectors, critic amplitudes) are renormalized, the actor padding row
+stays pinned, and critic amplitudes stay nonnegative.
 
-Bandit mode treats every document as a one-step episode. Session mode walks a
-patch to exhaustion per episode and scales each step's policy gradient by its
+Both modes share one step routine. Bandit mode treats every document as a
+one-step episode and updates the actor at once. Session mode walks a patch to
+exhaustion per episode and scales each step's policy gradient by its
 discounted return minus the critic estimate.
 
 Checkpoints are UTF-8 text: a `qforage-checkpoint v1` header, `# key=value`
@@ -24,8 +28,9 @@ checkpoint paired with the wrong corpus.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -193,14 +198,47 @@ def _apply_critic_update(
     table.renormalize()
 
 
-def _judge(
+def _step(
+    params: actor.ActorParams,
     critic_table: critic.ComplexEmbeddingTable,
-    keywords: Sequence[str],
-    action_tokens: Sequence[str],
-) -> tuple[np.ndarray, float]:
-    rho = critic.critic_density(keywords, action_tokens, critic_table)
-    measurement = critic.measure_classes(rho)
-    return measurement.probabilities, critic.q_value(measurement)
+    observation: env.Observation,
+    config: TrainConfig,
+    rng: np.random.Generator,
+) -> tuple[env.Transition, StepMetrics, Callable[[float], actor.ActorGradients]]:
+    """The step both modes share: sample, collect the reward, judge, train the critic.
+
+    The critic's expected reward is read from its block masses before this
+    step's critic update, and the metrics carry the one-step advantage
+    reward - q. The third value maps an advantage to actor gradients taken
+    through the forward pass the action was sampled from.
+    """
+    candidates = [
+        qrep.embed_query(c.tokens, params.table, config.query_order)
+        for c in observation.candidates
+    ]
+    out = actor.act(params, candidates, rng)
+    reward, transition = env.step(observation, out.index)
+
+    tokens = list(observation.keywords) + list(observation.candidates[out.index].tokens)
+    probabilities = critic.class_probabilities(tokens, critic_table)
+    q_estimate = float(np.dot(critic.CLASS_REWARDS, probabilities))
+    critic_loss, critic_grads = critic.critic_loss_and_gradients(
+        tokens, critic.class_of_reward(reward), critic_table
+    )
+    if config.critic_lr != 0.0:
+        _apply_critic_update(critic_table, critic_grads, config.critic_lr)
+
+    metrics = StepMetrics(
+        reward=reward,
+        q_estimate=q_estimate,
+        advantage=reward - q_estimate,
+        critic_loss=critic_loss,
+        log_probability=out.log_probability,
+    )
+    gradients = functools.partial(
+        actor.actor_gradients, params, candidates, out.index, forward=out.forward
+    )
+    return replace(transition, log_probability=out.log_probability), metrics, gradients
 
 
 def train_step(
@@ -210,44 +248,14 @@ def train_step(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[env.Transition, StepMetrics]:
-    """One bandit step: sample, judge, update both sides in place.
+    """One bandit step: the shared step, then the actor update at its advantage.
 
     A zero advantage leaves actor parameters bit-identical; a zero learning
     rate does the same for that side.
     """
-    candidates = [
-        qrep.embed_query(c.tokens, params.table, config.query_order)
-        for c in observation.candidates
-    ]
-    out = actor.act(params, candidates, rng)
-    reward, transition = env.step(observation, out.index)
-
-    action_tokens = observation.candidates[out.index].tokens
-    probabilities, q_estimate = _judge(critic_table, observation.keywords, action_tokens)
-    advantage = reward - q_estimate
-
-    tokens = list(observation.keywords) + list(action_tokens)
-    label = critic.class_of_reward(reward)
-    critic_loss, critic_grads = critic.critic_loss_and_gradients(tokens, label, critic_table)
-
-    if config.actor_lr != 0.0 and advantage != 0.0:
-        actor_grads = actor.actor_gradients(params, candidates, out.index, advantage)
-        _apply_actor_update(params, actor_grads, config.actor_lr)
-    if config.critic_lr != 0.0:
-        _apply_critic_update(critic_table, critic_grads, config.critic_lr)
-
-    transition = replace(
-        transition,
-        log_probability=out.log_probability,
-        class_probabilities=probabilities,
-    )
-    metrics = StepMetrics(
-        reward=reward,
-        q_estimate=q_estimate,
-        advantage=advantage,
-        critic_loss=critic_loss,
-        log_probability=out.log_probability,
-    )
+    transition, metrics, gradients = _step(params, critic_table, observation, config, rng)
+    if config.actor_lr != 0.0 and metrics.advantage != 0.0:
+        _apply_actor_update(params, gradients(metrics.advantage), config.actor_lr)
     return transition, metrics
 
 
@@ -265,43 +273,14 @@ def _session_episode(
     applied as a single summed update. The critic updates per step.
     """
     trace = EpisodeTrace()
-    staged: list[tuple[actor.ActorGradients, float]] = []
+    staged: list[actor.ActorGradients] = []
     while True:
-        observation = environment.reset()
-        candidates = [
-            qrep.embed_query(c.tokens, params.table, config.query_order)
-            for c in observation.candidates
-        ]
-        out = actor.act(params, candidates, rng)
-        reward, transition = env.step(observation, out.index)
-        probabilities, q_estimate = _judge(
-            critic_table, observation.keywords, observation.candidates[out.index].tokens
+        transition, metrics, gradients = _step(
+            params, critic_table, environment.reset(), config, rng
         )
-        tokens = list(observation.keywords) + list(observation.candidates[out.index].tokens)
-        critic_loss, critic_grads = critic.critic_loss_and_gradients(
-            tokens, critic.class_of_reward(reward), critic_table
-        )
-        if config.critic_lr != 0.0:
-            _apply_critic_update(critic_table, critic_grads, config.critic_lr)
-        staged.append(
-            (actor.actor_gradients(params, candidates, out.index, 1.0), q_estimate)
-        )
-        trace.transitions.append(
-            replace(
-                transition,
-                log_probability=out.log_probability,
-                class_probabilities=probabilities,
-            )
-        )
-        trace.metrics.append(
-            StepMetrics(
-                reward=reward,
-                q_estimate=q_estimate,
-                advantage=float("nan"),  # resolved below once returns exist
-                critic_loss=critic_loss,
-                log_probability=out.log_probability,
-            )
-        )
+        staged.append(gradients(1.0))
+        trace.transitions.append(transition)
+        trace.metrics.append(metrics)
         if environment.last_of_patch:
             break
 
@@ -312,10 +291,10 @@ def _session_episode(
     any_update = False
     for t in reversed(range(len(staged))):
         discounted = trace.transitions[t].reward + config.discount * discounted
-        grads, q_estimate = staged[t]
-        advantage = discounted - q_estimate
+        advantage = discounted - trace.metrics[t].q_estimate
         trace.metrics[t] = replace(trace.metrics[t], advantage=advantage)
         if advantage != 0.0:
+            grads = staged[t]
             total_table += advantage * grads.table
             total_weights += advantage * grads.weights
             total_factors += advantage * grads.factors
@@ -361,12 +340,11 @@ def evaluate(
     rewards: list[int] = []
     for doc in corpus.documents:
         candidates = [qrep.embed_query(c.tokens, params.table, order) for c in doc.candidates]
-        forward = actor.actor_forward(params, candidates)
-        index = int(np.argmax(forward.scores))
+        scores = actor.actor_forward(params, candidates).scores
+        index, _ = actor.select_action(scores, params.temperature, None, greedy=True)
         reward = doc.candidates[index].label
         rewards.append(reward)
         hits += int(reward == 1)
-        probabilities, _ = _judge(critic_table, doc.keywords, doc.candidates[index].tokens)
         transitions.append(
             env.Transition(
                 doc_id=doc.doc_id,
@@ -374,8 +352,6 @@ def evaluate(
                 candidates=doc.candidates,
                 chosen_index=index,
                 reward=reward,
-                log_probability=0.0,
-                class_probabilities=probabilities,
             )
         )
         choices.append((doc.doc_id, doc.candidates[index].tokens, reward))

@@ -229,6 +229,22 @@ class TestEval:
         assert code == 1
         assert "error:" in err
 
+    def test_non_finite_actor_rows_are_runtime_error(
+        self, corpus_dir, trained_dir, tmp_path, capsys
+    ):
+        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint.actor_amplitudes[:] = np.nan
+        bad = tmp_path / "nan.txt"
+        trainer.save_checkpoint(checkpoint, str(bad))
+        argv = [
+            "eval",
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--checkpoint", str(bad),
+        ]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "error:" in err
+
     def test_empty_corpus_is_runtime_error(self, trained_dir, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("# nothing here\n")

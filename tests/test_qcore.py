@@ -96,6 +96,22 @@ class TestTensorProduct:
             tensor_product([np.eye(2)])
 
 
+class TestNormalize:
+    def test_scales_to_unit_norm(self):
+        assert is_normalized(normalize(np.array([3.0, 4.0])))
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError):
+            normalize(np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "v", [[np.nan, 0.0], [np.inf, 0.0], [1.0, -np.inf], [1.0 + 1j * np.nan, 0.0]]
+    )
+    def test_non_finite_vector_rejected(self, v):
+        with pytest.raises(ValueError):
+            normalize(np.array(v))
+
+
 class TestProjector:
     def test_basis_projector(self):
         np.testing.assert_array_equal(
@@ -283,6 +299,20 @@ class TestDensityMatrix:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatch):
             DensityMatrix(np.ones((2, 3)) / 6)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[np.nan, 0.0], [0.0, 0.5]],
+            [[0.5, np.nan], [np.nan, 0.5]],
+            [[np.inf, 0.0], [0.0, 0.5]],
+            [[0.5 + 1j * np.nan, 0.0], [0.0, 0.5]],
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_matrix_rejected(self, m):
+        with pytest.raises(ValueError):
+            DensityMatrix(np.array(m))
 
     def test_array_is_frozen(self):
         rho = DensityMatrix(np.eye(2) / 2)

@@ -13,10 +13,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qforage import actor, critic, env, qrep, trainer
+from qforage import actor, critic, env, qcore, qrep, trainer
 from qforage.errors import (
     CheckpointMismatch,
     EmptyCorpus,
+    NonFiniteScore,
     ParseError,
     VersionMismatch,
 )
@@ -321,6 +322,58 @@ class TestEvaluate:
         params, critic_table = trainer.init_params(small_corpus(), small_config())
         with pytest.raises(EmptyCorpus):
             trainer.evaluate(params, critic_table, empty)
+
+    def test_non_finite_scores_rejected(self):
+        corpus = env.gen_corpus(env.CorpusSpec(docs=10, patches=2), np.random.default_rng(3))
+        params, critic_table = trainer.init_params(corpus, trainer.TrainConfig())
+        params.table.amplitudes[:] = np.nan
+        with pytest.raises(NonFiniteScore):
+            trainer.evaluate(params, critic_table, corpus)
+
+
+class TestNoDensityMatrixOnTrainingPaths:
+    """Training and evaluation judge by block masses; building a density matrix fails here."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_density(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a density matrix was built")
+
+        monkeypatch.setattr(qcore, "build_density", refuse)
+        monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", refuse)
+
+    def test_refusal_reaches_the_reference_judge(self):
+        table = critic.ComplexEmbeddingTable.from_vocab(("a",), 6, np.random.default_rng(0))
+        with pytest.raises(AssertionError):
+            critic.critic_density(["a"], ["a"], table)
+        with pytest.raises(AssertionError):
+            qcore.DensityMatrix(np.eye(2) / 2)
+
+    def test_bandit_training_and_evaluation(self):
+        corpus = small_corpus()
+        result = trainer.train(small_config(), corpus)
+        assert result.metrics
+        trainer.evaluate(result.params, result.critic_table, corpus)
+
+    def test_session_training(self):
+        config = small_config(mode="session", episodes=4, eval_interval=2)
+        result = trainer.train(config, small_corpus())
+        assert result.metrics
+
+    def test_q_estimate_is_expected_reward_of_pre_update_table(self):
+        corpus = small_corpus()
+        config = small_config()
+        params, critic_table = trainer.init_params(corpus, config)
+        environment = env.Environment(corpus, np.random.default_rng(12))
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            obs = environment.reset()
+            before = copy.deepcopy(critic_table)
+            transition, metrics = trainer.train_step(params, critic_table, obs, config, rng)
+            tokens = list(obs.keywords) + list(obs.candidates[transition.chosen_index].tokens)
+            p = critic.class_probabilities(tokens, before)
+            assert metrics.q_estimate == float(np.dot(critic.CLASS_REWARDS, p))
+            assert critic_state_bytes(critic_table) != critic_state_bytes(before)
 
 
 class TestCheckpointFormat:
