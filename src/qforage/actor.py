@@ -68,11 +68,25 @@ class ActionOutput:
 
 @dataclass(frozen=True, eq=False)
 class ActorGradients:
-    """Gradients of -advantage * log pi(chosen) in parameter layout."""
+    """Gradients of -advantage * log pi(chosen) in parameter layout.
 
-    table: np.ndarray     # (V, k)
+    The amplitude table's gradient is kept on the rows the candidates touch;
+    every other row's gradient is zero, and `table` builds the dense view on
+    demand.
+    """
+
+    ids: np.ndarray       # (U,) sorted unique table rows of the candidates
+    rows: np.ndarray      # (U, k)
     weights: np.ndarray   # (R,)
     factors: np.ndarray   # (R, n, k)
+    num_rows: int
+
+    @property
+    def table(self) -> np.ndarray:
+        """(V, k) dense view."""
+        dense = np.zeros((self.num_rows, self.rows.shape[1]))
+        dense[self.ids] = self.rows
+        return dense
 
 
 def actor_forward(params: ActorParams, candidates: Sequence[qrep.QueryState]) -> ActorForward:
@@ -120,6 +134,7 @@ def select_action(
     temperature: float,
     rng: np.random.Generator | None,
     greedy: bool = False,
+    probabilities: np.ndarray | None = None,
 ) -> tuple[int, float]:
     """Pick a candidate index and its log probability.
 
@@ -127,14 +142,17 @@ def select_action(
     a fixed generator gives a fixed index sequence. Greedy mode takes the
     lowest-index argmax, draws nothing (rng may be None), and reports log
     probability 0 (the zero-temperature limit puts all mass there).
+    `probabilities`, when given, is policy_probabilities(scores, temperature)
+    already computed by the caller.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise NonFiniteScore(f"scores contain non-finite values: {scores!r}")
     if greedy:
         return int(np.argmax(scores)), 0.0
-    probs = policy_probabilities(scores, temperature)
-    cdf = np.cumsum(probs)
+    if probabilities is None:
+        probabilities = policy_probabilities(scores, temperature)
+    cdf = np.cumsum(probabilities)
     u = rng.random() * cdf[-1]
     index = int(np.searchsorted(cdf, u, side="right"))
     index = min(index, scores.shape[0] - 1)
@@ -147,13 +165,20 @@ def act(
     rng: np.random.Generator,
     greedy: bool = False,
 ) -> ActionOutput:
-    """Forward pass plus selection, bundled for the training loop."""
+    """Forward pass plus selection, bundled for the training loop.
+
+    The softmax is taken once and serves the draw, the output, and (through
+    ActionOutput.probabilities) the policy gradient.
+    """
     forward = actor_forward(params, candidates)
-    index, log_prob = select_action(forward.scores, params.temperature, rng, greedy=greedy)
+    probabilities = policy_probabilities(forward.scores, params.temperature)
+    index, log_prob = select_action(
+        forward.scores, params.temperature, rng, greedy=greedy, probabilities=probabilities
+    )
     return ActionOutput(
         index=index,
         forward=forward,
-        probabilities=policy_probabilities(forward.scores, params.temperature),
+        probabilities=probabilities,
         action_vector=forward.pooled[index].copy(),
         log_probability=log_prob,
     )
@@ -165,39 +190,47 @@ def actor_gradients(
     chosen: int,
     advantage: float,
     forward: ActorForward | None = None,
+    probabilities: np.ndarray | None = None,
 ) -> ActorGradients:
     """Gradients of loss = -advantage * log pi(chosen) for all actor parameters.
 
-    `forward` is the pass the choice was sampled from (act's output); without
-    it the pass is recomputed, with the same arithmetic. The padding row's
-    gradient is computed like any other row; the trainer is the one that
-    refuses to move it. Zero advantage short-circuits to exact zeros.
+    `forward` is the pass the choice was sampled from (act's output) and
+    `probabilities` its softmax; without them they are recomputed, with the
+    same arithmetic. The padding row's gradient is computed like any other
+    row; the trainer is the one that refuses to move it. Zero advantage
+    short-circuits to exact zeros.
     """
     if len(candidates) == 0:
         raise NoCandidates("actor_gradients needs at least one candidate")
     if not (0 <= chosen < len(candidates)):
         raise IndexOutOfRange(f"chosen index {chosen} outside 0..{len(candidates) - 1}")
     g = params.global_rep
-    table_shape = params.table.amplitudes.shape
+    # Repeated words share one row: `position_row` maps each (candidate,
+    # position) to its row.
+    table_ids, position_row = np.unique(
+        np.concatenate([q.word_ids for q in candidates]), return_inverse=True
+    )
     grads = ActorGradients(
-        table=np.zeros(table_shape),
+        ids=table_ids,
+        rows=np.zeros((table_ids.shape[0], params.table.basis_dim)),
         weights=np.zeros(g.rank),
         factors=np.zeros_like(g.factors),
+        num_rows=params.table.num_rows,
     )
     if advantage == 0.0:
         return grads
 
     if forward is None:
         forward = actor_forward(params, candidates)
+    if probabilities is None:
+        probabilities = policy_probabilities(forward.scores, params.temperature)
     rows = np.stack([q.rows for q in candidates])          # (C, n, k)
-    ids = np.stack([q.word_ids for q in candidates])       # (C, n)
     dots = forward.dots                                    # (C, R, n)
 
-    probs = policy_probabilities(forward.scores, params.temperature)
-    one_hot = np.zeros_like(probs)
+    one_hot = np.zeros_like(probabilities)
     one_hot[chosen] = 1.0
     # d loss / d score_c; the 1/temperature comes from the softmax logits.
-    g_scores = -advantage * (one_hot - probs) / params.temperature
+    g_scores = -advantage * (one_hot - probabilities) / params.temperature
 
     # Leave-one-out products along the position axis via prefix/suffix scans.
     c_count, r_count, n_count = dots.shape
@@ -212,5 +245,5 @@ def actor_gradients(
     w_loo = g.weights[None, :, None] * loo                  # (C, R, n)
     grads.factors[:] = np.einsum("c,crn,cnk->rnk", g_scores, w_loo, rows)
     per_row = np.einsum("c,crn,rnk->cnk", g_scores, w_loo, g.factors)
-    np.add.at(grads.table, ids.reshape(-1), per_row.reshape(-1, table_shape[1]))
+    np.add.at(grads.rows, position_row, per_row.reshape(-1, grads.rows.shape[1]))
     return grads

@@ -118,17 +118,21 @@ class ComplexEmbeddingTable:
         """Complex vectors amplitude * exp(i * phase) for the given rows."""
         return self.amplitudes[ids] * np.exp(1j * self.phases[ids])
 
-    def renormalize(self) -> None:
+    def renormalize(self, ids: np.ndarray | None = None) -> None:
         """Project amplitude rows back onto the nonnegative unit sphere.
 
         Negatives clamp to zero first; a row clamped to all zeros resets to
         the uniform unit row. The rest is qrep.renormalize_rows, so rows
-        already unit within its dead band are left bit-identical.
+        already unit within its dead band are left bit-identical. `ids`
+        limits the work to the rows an update touched.
         """
-        np.maximum(self.amplitudes, 0.0, out=self.amplitudes)
-        sq = np.einsum("ij,ij->i", self.amplitudes, self.amplitudes)
-        self.amplitudes[sq <= 1e-300] = 1.0 / np.sqrt(self.embed_dim)
-        qrep.renormalize_rows(self.amplitudes)
+        rows = self.amplitudes if ids is None else self.amplitudes[ids]
+        np.maximum(rows, 0.0, out=rows)
+        sq = np.einsum("ij,ij->i", rows, rows)
+        rows[sq <= 1e-300] = 1.0 / np.sqrt(self.embed_dim)
+        qrep.renormalize_rows(rows)
+        if ids is not None:
+            self.amplitudes[ids] = rows
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -184,13 +188,37 @@ def q_value(measurement: ClassMeasurement) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CriticGradients:
-    amplitudes: np.ndarray   # (V, d)
-    salience: np.ndarray     # (V,)
+    """Loss gradients on the word rows the tokens touch; every other row's gradient is zero.
+
+    The dense (V, ...) views are built on demand, for checks that index the
+    whole table. `probabilities` are the class probabilities the loss was
+    taken on, masses over their total.
+    """
+
+    ids: np.ndarray              # (U,) sorted unique word rows of the tokens
+    amplitude_rows: np.ndarray   # (U, d)
+    salience_rows: np.ndarray    # (U,)
+    num_rows: int
+    probabilities: np.ndarray    # (3,)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """(V, d) dense view."""
+        dense = np.zeros((self.num_rows, self.amplitude_rows.shape[1]))
+        dense[self.ids] = self.amplitude_rows
+        return dense
+
+    @property
+    def salience(self) -> np.ndarray:
+        """(V,) dense view."""
+        dense = np.zeros(self.num_rows)
+        dense[self.ids] = self.salience_rows
+        return dense
 
     @property
     def phases(self) -> np.ndarray:
         """(V, d) zeros: phases do not enter the block masses, so nothing stores this."""
-        return np.zeros_like(self.amplitudes)
+        return np.zeros((self.num_rows, self.amplitude_rows.shape[1]))
 
 
 def _class_masses(ids: np.ndarray, table: ComplexEmbeddingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,23 +252,33 @@ def critic_loss_and_gradients(
     label: int,
     table: ComplexEmbeddingTable,
 ) -> tuple[float, CriticGradients]:
-    """Cross-entropy against the labeled class, with gradients for all word parameters.
+    """Cross-entropy against the labeled class, with gradients for the tokens' word rows.
 
     loss = -log p_label, floored at p >= 1e-12 (below the floor the loss is
     constant, so gradients are zero there). Gradients are reverse mode through
     the salience softmax and the squared-amplitude block masses; phases do not
-    enter the diagonal, so their gradient is identically zero.
+    enter the diagonal, so their gradient is identically zero. Each word's
+    occurrences add into its row in token order.
     """
     if label not in (0, 1, 2):
         raise InvalidLabel(f"label {label!r} is not a class index in (0, 1, 2)")
     ids = _token_ids(tokens, table)
     beta, s, masses = _class_masses(ids, table)
     total = float(masses.sum())
-    p_label = float(masses[label]) / total
+    probabilities = masses / total
+    p_label = float(probabilities[label])
     loss = -float(np.log(max(p_label, PROB_FLOOR)))
 
-    v_rows, d = table.amplitudes.shape
-    grads = CriticGradients(amplitudes=np.zeros((v_rows, d)), salience=np.zeros(v_rows))
+    # Repeated words share one row: `occurrence` maps each token to its row.
+    rows, occurrence = np.unique(ids, return_inverse=True)
+    d = table.embed_dim
+    grads = CriticGradients(
+        ids=rows,
+        amplitude_rows=np.zeros((rows.shape[0], d)),
+        salience_rows=np.zeros(rows.shape[0]),
+        num_rows=table.num_rows,
+        probabilities=probabilities,
+    )
     if p_label <= PROB_FLOOR:
         return loss, grads
 
@@ -252,16 +290,16 @@ def critic_loss_and_gradients(
     # occurrences of one word into its single parameter.
     d_beta = s @ d_masses
     d_z = beta * (d_beta - float(np.dot(beta, d_beta)))
-    np.add.at(grads.salience, ids, d_z)
+    np.add.at(grads.salience_rows, occurrence, d_z)
 
     # Amplitude path: m_c picks up 2 * beta_t * a_{w,j} for j in block c.
-    occ = beta  # coefficient per occurrence
-    word_coeff = np.zeros(v_rows)
-    np.add.at(word_coeff, ids, occ)
+    word_coeff = np.zeros(rows.shape[0])
+    np.add.at(word_coeff, occurrence, beta)
+    amplitudes = table.amplitudes[rows]
     block = d // 3
     for c in range(3):
         cols = slice(c * block, (c + 1) * block)
-        grads.amplitudes[:, cols] = (
-            2.0 * d_masses[c] * word_coeff[:, None] * table.amplitudes[:, cols]
+        grads.amplitude_rows[:, cols] = (
+            2.0 * d_masses[c] * word_coeff[:, None] * amplitudes[:, cols]
         )
     return loss, grads

@@ -106,3 +106,7 @@ class MissingPositiveCandidate(QForageError):
 
 class CheckpointMismatch(QForageError):
     """A checkpoint's parameter shapes do not fit the given corpus."""
+
+
+class CheckpointInvalid(QForageError):
+    """A checkpoint's parameters break an invariant that training maintains."""

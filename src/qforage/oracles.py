@@ -10,7 +10,7 @@ have teeth: a perturbed run must fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,9 +149,7 @@ def check_gradients(seed: int = 0, perturb: float = 0.0, instances: int = 10) ->
         candidates = [qrep.embed_query(t, table, order) for t in token_lists]
         grads = actor.actor_gradients(params, candidates, chosen, advantage)
         if perturb:
-            grads = actor.ActorGradients(
-                table=grads.table * (1.0 + perturb), weights=grads.weights, factors=grads.factors
-            )
+            grads = replace(grads, rows=grads.rows * (1.0 + perturb))
 
         def fd(array: np.ndarray, flat_index: int) -> float:
             orig = array.flat[flat_index]
@@ -175,9 +173,7 @@ def check_gradients(seed: int = 0, perturb: float = 0.0, instances: int = 10) ->
         label = int(rng.integers(0, 3))
         _, cgrads = critic.critic_loss_and_gradients(tokens, label, ctable)
         if perturb:
-            cgrads = critic.CriticGradients(
-                amplitudes=cgrads.amplitudes * (1.0 + perturb), salience=cgrads.salience
-            )
+            cgrads = replace(cgrads, amplitude_rows=cgrads.amplitude_rows * (1.0 + perturb))
 
         def cfd(array: np.ndarray, flat_index: int) -> float:
             orig = array.flat[flat_index]

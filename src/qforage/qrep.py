@@ -50,12 +50,19 @@ DEFAULT_RANK = 10
 _RENORM_DEADBAND = 1e-13
 
 
-def renormalize_rows(rows: np.ndarray) -> None:
-    """Scale each row of a 2-D array to unit norm, in place, with a dead band."""
-    sq = np.einsum("ij,ij->i", rows, rows)
-    for i, s in enumerate(sq):
-        if abs(s - 1.0) > _RENORM_DEADBAND:
-            rows[i] /= np.sqrt(s)
+def renormalize_rows(rows: np.ndarray, ids: np.ndarray | None = None) -> None:
+    """Scale rows of a 2-D array to unit norm, in place, with a dead band.
+
+    With `ids` (unique row indices) only those rows are read and written;
+    without, every row is. Rows inside the dead band and rows whose squared
+    norm is NaN are left as they are.
+    """
+    block = rows if ids is None else rows[ids]
+    sq = np.einsum("ij,ij->i", block, block)
+    off = np.abs(sq - 1.0) > _RENORM_DEADBAND
+    block[off] /= np.sqrt(sq[off])[:, None]
+    if ids is not None:
+        rows[ids] = block
 
 
 @dataclass(eq=False)
@@ -107,9 +114,12 @@ class AmplitudeTable:
     def word_id(self, token: str) -> int:
         return self._index.get(token, UNK_ID)
 
-    def renormalize(self) -> None:
-        """Restore unit rows after an optimizer step; re-pins the padding row."""
-        renormalize_rows(self.amplitudes)
+    def renormalize(self, ids: np.ndarray | None = None) -> None:
+        """Restore unit rows after an optimizer step; re-pins the padding row.
+
+        `ids` limits the work to the rows an update touched.
+        """
+        renormalize_rows(self.amplitudes, ids)
         self.amplitudes[NULL_ID] = 0.0
         self.amplitudes[NULL_ID, 0] = 1.0
 

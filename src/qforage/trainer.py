@@ -7,10 +7,17 @@ judges by its class block masses (critic.class_probabilities), which equal
 measuring its density matrix on unit rows, so no density matrix is built
 during training or evaluation. The actor coefficient is the advantage, reward
 minus the critic's expected-reward estimate; the critic trains supervised
-against the true label. The policy gradient reuses the forward pass the action
-was sampled from. After every step all unit-norm rows (actor amplitudes,
-factor vectors, critic amplitudes) are renormalized, the actor padding row
-stays pinned, and critic amplitudes stay nonnegative.
+against the true label. The policy gradient reuses the forward pass and the
+softmax the action was sampled from, and the critic's estimate is read from
+the class probabilities its loss is taken on.
+
+A step touches only its tokens' rows: gradients carry (row ids, row values),
+and the update subtracts and renormalizes those rows alone, so its cost does
+not grow with the vocabulary. Every other row has zero gradient and is
+already unit within the renormalization dead band, so the result is the same
+as a dense update. After every step every unit-norm row (actor amplitudes,
+factor vectors, critic amplitudes) is unit again, the actor padding row stays
+pinned, and critic amplitudes stay nonnegative.
 
 Both modes share one step routine. Bandit mode treats every document as a
 one-step episode and updates the actor at once. Session mode walks a patch to
@@ -34,8 +41,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import actor, critic, env, qrep
+from . import actor, critic, env, qcore, qrep
 from .errors import (
+    CheckpointInvalid,
     CheckpointMismatch,
     EmptyCorpus,
     ParseError,
@@ -183,19 +191,19 @@ def init_params(
 def _apply_actor_update(
     params: actor.ActorParams, grads: actor.ActorGradients, lr: float
 ) -> None:
-    params.table.amplitudes -= lr * grads.table
+    params.table.amplitudes[grads.ids] -= lr * grads.rows
     params.global_rep.weights -= lr * grads.weights
     params.global_rep.factors -= lr * grads.factors
-    params.table.renormalize()
+    params.table.renormalize(grads.ids)
     params.global_rep.renormalize()
 
 
 def _apply_critic_update(
     table: critic.ComplexEmbeddingTable, grads: critic.CriticGradients, lr: float
 ) -> None:
-    table.amplitudes -= lr * grads.amplitudes
-    table.salience -= lr * grads.salience
-    table.renormalize()
+    table.amplitudes[grads.ids] -= lr * grads.amplitude_rows
+    table.salience[grads.ids] -= lr * grads.salience_rows
+    table.renormalize(grads.ids)
 
 
 def _step(
@@ -220,11 +228,10 @@ def _step(
     reward, transition = env.step(observation, out.index)
 
     tokens = list(observation.keywords) + list(observation.candidates[out.index].tokens)
-    probabilities = critic.class_probabilities(tokens, critic_table)
-    q_estimate = float(np.dot(critic.CLASS_REWARDS, probabilities))
     critic_loss, critic_grads = critic.critic_loss_and_gradients(
         tokens, critic.class_of_reward(reward), critic_table
     )
+    q_estimate = float(np.dot(critic.CLASS_REWARDS, critic_grads.probabilities))
     if config.critic_lr != 0.0:
         _apply_critic_update(critic_table, critic_grads, config.critic_lr)
 
@@ -236,7 +243,12 @@ def _step(
         log_probability=out.log_probability,
     )
     gradients = functools.partial(
-        actor.actor_gradients, params, candidates, out.index, forward=out.forward
+        actor.actor_gradients,
+        params,
+        candidates,
+        out.index,
+        forward=out.forward,
+        probabilities=out.probabilities,
     )
     return replace(transition, log_probability=out.log_probability), metrics, gradients
 
@@ -284,8 +296,14 @@ def _session_episode(
         if environment.last_of_patch:
             break
 
+    # The summed table gradient lives on the union of the episode's rows;
+    # positions[t] places step t's rows in it.
+    ids, position = np.unique(
+        np.concatenate([grads.ids for grads in staged]), return_inverse=True
+    )
+    positions = np.split(position, np.cumsum([grads.ids.shape[0] for grads in staged[:-1]]))
     discounted = 0.0
-    total_table = np.zeros_like(params.table.amplitudes)
+    total_rows = np.zeros((ids.shape[0], params.table.basis_dim))
     total_weights = np.zeros_like(params.global_rep.weights)
     total_factors = np.zeros_like(params.global_rep.factors)
     any_update = False
@@ -295,14 +313,20 @@ def _session_episode(
         trace.metrics[t] = replace(trace.metrics[t], advantage=advantage)
         if advantage != 0.0:
             grads = staged[t]
-            total_table += advantage * grads.table
+            total_rows[positions[t]] += advantage * grads.rows
             total_weights += advantage * grads.weights
             total_factors += advantage * grads.factors
             any_update = True
     if config.actor_lr != 0.0 and any_update:
         _apply_actor_update(
             params,
-            actor.ActorGradients(table=total_table, weights=total_weights, factors=total_factors),
+            actor.ActorGradients(
+                ids=ids,
+                rows=total_rows,
+                weights=total_weights,
+                factors=total_factors,
+                num_rows=params.table.num_rows,
+            ),
             config.actor_lr,
         )
     return trace
@@ -548,6 +572,48 @@ def load_checkpoint(path: str) -> Checkpoint:
     )
 
 
+def _check_invariants(checkpoint: Checkpoint) -> None:
+    """Reject parameters that training never produces, naming the block and row.
+
+    Every value is finite; actor, factor and critic rows are unit length
+    within qcore.UNIT_TOL; the actor padding row is exactly the first basis
+    vector; critic amplitudes are nonnegative. Rows are numbered as the
+    checkpoint file lays its blocks out.
+    """
+    blocks = {
+        "actor.amplitudes": checkpoint.actor_amplitudes,
+        "global.weights": checkpoint.global_weights.reshape(-1, 1),
+        "global.factors": checkpoint.global_factors.reshape(-1, checkpoint.global_factors.shape[-1]),
+        "critic.amplitudes": checkpoint.critic_amplitudes,
+        "critic.phases": checkpoint.critic_phases,
+        "critic.salience": checkpoint.critic_salience.reshape(-1, 1),
+    }
+    # Whole-array tests first; the offending row is looked up only on failure.
+    for name, block in blocks.items():
+        if not np.isfinite(block).all():
+            row = int(np.argmin(np.isfinite(block).all(axis=1)))
+            raise CheckpointInvalid(f"block {name!r} row {row} holds a non-finite value")
+    for name in ("actor.amplitudes", "global.factors", "critic.amplitudes"):
+        rows = blocks[name]
+        off_unit = np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1.0) > qcore.UNIT_TOL
+        if off_unit.any():
+            row = int(np.argmax(off_unit))
+            raise CheckpointInvalid(
+                f"block {name!r} row {row} has norm {float(np.linalg.norm(rows[row]))!r}, "
+                f"expected 1 within {qcore.UNIT_TOL}"
+            )
+    padding = qcore.basis_vector(checkpoint.actor_amplitudes.shape[1], 0)
+    if checkpoint.actor_amplitudes[qrep.NULL_ID].tobytes() != padding.tobytes():
+        raise CheckpointInvalid(
+            f"block 'actor.amplitudes' row {qrep.NULL_ID} is the padding row and must be "
+            f"exactly {padding.tolist()}"
+        )
+    negative = checkpoint.critic_amplitudes < 0.0
+    if negative.any():
+        row = int(np.argmax(negative.any(axis=1)))
+        raise CheckpointInvalid(f"block 'critic.amplitudes' row {row} has a negative amplitude")
+
+
 def restore_params(
     checkpoint: Checkpoint, corpus: env.Corpus
 ) -> tuple[actor.ActorParams, critic.ComplexEmbeddingTable, TrainConfig]:
@@ -555,7 +621,8 @@ def restore_params(
 
     Rows are (null, unk) + sorted vocabulary on the actor side, (unk) + sorted
     vocabulary on the critic side; a shape disagreement means the checkpoint
-    was trained against a different corpus.
+    was trained against a different corpus. Parameters that break a training
+    invariant raise CheckpointInvalid.
     """
     config = TrainConfig.from_echo(checkpoint.config_echo)
     vocab = corpus.vocabulary
@@ -571,6 +638,7 @@ def restore_params(
         )
     if checkpoint.critic_phases.shape != checkpoint.critic_amplitudes.shape:
         raise CheckpointMismatch("critic amplitude and phase shapes disagree")
+    _check_invariants(checkpoint)
     table = qrep.AmplitudeTable(words=vocab, amplitudes=checkpoint.actor_amplitudes.copy())
     global_rep = qrep.GlobalRepresentation(
         weights=checkpoint.global_weights.copy(),

@@ -245,6 +245,23 @@ class TestEval:
         assert code == 1
         assert "error:" in err
 
+    def test_actor_row_off_the_unit_sphere_is_runtime_error(
+        self, corpus_dir, trained_dir, tmp_path, capsys
+    ):
+        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint.actor_amplitudes[3] *= 3.0
+        bad = tmp_path / "scaled.txt"
+        trainer.save_checkpoint(checkpoint, str(bad))
+        argv = [
+            "eval",
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--checkpoint", str(bad),
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == []
+        assert "error:" in err and "'actor.amplitudes' row 3" in err
+
     def test_empty_corpus_is_runtime_error(self, trained_dir, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("# nothing here\n")

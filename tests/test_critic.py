@@ -90,6 +90,20 @@ class TestComplexEmbeddingTable:
         table.renormalize()
         assert table.amplitudes.tobytes() == before
 
+    def test_renormalize_with_ids_touches_only_those_rows(self):
+        table = make_table(np.random.default_rng(18))
+        table.amplitudes[1, 0] = -0.4
+        table.amplitudes[2] = 0.0
+        table.amplitudes[3] *= 2.0
+        table.amplitudes[4, 1] = -0.2
+        before = table.amplitudes.copy()
+        ids = np.array([1, 2, 3])
+        table.renormalize(ids)
+        assert np.all(table.amplitudes[ids] >= 0.0)
+        np.testing.assert_allclose(np.linalg.norm(table.amplitudes[ids], axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(table.amplitudes[2], 1.0 / np.sqrt(6), atol=1e-15)
+        assert table.amplitudes[[0, 4]].tobytes() == before[[0, 4]].tobytes()
+
     def test_embedding_is_unit_complex(self):
         table = make_table(np.random.default_rng(19))
         vec = table.embedding(np.array([1]))[0]
@@ -232,6 +246,69 @@ def label_probability(amplitudes, phases, salience, words, tokens, label):
         words=words, amplitudes=amplitudes, phases=phases, salience=salience
     )
     return -np.log(class_probabilities(tokens, table)[label])
+
+
+def dense_reference_gradients(tokens, label, table):
+    """Dense (V, d) and (V,) gradients, accumulated straight into full tables with np.add.at."""
+    ids = np.asarray([table.word_id(t) for t in tokens])
+    beta = np.exp(table.salience[ids] - table.salience[ids].max())
+    beta = beta / beta.sum()
+    block = table.embed_dim // 3
+    s = (table.amplitudes[ids] ** 2).reshape(len(ids), 3, block).sum(axis=2)
+    masses = beta @ s
+    total = float(masses.sum())
+    d_masses = np.ones(3) / total
+    d_masses[label] -= 1.0 / float(masses[label])
+    d_beta = s @ d_masses
+    salience = np.zeros(table.num_rows)
+    np.add.at(salience, ids, beta * (d_beta - float(np.dot(beta, d_beta))))
+    word_coeff = np.zeros(table.num_rows)
+    np.add.at(word_coeff, ids, beta)
+    amplitudes = np.zeros_like(table.amplitudes)
+    for c in range(3):
+        cols = slice(c * block, (c + 1) * block)
+        amplitudes[:, cols] = 2.0 * d_masses[c] * word_coeff[:, None] * table.amplitudes[:, cols]
+    return amplitudes, salience
+
+
+class TestSparseCriticGradients:
+    def test_dense_views_equal_dense_reference_bitwise(self):
+        for seed in range(20):
+            rng = np.random.default_rng(400 + seed)
+            table = make_table(rng, embed_dim=int(rng.choice([3, 6, 12])))
+            table.salience[:] = 0.5 * rng.standard_normal(table.num_rows)
+            tokens = [VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(int(rng.integers(1, 8)))]
+            tokens.append("zzzunseen")
+            label = int(rng.integers(3))
+            _, grads = critic_loss_and_gradients(tokens, label, table)
+            amplitudes, salience = dense_reference_gradients(tokens, label, table)
+            # Equal everywhere; bit for bit on the touched rows (the reference's
+            # untouched rows may hold -0.0).
+            np.testing.assert_array_equal(grads.amplitudes, amplitudes)
+            np.testing.assert_array_equal(grads.salience, salience)
+            assert grads.amplitude_rows.tobytes() == amplitudes[grads.ids].tobytes()
+            assert grads.salience_rows.tobytes() == salience[grads.ids].tobytes()
+            assert grads.phases.shape == table.phases.shape
+            assert list(grads.ids) == sorted({table.word_id(t) for t in tokens})
+
+    def test_row_count_follows_tokens_not_vocabulary(self):
+        tokens = ["w3", "w7", "w3", "w12", "w40", "absent"]
+        shapes = []
+        for size in (60, 6000):
+            words = tuple(f"w{i}" for i in range(size - 1))
+            table = make_table(np.random.default_rng(5), embed_dim=12, words=words)
+            _, grads = critic_loss_and_gradients(tokens, 2, table)
+            assert grads.amplitude_rows.shape[0] <= len(tokens)
+            assert grads.num_rows == size
+            shapes.append((grads.ids.shape, grads.amplitude_rows.shape, grads.salience_rows.shape))
+        assert shapes[0] == shapes[1] == ((5,), (5, 12), (5,))
+
+    def test_probabilities_are_the_class_probabilities(self):
+        rng = np.random.default_rng(71)
+        table = make_table(rng)
+        tokens = ["cats", "not", "dogs", "cats"]
+        _, grads = critic_loss_and_gradients(tokens, 1, table)
+        assert grads.probabilities.tobytes() == class_probabilities(tokens, table).tobytes()
 
 
 class TestCriticLossAndGradients:

@@ -85,6 +85,75 @@ class TestAmplitudeTable:
         with pytest.raises(ShapeMismatch):
             AmplitudeTable(words=VOCAB, amplitudes=np.ones((3, 4)))
 
+    def test_renormalize_with_ids_touches_only_those_rows(self):
+        table = make_table(np.random.default_rng(15))
+        table.amplitudes[1:] *= 1.5
+        table.amplitudes[NULL_ID] = 0.5
+        before = table.amplitudes.copy()
+        ids = np.array([0, 2, 4])
+        table.renormalize(ids)
+        np.testing.assert_allclose(np.linalg.norm(table.amplitudes[ids], axis=1), 1.0, atol=1e-9)
+        np.testing.assert_array_equal(table.amplitudes[NULL_ID], [1.0, 0.0, 0.0])
+        untouched = np.setdiff1d(np.arange(table.num_rows), ids)
+        assert table.amplitudes[untouched].tobytes() == before[untouched].tobytes()
+
+
+def per_row_reference(rows, ids=None):
+    """The per-row loop renormalize_rows replaced, limited to `ids`."""
+    sq = np.einsum("ij,ij->i", rows, rows)
+    for i in range(rows.shape[0]) if ids is None else ids:
+        if abs(sq[i] - 1.0) > 1e-13:
+            rows[i] /= np.sqrt(sq[i])
+
+
+class TestRenormalizeRows:
+    def rows_around_the_dead_band(self, rng, basis_dim):
+        rows = rng.standard_normal((40, basis_dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows[1] *= np.sqrt(1.0 + 5e-14)   # squared norm just inside the band
+        rows[2] *= np.sqrt(1.0 - 5e-14)
+        rows[3] *= np.sqrt(1.0 + 3e-13)   # just outside
+        rows[4] *= np.sqrt(1.0 - 3e-13)
+        rows[5] = np.nan
+        rows[7:20] *= rng.uniform(0.2, 3.0, (13, 1))
+        return rows
+
+    @pytest.mark.parametrize("basis_dim", [1, 3, 4, 12])
+    def test_all_rows_match_per_row_loop_bitwise(self, basis_dim):
+        rows = self.rows_around_the_dead_band(np.random.default_rng(basis_dim), basis_dim)
+        expected = rows.copy()
+        per_row_reference(expected)
+        renormalize_rows(rows)
+        assert rows.tobytes() == expected.tobytes()
+        assert rows[1:3].tobytes() != rows[3:5].tobytes()
+
+    @pytest.mark.parametrize("basis_dim", [1, 3, 4, 12])
+    def test_selected_rows_match_per_row_loop_bitwise(self, basis_dim):
+        rng = np.random.default_rng(50 + basis_dim)
+        rows = self.rows_around_the_dead_band(rng, basis_dim)
+        ids = np.array([1, 3, 4, 5, 6, 9, 17, 30])
+        expected = rows.copy()
+        per_row_reference(expected, ids)
+        renormalize_rows(rows, ids)
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_band_edges_and_non_finite_rows(self):
+        rows = self.rows_around_the_dead_band(np.random.default_rng(71), 4)
+        before = rows.copy()
+        renormalize_rows(rows)
+        assert rows[1:3].tobytes() == before[1:3].tobytes()
+        assert rows[3].tobytes() != before[3].tobytes()
+        assert rows[4].tobytes() != before[4].tobytes()
+        assert np.isnan(rows[5]).all()
+        np.testing.assert_allclose(np.linalg.norm(rows[3:5], axis=1), 1.0, atol=1e-15)
+
+    def test_writes_through_a_reshaped_view(self):
+        factors = np.random.default_rng(73).standard_normal((3, 2, 4))
+        renormalize_rows(factors.reshape(-1, 4), np.array([1, 4]))
+        norms = np.linalg.norm(factors, axis=2)
+        np.testing.assert_allclose(norms[[0, 2], [1, 0]], 1.0, atol=1e-15)
+        assert abs(norms[0, 0] - 1.0) > 1e-3
+
 
 class TestEmbedQuery:
     def test_short_query_pads_with_null(self):

@@ -15,6 +15,7 @@ import pytest
 
 from qforage import actor, critic, env, qcore, qrep, trainer
 from qforage.errors import (
+    CheckpointInvalid,
     CheckpointMismatch,
     EmptyCorpus,
     NonFiniteScore,
@@ -266,6 +267,162 @@ class TestTrainStep:
         assert np.all(np.isfinite(critic_table.salience))
 
 
+def dense_reference_table_gradient(params, candidates, chosen, advantage):
+    """The (V, k) amplitude gradient accumulated straight into a full table with np.add.at."""
+    forward = actor.actor_forward(params, candidates)
+    probs = actor.policy_probabilities(forward.scores, params.temperature)
+    one_hot = np.zeros_like(probs)
+    one_hot[chosen] = 1.0
+    g_scores = -advantage * (one_hot - probs) / params.temperature
+    dots = forward.dots
+    n = dots.shape[2]
+    prefix = np.ones_like(dots)
+    suffix = np.ones_like(dots)
+    for i in range(1, n):
+        prefix[:, :, i] = prefix[:, :, i - 1] * dots[:, :, i - 1]
+        suffix[:, :, n - 1 - i] = suffix[:, :, n - i] * dots[:, :, n - i]
+    w_loo = params.global_rep.weights[None, :, None] * (prefix * suffix)
+    per_row = np.einsum("c,crn,rnk->cnk", g_scores, w_loo, params.global_rep.factors)
+    dense = np.zeros_like(params.table.amplitudes)
+    ids = np.concatenate([q.word_ids for q in candidates])
+    np.add.at(dense, ids, per_row.reshape(-1, dense.shape[1]))
+    return dense
+
+
+def step_rows(params, critic_table, keywords, candidates, chosen, order):
+    """Actor rows of every embedded candidate, critic rows of keywords + chosen query."""
+    actor_rows = {
+        int(i) for c in candidates for i in qrep.embed_query(c.tokens, params.table, order).word_ids
+    }
+    critic_rows = {
+        critic_table.word_id(t) for t in list(keywords) + list(candidates[chosen].tokens)
+    }
+    return actor_rows, critic_rows
+
+
+def assert_only_rows_changed(before, after, rows):
+    untouched = np.setdiff1d(np.arange(before.shape[0]), sorted(rows))
+    assert after[untouched].tobytes() == before[untouched].tobytes()
+    return int(np.count_nonzero((after != before).any(axis=1)))
+
+
+class TestSparseStep:
+    """A step reads and writes only its tokens' rows; every other row keeps its bits."""
+
+    def test_bandit_step_changes_only_its_rows(self):
+        corpus = small_corpus()
+        config = small_config()
+        params, critic_table = trainer.init_params(corpus, config)
+        environment = env.Environment(corpus, np.random.default_rng(61))
+        rng = np.random.default_rng(62)
+        moved = 0
+        for _ in range(15):
+            obs = environment.reset()
+            before = (
+                params.table.amplitudes.copy(),
+                critic_table.amplitudes.copy(),
+                critic_table.salience.copy()[:, None],
+            )
+            transition, _ = trainer.train_step(params, critic_table, obs, config, rng)
+            actor_rows, critic_rows = step_rows(
+                params, critic_table, obs.keywords, obs.candidates,
+                transition.chosen_index, config.query_order,
+            )
+            moved += assert_only_rows_changed(before[0], params.table.amplitudes, actor_rows)
+            moved += assert_only_rows_changed(before[1], critic_table.amplitudes, critic_rows)
+            moved += assert_only_rows_changed(before[2], critic_table.salience[:, None], critic_rows)
+        assert moved > 0
+
+    def test_session_episode_changes_only_its_rows(self):
+        corpus = small_corpus()
+        config = small_config(mode="session")
+        params, critic_table = trainer.init_params(corpus, config)
+        environment = env.Environment(corpus, np.random.default_rng(63), mode="session")
+        rng = np.random.default_rng(64)
+        moved = 0
+        for _ in range(3):
+            actor_before = params.table.amplitudes.copy()
+            critic_before = (critic_table.amplitudes.copy(), critic_table.salience.copy()[:, None])
+            trace = trainer._session_episode(params, critic_table, environment, config, rng)
+            actor_rows, critic_rows = set(), set()
+            for t in trace.transitions:
+                a, c = step_rows(
+                    params, critic_table, corpus.document(t.doc_id).keywords, t.candidates,
+                    t.chosen_index, config.query_order,
+                )
+                actor_rows |= a
+                critic_rows |= c
+            moved += assert_only_rows_changed(actor_before, params.table.amplitudes, actor_rows)
+            moved += assert_only_rows_changed(critic_before[0], critic_table.amplitudes, critic_rows)
+            moved += assert_only_rows_changed(
+                critic_before[1], critic_table.salience[:, None], critic_rows
+            )
+            assert len(trace.transitions) > 1
+        assert moved > 0
+
+    def test_session_episode_matches_dense_summed_update(self):
+        corpus = small_corpus()
+        config = small_config(mode="session")
+        params, critic_table = trainer.init_params(corpus, config)
+        environment = env.Environment(corpus, np.random.default_rng(65), mode="session")
+        rng = np.random.default_rng(66)
+        for _ in range(3):
+            reference = copy.deepcopy(params)
+            trace = trainer._session_episode(params, critic_table, environment, config, rng)
+            table = np.zeros_like(reference.table.amplitudes)
+            weights = np.zeros_like(reference.global_rep.weights)
+            factors = np.zeros_like(reference.global_rep.factors)
+            for t in reversed(range(len(trace.transitions))):
+                transition, advantage = trace.transitions[t], trace.metrics[t].advantage
+                candidates = [
+                    qrep.embed_query(c.tokens, reference.table, config.query_order)
+                    for c in transition.candidates
+                ]
+                grads = actor.actor_gradients(reference, candidates, transition.chosen_index, 1.0)
+                table += advantage * grads.table
+                weights += advantage * grads.weights
+                factors += advantage * grads.factors
+            reference.table.amplitudes -= config.actor_lr * table
+            reference.global_rep.weights -= config.actor_lr * weights
+            reference.global_rep.factors -= config.actor_lr * factors
+            reference.table.renormalize()
+            reference.global_rep.renormalize()
+            assert actor_state_bytes(params) == actor_state_bytes(reference)
+
+    def test_gradient_rows_follow_candidates_not_vocabulary(self):
+        token_lists = [["w3", "w7", "w3"], ["w12"], ["w7", "absent", "w40", "w41"]]
+        order = 4
+        shapes = []
+        for size in (60, 6000):
+            words = tuple(f"w{i}" for i in range(size - 2))
+            rng = np.random.default_rng(7)
+            table = qrep.AmplitudeTable.from_vocab(words, 4, rng)
+            global_rep = qrep.GlobalRepresentation.from_random(order, 4, 10, rng)
+            params = actor.ActorParams(table=table, global_rep=global_rep)
+            candidates = [qrep.embed_query(t, table, order) for t in token_lists]
+            grads = actor.actor_gradients(params, candidates, 2, 0.7)
+            assert grads.rows.shape[0] <= len(candidates) * order
+            assert grads.num_rows == size
+            shapes.append((grads.ids.shape, grads.rows.shape))
+        # null, unk, w3, w7, w12, w40, w41
+        assert shapes[0] == shapes[1] == ((7,), (7, 4))
+
+    def test_dense_view_equals_dense_reference_bitwise(self):
+        corpus = small_corpus()
+        for seed in range(10):
+            params, _ = trainer.init_params(corpus, small_config(seed=seed))
+            rng = np.random.default_rng(seed)
+            doc = corpus.documents[seed % len(corpus.documents)]
+            token_lists = [c.tokens for c in doc.candidates] + [doc.candidates[0].tokens[:1]]
+            candidates = [qrep.embed_query(t, params.table, 3) for t in token_lists]
+            chosen = int(rng.integers(len(candidates)))
+            advantage = float(rng.uniform(-1.5, 1.5))
+            grads = actor.actor_gradients(params, candidates, chosen, advantage)
+            dense = dense_reference_table_gradient(params, candidates, chosen, advantage)
+            assert grads.table.tobytes() == dense.tobytes()
+            assert list(grads.ids) == sorted({int(i) for q in candidates for i in q.word_ids})
+
+
 class TestEvaluate:
     def test_metrics_match_independent_recount(self):
         corpus = small_corpus()
@@ -502,6 +659,84 @@ class TestCheckpointFormat:
         )
         with pytest.raises(CheckpointMismatch):
             trainer.restore_params(checkpoint, other)
+
+
+def _scale_row(name, row, factor):
+    def damage(checkpoint):
+        getattr(checkpoint, name)[row] *= factor
+    return damage
+
+
+def _set_value(name, index, value):
+    def damage(checkpoint):
+        getattr(checkpoint, name)[index] = value
+    return damage
+
+
+def _unpin_padding(checkpoint):
+    checkpoint.actor_amplitudes[qrep.NULL_ID] = np.roll(checkpoint.actor_amplitudes[qrep.NULL_ID], 1)
+
+
+def _negate_critic_amplitude(checkpoint):
+    checkpoint.critic_amplitudes[2, 1] *= -1.0
+
+
+class TestRestoreRejectsBrokenInvariants:
+    """restore_params refuses states training never produces, naming the block and row.
+
+    SMALL has query order 3, so factor (r, i) is row 3 r + i of global.factors.
+    """
+
+    @pytest.mark.parametrize(
+        "damage, block, row",
+        [
+            (_set_value("actor_amplitudes", (4, 1), np.nan), "actor.amplitudes", 4),
+            (_set_value("global_weights", 1, np.inf), "global.weights", 1),
+            (_set_value("global_factors", (1, 2, 0), np.nan), "global.factors", 5),
+            (_set_value("critic_phases", (2, 0), np.nan), "critic.phases", 2),
+            (_set_value("critic_salience", 3, -np.inf), "critic.salience", 3),
+        ],
+    )
+    def test_non_finite_value(self, tmp_path, damage, block, row):
+        self.assert_rejected(tmp_path, damage, block, row, "non-finite")
+
+    def test_actor_row_not_unit(self, tmp_path):
+        self.assert_rejected(
+            tmp_path, _scale_row("actor_amplitudes", 5, 3.0), "actor.amplitudes", 5, "norm"
+        )
+
+    def test_factor_row_not_unit(self, tmp_path):
+        self.assert_rejected(
+            tmp_path, _scale_row("global_factors", (1, 2), 1.0 + 1e-6), "global.factors", 5, "norm"
+        )
+
+    def test_critic_row_not_unit(self, tmp_path):
+        self.assert_rejected(
+            tmp_path, _scale_row("critic_amplitudes", 4, 1.001), "critic.amplitudes", 4, "norm"
+        )
+
+    def test_padding_row_not_pinned(self, tmp_path):
+        self.assert_rejected(tmp_path, _unpin_padding, "actor.amplitudes", 0, "padding")
+
+    def test_negative_critic_amplitude(self, tmp_path):
+        self.assert_rejected(
+            tmp_path, _negate_critic_amplitude, "critic.amplitudes", 2, "negative"
+        )
+
+    def assert_rejected(self, tmp_path, damage, block, row, reason):
+        corpus = small_corpus()
+        result = trainer.train(small_config(), corpus)
+        checkpoint = copy.deepcopy(result.checkpoint)
+        damage(checkpoint)
+        path = tmp_path / "damaged.txt"
+        trainer.save_checkpoint(checkpoint, str(path))
+        loaded = trainer.load_checkpoint(str(path))
+        with pytest.raises(CheckpointInvalid) as excinfo:
+            trainer.restore_params(loaded, corpus)
+        message = str(excinfo.value)
+        assert f"{block!r} row {row} " in message
+        assert reason in message
+        trainer.restore_params(result.checkpoint, corpus)
 
 
 class TestTrain:
