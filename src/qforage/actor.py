@@ -163,7 +163,6 @@ def act(
     params: ActorParams,
     candidates: Sequence[qrep.QueryState],
     rng: np.random.Generator,
-    greedy: bool = False,
 ) -> ActionOutput:
     """Forward pass plus selection, bundled for the training loop.
 
@@ -173,7 +172,7 @@ def act(
     forward = actor_forward(params, candidates)
     probabilities = policy_probabilities(forward.scores, params.temperature)
     index, log_prob = select_action(
-        forward.scores, params.temperature, rng, greedy=greedy, probabilities=probabilities
+        forward.scores, params.temperature, rng, probabilities=probabilities
     )
     return ActionOutput(
         index=index,

@@ -109,43 +109,30 @@ def _write_lines(path: str, lines: list[str]) -> None:
             fh.write(line + "\n")
 
 
-_GEN_KEYS: dict[str, type] = {
-    "docs": int,
-    "patches": int,
-    "vocab_size": int,
-    "candidates_per_doc": int,
-    "noise": float,
-    "doc_len": int,
-    "query_len": int,
-    "keyword_count": int,
-    "seed": int,
-}
+_FIELD_PARSERS: dict[str, type] = {"int": int, "float": float, "str": str}
 
-_TRAIN_KEYS: dict[str, type] = {
-    "episodes": int,
-    "actor_lr": float,
-    "critic_lr": float,
-    "temperature": float,
-    "scent_smoothing": float,
-    "discount": float,
-    "seed": int,
-    "mode": str,
-    "eval_interval": int,
-    "basis_dim": int,
-    "query_order": int,
-    "rank": int,
-    "embed_dim": int,
-    "keyword_count": int,
-}
 
+def _config_keys(cls) -> dict[str, type]:
+    """A dataclass's int, float and str fields, in field order, with their parsers.
+
+    TrainConfig.checkpoint_path (`str | None`) is left out: train sets it from --out.
+    """
+    return {
+        f.name: _FIELD_PARSERS[f.type]
+        for f in dataclasses.fields(cls)
+        if f.type in _FIELD_PARSERS
+    }
+
+
+_GEN_KEYS = {**_config_keys(env.CorpusSpec), "seed": int}
+_TRAIN_KEYS = _config_keys(trainer.TrainConfig)
 _EVAL_KEYS: dict[str, type] = {"scent_smoothing": float, "seed": int}
 _INSPECT_KEYS: dict[str, type] = {"seed": int, "off_diagonals": int}
 _ORACLE_KEYS: dict[str, type] = {"seed": int, "perturb": float, "checks": str}
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
-    defaults = {f.name: getattr(env.CorpusSpec(), f.name) for f in dataclasses.fields(env.CorpusSpec)}
-    defaults["seed"] = 0
+    defaults = {**dataclasses.asdict(env.CorpusSpec()), "seed": 0}
     effective = _effective(_GEN_KEYS, defaults, args)
     seed = effective.pop("seed")
     spec = env.CorpusSpec(**effective)
@@ -247,6 +234,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     checkpoint = trainer.load_checkpoint(args.checkpoint)
+    trainer.check_invariants(checkpoint)
     fmt = trainer.format_float
     lines = [trainer.CHECKPOINT_HEADER]
     lines.extend(f"# {k}={v}" for k, v in checkpoint.config_echo.items())
@@ -255,7 +243,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     lines.append(f"global.weights: rank={rank}")
     lines.append(f"global.factors: rank={rank} order={order} basis_dim={k}")
     lines.append(f"critic.amplitudes: {checkpoint.critic_amplitudes.shape}")
-    lines.append(f"rng streams: {', '.join(checkpoint.rng_states) or '(none)'}")
 
     if args.doc is not None:
         if not args.corpus:

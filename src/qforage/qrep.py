@@ -297,11 +297,10 @@ def _khatri_rao_columns(factor_mats: list[np.ndarray], rank: int) -> np.ndarray:
     return out
 
 
-def _als_reconstruct(weights: np.ndarray, factor_mats: list[np.ndarray], shape: tuple) -> np.ndarray:
-    out = np.zeros(shape)
-    for r in range(weights.shape[0]):
-        out += weights[r] * reduce(np.multiply.outer, [a[:, r] for a in factor_mats])
-    return out
+def _from_als(weights: np.ndarray, factor_mats: list[np.ndarray]) -> GlobalRepresentation:
+    """The factored form of ALS weights and per-mode (k, R) factor matrices, copied."""
+    factors = np.ascontiguousarray(np.stack(factor_mats).transpose(2, 0, 1))
+    return GlobalRepresentation(weights=weights.copy(), factors=factors)
 
 
 def _algebraic_init(
@@ -410,8 +409,7 @@ def cp_decompose(
         return g, CPFitReport(relative_error=0.0, sweeps=0, restarts_run=0)
 
     best_err = np.inf
-    best_fac: list[np.ndarray] | None = None
-    best_w: np.ndarray | None = None
+    best: GlobalRepresentation | None = None
     best_sweeps = 0
     restarts_run = 0
     seeded = _algebraic_init(t, rank, rng)
@@ -457,22 +455,17 @@ def cp_decompose(
                         factor_mats[mode][:, r] = solved[:, r] / weights[r]
                     else:
                         factor_mats[mode][:, r] = qcore.basis_vector(k, 0)
-            recon = _als_reconstruct(weights, factor_mats, t.shape)
-            err = float(np.linalg.norm(t - recon)) / norm_t
+            fitted = _from_als(weights, factor_mats)
+            err = float(np.linalg.norm(t - cp_reconstruct(fitted))) / norm_t
             if err <= opts.early_stop or abs(prev_err - err) < opts.tol:
                 break
             prev_err = err
         if err < best_err:
             best_err = err
-            best_fac = [a.copy() for a in factor_mats]
-            best_w = weights.copy()
+            best = fitted
             best_sweeps = sweeps
         if best_err <= opts.early_stop:
             break
 
-    assert best_fac is not None and best_w is not None
-    factors = np.empty((rank, n, k))
-    for mode, a in enumerate(best_fac):
-        factors[:, mode, :] = a.T
-    g = GlobalRepresentation(weights=best_w, factors=factors)
-    return g, CPFitReport(relative_error=best_err, sweeps=best_sweeps, restarts_run=restarts_run)
+    assert best is not None
+    return best, CPFitReport(relative_error=best_err, sweeps=best_sweeps, restarts_run=restarts_run)

@@ -25,17 +25,21 @@ exhaustion per episode and scales each step's policy gradient by its
 discounted return minus the critic estimate.
 
 Checkpoints are UTF-8 text: a `qforage-checkpoint v1` header, `# key=value`
-config echo lines, then named decimal matrix blocks. Floats print with 17
-significant digits, so save followed by load reproduces every parameter bit
-for bit. The vocabulary-to-row mapping is not stored; it is rebuilt as
-(null, unk) + sorted corpus vocabulary, and shape validation rejects a
-checkpoint paired with the wrong corpus.
+config echo lines, then named decimal matrix blocks (Checkpoint.blocks).
+Floats print with 17 significant digits, so save followed by load reproduces
+every parameter bit for bit. A save writes a temporary file and renames it
+onto the target, so a failed save never truncates an earlier checkpoint.
+The vocabulary-to-row mapping is not stored; it is rebuilt as (null, unk) +
+sorted corpus vocabulary, and shape validation rejects a checkpoint paired
+with the wrong corpus.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -397,7 +401,7 @@ def evaluate(
 
 @dataclass(eq=False)
 class Checkpoint:
-    """All trainable parameters plus the config echo and RNG stream states."""
+    """All trainable parameters plus the config echo."""
 
     actor_amplitudes: np.ndarray
     global_weights: np.ndarray
@@ -406,35 +410,26 @@ class Checkpoint:
     critic_phases: np.ndarray
     critic_salience: np.ndarray
     config_echo: dict[str, str]
-    rng_states: dict[str, tuple[int, int, int, int]]
 
+    def blocks(self) -> dict[str, np.ndarray]:
+        """Each file block's name and 2-D array, in file order.
 
-def _pcg64_state(rng: np.random.Generator) -> tuple[int, int, int, int]:
-    st = rng.bit_generator.state
-    return (
-        int(st["state"]["state"]),
-        int(st["state"]["inc"]),
-        int(st["has_uint32"]),
-        int(st["uinteger"]),
-    )
-
-
-def restore_stream(state: tuple[int, int, int, int]) -> np.random.Generator:
-    bg = np.random.PCG64()
-    bg.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state[0], "inc": state[1]},
-        "has_uint32": state[2],
-        "uinteger": state[3],
-    }
-    return np.random.Generator(bg)
+        Vectors are columns; factors (R, order, k) are rows r * order + i.
+        """
+        return {
+            "actor.amplitudes": self.actor_amplitudes,
+            "global.weights": self.global_weights.reshape(-1, 1),
+            "global.factors": self.global_factors.reshape(-1, self.global_factors.shape[-1]),
+            "critic.amplitudes": self.critic_amplitudes,
+            "critic.phases": self.critic_phases,
+            "critic.salience": self.critic_salience.reshape(-1, 1),
+        }
 
 
 def make_checkpoint(
     params: actor.ActorParams,
     critic_table: critic.ComplexEmbeddingTable,
     config: TrainConfig,
-    rng_streams: dict[str, np.random.Generator] | None = None,
 ) -> Checkpoint:
     return Checkpoint(
         actor_amplitudes=params.table.amplitudes.copy(),
@@ -444,39 +439,34 @@ def make_checkpoint(
         critic_phases=critic_table.phases.copy(),
         critic_salience=critic_table.salience.copy(),
         config_echo=config.echo(),
-        rng_states={
-            name: _pcg64_state(gen) for name, gen in (rng_streams or {}).items()
-        },
     )
-
-
-def _write_block(lines: list[str], name: str, matrix: np.ndarray, fmt=format_float) -> None:
-    m = np.atleast_2d(matrix)
-    lines.append(f"[{name} {m.shape[0]} {m.shape[1]}]")
-    for row in m:
-        lines.append(" ".join(fmt(v) for v in row))
 
 
 def checkpoint_lines(checkpoint: Checkpoint) -> list[str]:
     lines = [CHECKPOINT_HEADER]
-    for key, value in checkpoint.config_echo.items():
-        lines.append(f"# {key}={value}")
-    rank, order, k = checkpoint.global_factors.shape
-    _write_block(lines, "actor.amplitudes", checkpoint.actor_amplitudes)
-    _write_block(lines, "global.weights", checkpoint.global_weights.reshape(-1, 1))
-    _write_block(lines, "global.factors", checkpoint.global_factors.reshape(rank * order, k))
-    _write_block(lines, "critic.amplitudes", checkpoint.critic_amplitudes)
-    _write_block(lines, "critic.phases", checkpoint.critic_phases)
-    _write_block(lines, "critic.salience", checkpoint.critic_salience.reshape(-1, 1))
-    for name, state in checkpoint.rng_states.items():
-        _write_block(lines, f"rng.{name}", np.array([state], dtype=object), fmt=str)
+    lines.extend(f"# {key}={value}" for key, value in checkpoint.config_echo.items())
+    for name, block in checkpoint.blocks().items():
+        lines.append(f"[{name} {block.shape[0]} {block.shape[1]}]")
+        lines.extend(" ".join(format_float(v) for v in row) for row in block)
     return lines
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in checkpoint_lines(checkpoint):
-            fh.write(line + "\n")
+    """Write the file beside `path` and rename it into place.
+
+    A save that fails leaves any earlier file at `path` as it was and no
+    temporary file behind.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for line in checkpoint_lines(checkpoint):
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 _PARAM_BLOCKS = (
@@ -498,7 +488,6 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise VersionMismatch(f"expected header {CHECKPOINT_HEADER!r}, found {found!r}")
     echo: dict[str, str] = {}
     blocks: dict[str, np.ndarray] = {}
-    rng_states: dict[str, tuple[int, int, int, int]] = {}
     i = 1
     while i < len(lines):
         line = lines[i]
@@ -524,7 +513,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ParseError(f"non-integer block shape in {line!r}", line=i + 1) from None
         if name not in _PARAM_BLOCKS and not name.startswith("rng."):
             raise ParseError(f"unknown block {name!r}", line=i + 1)
-        data = np.empty((rows, cols), dtype=np.float64 if not name.startswith("rng.") else object)
+        data = np.empty((rows, cols), dtype=np.float64)
         for r in range(rows):
             j = i + 1 + r
             if j >= len(lines):
@@ -535,17 +524,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                     f"block {name!r} row has {len(values)} values, expected {cols}", line=j + 1
                 )
             try:
-                if name.startswith("rng."):
-                    data[r] = [int(v) for v in values]
-                else:
-                    data[r] = [float(v) for v in values]
+                data[r] = [float(v) for v in values]
             except ValueError:
                 raise ParseError(f"non-numeric value in block {name!r}", line=j + 1) from None
-        if name.startswith("rng."):
-            if data.shape != (1, 4):
-                raise ParseError(f"rng block {name!r} must be 1x4", line=i + 1)
-            rng_states[name[4:]] = tuple(int(v) for v in data[0])
-        else:
+        # rng.* blocks hold stream states earlier versions wrote; nothing reads them.
+        if not name.startswith("rng."):
             blocks[name] = data
         i += 1 + rows
     missing = [b for b in _PARAM_BLOCKS if b not in blocks]
@@ -568,11 +551,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         critic_phases=blocks["critic.phases"],
         critic_salience=blocks["critic.salience"].ravel(),
         config_echo=echo,
-        rng_states=rng_states,
     )
 
 
-def _check_invariants(checkpoint: Checkpoint) -> None:
+def check_invariants(checkpoint: Checkpoint) -> None:
     """Reject parameters that training never produces, naming the block and row.
 
     Every value is finite; actor, factor and critic rows are unit length
@@ -580,14 +562,7 @@ def _check_invariants(checkpoint: Checkpoint) -> None:
     vector; critic amplitudes are nonnegative. Rows are numbered as the
     checkpoint file lays its blocks out.
     """
-    blocks = {
-        "actor.amplitudes": checkpoint.actor_amplitudes,
-        "global.weights": checkpoint.global_weights.reshape(-1, 1),
-        "global.factors": checkpoint.global_factors.reshape(-1, checkpoint.global_factors.shape[-1]),
-        "critic.amplitudes": checkpoint.critic_amplitudes,
-        "critic.phases": checkpoint.critic_phases,
-        "critic.salience": checkpoint.critic_salience.reshape(-1, 1),
-    }
+    blocks = checkpoint.blocks()
     # Whole-array tests first; the offending row is looked up only on failure.
     for name, block in blocks.items():
         if not np.isfinite(block).all():
@@ -638,7 +613,7 @@ def restore_params(
         )
     if checkpoint.critic_phases.shape != checkpoint.critic_amplitudes.shape:
         raise CheckpointMismatch("critic amplitude and phase shapes disagree")
-    _check_invariants(checkpoint)
+    check_invariants(checkpoint)
     table = qrep.AmplitudeTable(words=vocab, amplitudes=checkpoint.actor_amplitudes.copy())
     global_rep = qrep.GlobalRepresentation(
         weights=checkpoint.global_weights.copy(),
@@ -681,10 +656,8 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
     if len(corpus.documents) == 0:
         raise EmptyCorpus("train needs at least one document")
     params, critic_table = init_params(corpus, config)
-    env_rng = stream_rng(config.seed, "env")
     policy_rng = stream_rng(config.seed, "policy")
-    environment = env.Environment(corpus, env_rng, mode=config.mode)
-    streams = {"env": env_rng, "policy": policy_rng}
+    environment = env.Environment(corpus, stream_rng(config.seed, "env"), mode=config.mode)
 
     rewards: list[int] = []
     window: list[int] = []
@@ -705,9 +678,7 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
         )
         window.clear()
         if config.checkpoint_path:
-            save_checkpoint(
-                make_checkpoint(params, critic_table, config, streams), config.checkpoint_path
-            )
+            save_checkpoint(make_checkpoint(params, critic_table, config), config.checkpoint_path)
 
     for episode in range(1, config.episodes + 1):
         if config.mode == "bandit":
@@ -729,7 +700,7 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
     if config.eval_interval > 0 and (not metrics or metrics[-1].episode != config.episodes):
         record(config.episodes)
 
-    checkpoint = make_checkpoint(params, critic_table, config, streams)
+    checkpoint = make_checkpoint(params, critic_table, config)
     if config.checkpoint_path:
         save_checkpoint(checkpoint, config.checkpoint_path)
     return TrainResult(

@@ -282,7 +282,16 @@ class TestInspect:
         assert code == 0
         assert out[0] == trainer.CHECKPOINT_HEADER
         assert any(l.startswith("global.factors: rank=4") for l in out)
-        assert any(l.startswith("rng streams:") for l in out)
+
+    def test_actor_row_off_the_unit_sphere_is_runtime_error(self, trained_dir, tmp_path, capsys):
+        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint.actor_amplitudes[3] *= 3.0
+        bad = tmp_path / "scaled.txt"
+        trainer.save_checkpoint(checkpoint, str(bad))
+        code, out, err = run(["inspect", "--checkpoint", str(bad)], capsys)
+        assert code == 1
+        assert out == []
+        assert "error:" in err and "'actor.amplitudes' row 3" in err
 
     def test_document_diagnostics_are_normalized(self, corpus_dir, trained_dir, capsys):
         corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)

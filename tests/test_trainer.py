@@ -538,12 +538,7 @@ class TestCheckpointFormat:
         corpus = small_corpus()
         config = small_config(**overrides)
         params, critic_table = trainer.init_params(corpus, config)
-        streams = {
-            "env": stream_rng(config.seed, "env"),
-            "policy": stream_rng(config.seed, "policy"),
-        }
-        streams["env"].random(7)
-        checkpoint = trainer.make_checkpoint(params, critic_table, config, streams)
+        checkpoint = trainer.make_checkpoint(params, critic_table, config)
         path = tmp_path / "checkpoint.txt"
         trainer.save_checkpoint(checkpoint, str(path))
         return corpus, config, params, critic_table, checkpoint, path
@@ -564,7 +559,6 @@ class TestCheckpointFormat:
             assert restored.shape == original.shape
             assert restored.tobytes() == original.tobytes()
         assert loaded.config_echo == checkpoint.config_echo
-        assert loaded.rng_states == checkpoint.rng_states
 
     def test_restore_params_rebinds_bitwise(self, tmp_path):
         corpus, config, params, critic_table, _, path = self.make(tmp_path)
@@ -574,13 +568,32 @@ class TestCheckpointFormat:
         assert critic_state_bytes(re_critic) == critic_state_bytes(critic_table)
         assert re_config == config
 
-    def test_restored_stream_continues_identically(self, tmp_path):
-        _, config, _, _, checkpoint, _ = self.make(tmp_path)
-        original = stream_rng(config.seed, "env")
-        original.random(7)
-        expected = original.random(5)
-        resumed = trainer.restore_stream(checkpoint.rng_states["env"])
-        np.testing.assert_array_equal(resumed.random(5), expected)
+    def test_stream_state_blocks_of_earlier_files_are_skipped(self, tmp_path):
+        corpus, config, params, critic_table, _, path = self.make(tmp_path)
+        # Earlier versions appended each PCG64 stream as a row of four integers:
+        # state, increment, has_uint32, uinteger.
+        with open(path, "a", encoding="utf-8") as fh:
+            for name in ("env", "policy"):
+                st = stream_rng(config.seed, name).bit_generator.state
+                fields = (st["state"]["state"], st["state"]["inc"], st["has_uint32"], st["uinteger"])
+                fh.write(f"[rng.{name} 1 4]\n{' '.join(str(int(v)) for v in fields)}\n")
+        loaded = trainer.load_checkpoint(str(path))
+        re_params, re_critic, _ = trainer.restore_params(loaded, corpus)
+        assert actor_state_bytes(re_params) == actor_state_bytes(params)
+        assert critic_state_bytes(re_critic) == critic_state_bytes(critic_table)
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        _, _, _, _, checkpoint, path = self.make(tmp_path)
+        before = path.read_bytes()
+
+        def fail(_checkpoint):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(trainer, "checkpoint_lines", fail)
+        with pytest.raises(RuntimeError):
+            trainer.save_checkpoint(checkpoint, str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.txt"]
 
     def test_empty_file_is_version_mismatch(self, tmp_path):
         path = tmp_path / "empty.txt"
