@@ -182,19 +182,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_for_eval(
-    checkpoint_path: str, corpus_path: str
-) -> tuple:
-    checkpoint = trainer.load_checkpoint(checkpoint_path)
+def _load_for_eval(checkpoint: trainer.Checkpoint, corpus_path: str) -> tuple:
     config_hint = trainer.TrainConfig.from_echo(checkpoint.config_echo)
     corpus = env.load_corpus(corpus_path, keyword_count=config_hint.keyword_count)
     params, critic_table, config = trainer.restore_params(checkpoint, corpus)
-    return checkpoint, corpus, params, critic_table, config
+    return corpus, params, critic_table, config
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    checkpoint, corpus, params, critic_table, config = _load_for_eval(
-        args.checkpoint, args.corpus
+    corpus, params, critic_table, config = _load_for_eval(
+        trainer.load_checkpoint(args.checkpoint), args.corpus
     )
     defaults = {"scent_smoothing": config.scent_smoothing, "seed": config.seed}
     effective = _effective(_EVAL_KEYS, defaults, args)
@@ -233,8 +230,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    if args.doc is not None and not args.corpus:
+        raise UsageError("--doc requires --corpus")
     checkpoint = trainer.load_checkpoint(args.checkpoint)
-    trainer.check_invariants(checkpoint)
+    if args.doc is None:
+        trainer.check_invariants(checkpoint)
+    else:  # restore_params checks the invariants as it binds the rows.
+        corpus, params, critic_table, config = _load_for_eval(checkpoint, args.corpus)
     fmt = trainer.format_float
     lines = [trainer.CHECKPOINT_HEADER]
     lines.extend(f"# {k}={v}" for k, v in checkpoint.config_echo.items())
@@ -245,9 +247,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     lines.append(f"critic.amplitudes: {checkpoint.critic_amplitudes.shape}")
 
     if args.doc is not None:
-        if not args.corpus:
-            raise UsageError("--doc requires --corpus")
-        _, corpus, params, critic_table, config = _load_for_eval(args.checkpoint, args.corpus)
         try:
             doc = corpus.document(args.doc)
         except KeyError:
@@ -348,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--critic-lr", type=float, dest="critic_lr", default=None)
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--scent-smoothing", type=float, dest="scent_smoothing", default=None)
-    p.add_argument("--discount", type=float, default=None)
     p.add_argument("--mode", choices=("bandit", "session"), default=None)
     p.add_argument("--eval-interval", type=int, dest="eval_interval", default=None)
     p.add_argument("--basis-dim", type=int, dest="basis_dim", default=None)

@@ -19,10 +19,10 @@ as a dense update. After every step every unit-norm row (actor amplitudes,
 factor vectors, critic amplitudes) is unit again, the actor padding row stays
 pinned, and critic amplitudes stay nonnegative.
 
-Both modes share one step routine. Bandit mode treats every document as a
-one-step episode and updates the actor at once. Session mode walks a patch to
-exhaustion per episode and scales each step's policy gradient by its
-discounted return minus the critic estimate.
+Both modes run the same step: the next document never depends on the action,
+so each step updates the actor at once with its one-step advantage. Mode only
+picks the document order (env.Environment): a bandit episode is one document,
+a session episode one pass through a patch.
 
 Checkpoints are UTF-8 text: a `qforage-checkpoint v1` header, `# key=value`
 config echo lines, then named decimal matrix blocks (Checkpoint.blocks).
@@ -38,10 +38,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import os
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,7 +70,6 @@ class TrainConfig:
     critic_lr: float = 0.2
     temperature: float = 1.0
     scent_smoothing: float = 0.1
-    discount: float = 0.9
     seed: int = 0
     mode: str = "bandit"
     eval_interval: int = 200
@@ -92,8 +89,6 @@ class TrainConfig:
             raise ValueError(f"temperature {self.temperature!r} outside the supported range")
         if not (0.0 < self.scent_smoothing <= 1.0):
             raise ValueError(f"scent smoothing must lie in (0, 1], got {self.scent_smoothing!r}")
-        if not (0.0 <= self.discount <= 1.0):
-            raise ValueError(f"discount must lie in [0, 1], got {self.discount!r}")
         if self.mode not in ("bandit", "session"):
             raise ValueError(f"mode must be 'bandit' or 'session', got {self.mode!r}")
         if self.eval_interval < 0:
@@ -166,14 +161,6 @@ class MetricRow:
         )
 
 
-@dataclass(eq=False)
-class EpisodeTrace:
-    """Ordered record of one episode's transitions and their step metrics."""
-
-    transitions: list[env.Transition] = field(default_factory=list)
-    metrics: list[StepMetrics] = field(default_factory=list)
-
-
 def init_params(
     corpus: env.Corpus, config: TrainConfig
 ) -> tuple[actor.ActorParams, critic.ComplexEmbeddingTable]:
@@ -210,19 +197,20 @@ def _apply_critic_update(
     table.renormalize(grads.ids)
 
 
-def _step(
+def train_step(
     params: actor.ActorParams,
     critic_table: critic.ComplexEmbeddingTable,
     observation: env.Observation,
     config: TrainConfig,
     rng: np.random.Generator,
-) -> tuple[env.Transition, StepMetrics, Callable[[float], actor.ActorGradients]]:
-    """The step both modes share: sample, collect the reward, judge, train the critic.
+) -> tuple[env.Transition, StepMetrics]:
+    """Sample, collect the reward, judge, then update the critic and the actor.
 
-    The critic's expected reward is read from its block masses before this
-    step's critic update, and the metrics carry the one-step advantage
-    reward - q. The third value maps an advantage to actor gradients taken
-    through the forward pass the action was sampled from.
+    The critic's expected reward q is read from its block masses before this
+    step's critic update. The actor steps on the one-step advantage reward - q,
+    with gradients taken through the forward pass the action was sampled from.
+    A zero advantage leaves actor parameters bit-identical; a zero learning
+    rate does the same for that side.
     """
     candidates = [
         qrep.embed_query(c.tokens, params.table, config.query_order)
@@ -239,101 +227,26 @@ def _step(
     if config.critic_lr != 0.0:
         _apply_critic_update(critic_table, critic_grads, config.critic_lr)
 
+    advantage = reward - q_estimate
+    if config.actor_lr != 0.0 and advantage != 0.0:
+        grads = actor.actor_gradients(
+            params,
+            candidates,
+            out.index,
+            advantage,
+            forward=out.forward,
+            probabilities=out.probabilities,
+        )
+        _apply_actor_update(params, grads, config.actor_lr)
+
     metrics = StepMetrics(
         reward=reward,
         q_estimate=q_estimate,
-        advantage=reward - q_estimate,
+        advantage=advantage,
         critic_loss=critic_loss,
         log_probability=out.log_probability,
     )
-    gradients = functools.partial(
-        actor.actor_gradients,
-        params,
-        candidates,
-        out.index,
-        forward=out.forward,
-        probabilities=out.probabilities,
-    )
-    return replace(transition, log_probability=out.log_probability), metrics, gradients
-
-
-def train_step(
-    params: actor.ActorParams,
-    critic_table: critic.ComplexEmbeddingTable,
-    observation: env.Observation,
-    config: TrainConfig,
-    rng: np.random.Generator,
-) -> tuple[env.Transition, StepMetrics]:
-    """One bandit step: the shared step, then the actor update at its advantage.
-
-    A zero advantage leaves actor parameters bit-identical; a zero learning
-    rate does the same for that side.
-    """
-    transition, metrics, gradients = _step(params, critic_table, observation, config, rng)
-    if config.actor_lr != 0.0 and metrics.advantage != 0.0:
-        _apply_actor_update(params, gradients(metrics.advantage), config.actor_lr)
-    return transition, metrics
-
-
-def _session_episode(
-    params: actor.ActorParams,
-    critic_table: critic.ComplexEmbeddingTable,
-    environment: env.Environment,
-    config: TrainConfig,
-    rng: np.random.Generator,
-) -> EpisodeTrace:
-    """One pass through a patch; policy gradients scale by discounted return minus Q.
-
-    Actor gradients are taken during the rollout with coefficient 1 (actor
-    parameters do not move mid-episode), scaled once returns are known, and
-    applied as a single summed update. The critic updates per step.
-    """
-    trace = EpisodeTrace()
-    staged: list[actor.ActorGradients] = []
-    while True:
-        transition, metrics, gradients = _step(
-            params, critic_table, environment.reset(), config, rng
-        )
-        staged.append(gradients(1.0))
-        trace.transitions.append(transition)
-        trace.metrics.append(metrics)
-        if environment.last_of_patch:
-            break
-
-    # The summed table gradient lives on the union of the episode's rows;
-    # positions[t] places step t's rows in it.
-    ids, position = np.unique(
-        np.concatenate([grads.ids for grads in staged]), return_inverse=True
-    )
-    positions = np.split(position, np.cumsum([grads.ids.shape[0] for grads in staged[:-1]]))
-    discounted = 0.0
-    total_rows = np.zeros((ids.shape[0], params.table.basis_dim))
-    total_weights = np.zeros_like(params.global_rep.weights)
-    total_factors = np.zeros_like(params.global_rep.factors)
-    any_update = False
-    for t in reversed(range(len(staged))):
-        discounted = trace.transitions[t].reward + config.discount * discounted
-        advantage = discounted - trace.metrics[t].q_estimate
-        trace.metrics[t] = replace(trace.metrics[t], advantage=advantage)
-        if advantage != 0.0:
-            grads = staged[t]
-            total_rows[positions[t]] += advantage * grads.rows
-            total_weights += advantage * grads.weights
-            total_factors += advantage * grads.factors
-            any_update = True
-    if config.actor_lr != 0.0 and any_update:
-        _apply_actor_update(
-            params,
-            actor.ActorGradients(
-                ids=ids,
-                rows=total_rows,
-                weights=total_weights,
-                factors=total_factors,
-                num_rows=params.table.num_rows,
-            ),
-            config.actor_lr,
-        )
-    return trace
+    return replace(transition, log_probability=out.log_probability), metrics
 
 
 @dataclass(eq=False)
@@ -681,19 +594,18 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
             save_checkpoint(make_checkpoint(params, critic_table, config), config.checkpoint_path)
 
     for episode in range(1, config.episodes + 1):
-        if config.mode == "bandit":
-            observation = environment.reset()
-            _, step_metrics = train_step(params, critic_table, observation, config, policy_rng)
-            episode_rewards = [step_metrics.reward]
-        else:
-            trace = _session_episode(params, critic_table, environment, config, policy_rng)
-            episode_rewards = [t.reward for t in trace.transitions]
-        for r in episode_rewards:
+        while True:
+            _, step_metrics = train_step(
+                params, critic_table, environment.reset(), config, policy_rng
+            )
+            r = step_metrics.reward
             rewards.append(r)
             window.append(r)
             scent_scalar = (
                 config.scent_smoothing * r + (1.0 - config.scent_smoothing) * scent_scalar
             )
+            if environment.last_of_patch:
+                break
         if config.eval_interval > 0 and episode % config.eval_interval == 0:
             record(episode)
 

@@ -5,8 +5,10 @@ it leaves behind; cross-command consistency (train metrics vs eval output)
 is compared on the exact printed decimal strings.
 """
 
+import argparse
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -168,6 +170,19 @@ class TestTrain:
         assert code == 1
         assert "error:" in err
 
+    def test_discount_config_key_is_usage_error(self, corpus_dir, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("discount=0.9\n")
+        argv = [
+            "train",
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--config", str(cfg),
+            "--out", str(tmp_path / "run"),
+        ]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "'discount'" in err
+
     def test_invalid_setting_is_usage_error(self, corpus_dir, tmp_path, capsys):
         argv = [
             "train",
@@ -318,6 +333,29 @@ class TestInspect:
         critic_line = next(l for l in out if l.startswith("critic p: "))
         assert abs(float(critic_line.split("sum=")[1]) - 1.0) <= 1e-10
 
+    def test_document_diagnostics_parse_and_check_the_checkpoint_once(
+        self, corpus_dir, trained_dir, capsys, monkeypatch
+    ):
+        spies = {
+            name: mock.Mock(wraps=getattr(trainer, name))
+            for name in ("load_checkpoint", "check_invariants")
+        }
+        for name, spy in spies.items():
+            monkeypatch.setattr(trainer, name, spy)
+        corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)
+        argv = [
+            "inspect",
+            "--checkpoint", str(trained_dir / "checkpoint.txt"),
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--doc", corpus.documents[0].doc_id,
+        ]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        assert {name: spy.call_count for name, spy in spies.items()} == {
+            "load_checkpoint": 1,
+            "check_invariants": 1,
+        }
+
     def test_doc_without_corpus_is_usage_error(self, trained_dir, capsys):
         argv = [
             "inspect",
@@ -385,6 +423,27 @@ class TestOracle:
         )
         assert code == 0
         assert (tmp_path / "oracle.txt").read_text().splitlines() == out
+
+
+def subparser_dests(name):
+    """Option dests of one subcommand, without --help."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.dest
+        for action in commands.choices[name]._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+
+
+class TestConfigKeysMatchFlags:
+    """Every config key has a flag and every flag a key, so no flag is parsed and dropped."""
+
+    def test_train(self):
+        assert subparser_dests("train") - {"config", "out", "corpus"} == set(cli._TRAIN_KEYS)
+
+    def test_gen_corpus(self):
+        assert subparser_dests("gen-corpus") - {"config", "out"} == set(cli._GEN_KEYS)
 
 
 class TestEntryPoints:

@@ -100,7 +100,6 @@ class TestTrainConfig:
             {"critic_lr": -0.1},
             {"temperature": 1e-4},
             {"scent_smoothing": 0.0},
-            {"discount": 1.5},
             {"mode": "batch"},
             {"eval_interval": -1},
             {"rank": 0},
@@ -309,11 +308,12 @@ def assert_only_rows_changed(before, after, rows):
 class TestSparseStep:
     """A step reads and writes only its tokens' rows; every other row keeps its bits."""
 
-    def test_bandit_step_changes_only_its_rows(self):
+    @pytest.mark.parametrize("mode", ["bandit", "session"])
+    def test_bandit_step_changes_only_its_rows(self, mode):
         corpus = small_corpus()
-        config = small_config()
+        config = small_config(mode=mode)
         params, critic_table = trainer.init_params(corpus, config)
-        environment = env.Environment(corpus, np.random.default_rng(61))
+        environment = env.Environment(corpus, np.random.default_rng(61), mode=mode)
         rng = np.random.default_rng(62)
         moved = 0
         for _ in range(15):
@@ -332,62 +332,6 @@ class TestSparseStep:
             moved += assert_only_rows_changed(before[1], critic_table.amplitudes, critic_rows)
             moved += assert_only_rows_changed(before[2], critic_table.salience[:, None], critic_rows)
         assert moved > 0
-
-    def test_session_episode_changes_only_its_rows(self):
-        corpus = small_corpus()
-        config = small_config(mode="session")
-        params, critic_table = trainer.init_params(corpus, config)
-        environment = env.Environment(corpus, np.random.default_rng(63), mode="session")
-        rng = np.random.default_rng(64)
-        moved = 0
-        for _ in range(3):
-            actor_before = params.table.amplitudes.copy()
-            critic_before = (critic_table.amplitudes.copy(), critic_table.salience.copy()[:, None])
-            trace = trainer._session_episode(params, critic_table, environment, config, rng)
-            actor_rows, critic_rows = set(), set()
-            for t in trace.transitions:
-                a, c = step_rows(
-                    params, critic_table, corpus.document(t.doc_id).keywords, t.candidates,
-                    t.chosen_index, config.query_order,
-                )
-                actor_rows |= a
-                critic_rows |= c
-            moved += assert_only_rows_changed(actor_before, params.table.amplitudes, actor_rows)
-            moved += assert_only_rows_changed(critic_before[0], critic_table.amplitudes, critic_rows)
-            moved += assert_only_rows_changed(
-                critic_before[1], critic_table.salience[:, None], critic_rows
-            )
-            assert len(trace.transitions) > 1
-        assert moved > 0
-
-    def test_session_episode_matches_dense_summed_update(self):
-        corpus = small_corpus()
-        config = small_config(mode="session")
-        params, critic_table = trainer.init_params(corpus, config)
-        environment = env.Environment(corpus, np.random.default_rng(65), mode="session")
-        rng = np.random.default_rng(66)
-        for _ in range(3):
-            reference = copy.deepcopy(params)
-            trace = trainer._session_episode(params, critic_table, environment, config, rng)
-            table = np.zeros_like(reference.table.amplitudes)
-            weights = np.zeros_like(reference.global_rep.weights)
-            factors = np.zeros_like(reference.global_rep.factors)
-            for t in reversed(range(len(trace.transitions))):
-                transition, advantage = trace.transitions[t], trace.metrics[t].advantage
-                candidates = [
-                    qrep.embed_query(c.tokens, reference.table, config.query_order)
-                    for c in transition.candidates
-                ]
-                grads = actor.actor_gradients(reference, candidates, transition.chosen_index, 1.0)
-                table += advantage * grads.table
-                weights += advantage * grads.weights
-                factors += advantage * grads.factors
-            reference.table.amplitudes -= config.actor_lr * table
-            reference.global_rep.weights -= config.actor_lr * weights
-            reference.global_rep.factors -= config.actor_lr * factors
-            reference.table.renormalize()
-            reference.global_rep.renormalize()
-            assert actor_state_bytes(params) == actor_state_bytes(reference)
 
     def test_gradient_rows_follow_candidates_not_vocabulary(self):
         token_lists = [["w3", "w7", "w3"], ["w12"], ["w7", "absent", "w40", "w41"]]
@@ -581,6 +525,23 @@ class TestCheckpointFormat:
         re_params, re_critic, _ = trainer.restore_params(loaded, corpus)
         assert actor_state_bytes(re_params) == actor_state_bytes(params)
         assert critic_state_bytes(re_critic) == critic_state_bytes(critic_table)
+
+    def test_discount_echo_of_earlier_files_is_ignored(self, tmp_path):
+        corpus, config, params, critic_table, _, path = self.make(tmp_path)
+        # Earlier versions trained session mode on discounted returns and
+        # echoed the discount factor with the other settings.
+        lines = path.read_text().splitlines()
+        lines.insert(1, "# discount=0.9")
+        path.write_text("\n".join(lines) + "\n")
+        loaded = trainer.load_checkpoint(str(path))
+        assert loaded.config_echo["discount"] == "0.9"
+        re_params, re_critic, re_config = trainer.restore_params(loaded, corpus)
+        assert re_config == config
+        assert actor_state_bytes(re_params) == actor_state_bytes(params)
+        before = trainer.evaluate(params, critic_table, corpus)
+        after = trainer.evaluate(re_params, re_critic, corpus)
+        assert after.choices == before.choices
+        assert after.critic_accuracy == before.critic_accuracy
 
     def test_failed_save_keeps_the_earlier_file(self, tmp_path, monkeypatch):
         _, _, _, _, checkpoint, path = self.make(tmp_path)
@@ -818,6 +779,20 @@ class TestTrain:
         assert len(result.rewards) >= 4
         assert result.metrics
         assert all(r in (-1, 0, 1) for r in result.rewards)
+
+    def test_session_mode_learns_toy_corpus_on_all_seeds(self):
+        # Criterion 7's corpus and step count: two patches of 25 documents, so
+        # 80 session episodes are 2000 steps.
+        spec = env.CorpusSpec(docs=50, patches=2, candidates_per_doc=3, noise=0.0)
+        accuracies = []
+        for seed in (1, 2, 3, 4, 5):
+            corpus = env.gen_corpus(spec, np.random.default_rng(seed))
+            config = trainer.TrainConfig(episodes=80, seed=seed, mode="session")
+            result = trainer.train(config, corpus)
+            assert len(result.rewards) == 2000
+            ev = trainer.evaluate(result.params, result.critic_table, corpus)
+            accuracies.append(ev.greedy_accuracy)
+        assert min(accuracies) >= 0.9, accuracies
 
     def test_empty_corpus_rejected(self):
         empty = env.Corpus(documents=(), vocabulary=(), keyword_count=3)
