@@ -89,30 +89,47 @@ class ActorGradients:
         return dense
 
 
-def actor_forward(params: ActorParams, candidates: Sequence[qrep.QueryState]) -> ActorForward:
-    """Score every candidate. Deterministic: same inputs, bitwise-same outputs.
+def score_rows(g: qrep.GlobalRepresentation, rows: np.ndarray) -> ActorForward:
+    """Score an (N, n, k) batch of candidate amplitude rows against the global space.
 
+    The one scoring path: training, inspect and evaluation all come here.
     One einsum takes every (candidate, rank, position) inner product, with
-    the per-candidate arithmetic of qrep.product_pool; each score is the
-    weighted sum qrep.project takes, so module-level and actor-level scoring
-    agree bit for bit. The dots ride along for actor_gradients.
+    the per-candidate arithmetic of qrep.product_pool, and each score is the
+    weighted sum qrep.project takes, one dot product per candidate (a
+    matrix-vector product would sum in another order). So module-level and
+    actor-level scoring agree bit for bit, and a candidate's score does not
+    depend on the batch around it. The dots ride along for actor_gradients.
     """
+    if rows.ndim != 3 or rows.shape[1:] != (g.order, g.basis_dim):
+        raise ShapeMismatch(
+            f"global space is order {g.order} over k={g.basis_dim}, "
+            f"candidate rows have shape {rows.shape}"
+        )
+    dots = np.einsum("rik,cik->cri", g.factors, rows)
+    pooled = np.prod(dots, axis=2)
+    scores = np.fromiter(map(g.weights.dot, pooled), dtype=np.float64, count=pooled.shape[0])
+    return ActorForward(scores=scores, pooled=pooled, dots=dots)
+
+
+def actor_forward(params: ActorParams, candidates: Sequence[qrep.QueryState]) -> ActorForward:
+    """Score every candidate (score_rows). Deterministic: same inputs, bitwise-same outputs."""
     if len(candidates) == 0:
         raise NoCandidates("actor_forward needs at least one candidate")
     g = params.global_rep
     for q in candidates:
         qrep._check_compatible(g, q)
-    dots = np.einsum("rik,cik->cri", g.factors, np.stack([q.rows for q in candidates]))
-    pooled = np.prod(dots, axis=2)
-    scores = np.array([float(np.dot(g.weights, p)) for p in pooled])
-    return ActorForward(scores=scores, pooled=pooled, dots=dots)
+    return score_rows(g, np.stack([q.rows for q in candidates]))
+
+
+def _check_finite(scores: np.ndarray) -> None:
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteScore(f"scores contain non-finite values: {scores!r}")
 
 
 def policy_probabilities(scores: np.ndarray, temperature: float) -> np.ndarray:
     """Max-shifted softmax over scores / temperature."""
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise NonFiniteScore(f"scores contain non-finite values: {scores!r}")
+    _check_finite(scores)
     if not (TEMPERATURE_MIN <= temperature <= TEMPERATURE_MAX):
         raise ValueError(f"temperature {temperature!r} outside [{TEMPERATURE_MIN}, {TEMPERATURE_MAX}]")
     z = scores / temperature
@@ -132,24 +149,17 @@ def _log_probability(scores: np.ndarray, temperature: float, index: int) -> floa
 def select_action(
     scores: np.ndarray,
     temperature: float,
-    rng: np.random.Generator | None,
-    greedy: bool = False,
+    rng: np.random.Generator,
     probabilities: np.ndarray | None = None,
 ) -> tuple[int, float]:
-    """Pick a candidate index and its log probability.
+    """Sample a candidate index from the softmax; return it with its log probability.
 
-    Stochastic mode samples the softmax by inverse CDF on one uniform draw, so
-    a fixed generator gives a fixed index sequence. Greedy mode takes the
-    lowest-index argmax, draws nothing (rng may be None), and reports log
-    probability 0 (the zero-temperature limit puts all mass there).
-    `probabilities`, when given, is policy_probabilities(scores, temperature)
-    already computed by the caller.
+    The draw is an inverse CDF on one uniform, so a fixed generator gives a
+    fixed index sequence. `probabilities`, when given, is
+    policy_probabilities(scores, temperature) already computed by the caller.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise NonFiniteScore(f"scores contain non-finite values: {scores!r}")
-    if greedy:
-        return int(np.argmax(scores)), 0.0
+    _check_finite(scores)
     if probabilities is None:
         probabilities = policy_probabilities(scores, temperature)
     cdf = np.cumsum(probabilities)
@@ -157,6 +167,25 @@ def select_action(
     index = int(np.searchsorted(cdf, u, side="right"))
     index = min(index, scores.shape[0] - 1)
     return index, _log_probability(scores, temperature, index)
+
+
+def first_argmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The greedy choice of each document: the lowest index holding its top score.
+
+    `scores` lists the documents' candidates back to back, document j's from
+    row offsets[j] on; each index counts from its document's first row. A
+    segment reduction over the offsets takes every document at once.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    _check_finite(scores)
+    counts = np.diff(offsets, append=scores.shape[0])
+    if counts.size == 0 or counts.min() < 1:
+        raise NoCandidates("every document needs at least one candidate")
+    first_row = np.repeat(offsets, counts)
+    at_top = scores == np.repeat(np.maximum.reduceat(scores, offsets), counts)
+    position = np.arange(scores.shape[0]) - first_row
+    return np.minimum.reduceat(np.where(at_top, position, scores.shape[0]), offsets)
 
 
 def act(

@@ -190,11 +190,19 @@ def _load_for_eval(checkpoint: trainer.Checkpoint, corpus_path: str) -> tuple:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    # Flags and config values are checked before any file is read; the
+    # checkpoint's own settings fill in the rest.
+    overrides = _effective(_EVAL_KEYS, {}, args)
+    if "scent_smoothing" in overrides:
+        try:
+            env.check_smoothing(overrides["scent_smoothing"])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     corpus, params, critic_table, config = _load_for_eval(
         trainer.load_checkpoint(args.checkpoint), args.corpus
     )
     defaults = {"scent_smoothing": config.scent_smoothing, "seed": config.seed}
-    effective = _effective(_EVAL_KEYS, defaults, args)
+    effective = {**defaults, **overrides}
     ev = trainer.evaluate(
         params, critic_table, corpus, scent_smoothing=effective["scent_smoothing"]
     )
@@ -232,6 +240,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     if args.doc is not None and not args.corpus:
         raise UsageError("--doc requires --corpus")
+    if args.off_diagonals < 0:
+        raise UsageError(f"--off-diagonals must be >= 0, got {args.off_diagonals}")
     checkpoint = trainer.load_checkpoint(args.checkpoint)
     if args.doc is None:
         trainer.check_invariants(checkpoint)
@@ -256,7 +266,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         ]
         forward = actor.actor_forward(params, candidates)
         probs = actor.policy_probabilities(forward.scores, params.temperature)
-        chosen = int(np.argmax(forward.scores))
+        chosen = int(actor.first_argmax(forward.scores, [0])[0])
         lines.append(f"doc {doc.doc_id} patch {doc.patch_id}")
         lines.append(f"keywords: {' '.join(doc.keywords)}")
         for i, cand in enumerate(doc.candidates):

@@ -32,6 +32,8 @@ from .errors import (
 
 UNK_ID = 0
 UNK_TOKEN = "<unk>"
+#: Vocabulary word i lives in table row i + WORD_ROW_OFFSET, after the unknown row.
+WORD_ROW_OFFSET = 1
 
 CLASS_NAMES = ("mismatch", "partial", "match")
 CLASS_REWARDS = (-1, 0, 1)
@@ -76,7 +78,7 @@ class ComplexEmbeddingTable:
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.float64)
         self.phases = np.asarray(self.phases, dtype=np.float64)
         self.salience = np.asarray(self.salience, dtype=np.float64)
-        v = len(self.words) + 1
+        v = len(self.words) + WORD_ROW_OFFSET
         if self.amplitudes.shape[0] != v or self.phases.shape != self.amplitudes.shape:
             raise ShapeMismatch(
                 f"table for {len(self.words)} words needs ({v}, d) amplitudes and phases, "
@@ -88,7 +90,7 @@ class ComplexEmbeddingTable:
             raise DimensionNotDivisible(
                 f"embedding dimension {self.embed_dim} is not divisible by 3"
             )
-        self._index = {w: i + 1 for i, w in enumerate(self.words)}
+        self._index = {w: i + WORD_ROW_OFFSET for i, w in enumerate(self.words)}
 
     @classmethod
     def from_vocab(
@@ -96,7 +98,7 @@ class ComplexEmbeddingTable:
     ) -> "ComplexEmbeddingTable":
         if embed_dim % 3 != 0:
             raise DimensionNotDivisible(f"embedding dimension {embed_dim} is not divisible by 3")
-        rows = len(words) + 1
+        rows = len(words) + WORD_ROW_OFFSET
         amps = np.abs(rng.standard_normal((rows, embed_dim))) + 1e-3
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         phases = rng.uniform(-np.pi, np.pi, size=(rows, embed_dim))
@@ -136,9 +138,10 @@ class ComplexEmbeddingTable:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
+    """Max-shifted softmax along the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _token_ids(tokens: Sequence[str], table: ComplexEmbeddingTable) -> np.ndarray:
@@ -221,17 +224,27 @@ class CriticGradients:
         return np.zeros((self.num_rows, self.amplitude_rows.shape[1]))
 
 
-def _class_masses(ids: np.ndarray, table: ComplexEmbeddingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-token block masses and mixture weights.
+def block_masses(amplitudes: np.ndarray) -> np.ndarray:
+    """Squared-amplitude mass of each class block, row by row: (..., d) to (..., 3)."""
+    block = amplitudes.shape[-1] // 3
+    sq = amplitudes ** 2
+    return sq.reshape(*sq.shape[:-1], 3, block).sum(axis=-1)
 
-    Returns (beta over tokens, S with S[t, c] = block-c squared-amplitude mass
-    of token t's word, masses m_c = sum_t beta_t S[t, c]).
+
+def _class_masses(
+    ids: np.ndarray, table: ComplexEmbeddingTable, word_masses: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-token block masses and mixture weights, for ids of shape (..., L).
+
+    Returns (beta over tokens, S with S[..., t, c] = block-c squared-amplitude
+    mass of token t's word, masses m_c = sum_t beta_t S[..., t, c]).
+    `word_masses` is block_masses of the whole amplitude table, for callers
+    that judge many sequences at once; the values read are the same. Every
+    sequence of a batch takes the arithmetic of a single one, bit for bit.
     """
     beta = _softmax(table.salience[ids])
-    block = table.embed_dim // 3
-    sq = table.amplitudes[ids] ** 2
-    s = sq.reshape(len(ids), 3, block).sum(axis=2)
-    return beta, s, beta @ s
+    s = block_masses(table.amplitudes[ids]) if word_masses is None else word_masses[ids]
+    return beta, s, np.matmul(beta[..., None, :], s)[..., 0, :]
 
 
 def class_probabilities(tokens: Sequence[str], table: ComplexEmbeddingTable) -> np.ndarray:
@@ -244,7 +257,25 @@ def class_probabilities(tokens: Sequence[str], table: ComplexEmbeddingTable) -> 
     """
     ids = _token_ids(tokens, table)
     _, _, masses = _class_masses(ids, table)
-    return masses / masses.sum()
+    return masses / masses.sum(axis=-1, keepdims=True)
+
+
+def batch_class_probabilities(
+    ids: np.ndarray, lengths: np.ndarray, table: ComplexEmbeddingTable
+) -> np.ndarray:
+    """class_probabilities of every row of an (N, L) array of table rows, bit for bit.
+
+    Row i holds its sequence in its first lengths[i] entries. Rows of one
+    length are judged together, so no padding enters a sum; every block mass
+    is read from the (V, 3) per-word masses, never from gathered amplitudes.
+    """
+    word_masses = block_masses(table.amplitudes)
+    probabilities = np.empty((ids.shape[0], 3))
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        _, _, masses = _class_masses(ids[rows, :length], table, word_masses)
+        probabilities[rows] = masses / masses.sum(axis=-1, keepdims=True)
+    return probabilities
 
 
 def critic_loss_and_gradients(

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
 from math import ceil
 from typing import Iterable, Sequence
 
@@ -60,6 +62,61 @@ class Document:
     candidates: tuple[Candidate, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledCorpus:
+    """A corpus as read-only arrays, one row per candidate in corpus order.
+
+    Tokens are vocabulary indices, each row padded with -1 past its length.
+    Documents occupy consecutive rows: document j's candidates start at row
+    offsets[j].
+    """
+
+    query_tokens: np.ndarray    # (N, Q) candidate tokens
+    query_lengths: np.ndarray   # (N,)
+    pair_tokens: np.ndarray     # (N, P) document keywords, then candidate tokens
+    pair_lengths: np.ndarray    # (N,)
+    labels: np.ndarray          # (N,)
+    offsets: np.ndarray         # (D,)
+
+
+def _padded(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    width = int(lengths.max(initial=0))
+    tokens = np.full((len(sequences), width), -1, dtype=np.int64)
+    tokens[np.arange(width) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum())
+    )
+    return tokens, lengths
+
+
+def compile_corpus(corpus: "Corpus") -> CompiledCorpus:
+    """Arrays of a corpus's tokens and labels; see CompiledCorpus."""
+    index = {word: i for i, word in enumerate(corpus.vocabulary)}
+    queries: list[list[int]] = []
+    pairs: list[list[int]] = []
+    labels: list[int] = []
+    offsets: list[int] = []
+    for doc in corpus.documents:
+        offsets.append(len(labels))
+        keywords = [index[t] for t in doc.keywords]
+        for cand in doc.candidates:
+            query = [index[t] for t in cand.tokens]
+            queries.append(query)
+            pairs.append(keywords + query)
+            labels.append(cand.label)
+    if not set(labels) <= set(REWARD_VALUES):
+        raise InvalidLabel(f"candidate labels {sorted(set(labels))} are not all in {REWARD_VALUES}")
+    arrays = (
+        *_padded(queries),
+        *_padded(pairs),
+        np.asarray(labels, dtype=np.int64),
+        np.asarray(offsets, dtype=np.int64),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return CompiledCorpus(*arrays)
+
+
 @dataclass(frozen=True)
 class Corpus:
     documents: tuple[Document, ...]
@@ -78,6 +135,11 @@ class Corpus:
         for doc in self.documents:
             seen.setdefault(doc.patch_id, None)
         return tuple(seen)
+
+    @cached_property
+    def compiled(self) -> CompiledCorpus:
+        """The compiled form, built on first use; the corpus is frozen, so it never goes stale."""
+        return compile_corpus(self)
 
 
 def top_keywords(tokens: Sequence[str], count: int) -> tuple[str, ...]:
@@ -434,10 +496,15 @@ def _frequencies(rewards: Sequence[int]) -> np.ndarray:
     return freq
 
 
+def check_smoothing(smoothing: float) -> None:
+    """Reject a scent smoothing rate outside (0, 1], NaN included, with ValueError."""
+    if not (0.0 < smoothing <= 1.0):
+        raise ValueError(f"scent smoothing must lie in (0, 1], got {smoothing!r}")
+
+
 def scent_stats(transitions: Sequence[Transition], smoothing: float) -> ScentStats:
     """Scent summary of a transition sequence; empty input gives zeros."""
-    if not (0.0 < smoothing <= 1.0):
-        raise ValueError(f"smoothing must lie in (0, 1], got {smoothing!r}")
+    check_smoothing(smoothing)
     rewards = [t.reward for t in transitions]
     per_patch: dict[str, PatchScent] = {}
     order: dict[str, list[int]] = {}

@@ -36,6 +36,9 @@ from .errors import (
 
 NULL_ID = 0
 UNK_ID = 1
+#: Vocabulary word i lives in table row i + WORD_ROW_OFFSET, after the padding
+#: and unknown rows.
+WORD_ROW_OFFSET = 2
 NULL_TOKEN = "<null>"
 UNK_TOKEN = "<unk>"
 
@@ -81,13 +84,13 @@ class AmplitudeTable:
     def __post_init__(self):
         self.words = tuple(self.words)
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.float64)
-        expected = (len(self.words) + 2, self.amplitudes.shape[1] if self.amplitudes.ndim == 2 else -1)
-        if self.amplitudes.ndim != 2 or self.amplitudes.shape[0] != expected[0]:
+        rows = len(self.words) + WORD_ROW_OFFSET
+        if self.amplitudes.ndim != 2 or self.amplitudes.shape[0] != rows:
             raise ShapeMismatch(
                 f"amplitude table for {len(self.words)} words needs shape "
-                f"({len(self.words) + 2}, k), got {self.amplitudes.shape}"
+                f"({rows}, k), got {self.amplitudes.shape}"
             )
-        self._index = {w: i + 2 for i, w in enumerate(self.words)}
+        self._index = {w: i + WORD_ROW_OFFSET for i, w in enumerate(self.words)}
 
     @classmethod
     def from_vocab(cls, words: Sequence[str], basis_dim: int, rng: np.random.Generator) -> "AmplitudeTable":
@@ -97,7 +100,7 @@ class AmplitudeTable:
         factors close to 1, so products over query positions start well away
         from zero and gradients flow from the first episode.
         """
-        rows = len(words) + 2
+        rows = len(words) + WORD_ROW_OFFSET
         amps = 1.0 + 0.2 * rng.standard_normal((rows, basis_dim))
         renormalize_rows(amps)
         amps[NULL_ID] = qcore.basis_vector(basis_dim, 0)

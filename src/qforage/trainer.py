@@ -24,6 +24,13 @@ so each step updates the actor at once with its one-step advantage. Mode only
 picks the document order (env.Environment): a bandit episode is one document,
 a session episode one pass through a patch.
 
+Evaluation is one batched pass, not a loop over documents. The corpus is
+compiled once into arrays of vocabulary indices (env.Corpus.compiled); every
+candidate is scored at once by actor.score_rows, the scorer actor_forward
+calls on a step, and every (document, candidate) pair is judged at once from
+per-word block masses. Scores and class probabilities keep the bits of a
+per-document pass.
+
 Checkpoints are UTF-8 text: a `qforage-checkpoint v1` header, `# key=value`
 config echo lines, then named decimal matrix blocks (Checkpoint.blocks).
 Floats print with 17 significant digits, so save followed by load reproduces
@@ -49,6 +56,7 @@ from .errors import (
     CheckpointMismatch,
     EmptyCorpus,
     ParseError,
+    ShapeMismatch,
     VersionMismatch,
 )
 from .seeding import stream_rng
@@ -87,8 +95,7 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if not (actor.TEMPERATURE_MIN <= self.temperature <= actor.TEMPERATURE_MAX):
             raise ValueError(f"temperature {self.temperature!r} outside the supported range")
-        if not (0.0 < self.scent_smoothing <= 1.0):
-            raise ValueError(f"scent smoothing must lie in (0, 1], got {self.scent_smoothing!r}")
+        env.check_smoothing(self.scent_smoothing)
         if self.mode not in ("bandit", "session"):
             raise ValueError(f"mode must be 'bandit' or 'session', got {self.mode!r}")
         if self.eval_interval < 0:
@@ -269,23 +276,43 @@ def evaluate(
     Greedy accuracy is the fraction of documents whose argmax candidate is
     labeled +1; critic accuracy is the fraction of all (document, candidate)
     pairs whose most probable class matches the label.
+
+    One batched pass over the corpus's compiled form (env.Corpus.compiled,
+    built once per corpus): every candidate is scored at once by
+    actor.score_rows, the scorer actor_forward uses, each document's choice
+    is the first argmax of its segment, and every pair is judged at once by
+    critic.batch_class_probabilities. Each score and class probability has
+    the bits a per-document pass would give. Both tables must be built over
+    the corpus vocabulary, as init_params and restore_params build them.
     """
     if len(corpus.documents) == 0:
         raise EmptyCorpus("evaluate needs at least one document")
+    env.check_smoothing(scent_smoothing)
+    for name, table in (("actor", params.table), ("critic", critic_table)):
+        if table.words != corpus.vocabulary:
+            raise ShapeMismatch(f"{name} table rows are not built over the corpus vocabulary")
+    compiled = corpus.compiled
+
     order = params.global_rep.order
+    tokens = compiled.query_tokens[:, :order]
+    if tokens.shape[1] < order:
+        tokens = np.pad(tokens, ((0, 0), (0, order - tokens.shape[1])), constant_values=-1)
+    in_query = np.arange(order) < compiled.query_lengths[:, None]
+    ids = np.where(in_query, tokens + qrep.WORD_ROW_OFFSET, qrep.NULL_ID)
+    scores = actor.score_rows(params.global_rep, params.table.amplitudes[ids]).scores
+    chosen = actor.first_argmax(scores, compiled.offsets)
+    rewards = compiled.labels[compiled.offsets + chosen]
+
+    probabilities = critic.batch_class_probabilities(
+        compiled.pair_tokens + critic.WORD_ROW_OFFSET, compiled.pair_lengths, critic_table
+    )
+    # class_of_reward of every label, since CLASS_REWARDS is sorted.
+    classes = np.searchsorted(critic.CLASS_REWARDS, compiled.labels)
+    critic_hits = int(np.count_nonzero(np.argmax(probabilities, axis=1) == classes))
+
     transitions: list[env.Transition] = []
     choices: list[tuple[str, tuple[str, ...], int]] = []
-    hits = 0
-    critic_hits = 0
-    critic_total = 0
-    rewards: list[int] = []
-    for doc in corpus.documents:
-        candidates = [qrep.embed_query(c.tokens, params.table, order) for c in doc.candidates]
-        scores = actor.actor_forward(params, candidates).scores
-        index, _ = actor.select_action(scores, params.temperature, None, greedy=True)
-        reward = doc.candidates[index].label
-        rewards.append(reward)
-        hits += int(reward == 1)
+    for doc, index, reward in zip(corpus.documents, chosen.tolist(), rewards.tolist()):
         transitions.append(
             env.Transition(
                 doc_id=doc.doc_id,
@@ -296,17 +323,10 @@ def evaluate(
             )
         )
         choices.append((doc.doc_id, doc.candidates[index].tokens, reward))
-        for cand in doc.candidates:
-            p = critic.class_probabilities(
-                list(doc.keywords) + list(cand.tokens), critic_table
-            )
-            critic_hits += int(int(np.argmax(p)) == critic.class_of_reward(cand.label))
-            critic_total += 1
-    n = len(corpus.documents)
     return EvalMetrics(
-        greedy_accuracy=hits / n,
+        greedy_accuracy=int(np.count_nonzero(rewards == 1)) / len(corpus.documents),
         mean_reward=float(np.mean(rewards)),
-        critic_accuracy=critic_hits / critic_total,
+        critic_accuracy=critic_hits / len(compiled.labels),
         scent=env.scent_stats(transitions, scent_smoothing),
         choices=choices,
     )

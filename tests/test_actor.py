@@ -14,7 +14,9 @@ from qforage.actor import (
     act,
     actor_forward,
     actor_gradients,
+    first_argmax,
     policy_probabilities,
+    score_rows,
     select_action,
 )
 from qforage.errors import (
@@ -111,22 +113,53 @@ class TestPolicyProbabilities:
             policy_probabilities(np.array([0.0, 1.0]), 0.0)
 
 
-class TestSelectAction:
+class TestFirstArgmax:
     def test_greedy_tie_break_lowest_index(self):
-        index, log_prob = select_action(
-            np.array([0.2, 0.9, 0.9]), 1.0, np.random.default_rng(0), greedy=True
-        )
+        (index,) = first_argmax(np.array([0.2, 0.9, 0.9]), [0])
         assert index == 1
-        assert log_prob == 0.0
 
     def test_greedy_invariant_under_shift_and_scale(self):
         rng = np.random.default_rng(23)
         scores = rng.standard_normal(5)
-        base, _ = select_action(scores, 1.0, np.random.default_rng(0), greedy=True)
-        shifted, _ = select_action(scores + 7.5, 1.0, np.random.default_rng(0), greedy=True)
-        scaled, _ = select_action(scores * 3.0, 1.0, np.random.default_rng(0), greedy=True)
+        (base,) = first_argmax(scores, [0])
+        (shifted,) = first_argmax(scores + 7.5, [0])
+        (scaled,) = first_argmax(scores * 3.0, [0])
         assert base == shifted == scaled
 
+    def test_each_document_counts_from_its_first_candidate(self):
+        scores = np.array([0.1, 0.4, 0.4, 0.3, -1.0, -1.0, 2.0, 2.0, 5.0, 1.0])
+        offsets = np.array([0, 2, 4, 6, 8])
+        assert first_argmax(scores, offsets).tolist() == [1, 0, 0, 0, 0]
+
+    def test_non_finite_scores_rejected(self):
+        with pytest.raises(NonFiniteScore):
+            first_argmax(np.array([0.0, 1.0, np.nan, 0.5]), [0, 2])
+
+    def test_empty_document_rejected(self):
+        with pytest.raises(NoCandidates):
+            first_argmax(np.array([0.0, 1.0]), [0, 2])
+
+
+class TestScoreRows:
+    def test_batch_scores_equal_per_candidate_scores(self):
+        rng = np.random.default_rng(47)
+        params = make_params(rng, order=3, rank=5)
+        token_lists = [["w0", "w1", "w2"], ["w3"], ["w2", "w2"], ["w1", "w0", "w3"]]
+        candidates = make_candidates(params.table, 3, token_lists)
+        batch = score_rows(params.global_rep, np.stack([q.rows for q in candidates]))
+        for i, q in enumerate(candidates):
+            single = actor_forward(params, [q])
+            assert batch.scores[i] == single.scores[0] == qrep.project(params.global_rep, q)
+            assert batch.dots[i].tobytes() == single.dots[0].tobytes()
+
+    def test_row_shape_must_match_the_global_space(self):
+        rng = np.random.default_rng(53)
+        params = make_params(rng, order=2)
+        with pytest.raises(ShapeMismatch):
+            score_rows(params.global_rep, np.ones((4, 3, 3)))
+
+
+class TestSelectAction:
     def test_sampling_matches_softmax_rate(self):
         rng = np.random.default_rng(29)
         scores = np.array([0.0, 1.0])

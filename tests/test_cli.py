@@ -277,6 +277,47 @@ class TestEval:
         assert out == []
         assert "error:" in err and "'actor.amplitudes' row 3" in err
 
+    @pytest.mark.parametrize("value", ["0", "nan", "1.5"])
+    def test_bad_scent_smoothing_flag_is_usage_error(self, corpus_dir, trained_dir, capsys, value):
+        argv = [
+            "eval",
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--checkpoint", str(trained_dir / "checkpoint.txt"),
+            "--scent-smoothing", value,
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == []
+        assert "scent smoothing must lie in (0, 1]" in err
+
+    def test_bad_scent_smoothing_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("scent_smoothing=0\n")
+        # Neither file exists: the value is rejected before either is read.
+        argv = [
+            "eval",
+            "--corpus", str(tmp_path / "missing.tsv"),
+            "--checkpoint", str(tmp_path / "missing.txt"),
+            "--config", str(cfg),
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == []
+        assert "scent smoothing must lie in (0, 1]" in err
+
+    def test_scent_smoothing_flag_overrides_the_checkpoint(self, corpus_dir, trained_dir, capsys):
+        argv = [
+            "eval",
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--checkpoint", str(trained_dir / "checkpoint.txt"),
+        ]
+        _, default_out, _ = run(argv, capsys)
+        code, out, _ = run(argv + ["--scent-smoothing", "1"], capsys)
+        assert code == 0
+        assert "# scent_smoothing=1" in out and "# scent_smoothing=0.10000000000000001" in default_out
+        scent = [l for l in out if l.startswith("scent_scalar=")]
+        assert scent and scent != [l for l in default_out if l.startswith("scent_scalar=")]
+
     def test_empty_corpus_is_runtime_error(self, trained_dir, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("# nothing here\n")
@@ -375,6 +416,20 @@ class TestInspect:
         code, _, err = run(argv, capsys)
         assert code == 1
         assert "doc9999" in err
+
+    def test_negative_off_diagonal_count_is_usage_error(self, corpus_dir, trained_dir, capsys):
+        corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)
+        argv = [
+            "inspect",
+            "--checkpoint", str(trained_dir / "checkpoint.txt"),
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--doc", corpus.documents[0].doc_id,
+            "--off-diagonals", "-2",
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == []
+        assert "--off-diagonals" in err
 
     def test_writes_inspect_file_with_out(self, trained_dir, tmp_path, capsys):
         argv = [

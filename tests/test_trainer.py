@@ -9,6 +9,7 @@ Evaluation metrics are re-derived from scratch over the corpus.
 
 import copy
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qforage.errors import (
     EmptyCorpus,
     NonFiniteScore,
     ParseError,
+    ShapeMismatch,
     VersionMismatch,
 )
 from qforage.seeding import stream_rng
@@ -430,6 +432,134 @@ class TestEvaluate:
         params.table.amplitudes[:] = np.nan
         with pytest.raises(NonFiniteScore):
             trainer.evaluate(params, critic_table, corpus)
+
+
+# Documents of 2 and 4 candidates; queries shorter (padded) and longer
+# (truncated) than query_order 3; keyword lists of 1 to 3 words, so the
+# judged pairs have several lengths. d2 and d3 hold one query twice and
+# nothing else, so the tie goes to the lower index whatever the parameters.
+HAND_CORPUS = [
+    "d0\tpa\talpha beta gamma alpha\talpha\t1",
+    "d0\tpa\talpha beta gamma alpha\tdelta eps zeta eta theta\t-1",
+    "d1\tpa\tbeta beta\tbeta gamma\t0",
+    "d1\tpa\tbeta beta\tbeta\t1",
+    "d1\tpa\tbeta beta\tnot beta gamma delta\t-1",
+    "d1\tpa\tbeta beta\teps zeta eta theta alpha\t0",
+    "d2\tpb\tzeta eta theta iota\tzeta eta\t1",
+    "d2\tpb\tzeta eta theta iota\tzeta eta\t0",
+    "d3\tpb\tiota kappa\tiota kappa lambda\t0",
+    "d3\tpb\tiota kappa\tiota kappa lambda\t1",
+]
+
+
+def hand_corpus():
+    return env.parse_corpus_lines(HAND_CORPUS, keyword_count=3)
+
+
+def per_document_recount(params, critic_table, corpus):
+    """evaluate's metrics from one document and one pair at a time."""
+    order = params.global_rep.order
+    transitions, choices, probabilities = [], [], []
+    for doc in corpus.documents:
+        states = [qrep.embed_query(c.tokens, params.table, order) for c in doc.candidates]
+        index = int(np.argmax(actor.actor_forward(params, states).scores))
+        reward = doc.candidates[index].label
+        transitions.append(env.Transition(doc.doc_id, doc.patch_id, doc.candidates, index, reward))
+        choices.append((doc.doc_id, doc.candidates[index].tokens, reward))
+        for cand in doc.candidates:
+            p = critic.class_probabilities(list(doc.keywords) + list(cand.tokens), critic_table)
+            probabilities.append((p, critic.class_of_reward(cand.label)))
+    return transitions, choices, probabilities
+
+
+class TestBatchedEvaluate:
+    """The batched pass against a per-document recount on a hand-built corpus."""
+
+    def trained(self, corpus, seed):
+        result = trainer.train(small_config(seed=seed, episodes=30, eval_interval=0), corpus)
+        return result.params, result.critic_table
+
+    def test_hand_corpus_covers_its_cases(self):
+        corpus = hand_corpus()
+        compiled = corpus.compiled
+        counts = np.diff(np.append(compiled.offsets, len(compiled.labels)))
+        assert sorted(set(counts.tolist())) == [2, 4]
+        assert compiled.query_lengths.min() < 3 < compiled.query_lengths.max()
+        assert len(set(compiled.pair_lengths.tolist())) >= 4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_metrics_equal_a_per_document_recount(self, seed):
+        corpus = hand_corpus()
+        params, critic_table = self.trained(corpus, seed)
+        ev = trainer.evaluate(params, critic_table, corpus, scent_smoothing=0.3)
+        transitions, choices, probabilities = per_document_recount(params, critic_table, corpus)
+        rewards = [t.reward for t in transitions]
+        assert ev.choices == choices
+        assert ev.greedy_accuracy == rewards.count(1) / len(rewards)
+        assert ev.mean_reward == float(np.mean(rewards))
+        hits = sum(int(np.argmax(p)) == label for p, label in probabilities)
+        assert ev.critic_accuracy == hits / len(probabilities)
+        scent = env.scent_stats(transitions, 0.3)
+        assert ev.scent.scalar == scent.scalar
+        assert ev.scent.frequencies.tobytes() == scent.frequencies.tobytes()
+        assert list(ev.scent.per_patch) == list(scent.per_patch)
+        for patch_id, patch in scent.per_patch.items():
+            got = ev.scent.per_patch[patch_id]
+            assert (got.scalar, got.count) == (patch.scalar, patch.count)
+            assert got.frequencies.tobytes() == patch.frequencies.tobytes()
+
+    def test_duplicated_candidate_tie_goes_to_the_lower_index(self):
+        corpus = hand_corpus()
+        params, critic_table = self.trained(corpus, 0)
+        ev = trainer.evaluate(params, critic_table, corpus)
+        by_doc = {doc_id: reward for doc_id, _, reward in ev.choices}
+        assert (by_doc["d2"], by_doc["d3"]) == (1, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batched_probabilities_equal_per_pair_probabilities_bitwise(self, seed):
+        corpus = hand_corpus()
+        params, critic_table = self.trained(corpus, seed)
+        compiled = corpus.compiled
+        batch = critic.batch_class_probabilities(
+            compiled.pair_tokens + critic.WORD_ROW_OFFSET, compiled.pair_lengths, critic_table
+        )
+        _, _, probabilities = per_document_recount(params, critic_table, corpus)
+        assert len(probabilities) == len(batch)
+        for row, (p, _) in zip(batch, probabilities):
+            assert row.tobytes() == p.tobytes()
+
+    def test_compiled_once_per_corpus(self, monkeypatch):
+        spy = mock.Mock(wraps=env.compile_corpus)
+        monkeypatch.setattr(env, "compile_corpus", spy)
+        corpus = small_corpus()
+        params, critic_table = trainer.init_params(corpus, small_config())
+        trainer.evaluate(params, critic_table, corpus)
+        trainer.evaluate(params, critic_table, corpus)
+        result = trainer.train(small_config(episodes=20, eval_interval=5), corpus)
+        assert len(result.metrics) == 4
+        assert spy.call_count == 1
+
+    def test_compiled_arrays_are_read_only(self):
+        compiled = hand_corpus().compiled
+        with pytest.raises(ValueError):
+            compiled.labels[0] = 0
+
+    def test_tables_over_another_vocabulary_rejected(self):
+        corpus = hand_corpus()
+        params, critic_table = trainer.init_params(corpus, small_config())
+        other_params, other_critic = trainer.init_params(small_corpus(), small_config())
+        with pytest.raises(ShapeMismatch):
+            trainer.evaluate(other_params, critic_table, corpus)
+        with pytest.raises(ShapeMismatch):
+            trainer.evaluate(params, other_critic, corpus)
+
+    @pytest.mark.parametrize("smoothing", [0.0, float("nan"), 1.5])
+    def test_bad_scent_smoothing_rejected_before_the_pass(self, smoothing):
+        corpus = hand_corpus()
+        params, critic_table = trainer.init_params(corpus, small_config())
+        with pytest.raises(ValueError, match="scent smoothing"):
+            trainer.evaluate(params, critic_table, corpus, scent_smoothing=smoothing)
+        assert "compiled" not in vars(corpus)
 
 
 class TestNoDensityMatrixOnTrainingPaths:
