@@ -183,7 +183,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_for_eval(checkpoint: trainer.Checkpoint, corpus_path: str) -> tuple:
-    config_hint = trainer.TrainConfig.from_echo(checkpoint.config_echo)
+    config_hint = trainer.checkpoint_config(checkpoint)
     corpus = env.load_corpus(corpus_path, keyword_count=config_hint.keyword_count)
     params, critic_table, config = trainer.restore_params(checkpoint, corpus)
     return corpus, params, critic_table, config
@@ -240,12 +240,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     if args.doc is not None and not args.corpus:
         raise UsageError("--doc requires --corpus")
-    if args.off_diagonals < 0:
-        raise UsageError(f"--off-diagonals must be >= 0, got {args.off_diagonals}")
+    effective = _effective(_INSPECT_KEYS, {"off_diagonals": 5}, args)
+    off_diagonals = effective["off_diagonals"]
+    if off_diagonals < 0:
+        raise UsageError(f"--off-diagonals must be >= 0, got {off_diagonals}")
     checkpoint = trainer.load_checkpoint(args.checkpoint)
     if args.doc is None:
+        trainer.checkpoint_config(checkpoint)
         trainer.check_invariants(checkpoint)
-    else:  # restore_params checks the invariants as it binds the rows.
+    else:  # restore_params checks the echo and the invariants as it binds the rows.
         corpus, params, critic_table, config = _load_for_eval(checkpoint, args.corpus)
     fmt = trainer.format_float
     lines = [trainer.CHECKPOINT_HEADER]
@@ -255,6 +258,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     lines.append(f"global.weights: rank={rank}")
     lines.append(f"global.factors: rank={rank} order={order} basis_dim={k}")
     lines.append(f"critic.amplitudes: {checkpoint.critic_amplitudes.shape}")
+    lines.append(
+        f"critic.phases: {checkpoint.critic_phases.shape} "
+        "the init draw; training never updates them"
+    )
 
     if args.doc is not None:
         try:
@@ -290,11 +297,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         dim = rho.dim
         magnitudes = np.abs(rho.matrix)
         iu = np.triu_indices(dim, k=1)
-        top = np.argsort(magnitudes[iu])[::-1][: args.off_diagonals]
+        top = np.argsort(magnitudes[iu])[::-1][:off_diagonals]
         pairs = ", ".join(
             f"({iu[0][t]},{iu[1][t]})={fmt(magnitudes[iu][t])}" for t in top
         )
-        lines.append(f"top off-diagonals: {pairs}")
+        lines.append(f"top off-diagonals (init-time phases): {pairs}")
 
     for line in lines:
         print(line)
@@ -379,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="needed with --doc")
     p.add_argument("--doc", default=None, help="document id to diagnose")
     p.add_argument(
-        "--off-diagonals", type=int, dest="off_diagonals", default=5,
-        help="how many of the largest off-diagonal magnitudes to print",
+        "--off-diagonals", type=int, dest="off_diagonals", default=None,
+        help="how many of the largest off-diagonal magnitudes to print (default 5)",
     )
     p.set_defaults(func=cmd_inspect)
 

@@ -34,8 +34,11 @@ per-document pass.
 Checkpoints are UTF-8 text: a `qforage-checkpoint v1` header, `# key=value`
 config echo lines, then named decimal matrix blocks (Checkpoint.blocks).
 Floats print with 17 significant digits, so save followed by load reproduces
-every parameter bit for bit. A save writes a temporary file and renames it
-onto the target, so a failed save never truncates an earlier checkpoint.
+every parameter bit for bit. Each block is formatted by one `%` operation and
+parsed by one np.loadtxt call, not one Python call per value; only a block
+that fails to parse is walked row by row, to name the bad line. A save writes
+a temporary file block by block and renames it onto the target, so a failed
+save never truncates an earlier checkpoint.
 The vocabulary-to-row mapping is not stored; it is rebuilt as (null, unk) +
 sorted corpus vocabulary, and shape validation rejects a checkpoint paired
 with the wrong corpus.
@@ -46,6 +49,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
+import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,12 +130,15 @@ class TrainConfig:
             if f.name not in echo:
                 continue
             raw = echo[f.name]
-            if f.type in ("int", int):
-                kwargs[f.name] = int(raw)
-            elif f.type in ("float", float):
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = raw
+            try:
+                if f.type in ("int", int):
+                    kwargs[f.name] = int(raw)
+                elif f.type in ("float", float):
+                    kwargs[f.name] = float(raw)
+                else:
+                    kwargs[f.name] = raw
+            except ValueError:
+                raise ValueError(f"{f.name}={raw!r} is not a valid {f.type}") from None
         return cls(**kwargs)
 
 
@@ -375,13 +383,26 @@ def make_checkpoint(
     )
 
 
-def checkpoint_lines(checkpoint: Checkpoint) -> list[str]:
-    lines = [CHECKPOINT_HEADER]
-    lines.extend(f"# {key}={value}" for key, value in checkpoint.config_echo.items())
+def checkpoint_text(checkpoint: Checkpoint) -> Iterator[str]:
+    """The file's text in order: header and echo, then each block's header and rows.
+
+    Every piece ends in a newline. A block's rows are one `%` operation over
+    its values; `%.17g` prints what format_float prints.
+    """
+    yield "".join(
+        [CHECKPOINT_HEADER + "\n"]
+        + [f"# {key}={value}\n" for key, value in checkpoint.config_echo.items()]
+    )
     for name, block in checkpoint.blocks().items():
-        lines.append(f"[{name} {block.shape[0]} {block.shape[1]}]")
-        lines.extend(" ".join(format_float(v) for v in row) for row in block)
-    return lines
+        rows, cols = block.shape
+        yield f"[{name} {rows} {cols}]\n"
+        row = " ".join(["%.17g"] * cols) + "\n"
+        yield row * rows % tuple(block.ravel().tolist())
+
+
+def checkpoint_lines(checkpoint: Checkpoint) -> list[str]:
+    """The file's lines, without newlines."""
+    return "".join(checkpoint_text(checkpoint)).split("\n")[:-1]
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
@@ -393,8 +414,8 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for line in checkpoint_lines(checkpoint):
-                fh.write(line + "\n")
+            for text in checkpoint_text(checkpoint):
+                fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -410,6 +431,44 @@ _PARAM_BLOCKS = (
     "critic.phases",
     "critic.salience",
 )
+
+
+def _parse_rows(rows: list[str]) -> np.ndarray:
+    with warnings.catch_warnings():
+        # Rows that are all blank warn "input contained no data"; the caller's
+        # shape check rejects them.
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _parse_block(lines: list[str], start: int, name: str, rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) values on lines[start:start + rows], parsed in one call.
+
+    A block that does not parse whole is walked row by row to raise
+    ParseError at its first bad line. A block without values parses to an
+    empty array once every row is checked.
+    """
+    try:
+        data = _parse_rows(lines[start : start + rows])
+    except ValueError:
+        pass
+    else:
+        if data.shape == (rows, cols):
+            return data
+    for r in range(rows):
+        j = start + r
+        if j >= len(lines):
+            raise ParseError(f"block {name!r} truncated at row {r}", line=len(lines))
+        count = len(lines[j].split())
+        if count != cols:
+            raise ParseError(f"block {name!r} row has {count} values, expected {cols}", line=j + 1)
+        try:
+            _parse_rows([lines[j]])
+        except ValueError:
+            raise ParseError(f"non-numeric value in block {name!r}", line=j + 1) from None
+    if rows * cols > 0:  # Not reached while np.loadtxt splits rows as str.split does.
+        raise ParseError(f"block {name!r} does not parse", line=start)
+    return np.empty((rows, cols), dtype=np.float64)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -446,20 +505,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ParseError(f"non-integer block shape in {line!r}", line=i + 1) from None
         if name not in _PARAM_BLOCKS and not name.startswith("rng."):
             raise ParseError(f"unknown block {name!r}", line=i + 1)
-        data = np.empty((rows, cols), dtype=np.float64)
-        for r in range(rows):
-            j = i + 1 + r
-            if j >= len(lines):
-                raise ParseError(f"block {name!r} truncated at row {r}", line=len(lines))
-            values = lines[j].split()
-            if len(values) != cols:
-                raise ParseError(
-                    f"block {name!r} row has {len(values)} values, expected {cols}", line=j + 1
-                )
-            try:
-                data[r] = [float(v) for v in values]
-            except ValueError:
-                raise ParseError(f"non-numeric value in block {name!r}", line=j + 1) from None
+        data = _parse_block(lines, i + 1, name, rows, cols)
         # rng.* blocks hold stream states earlier versions wrote; nothing reads them.
         if not name.startswith("rng."):
             blocks[name] = data
@@ -522,6 +568,16 @@ def check_invariants(checkpoint: Checkpoint) -> None:
         raise CheckpointInvalid(f"block 'critic.amplitudes' row {row} has a negative amplitude")
 
 
+def checkpoint_config(checkpoint: Checkpoint) -> TrainConfig:
+    """The settings a checkpoint echoes; an echo train would refuse raises CheckpointInvalid."""
+    try:
+        config = TrainConfig.from_echo(checkpoint.config_echo)
+        config.validate()
+    except ValueError as exc:
+        raise CheckpointInvalid(f"config echo: {exc}") from None
+    return config
+
+
 def restore_params(
     checkpoint: Checkpoint, corpus: env.Corpus
 ) -> tuple[actor.ActorParams, critic.ComplexEmbeddingTable, TrainConfig]:
@@ -530,9 +586,10 @@ def restore_params(
     Rows are (null, unk) + sorted vocabulary on the actor side, (unk) + sorted
     vocabulary on the critic side; a shape disagreement means the checkpoint
     was trained against a different corpus. Parameters that break a training
-    invariant raise CheckpointInvalid.
+    invariant, or an echoed config that train would refuse, raise
+    CheckpointInvalid.
     """
-    config = TrainConfig.from_echo(checkpoint.config_echo)
+    config = checkpoint_config(checkpoint)
     vocab = corpus.vocabulary
     if checkpoint.actor_amplitudes.shape[0] != len(vocab) + 2:
         raise CheckpointMismatch(

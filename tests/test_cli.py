@@ -318,6 +318,28 @@ class TestEval:
         scent = [l for l in out if l.startswith("scent_scalar=")]
         assert scent and scent != [l for l in default_out if l.startswith("scent_scalar=")]
 
+    @pytest.mark.parametrize(
+        "entry", ["scent_smoothing=0", "temperature=0", "episodes=abc"]
+    )
+    def test_invalid_config_echo_is_runtime_error(
+        self, corpus_dir, trained_dir, tmp_path, capsys, entry
+    ):
+        key = entry.partition("=")[0]
+        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
+        edited = [f"# {entry}" if l.startswith(f"# {key}=") else l for l in lines]
+        assert edited != lines
+        bad = tmp_path / "echo.txt"
+        bad.write_text("\n".join(edited) + "\n")
+        argv = [
+            "eval",
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--checkpoint", str(bad),
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == []
+        assert err.startswith("error: config echo: ") and len(err.splitlines()) == 1
+
     def test_empty_corpus_is_runtime_error(self, trained_dir, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("# nothing here\n")
@@ -431,6 +453,71 @@ class TestInspect:
         assert out == []
         assert "--off-diagonals" in err
 
+    def test_says_the_phases_are_fixed_at_init(self, trained_dir, capsys):
+        code, out, _ = run(
+            ["inspect", "--checkpoint", str(trained_dir / "checkpoint.txt")], capsys
+        )
+        assert code == 0
+        phases = [l for l in out if l.startswith("critic.phases: ")]
+        assert len(phases) == 1 and "training never updates them" in phases[0]
+
+    def test_invalid_config_echo_is_runtime_error(self, trained_dir, tmp_path, capsys):
+        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
+        bad = tmp_path / "echo.txt"
+        bad.write_text(
+            "\n".join("# temperature=0" if l.startswith("# temperature=") else l for l in lines)
+            + "\n"
+        )
+        code, out, err = run(["inspect", "--checkpoint", str(bad)], capsys)
+        assert code == 1
+        assert out == []
+        assert err.startswith("error: config echo: ")
+
+    def doc_argv(self, corpus_dir, trained_dir):
+        corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)
+        return [
+            "inspect",
+            "--checkpoint", str(trained_dir / "checkpoint.txt"),
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--doc", corpus.documents[0].doc_id,
+        ]
+
+    @staticmethod
+    def off_diagonal_pairs(out):
+        line = next(l for l in out if l.startswith("top off-diagonals"))
+        return line.partition(": ")[2].split(", ")
+
+    @pytest.mark.parametrize("flag, expected", [([], 1), (["--off-diagonals", "2"], 2)])
+    def test_config_file_sets_the_off_diagonal_count(
+        self, corpus_dir, trained_dir, tmp_path, capsys, flag, expected
+    ):
+        cfg = tmp_path / "inspect.cfg"
+        cfg.write_text("off_diagonals=1\n")
+        argv = self.doc_argv(corpus_dir, trained_dir) + ["--config", str(cfg)] + flag
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert len(self.off_diagonal_pairs(out)) == expected
+
+    def test_default_off_diagonal_count_is_five(self, corpus_dir, trained_dir, capsys):
+        code, out, _ = run(self.doc_argv(corpus_dir, trained_dir), capsys)
+        assert code == 0
+        assert len(self.off_diagonal_pairs(out)) == 5
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("bogus=3\n", "unknown config key 'bogus'"), ("off_diagonals=-1\n", "must be >= 0")],
+    )
+    def test_bad_config_file_is_usage_error(
+        self, corpus_dir, trained_dir, tmp_path, capsys, text, message
+    ):
+        cfg = tmp_path / "inspect.cfg"
+        cfg.write_text(text)
+        argv = self.doc_argv(corpus_dir, trained_dir) + ["--config", str(cfg)]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == []
+        assert message in err
+
     def test_writes_inspect_file_with_out(self, trained_dir, tmp_path, capsys):
         argv = [
             "inspect",
@@ -499,6 +586,10 @@ class TestConfigKeysMatchFlags:
 
     def test_gen_corpus(self):
         assert subparser_dests("gen-corpus") - {"config", "out"} == set(cli._GEN_KEYS)
+
+    def test_inspect(self):
+        dests = subparser_dests("inspect") - {"config", "out", "checkpoint", "corpus", "doc"}
+        assert dests == set(cli._INSPECT_KEYS)
 
 
 class TestEntryPoints:

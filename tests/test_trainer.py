@@ -680,7 +680,7 @@ class TestCheckpointFormat:
         def fail(_checkpoint):
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(trainer, "checkpoint_lines", fail)
+        monkeypatch.setattr(trainer, "checkpoint_text", fail)
         with pytest.raises(RuntimeError):
             trainer.save_checkpoint(checkpoint, str(path))
         assert path.read_bytes() == before
@@ -763,6 +763,171 @@ class TestCheckpointFormat:
         )
         with pytest.raises(CheckpointMismatch):
             trainer.restore_params(checkpoint, other)
+
+
+def reference_lines(checkpoint):
+    """The checkpoint's lines, each value formatted on its own."""
+    lines = [trainer.CHECKPOINT_HEADER]
+    lines.extend(f"# {key}={value}" for key, value in checkpoint.config_echo.items())
+    for name, block in checkpoint.blocks().items():
+        lines.append(f"[{name} {block.shape[0]} {block.shape[1]}]")
+        lines.extend(" ".join(f"{float(v):.17g}" for v in row) for row in block)
+    return lines
+
+
+def reference_block(lines, start, name, rows, cols):
+    """A block's rows parsed token by token with float(), failing as the loader must."""
+    data = np.empty((rows, cols), dtype=np.float64)
+    for r in range(rows):
+        j = start + r
+        if j >= len(lines):
+            raise ParseError(f"block {name!r} truncated at row {r}", line=len(lines))
+        values = lines[j].split()
+        if len(values) != cols:
+            raise ParseError(
+                f"block {name!r} row has {len(values)} values, expected {cols}", line=j + 1
+            )
+        try:
+            data[r] = [float(v) for v in values]
+        except ValueError:
+            raise ParseError(f"non-numeric value in block {name!r}", line=j + 1) from None
+    return data
+
+
+SPECIAL_VALUES = [
+    -0.0,
+    0.0,
+    5e-324,
+    -5e-324,
+    1e308,
+    -1e308,
+    np.nextafter(1.0, 0.0),
+    np.nextafter(1.0, 2.0),
+    1.0,
+    np.nan,
+    np.inf,
+    -np.inf,
+]
+
+
+def random_block(rng, rows, cols):
+    """Values of every magnitude, with the special values mixed in."""
+    block = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+    mask = rng.random((rows, cols)) < 0.2
+    block[mask] = rng.choice(SPECIAL_VALUES, size=int(mask.sum()))
+    return block
+
+
+def random_checkpoint(rng, critic_rows):
+    rank, order, k, d = 3, 2, 4, 6
+    return trainer.Checkpoint(
+        actor_amplitudes=random_block(rng, 7, k),
+        global_weights=random_block(rng, rank, 1).ravel(),
+        global_factors=random_block(rng, rank * order, k).reshape(rank, order, k),
+        critic_amplitudes=random_block(rng, critic_rows, d),
+        critic_phases=random_block(rng, critic_rows, d),
+        critic_salience=random_block(rng, critic_rows, 1).ravel(),
+        config_echo={"seed": "3", "temperature": "0.5"},
+    )
+
+
+class TestBlockTextMatchesPerValueReference:
+    """Blocks are formatted and parsed whole; each must give what one value at a time gives."""
+
+    @pytest.mark.parametrize("seed, critic_rows", [(1, 5), (2, 1), (3, 40), (4, 0)])
+    def test_written_lines_and_parsed_bits(self, tmp_path, seed, critic_rows):
+        checkpoint = random_checkpoint(np.random.default_rng(seed), critic_rows)
+        lines = reference_lines(checkpoint)
+        assert trainer.checkpoint_lines(checkpoint) == lines
+        path = tmp_path / "random.txt"
+        trainer.save_checkpoint(checkpoint, str(path))
+        assert path.read_text() == "".join(line + "\n" for line in lines)
+
+        loaded = trainer.load_checkpoint(str(path))
+        for name, block in loaded.blocks().items():
+            start = lines.index(f"[{name} {block.shape[0]} {block.shape[1]}]") + 1
+            expected = reference_block(lines, start, name, *block.shape)
+            assert block.shape == expected.shape
+            assert block.tobytes() == expected.tobytes(), name
+
+    def test_every_special_value_round_trips(self, tmp_path):
+        block = np.array(SPECIAL_VALUES).reshape(3, 4)
+        text = trainer.checkpoint_lines(
+            trainer.Checkpoint(
+                actor_amplitudes=block,
+                global_weights=np.ones(1),
+                global_factors=np.ones((1, 1, 1)),
+                critic_amplitudes=np.empty((0, 3)),
+                critic_phases=np.empty((0, 3)),
+                critic_salience=np.empty(0),
+                config_echo={},
+            )
+        )
+        assert text[2:5] == [" ".join(f"{float(v):.17g}" for v in row) for row in block]
+        parsed = trainer._parse_block(text, 2, "actor.amplitudes", 3, 4)
+        assert parsed.tobytes() == reference_block(text, 2, "actor.amplitudes", 3, 4).tobytes()
+        assert parsed.tobytes() == block.tobytes()
+
+    # Each edit is applied to the first row of a 3 x 2 block on lines 2-4; the
+    # block parser must return the reference's bits or raise its ParseError.
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0.5 -1.25", "", "3 4"],  # blank line inside the block
+            ["0.5 -1.25", "# 4", "5 6"],  # comment mark as a value
+            ["0.5 -1.25 #", "3 4", "5 6"],  # comment mark as an extra token
+            ["0.5\t-1.25", "3   4", " \t5 \t 6"],  # tabs and runs of spaces
+            ["0.5 -1.25 ", "3 4 ", "5 6  "],  # trailing spaces
+            ["0.5 -1.25", "3 4"],  # short last block: the file ends early
+            ["0.5 -1.25", "3", "5 6"],  # a short row
+            ["0.5 -1.25", "3 4 7", "5 6"],  # a long row
+            ["1 2", "3 4", "5 6", "7 8"],  # rows past the block are not read
+            ["", "", ""],  # every row blank
+            ["nan -inf", "+inf NaN", "Infinity -0"],  # spellings float() and the parser share
+            ["0.5 chewy", "3 4", "5 6"],  # not a number
+        ],
+    )
+    def test_edge_cases_match_the_reference(self, rows):
+        lines = ["header", "[actor.amplitudes 3 2]"] + rows
+        try:
+            expected = reference_block(lines, 2, "actor.amplitudes", 3, 2)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as excinfo:
+                trainer._parse_block(lines, 2, "actor.amplitudes", 3, 2)
+            assert str(excinfo.value) == str(exc)
+            assert excinfo.value.line == exc.line
+        else:
+            parsed = trainer._parse_block(lines, 2, "actor.amplitudes", 3, 2)
+            assert parsed.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (2, 0)])
+    def test_blocks_without_values_match_the_reference(self, rows, cols):
+        lines = ["header", f"[critic.phases {rows} {cols}]"] + [""] * rows + ["0.5 1"]
+        parsed = trainer._parse_block(lines, 2, "critic.phases", rows, cols)
+        assert parsed.shape == reference_block(lines, 2, "critic.phases", rows, cols).shape
+
+    def test_underscore_numerals_are_rejected(self):
+        # float() reads "1_0" as 10; the writer never emits one, and the
+        # block parser rejects it on the line it sits on.
+        lines = ["header", "[actor.amplitudes 2 2]", "0.5 1", "1_0 2"]
+        assert reference_block(lines, 2, "actor.amplitudes", 2, 2)[1, 0] == 10.0
+        with pytest.raises(ParseError) as excinfo:
+            trainer._parse_block(lines, 2, "actor.amplitudes", 2, 2)
+        assert excinfo.value.line == 4
+        assert "non-numeric" in str(excinfo.value)
+
+    def test_bad_row_is_named_in_a_saved_file(self, tmp_path):
+        checkpoint = random_checkpoint(np.random.default_rng(5), 4)
+        path = tmp_path / "bad.txt"
+        trainer.save_checkpoint(checkpoint, str(path))
+        lines = path.read_text().splitlines()
+        header = lines.index("[critic.amplitudes 4 6]")
+        lines[header + 3] = lines[header + 3].replace(" ", "\t", 2) + " #"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert excinfo.value.line == header + 4
+        assert "row has 7 values, expected 6" in str(excinfo.value)
 
 
 def _scale_row(name, row, factor):
