@@ -1,9 +1,8 @@
 """Policy head: scores candidate queries against the global semantic space.
 
 Each candidate's score is its projection onto the factored space; the policy
-is a temperature softmax over scores. The per-rank product-pool vector of the
-chosen candidate is kept as the action vector, a diagnostic view of which rank
-components carried the decision.
+is a temperature softmax over scores, taken once per step: the probabilities
+and the chosen candidate's log probability come from the same logits.
 
 Gradients are hand-derived reverse mode through the softmax, the weighted sum,
 and the product pooling. Leave-one-out products use prefix/suffix
@@ -57,12 +56,11 @@ class ActorForward:
 
 @dataclass(frozen=True, eq=False)
 class ActionOutput:
-    """One selection: chosen index, the forward pass, and the chosen candidate's rank profile."""
+    """One selection: chosen index, the forward pass, and the softmax it was drawn from."""
 
     index: int
     forward: ActorForward
     probabilities: np.ndarray
-    action_vector: np.ndarray
     log_probability: float
 
 
@@ -126,8 +124,12 @@ def _check_finite(scores: np.ndarray) -> None:
         raise NonFiniteScore(f"scores contain non-finite values: {scores!r}")
 
 
-def policy_probabilities(scores: np.ndarray, temperature: float) -> np.ndarray:
-    """Max-shifted softmax over scores / temperature."""
+def _softmax(scores: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Max-shifted logits z = scores / temperature - max, e = exp(z), and sum(e).
+
+    The probabilities are e / sum(e) and log pi(i) is z_i - log(sum(e)); the
+    shift makes the sum >= 1, so a log probability never rounds above 0.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     _check_finite(scores)
     if not (TEMPERATURE_MIN <= temperature <= TEMPERATURE_MAX):
@@ -135,38 +137,36 @@ def policy_probabilities(scores: np.ndarray, temperature: float) -> np.ndarray:
     z = scores / temperature
     z = z - z.max()
     e = np.exp(z)
-    return e / e.sum()
+    return z, e, e.sum()
 
 
-def _log_probability(scores: np.ndarray, temperature: float, index: int) -> float:
-    z = np.asarray(scores, dtype=np.float64) / temperature
-    z = z - z.max()
-    # log softmax: z_i - log(sum exp z); the shift makes the sum >= 1, so the
-    # result can never round above 0.
-    return float(z[index] - np.log(np.exp(z).sum()))
+def policy_probabilities(scores: np.ndarray, temperature: float) -> np.ndarray:
+    """Max-shifted softmax over scores / temperature."""
+    _, e, total = _softmax(scores, temperature)
+    return e / total
+
+
+def _sample(
+    scores: np.ndarray, temperature: float, rng: np.random.Generator
+) -> tuple[int, float, np.ndarray]:
+    """Draw an index from one softmax; return it, its log probability and the probabilities.
+
+    The draw is an inverse CDF on one uniform, so a fixed generator gives a
+    fixed index sequence.
+    """
+    z, e, total = _softmax(scores, temperature)
+    probabilities = e / total
+    cdf = np.cumsum(probabilities)
+    u = rng.random() * cdf[-1]
+    index = min(int(np.searchsorted(cdf, u, side="right")), probabilities.shape[0] - 1)
+    return index, float(z[index] - np.log(total)), probabilities
 
 
 def select_action(
-    scores: np.ndarray,
-    temperature: float,
-    rng: np.random.Generator,
-    probabilities: np.ndarray | None = None,
+    scores: np.ndarray, temperature: float, rng: np.random.Generator
 ) -> tuple[int, float]:
-    """Sample a candidate index from the softmax; return it with its log probability.
-
-    The draw is an inverse CDF on one uniform, so a fixed generator gives a
-    fixed index sequence. `probabilities`, when given, is
-    policy_probabilities(scores, temperature) already computed by the caller.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    _check_finite(scores)
-    if probabilities is None:
-        probabilities = policy_probabilities(scores, temperature)
-    cdf = np.cumsum(probabilities)
-    u = rng.random() * cdf[-1]
-    index = int(np.searchsorted(cdf, u, side="right"))
-    index = min(index, scores.shape[0] - 1)
-    return index, _log_probability(scores, temperature, index)
+    """Sample a candidate index from the softmax; return it with its log probability."""
+    return _sample(scores, temperature, rng)[:2]
 
 
 def first_argmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -195,20 +195,16 @@ def act(
 ) -> ActionOutput:
     """Forward pass plus selection, bundled for the training loop.
 
-    The softmax is taken once and serves the draw, the output, and (through
-    ActionOutput.probabilities) the policy gradient.
+    The softmax is taken once and serves the draw, the log probability, and
+    (through ActionOutput.probabilities) the policy gradient.
     """
     forward = actor_forward(params, candidates)
-    probabilities = policy_probabilities(forward.scores, params.temperature)
-    index, log_prob = select_action(
-        forward.scores, params.temperature, rng, probabilities=probabilities
-    )
+    index, log_probability, probabilities = _sample(forward.scores, params.temperature, rng)
     return ActionOutput(
         index=index,
         forward=forward,
         probabilities=probabilities,
-        action_vector=forward.pooled[index].copy(),
-        log_probability=log_prob,
+        log_probability=log_probability,
     )
 
 

@@ -90,11 +90,7 @@ def _effective(
 
 
 def _echo_lines(effective: dict) -> list[str]:
-    out = []
-    for key, value in effective.items():
-        text = trainer.format_float(value) if isinstance(value, float) else str(value)
-        out.append(f"{key}={text}")
-    return out
+    return [f"{key}={trainer.echo_text(value)}" for key, value in effective.items()]
 
 
 def _ensure_out_dir(args: argparse.Namespace) -> str:
@@ -109,23 +105,9 @@ def _write_lines(path: str, lines: list[str]) -> None:
             fh.write(line + "\n")
 
 
-_FIELD_PARSERS: dict[str, type] = {"int": int, "float": float, "str": str}
-
-
-def _config_keys(cls) -> dict[str, type]:
-    """A dataclass's int, float and str fields, in field order, with their parsers.
-
-    TrainConfig.checkpoint_path (`str | None`) is left out: train sets it from --out.
-    """
-    return {
-        f.name: _FIELD_PARSERS[f.type]
-        for f in dataclasses.fields(cls)
-        if f.type in _FIELD_PARSERS
-    }
-
-
-_GEN_KEYS = {**_config_keys(env.CorpusSpec), "seed": int}
-_TRAIN_KEYS = _config_keys(trainer.TrainConfig)
+_GEN_KEYS = {**trainer.field_parsers(env.CorpusSpec), "seed": int}
+_TRAIN_KEYS = trainer.field_parsers(trainer.TrainConfig)
+del _TRAIN_KEYS["checkpoint_path"]  # train sets it from --out
 _EVAL_KEYS: dict[str, type] = {"scent_smoothing": float, "seed": int}
 _INSPECT_KEYS: dict[str, type] = {"seed": int, "off_diagonals": int}
 _ORACLE_KEYS: dict[str, type] = {"seed": int, "perturb": float, "checks": str}
@@ -215,19 +197,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for doc_id, tokens, reward in ev.choices:
         lines.append(f"{doc_id}\t{' '.join(tokens)}\t{reward:d}")
     fmt = trainer.format_float
+
+    def frequencies(freq: np.ndarray) -> str:
+        return " ".join(f"{v}:{fmt(f)}" for v, f in zip(env.REWARD_VALUES, freq))
+
     lines.append(f"greedy_accuracy={fmt(ev.greedy_accuracy)}")
     lines.append(f"mean_reward={fmt(ev.mean_reward)}")
     lines.append(f"critic_accuracy={fmt(ev.critic_accuracy)}")
     lines.append(f"scent_scalar={fmt(ev.scent.scalar)}")
-    freq = ev.scent.frequencies
-    lines.append(
-        "reward_frequencies="
-        + " ".join(f"{v}:{fmt(freq[i])}" for i, v in enumerate(env.REWARD_VALUES))
-    )
+    lines.append(f"reward_frequencies={frequencies(ev.scent.frequencies)}")
     for patch_id, patch in ev.scent.per_patch.items():
         lines.append(
             f"patch {patch_id}: scent={fmt(patch.scalar)} count={patch.count} "
-            + " ".join(f"{v}:{fmt(patch.frequencies[i])}" for i, v in enumerate(env.REWARD_VALUES))
+            + frequencies(patch.frequencies)
         )
     for line in lines:
         print(line)
@@ -243,7 +225,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     effective = _effective(_INSPECT_KEYS, {"off_diagonals": 5}, args)
     off_diagonals = effective["off_diagonals"]
     if off_diagonals < 0:
-        raise UsageError(f"--off-diagonals must be >= 0, got {off_diagonals}")
+        name = "--off-diagonals" if args.off_diagonals is not None else "config key 'off_diagonals'"
+        raise UsageError(f"{name} must be >= 0, got {off_diagonals}")
     checkpoint = trainer.load_checkpoint(args.checkpoint)
     if args.doc is None:
         trainer.checkpoint_config(checkpoint)

@@ -15,10 +15,11 @@ candidates share within [20%, 60%), and mismatch candidates either share less
 than 20% or contain the negation token "not" (high word overlap, inverted
 meaning).
 
-Scent statistics summarize a reward sequence two ways at once: an
+Scent statistics summarize a reward array two ways at once: an
 exponentially smoothed scalar (s_t = lambda * r_t + (1 - lambda) * s_{t-1},
 starting at 0) and the frequency distribution of the reward patterns
-(-1, 0, +1), with a per-patch breakdown.
+(-1, 0, +1), with a per-patch breakdown (reward_scent). scent_stats reads the
+same statistics off a sequence of Transitions.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class CompiledCorpus:
 
     Tokens are vocabulary indices, each row padded with -1 past its length.
     Documents occupy consecutive rows: document j's candidates start at row
-    offsets[j].
+    offsets[j], and patches[j] indexes its patch in Corpus.patch_ids.
     """
 
     query_tokens: np.ndarray    # (N, Q) candidate tokens
@@ -77,6 +78,7 @@ class CompiledCorpus:
     pair_lengths: np.ndarray    # (N,)
     labels: np.ndarray          # (N,)
     offsets: np.ndarray         # (D,)
+    patches: np.ndarray         # (D,)
 
 
 def _padded(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -92,6 +94,7 @@ def _padded(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 def compile_corpus(corpus: "Corpus") -> CompiledCorpus:
     """Arrays of a corpus's tokens and labels; see CompiledCorpus."""
     index = {word: i for i, word in enumerate(corpus.vocabulary)}
+    patch_index = {pid: i for i, pid in enumerate(corpus.patch_ids)}
     queries: list[list[int]] = []
     pairs: list[list[int]] = []
     labels: list[int] = []
@@ -111,6 +114,7 @@ def compile_corpus(corpus: "Corpus") -> CompiledCorpus:
         *_padded(pairs),
         np.asarray(labels, dtype=np.int64),
         np.asarray(offsets, dtype=np.int64),
+        np.asarray([patch_index[doc.patch_id] for doc in corpus.documents], dtype=np.int64),
     )
     for array in arrays:
         array.flags.writeable = False
@@ -129,12 +133,10 @@ class Corpus:
                 return doc
         raise KeyError(doc_id)
 
-    @property
+    @cached_property
     def patch_ids(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for doc in self.documents:
-            seen.setdefault(doc.patch_id, None)
-        return tuple(seen)
+        """Patch ids in order of first appearance."""
+        return tuple(dict.fromkeys(doc.patch_id for doc in self.documents))
 
     @cached_property
     def compiled(self) -> CompiledCorpus:
@@ -480,20 +482,12 @@ class ScentStats:
     per_patch: dict[str, PatchScent]
 
 
-def _smoothed(rewards: Sequence[int], smoothing: float) -> float:
-    s = 0.0
+def smoothed(rewards: Iterable[int], smoothing: float, start: float = 0.0) -> float:
+    """The scent scalar after folding `rewards` in order into `start`."""
+    s = start
     for r in rewards:
         s = smoothing * r + (1.0 - smoothing) * s
     return s
-
-
-def _frequencies(rewards: Sequence[int]) -> np.ndarray:
-    freq = np.zeros(len(REWARD_VALUES))
-    if rewards:
-        for r in rewards:
-            freq[REWARD_VALUES.index(r)] += 1
-        freq /= len(rewards)
-    return freq
 
 
 def check_smoothing(smoothing: float) -> None:
@@ -502,22 +496,44 @@ def check_smoothing(smoothing: float) -> None:
         raise ValueError(f"scent smoothing must lie in (0, 1], got {smoothing!r}")
 
 
-def scent_stats(transitions: Sequence[Transition], smoothing: float) -> ScentStats:
-    """Scent summary of a transition sequence; empty input gives zeros."""
+def reward_scent(
+    rewards: np.ndarray, patches: np.ndarray, patch_ids: Sequence[str], smoothing: float
+) -> ScentStats:
+    """Scent summary of a reward array; empty input gives zeros.
+
+    patches[i] indexes reward i's patch in patch_ids, which lists the patches
+    in order of first appearance. Scalars fold each sequence in order
+    (smoothed); frequencies are exact counts over their length. A reward
+    outside REWARD_VALUES raises InvalidLabel.
+    """
     check_smoothing(smoothing)
-    rewards = [t.reward for t in transitions]
-    per_patch: dict[str, PatchScent] = {}
-    order: dict[str, list[int]] = {}
-    for t in transitions:
-        order.setdefault(t.patch_id, []).append(t.reward)
-    for pid, rs in order.items():
-        per_patch[pid] = PatchScent(
-            scalar=_smoothed(rs, smoothing),
-            frequencies=_frequencies(rs),
-            count=len(rs),
-        )
+    rewards = np.asarray(rewards)
+    if not np.isin(rewards, REWARD_VALUES).all():
+        raise InvalidLabel(f"rewards {sorted(set(rewards.tolist()))} are not all in {REWARD_VALUES}")
+    rewards = rewards.astype(np.int64)
+    patches = np.asarray(patches, dtype=np.int64)
+    width = len(REWARD_VALUES)
+    # rewards + 1 is each reward's index in REWARD_VALUES.
+    counts = np.bincount(patches * width + rewards + 1, minlength=len(patch_ids) * width)
+    counts = counts.reshape(len(patch_ids), width)
+    sizes = counts.sum(axis=1)
+    by_patch = np.split(rewards[np.argsort(patches, kind="stable")], np.cumsum(sizes)[:-1])
     return ScentStats(
-        scalar=_smoothed(rewards, smoothing),
-        frequencies=_frequencies(rewards),
-        per_patch=per_patch,
+        scalar=smoothed(rewards.tolist(), smoothing),
+        frequencies=counts.sum(axis=0) / max(rewards.shape[0], 1),
+        per_patch={
+            pid: PatchScent(
+                scalar=smoothed(patch_rewards.tolist(), smoothing),
+                frequencies=patch_counts / size,
+                count=int(size),
+            )
+            for pid, patch_rewards, patch_counts, size in zip(patch_ids, by_patch, counts, sizes)
+        },
     )
+
+
+def scent_stats(transitions: Sequence[Transition], smoothing: float) -> ScentStats:
+    """Scent summary of a transition sequence (reward_scent of its rewards and patches)."""
+    index: dict[str, int] = {}
+    patches = [index.setdefault(t.patch_id, len(index)) for t in transitions]
+    return reward_scent([t.reward for t in transitions], patches, tuple(index), smoothing)

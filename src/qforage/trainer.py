@@ -29,7 +29,8 @@ compiled once into arrays of vocabulary indices (env.Corpus.compiled); every
 candidate is scored at once by actor.score_rows, the scorer actor_forward
 calls on a step, and every (document, candidate) pair is judged at once from
 per-word block masses. Scores and class probabilities keep the bits of a
-per-document pass.
+per-document pass. Scent statistics come from the array of chosen rewards
+(env.reward_scent), and training's scent scalar uses the same recurrence.
 
 Checkpoints are UTF-8 text: a `qforage-checkpoint v1` header, `# key=value`
 config echo lines, then named decimal matrix blocks (Checkpoint.blocks).
@@ -74,6 +75,19 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def echo_text(value) -> str:
+    """A setting as echo-line text: floats by format_float, anything else by str."""
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
+_PARSERS = {"int": int, "float": float, "str": str, "str | None": str}
+
+
+def field_parsers(cls) -> dict:
+    """The parser of each of a settings dataclass's fields, in field order."""
+    return {f.name: _PARSERS[f.type] for f in dataclasses.fields(cls)}
+
+
 @dataclass
 class TrainConfig:
     """Run settings: loop counts, learning rates, model sizes, and the seed."""
@@ -114,31 +128,21 @@ class TrainConfig:
 
     def echo(self) -> dict[str, str]:
         """Effective settings as strings, for echo lines in output artifacts."""
-        out: dict[str, str] = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            out[f.name] = format_float(value) if isinstance(value, float) else str(value)
-        return out
+        values = dataclasses.asdict(self)
+        return {name: echo_text(value) for name, value in values.items() if value is not None}
 
     @classmethod
     def from_echo(cls, echo: dict[str, str]) -> "TrainConfig":
         """Rebuild a config from echo lines; unknown keys are ignored."""
         kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name not in echo:
-                continue
-            raw = echo[f.name]
-            try:
-                if f.type in ("int", int):
-                    kwargs[f.name] = int(raw)
-                elif f.type in ("float", float):
-                    kwargs[f.name] = float(raw)
-                else:
-                    kwargs[f.name] = raw
-            except ValueError:
-                raise ValueError(f"{f.name}={raw!r} is not a valid {f.type}") from None
+        for name, parse in field_parsers(cls).items():
+            if name in echo:
+                try:
+                    kwargs[name] = parse(echo[name])
+                except ValueError:
+                    raise ValueError(
+                        f"{name}={echo[name]!r} is not a valid {parse.__name__}"
+                    ) from None
         return cls(**kwargs)
 
 
@@ -290,8 +294,9 @@ def evaluate(
     actor.score_rows, the scorer actor_forward uses, each document's choice
     is the first argmax of its segment, and every pair is judged at once by
     critic.batch_class_probabilities. Each score and class probability has
-    the bits a per-document pass would give. Both tables must be built over
-    the corpus vocabulary, as init_params and restore_params build them.
+    the bits a per-document pass would give. Scent is env.reward_scent of the
+    array of chosen rewards. Both tables must be built over the corpus
+    vocabulary, as init_params and restore_params build them.
     """
     if len(corpus.documents) == 0:
         raise EmptyCorpus("evaluate needs at least one document")
@@ -318,25 +323,15 @@ def evaluate(
     classes = np.searchsorted(critic.CLASS_REWARDS, compiled.labels)
     critic_hits = int(np.count_nonzero(np.argmax(probabilities, axis=1) == classes))
 
-    transitions: list[env.Transition] = []
-    choices: list[tuple[str, tuple[str, ...], int]] = []
-    for doc, index, reward in zip(corpus.documents, chosen.tolist(), rewards.tolist()):
-        transitions.append(
-            env.Transition(
-                doc_id=doc.doc_id,
-                patch_id=doc.patch_id,
-                candidates=doc.candidates,
-                chosen_index=index,
-                reward=reward,
-            )
-        )
-        choices.append((doc.doc_id, doc.candidates[index].tokens, reward))
     return EvalMetrics(
         greedy_accuracy=int(np.count_nonzero(rewards == 1)) / len(corpus.documents),
         mean_reward=float(np.mean(rewards)),
         critic_accuracy=critic_hits / len(compiled.labels),
-        scent=env.scent_stats(transitions, scent_smoothing),
-        choices=choices,
+        scent=env.reward_scent(rewards, compiled.patches, corpus.patch_ids, scent_smoothing),
+        choices=[
+            (doc.doc_id, doc.candidates[index].tokens, reward)
+            for doc, index, reward in zip(corpus.documents, chosen.tolist(), rewards.tolist())
+        ],
     )
 
 
@@ -590,6 +585,10 @@ def restore_params(
     CheckpointInvalid.
     """
     config = checkpoint_config(checkpoint)
+    if config.keyword_count != corpus.keyword_count:
+        raise CheckpointMismatch(
+            f"checkpoint has keyword_count={config.keyword_count}, corpus has {corpus.keyword_count}"
+        )
     vocab = corpus.vocabulary
     if checkpoint.actor_amplitudes.shape[0] != len(vocab) + 2:
         raise CheckpointMismatch(
@@ -645,28 +644,34 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
     config.validate()
     if len(corpus.documents) == 0:
         raise EmptyCorpus("train needs at least one document")
+    if config.keyword_count != corpus.keyword_count:
+        raise ValueError(
+            f"keyword_count={config.keyword_count}, but the corpus has {corpus.keyword_count}"
+        )
     params, critic_table = init_params(corpus, config)
     policy_rng = stream_rng(config.seed, "policy")
     environment = env.Environment(corpus, stream_rng(config.seed, "env"), mode=config.mode)
 
     rewards: list[int] = []
-    window: list[int] = []
     metrics: list[MetricRow] = []
     scent_scalar = 0.0
+    recorded = 0  # rewards[:recorded] are folded into scent_scalar
 
     def record(episode: int) -> None:
+        nonlocal scent_scalar, recorded
+        since = rewards[recorded:]  # never empty: every episode takes a step
+        recorded = len(rewards)
+        scent_scalar = env.smoothed(since, config.scent_smoothing, start=scent_scalar)
         ev = evaluate(params, critic_table, corpus, scent_smoothing=config.scent_smoothing)
-        avg = float(np.mean(window)) if window else 0.0
         metrics.append(
             MetricRow(
                 episode=episode,
-                avg_reward=avg,
+                avg_reward=float(np.mean(since)),
                 greedy_accuracy=ev.greedy_accuracy,
                 critic_accuracy=ev.critic_accuracy,
                 scent_scalar=scent_scalar,
             )
         )
-        window.clear()
         if config.checkpoint_path:
             save_checkpoint(make_checkpoint(params, critic_table, config), config.checkpoint_path)
 
@@ -675,12 +680,7 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
             _, step_metrics = train_step(
                 params, critic_table, environment.reset(), config, policy_rng
             )
-            r = step_metrics.reward
-            rewards.append(r)
-            window.append(r)
-            scent_scalar = (
-                config.scent_smoothing * r + (1.0 - config.scent_smoothing) * scent_scalar
-            )
+            rewards.append(step_metrics.reward)
             if environment.last_of_patch:
                 break
         if config.eval_interval > 0 and episode % config.eval_interval == 0:

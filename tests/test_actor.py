@@ -199,14 +199,17 @@ class TestAct:
         assert out.probabilities[0] == pytest.approx(1.0, abs=1e-12)
         assert out.log_probability == 0.0
 
-    def test_action_vector_is_chosen_pool_row(self):
+    def test_one_softmax_gives_the_standalone_draw_bitwise(self):
         rng = np.random.default_rng(43)
-        params = make_params(rng, rank=3)
+        params = make_params(rng, rank=3, temperature=0.7)
         candidates = make_candidates(params.table, 2, [["w0"], ["w1"], ["w2"]])
-        out = act(params, candidates, np.random.default_rng(2))
-        forward = actor_forward(params, candidates)
-        assert out.action_vector.shape == (3,)
-        np.testing.assert_array_equal(out.action_vector, forward.pooled[out.index])
+        for seed in range(20):
+            out = act(params, candidates, np.random.default_rng(seed))
+            scores = actor_forward(params, candidates).scores
+            index, log_prob = select_action(scores, 0.7, np.random.default_rng(seed))
+            assert (out.index, out.log_probability) == (index, log_prob)
+            probs = policy_probabilities(scores, 0.7)
+            assert out.probabilities.tobytes() == probs.tobytes()
 
 
 def selection_loss(table_amps, weights, factors, token_lists, vocab, chosen, advantage, temperature):

@@ -453,6 +453,18 @@ class TestInspect:
         assert out == []
         assert "--off-diagonals" in err
 
+    def test_negative_off_diagonal_count_in_config_names_the_key(
+        self, corpus_dir, trained_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "inspect.cfg"
+        cfg.write_text("off_diagonals=-1\n")
+        argv = self.doc_argv(corpus_dir, trained_dir) + ["--config", str(cfg)]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == []
+        assert "config key 'off_diagonals' must be >= 0, got -1" in err
+        assert "--off-diagonals" not in err
+
     def test_says_the_phases_are_fixed_at_init(self, trained_dir, capsys):
         code, out, _ = run(
             ["inspect", "--checkpoint", str(trained_dir / "checkpoint.txt")], capsys

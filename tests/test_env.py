@@ -18,6 +18,7 @@ from qforage.env import (
     gen_corpus,
     load_corpus,
     parse_corpus_lines,
+    reward_scent,
     save_corpus,
     scent_stats,
     step,
@@ -365,3 +366,73 @@ class TestScentStats:
             scent_stats([], smoothing=0.0)
         with pytest.raises(ValueError):
             scent_stats([], smoothing=1.5)
+
+
+def reference_scent(rewards, patch_ids, smoothing):
+    """(scalar, frequencies, count) overall and per patch, one reward at a time."""
+
+    def summary(rs):
+        s, freq = 0.0, np.zeros(3)
+        for r in rs:
+            s = smoothing * r + (1.0 - smoothing) * s
+            freq[r + 1] += 1
+        if rs:
+            freq /= len(rs)
+        return s, freq, len(rs)
+
+    by_patch = {}
+    for r, pid in zip(rewards, patch_ids):
+        by_patch.setdefault(pid, []).append(r)
+    return summary(rewards), {pid: summary(rs) for pid, rs in by_patch.items()}
+
+
+class TestRewardScent:
+    def test_empty_input_gives_zeros(self):
+        stats = reward_scent(np.array([], dtype=np.int64), np.array([], dtype=np.int64), (), 0.5)
+        assert stats.scalar == 0.0
+        assert stats.frequencies.tobytes() == np.zeros(3).tobytes()
+        assert stats.per_patch == {}
+
+    def test_one_reward(self):
+        stats = reward_scent(np.array([-1]), np.array([0]), ("p",), 0.25)
+        assert stats.scalar == -0.25
+        np.testing.assert_array_equal(stats.frequencies, [1.0, 0.0, 0.0])
+        patch = stats.per_patch["p"]
+        assert (patch.scalar, patch.count) == (-0.25, 1)
+        np.testing.assert_array_equal(patch.frequencies, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [2, -2, 0.5])
+    def test_out_of_range_reward_rejected(self, bad):
+        with pytest.raises(InvalidLabel, match="rewards"):
+            reward_scent(np.array([1, bad]), np.array([0, 0]), ("p",), 0.5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interleaved_patches_match_a_per_reward_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        names = ("q", "c", "x", "a")
+        rewards = rng.choice([-1, 0, 1], size=97)
+        patches = rng.integers(len(names), size=97)
+        patches[:4] = [0, 1, 2, 3]  # names lists the patches in first-appearance order
+        stats = reward_scent(rewards, patches, names, 0.3)
+        overall, per_patch = reference_scent(
+            rewards.tolist(), [names[p] for p in patches], 0.3
+        )
+        assert (stats.scalar, stats.frequencies.tobytes()) == (overall[0], overall[1].tobytes())
+        assert list(stats.per_patch) == list(per_patch) == list(names)
+        for pid, (scalar, freq, count) in per_patch.items():
+            got = stats.per_patch[pid]
+            assert (got.scalar, got.frequencies.tobytes(), got.count) == (
+                scalar,
+                freq.tobytes(),
+                count,
+            )
+
+    def test_transition_adapter_groups_by_first_appearance(self):
+        transitions = (
+            make_transitions([1], patch_id="b")
+            + make_transitions([0, -1], patch_id="a")
+            + make_transitions([-1], patch_id="b")
+        )
+        stats = scent_stats(transitions, smoothing=0.5)
+        assert list(stats.per_patch) == ["b", "a"]
+        assert (stats.per_patch["b"].scalar, stats.per_patch["b"].count) == (-0.25, 2)

@@ -456,6 +456,29 @@ def hand_corpus():
     return env.parse_corpus_lines(HAND_CORPUS, keyword_count=3)
 
 
+def interleaved_corpus():
+    """The hand corpus with patches pb, pa, pb, pa: interleaved, first seen out of sorted order."""
+    patches = {"d0": "pb", "d1": "pa", "d2": "pb", "d3": "pa"}
+    lines = []
+    for line in HAND_CORPUS:
+        fields = line.split("\t")
+        fields[1] = patches[fields[0]]
+        lines.append("\t".join(fields))
+    return env.parse_corpus_lines(lines, keyword_count=3)
+
+
+def assert_same_scent(got, want):
+    assert got.scalar == want.scalar
+    assert got.frequencies.tobytes() == want.frequencies.tobytes()
+    assert list(got.per_patch) == list(want.per_patch)
+    for patch_id, patch in want.per_patch.items():
+        assert (got.per_patch[patch_id].scalar, got.per_patch[patch_id].count) == (
+            patch.scalar,
+            patch.count,
+        )
+        assert got.per_patch[patch_id].frequencies.tobytes() == patch.frequencies.tobytes()
+
+
 def per_document_recount(params, critic_table, corpus):
     """evaluate's metrics from one document and one pair at a time."""
     order = params.global_rep.order
@@ -499,14 +522,28 @@ class TestBatchedEvaluate:
         assert ev.mean_reward == float(np.mean(rewards))
         hits = sum(int(np.argmax(p)) == label for p, label in probabilities)
         assert ev.critic_accuracy == hits / len(probabilities)
-        scent = env.scent_stats(transitions, 0.3)
-        assert ev.scent.scalar == scent.scalar
-        assert ev.scent.frequencies.tobytes() == scent.frequencies.tobytes()
-        assert list(ev.scent.per_patch) == list(scent.per_patch)
-        for patch_id, patch in scent.per_patch.items():
-            got = ev.scent.per_patch[patch_id]
-            assert (got.scalar, got.count) == (patch.scalar, patch.count)
-            assert got.frequencies.tobytes() == patch.frequencies.tobytes()
+        assert_same_scent(ev.scent, env.scent_stats(transitions, 0.3))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_interleaved_patches_keep_first_appearance_order(self, seed):
+        corpus = interleaved_corpus()
+        params, critic_table = self.trained(corpus, seed)
+        ev = trainer.evaluate(params, critic_table, corpus, scent_smoothing=0.3)
+        transitions, _, _ = per_document_recount(params, critic_table, corpus)
+        assert list(ev.scent.per_patch) == ["pb", "pa"]
+        assert [ev.scent.per_patch[p].count for p in ("pb", "pa")] == [2, 2]
+        assert_same_scent(ev.scent, env.scent_stats(transitions, 0.3))
+
+    def test_builds_no_transition(self, monkeypatch):
+        corpus = interleaved_corpus()
+        params, critic_table = self.trained(corpus, 0)
+
+        def refuse(self):
+            raise AssertionError("a Transition was built")
+
+        monkeypatch.setattr(env.Transition, "__post_init__", refuse)
+        ev = trainer.evaluate(params, critic_table, corpus)
+        assert len(ev.choices) == len(corpus.documents)
 
     def test_duplicated_candidate_tie_goes_to_the_lower_index(self):
         corpus = hand_corpus()
@@ -762,6 +799,12 @@ class TestCheckpointFormat:
             np.random.default_rng(202),
         )
         with pytest.raises(CheckpointMismatch):
+            trainer.restore_params(checkpoint, other)
+
+    def test_restore_against_another_keyword_count(self, tmp_path):
+        corpus, _, _, _, checkpoint, _ = self.make(tmp_path)
+        other = env.parse_corpus_lines(env.corpus_lines(corpus), keyword_count=5)
+        with pytest.raises(CheckpointMismatch, match="keyword_count=3, corpus has 5"):
             trainer.restore_params(checkpoint, other)
 
 
@@ -1038,6 +1081,19 @@ class TestTrain:
     def test_record_schedule_includes_final_episode(self):
         result = trainer.train(small_config(episodes=5, eval_interval=2), small_corpus())
         assert [row.episode for row in result.metrics] == [2, 4, 5]
+
+    def test_records_fold_the_rewards_since_the_last_record(self):
+        config = small_config(episodes=7, eval_interval=3, scent_smoothing=0.3)
+        result = trainer.train(config, small_corpus())
+        ends = [row.episode for row in result.metrics]
+        assert ends == [3, 6, 7]
+        for row, start in zip(result.metrics, [0] + ends[:-1]):
+            assert row.scent_scalar == env.smoothed(result.rewards[: row.episode], 0.3)
+            assert row.avg_reward == float(np.mean(result.rewards[start : row.episode]))
+
+    def test_keyword_count_must_match_the_corpus(self):
+        with pytest.raises(ValueError, match="keyword_count=5, but the corpus has 3"):
+            trainer.train(small_config(keyword_count=5), small_corpus())
         exact = trainer.train(small_config(episodes=4, eval_interval=2), small_corpus())
         assert [row.episode for row in exact.metrics] == [2, 4]
 
