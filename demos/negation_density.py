@@ -26,7 +26,9 @@ lessons = [
 
 for step in range(200):
     for tokens, label in lessons:
-        loss, grads = critic.critic_loss_and_gradients(tokens, label, table)
+        loss, grads = critic.critic_loss_and_gradients(
+            critic.token_ids(tokens, table), label, table
+        )
         table.amplitudes -= 0.3 * grads.amplitudes
         table.phases -= 0.3 * grads.phases
         table.salience -= 0.3 * grads.salience

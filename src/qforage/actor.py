@@ -52,6 +52,7 @@ class ActorForward:
     scores: np.ndarray   # (C,)
     pooled: np.ndarray   # (C, R) per-rank products per candidate
     dots: np.ndarray     # (C, R, n) per-position inner products <e_{r,i}, alpha_i>
+    rows: np.ndarray     # (C, n, k) the candidate amplitude rows scored
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +97,8 @@ def score_rows(g: qrep.GlobalRepresentation, rows: np.ndarray) -> ActorForward:
     weighted sum qrep.project takes, one dot product per candidate (a
     matrix-vector product would sum in another order). So module-level and
     actor-level scoring agree bit for bit, and a candidate's score does not
-    depend on the batch around it. The dots ride along for actor_gradients.
+    depend on the batch around it. The rows and dots ride along for
+    actor_gradients.
     """
     if rows.ndim != 3 or rows.shape[1:] != (g.order, g.basis_dim):
         raise ShapeMismatch(
@@ -106,7 +108,7 @@ def score_rows(g: qrep.GlobalRepresentation, rows: np.ndarray) -> ActorForward:
     dots = np.einsum("rik,cik->cri", g.factors, rows)
     pooled = np.prod(dots, axis=2)
     scores = np.fromiter(map(g.weights.dot, pooled), dtype=np.float64, count=pooled.shape[0])
-    return ActorForward(scores=scores, pooled=pooled, dots=dots)
+    return ActorForward(scores=scores, pooled=pooled, dots=dots, rows=rows)
 
 
 def actor_forward(params: ActorParams, candidates: Sequence[qrep.QueryState]) -> ActorForward:
@@ -188,17 +190,15 @@ def first_argmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(np.where(at_top, position, scores.shape[0]), offsets)
 
 
-def act(
-    params: ActorParams,
-    candidates: Sequence[qrep.QueryState],
-    rng: np.random.Generator,
-) -> ActionOutput:
-    """Forward pass plus selection, bundled for the training loop.
+def act(params: ActorParams, rows: np.ndarray, rng: np.random.Generator) -> ActionOutput:
+    """Score a (C, n, k) batch of candidate rows (score_rows) and sample one candidate.
 
     The softmax is taken once and serves the draw, the log probability, and
     (through ActionOutput.probabilities) the policy gradient.
     """
-    forward = actor_forward(params, candidates)
+    if len(rows) == 0:
+        raise NoCandidates("act needs at least one candidate")
+    forward = score_rows(params.global_rep, rows)
     index, log_probability, probabilities = _sample(forward.scores, params.temperature, rng)
     return ActionOutput(
         index=index,
@@ -210,7 +210,7 @@ def act(
 
 def actor_gradients(
     params: ActorParams,
-    candidates: Sequence[qrep.QueryState],
+    ids: np.ndarray,
     chosen: int,
     advantage: float,
     forward: ActorForward | None = None,
@@ -218,22 +218,25 @@ def actor_gradients(
 ) -> ActorGradients:
     """Gradients of loss = -advantage * log pi(chosen) for all actor parameters.
 
-    `forward` is the pass the choice was sampled from (act's output) and
-    `probabilities` its softmax; without them they are recomputed, with the
-    same arithmetic. The padding row's gradient is computed like any other
-    row; the trainer is the one that refuses to move it. Zero advantage
-    short-circuits to exact zeros.
+    `ids` (C, n) are the candidates' amplitude table rows, as
+    QueryState.word_ids lists them. `forward` is the pass the choice was
+    sampled from (act's output) and `probabilities` its softmax; without them
+    they are recomputed from the table, with the same arithmetic. The padding
+    row's gradient is computed like any other row; the trainer is the one
+    that refuses to move it. Zero advantage short-circuits to exact zeros.
     """
-    if len(candidates) == 0:
-        raise NoCandidates("actor_gradients needs at least one candidate")
-    if not (0 <= chosen < len(candidates)):
-        raise IndexOutOfRange(f"chosen index {chosen} outside 0..{len(candidates) - 1}")
     g = params.global_rep
+    if ids.ndim != 2 or ids.shape[1] != g.order:
+        raise ShapeMismatch(
+            f"global space is order {g.order}, candidate ids have shape {ids.shape}"
+        )
+    if ids.shape[0] == 0:
+        raise NoCandidates("actor_gradients needs at least one candidate")
+    if not (0 <= chosen < ids.shape[0]):
+        raise IndexOutOfRange(f"chosen index {chosen} outside 0..{ids.shape[0] - 1}")
     # Repeated words share one row: `position_row` maps each (candidate,
     # position) to its row.
-    table_ids, position_row = np.unique(
-        np.concatenate([q.word_ids for q in candidates]), return_inverse=True
-    )
+    table_ids, position_row = np.unique(ids.ravel(), return_inverse=True)
     grads = ActorGradients(
         ids=table_ids,
         rows=np.zeros((table_ids.shape[0], params.table.basis_dim)),
@@ -245,24 +248,23 @@ def actor_gradients(
         return grads
 
     if forward is None:
-        forward = actor_forward(params, candidates)
+        forward = score_rows(g, params.table.amplitudes[ids])
     if probabilities is None:
         probabilities = policy_probabilities(forward.scores, params.temperature)
-    rows = np.stack([q.rows for q in candidates])          # (C, n, k)
-    dots = forward.dots                                    # (C, R, n)
+    rows = forward.rows                                     # (C, n, k)
+    dots = forward.dots                                     # (C, R, n)
 
     one_hot = np.zeros_like(probabilities)
     one_hot[chosen] = 1.0
     # d loss / d score_c; the 1/temperature comes from the softmax logits.
     g_scores = -advantage * (one_hot - probabilities) / params.temperature
 
-    # Leave-one-out products along the position axis via prefix/suffix scans.
-    c_count, r_count, n_count = dots.shape
+    # Leave-one-out products along the position axis: the product of the
+    # positions before i times the product of those after it.
     prefix = np.ones_like(dots)
     suffix = np.ones_like(dots)
-    for i in range(1, n_count):
-        prefix[:, :, i] = prefix[:, :, i - 1] * dots[:, :, i - 1]
-        suffix[:, :, n_count - 1 - i] = suffix[:, :, n_count - i] * dots[:, :, n_count - i]
+    prefix[..., 1:] = np.cumprod(dots[..., :-1], axis=-1)
+    suffix[..., -2::-1] = np.cumprod(dots[..., :0:-1], axis=-1)
     loo = prefix * suffix                                   # (C, R, n)
 
     grads.weights[:] = g_scores @ forward.pooled

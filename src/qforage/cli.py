@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import actor, critic, env, oracles, qrep, trainer
+from . import actor, critic, env, oracles, trainer
 from .errors import QForageError, SpecInvalid
 from .seeding import stream_rng
 
@@ -251,10 +251,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             doc = corpus.document(args.doc)
         except KeyError:
             raise QForageError(f"document id {args.doc!r} not found in {args.corpus}") from None
-        candidates = [
-            qrep.embed_query(c.tokens, params.table, config.query_order) for c in doc.candidates
-        ]
-        forward = actor.actor_forward(params, candidates)
+        first = int(corpus.compiled.offsets[corpus.documents.index(doc)])
+        rows = slice(first, first + len(doc.candidates))
+        ids = trainer.query_row_ids(corpus.compiled, config.query_order)[rows]
+        forward = actor.score_rows(params.global_rep, params.table.amplitudes[ids])
         probs = actor.policy_probabilities(forward.scores, params.temperature)
         chosen = int(actor.first_argmax(forward.scores, [0])[0])
         lines.append(f"doc {doc.doc_id} patch {doc.patch_id}")

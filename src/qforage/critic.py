@@ -144,7 +144,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _token_ids(tokens: Sequence[str], table: ComplexEmbeddingTable) -> np.ndarray:
+def token_ids(tokens: Sequence[str], table: ComplexEmbeddingTable) -> np.ndarray:
+    """The table rows of a token sequence, unknown words at UNK_ID."""
     tokens = list(tokens)
     if not tokens:
         raise EmptyInput("critic needs at least one token")
@@ -161,7 +162,7 @@ def critic_density(
     Mixture weights are the softmax of per-token saliences; repeated words
     contribute one mixture component per occurrence, sharing parameters.
     """
-    ids = _token_ids(list(state_tokens) + list(action_tokens), table)
+    ids = token_ids(list(state_tokens) + list(action_tokens), table)
     beta = _softmax(table.salience[ids])
     vectors = table.embedding(ids)
     return qcore.build_density(beta, list(vectors))
@@ -255,7 +256,7 @@ def class_probabilities(tokens: Sequence[str], table: ComplexEmbeddingTable) -> 
     the sphere the normalized form is scale-invariant, which is the form the
     loss differentiates.
     """
-    ids = _token_ids(tokens, table)
+    ids = token_ids(tokens, table)
     _, _, masses = _class_masses(ids, table)
     return masses / masses.sum(axis=-1, keepdims=True)
 
@@ -279,21 +280,23 @@ def batch_class_probabilities(
 
 
 def critic_loss_and_gradients(
-    tokens: Sequence[str],
+    ids: np.ndarray,
     label: int,
     table: ComplexEmbeddingTable,
 ) -> tuple[float, CriticGradients]:
-    """Cross-entropy against the labeled class, with gradients for the tokens' word rows.
+    """Cross-entropy against the labeled class, with gradients for the judged word rows.
 
-    loss = -log p_label, floored at p >= 1e-12 (below the floor the loss is
-    constant, so gradients are zero there). Gradients are reverse mode through
-    the salience softmax and the squared-amplitude block masses; phases do not
-    enter the diagonal, so their gradient is identically zero. Each word's
-    occurrences add into its row in token order.
+    `ids` are the table rows of the judged tokens in order, as token_ids
+    gives them. loss = -log p_label, floored at p >= 1e-12 (below the floor
+    the loss is constant, so gradients are zero there). Gradients are reverse
+    mode through the salience softmax and the squared-amplitude block masses;
+    phases do not enter the diagonal, so their gradient is identically zero.
+    Each word's occurrences add into its row in token order.
     """
     if label not in (0, 1, 2):
         raise InvalidLabel(f"label {label!r} is not a class index in (0, 1, 2)")
-    ids = _token_ids(tokens, table)
+    if ids.ndim != 1 or ids.shape[0] == 0:
+        raise EmptyInput(f"critic needs a non-empty 1-D sequence of rows, got shape {ids.shape}")
     beta, s, masses = _class_masses(ids, table)
     total = float(masses.sum())
     probabilities = masses / total
@@ -303,34 +306,32 @@ def critic_loss_and_gradients(
     # Repeated words share one row: `occurrence` maps each token to its row.
     rows, occurrence = np.unique(ids, return_inverse=True)
     d = table.embed_dim
-    grads = CriticGradients(
-        ids=rows,
-        amplitude_rows=np.zeros((rows.shape[0], d)),
-        salience_rows=np.zeros(rows.shape[0]),
-        num_rows=table.num_rows,
-        probabilities=probabilities,
-    )
     if p_label <= PROB_FLOOR:
-        return loss, grads
+        return loss, CriticGradients(
+            ids=rows,
+            amplitude_rows=np.zeros((rows.shape[0], d)),
+            salience_rows=np.zeros(rows.shape[0]),
+            num_rows=table.num_rows,
+            probabilities=probabilities,
+        )
 
     # loss = -log(m_label) + log(sum_c m_c)
     d_masses = np.ones(3) / total
     d_masses[label] -= 1.0 / float(masses[label])
 
     # Salience path: d loss / d beta_t, then softmax backward, then sum
-    # occurrences of one word into its single parameter.
+    # occurrences of one word into its single parameter, in token order.
     d_beta = s @ d_masses
     d_z = beta * (d_beta - float(np.dot(beta, d_beta)))
-    np.add.at(grads.salience_rows, occurrence, d_z)
+    salience_rows = np.bincount(occurrence, weights=d_z, minlength=rows.shape[0])
 
     # Amplitude path: m_c picks up 2 * beta_t * a_{w,j} for j in block c.
-    word_coeff = np.zeros(rows.shape[0])
-    np.add.at(word_coeff, occurrence, beta)
-    amplitudes = table.amplitudes[rows]
-    block = d // 3
-    for c in range(3):
-        cols = slice(c * block, (c + 1) * block)
-        grads.amplitude_rows[:, cols] = (
-            2.0 * d_masses[c] * word_coeff[:, None] * amplitudes[:, cols]
-        )
-    return loss, grads
+    word_coeff = np.bincount(occurrence, weights=beta, minlength=rows.shape[0])
+    block_scale = np.repeat(2.0 * d_masses, d // 3)
+    return loss, CriticGradients(
+        ids=rows,
+        amplitude_rows=block_scale[None, :] * word_coeff[:, None] * table.amplitudes[rows],
+        salience_rows=salience_rows,
+        num_rows=table.num_rows,
+        probabilities=probabilities,
+    )

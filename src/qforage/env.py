@@ -24,7 +24,7 @@ same statistics off a sequence of Transitions.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -397,14 +397,18 @@ class Transition:
 
 
 class Environment:
-    """Serves observations from a corpus, in bandit or session mode.
+    """Serves documents from a corpus, in bandit or session mode.
 
     Bandit mode samples documents uniformly and every episode is one step.
     Session mode walks patch by patch: documents of one patch arrive
     consecutively (order shuffled within the patch, patch order shuffled per
     pass), and `last_of_patch` marks patch boundaries for the training loop.
-    Candidate order is shuffled on every observation so candidate position
-    carries no signal.
+    Candidate order is shuffled on every draw so candidate position carries
+    no signal.
+
+    draw() is the one sampling path: it serves a document as its candidates'
+    rows in Corpus.compiled, in shuffled order. reset() wraps the same draw
+    in an Observation.
     """
 
     def __init__(self, corpus: Corpus, rng: np.random.Generator, mode: str = "bandit"):
@@ -415,37 +419,46 @@ class Environment:
         self.corpus = corpus
         self.mode = mode
         self._rng = rng
-        self._queue: list[tuple[Document, bool]] = []
+        self._queue: deque[tuple[int, bool]] = deque()
         self.last_of_patch = True
 
     def _refill_session_queue(self) -> None:
-        by_patch: dict[str, list[Document]] = {}
-        for doc in self.corpus.documents:
-            by_patch.setdefault(doc.patch_id, []).append(doc)
-        patch_ids = list(by_patch)
-        patch_order = [patch_ids[i] for i in self._rng.permutation(len(patch_ids))]
-        for pid in patch_order:
-            docs = by_patch[pid]
+        patches = self.corpus.compiled.patches
+        # Document indices of each patch, in corpus order, patches in first-appearance order.
+        by_patch = np.split(
+            np.argsort(patches, kind="stable"), np.cumsum(np.bincount(patches))[:-1]
+        )
+        for p in self._rng.permutation(len(by_patch)):
+            docs = by_patch[p]
             order = self._rng.permutation(len(docs))
             for j, idx in enumerate(order):
-                self._queue.append((docs[idx], j == len(order) - 1))
+                self._queue.append((int(docs[idx]), j == len(order) - 1))
 
-    def reset(self) -> Observation:
-        """Next observation: a document with its candidates shuffled."""
+    def draw(self) -> tuple[int, np.ndarray]:
+        """Next document: its index and its candidates' compiled rows, shuffled.
+
+        The rows are offsets[j] + a permutation of the document's candidates.
+        """
         if self.mode == "bandit":
-            doc = self.corpus.documents[int(self._rng.integers(len(self.corpus.documents)))]
+            j = int(self._rng.integers(len(self.corpus.documents)))
             self.last_of_patch = True
         else:
             if not self._queue:
                 self._refill_session_queue()
-            doc, self.last_of_patch = self._queue.pop(0)
-        perm = self._rng.permutation(len(doc.candidates))
-        shuffled = tuple(doc.candidates[i] for i in perm)
+            j, self.last_of_patch = self._queue.popleft()
+        count = len(self.corpus.documents[j].candidates)
+        return j, self.corpus.compiled.offsets[j] + self._rng.permutation(count)
+
+    def reset(self) -> Observation:
+        """Next observation: draw()'s document with its candidates in the drawn order."""
+        j, rows = self.draw()
+        doc = self.corpus.documents[j]
+        positions = (rows - self.corpus.compiled.offsets[j]).tolist()
         return Observation(
             doc_id=doc.doc_id,
             patch_id=doc.patch_id,
             keywords=doc.keywords,
-            candidates=shuffled,
+            candidates=tuple(doc.candidates[i] for i in positions),
         )
 
 

@@ -146,8 +146,8 @@ def check_gradients(seed: int = 0, perturb: float = 0.0, instances: int = 10) ->
         token_lists = [["w0", "w1"], ["w2", "w3"], ["w1", "w3"]]
         chosen = int(rng.integers(0, 3))
         advantage = float(rng.uniform(0.2, 1.0))
-        candidates = [qrep.embed_query(t, table, order) for t in token_lists]
-        grads = actor.actor_gradients(params, candidates, chosen, advantage)
+        ids = np.stack([qrep.embed_query(t, table, order).word_ids for t in token_lists])
+        grads = actor.actor_gradients(params, ids, chosen, advantage)
         if perturb:
             grads = replace(grads, rows=grads.rows * (1.0 + perturb))
 
@@ -169,18 +169,18 @@ def check_gradients(seed: int = 0, perturb: float = 0.0, instances: int = 10) ->
             worst = max(worst, _fd_relative_error(analytic.ravel(), numeric))
 
         ctable = critic.ComplexEmbeddingTable.from_vocab(vocab, 6, rng)
-        tokens = ["w0", "w1", "w2"]
+        ids = critic.token_ids(["w0", "w1", "w2"], ctable)
         label = int(rng.integers(0, 3))
-        _, cgrads = critic.critic_loss_and_gradients(tokens, label, ctable)
+        _, cgrads = critic.critic_loss_and_gradients(ids, label, ctable)
         if perturb:
             cgrads = replace(cgrads, amplitude_rows=cgrads.amplitude_rows * (1.0 + perturb))
 
         def cfd(array: np.ndarray, flat_index: int) -> float:
             orig = array.flat[flat_index]
             array.flat[flat_index] = orig + h
-            hi, _ = critic.critic_loss_and_gradients(tokens, label, ctable)
+            hi, _ = critic.critic_loss_and_gradients(ids, label, ctable)
             array.flat[flat_index] = orig - h
-            lo, _ = critic.critic_loss_and_gradients(tokens, label, ctable)
+            lo, _ = critic.critic_loss_and_gradients(ids, label, ctable)
             array.flat[flat_index] = orig
             return (hi - lo) / (2.0 * h)
 

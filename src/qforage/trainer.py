@@ -24,13 +24,21 @@ so each step updates the actor at once with its one-step advantage. Mode only
 picks the document order (env.Environment): a bandit episode is one document,
 a session episode one pass through a patch.
 
-Evaluation is one batched pass, not a loop over documents. The corpus is
-compiled once into arrays of vocabulary indices (env.Corpus.compiled); every
-candidate is scored at once by actor.score_rows, the scorer actor_forward
-calls on a step, and every (document, candidate) pair is judged at once from
-per-word block masses. Scores and class probabilities keep the bits of a
-per-document pass. Scent statistics come from the array of chosen rewards
-(env.reward_scent), and training's scent scalar uses the same recurrence.
+Training and evaluation both run on the corpus compiled once into arrays of
+vocabulary indices (env.Corpus.compiled). query_row_ids turns it into every
+candidate's actor table rows, once per train or evaluate call. A step takes
+the drawn document's candidates as compiled rows (env.Environment.draw),
+gathers their amplitude rows in one indexing operation, and reads the reward
+and the critic's rows off the compiled arrays: no token strings, no
+Observation and no Transition on the training path. Its parameters keep the
+bits of a step from token strings through qrep.embed_query.
+
+Evaluation is one batched pass, not a loop over documents: every candidate is
+scored at once by actor.score_rows, the scorer a training step uses, and
+every (document, candidate) pair is judged at once from per-word block
+masses. Scores and class probabilities keep the bits of a per-document pass.
+Scent statistics come from the array of chosen rewards (env.reward_scent),
+and training's scent scalar uses the same recurrence.
 
 Checkpoints are UTF-8 text: a `qforage-checkpoint v1` header, `# key=value`
 config echo lines, then named decimal matrix blocks (Checkpoint.blocks).
@@ -52,7 +60,7 @@ import dataclasses
 import os
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,6 +156,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class StepMetrics:
+    chosen_index: int  # position of the chosen candidate in the step's rows
     reward: int
     q_estimate: float
     advantage: float
@@ -216,31 +225,49 @@ def _apply_critic_update(
     table.renormalize(grads.ids)
 
 
+def query_row_ids(compiled: env.CompiledCorpus, order: int) -> np.ndarray:
+    """The (N, order) actor table rows of every compiled candidate query.
+
+    Rows pad with qrep.NULL_ID and truncate at `order`; for a table built
+    over the corpus vocabulary, row i is what qrep.embed_query gives as
+    word_ids for candidate i.
+    """
+    tokens = compiled.query_tokens[:, :order]
+    if tokens.shape[1] < order:
+        tokens = np.pad(tokens, ((0, 0), (0, order - tokens.shape[1])), constant_values=-1)
+    in_query = np.arange(order) < compiled.query_lengths[:, None]
+    return np.where(in_query, tokens + qrep.WORD_ROW_OFFSET, qrep.NULL_ID)
+
+
 def train_step(
     params: actor.ActorParams,
     critic_table: critic.ComplexEmbeddingTable,
-    observation: env.Observation,
+    compiled: env.CompiledCorpus,
+    query_ids: np.ndarray,
+    rows: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
-) -> tuple[env.Transition, StepMetrics]:
+) -> StepMetrics:
     """Sample, collect the reward, judge, then update the critic and the actor.
 
-    The critic's expected reward q is read from its block masses before this
-    step's critic update. The actor steps on the one-step advantage reward - q,
-    with gradients taken through the forward pass the action was sampled from.
-    A zero advantage leaves actor parameters bit-identical; a zero learning
-    rate does the same for that side.
+    `rows` are one document's candidates as compiled rows in the order the
+    environment drew them (env.Environment.draw), and `query_ids` is
+    query_row_ids of the compiled corpus. The candidates' amplitude rows are
+    gathered once, and the reward and the critic's rows are read off the
+    compiled arrays. The critic's expected reward q is read from its block
+    masses before this step's critic update. The actor steps on the one-step
+    advantage reward - q, with gradients taken through the forward pass the
+    action was sampled from. A zero advantage leaves actor parameters
+    bit-identical; a zero learning rate does the same for that side.
     """
-    candidates = [
-        qrep.embed_query(c.tokens, params.table, config.query_order)
-        for c in observation.candidates
-    ]
-    out = actor.act(params, candidates, rng)
-    reward, transition = env.step(observation, out.index)
+    ids = query_ids[rows]
+    out = actor.act(params, params.table.amplitudes[ids], rng)
+    row = rows[out.index]
+    reward = int(compiled.labels[row])
 
-    tokens = list(observation.keywords) + list(observation.candidates[out.index].tokens)
+    pair = compiled.pair_tokens[row, : compiled.pair_lengths[row]] + critic.WORD_ROW_OFFSET
     critic_loss, critic_grads = critic.critic_loss_and_gradients(
-        tokens, critic.class_of_reward(reward), critic_table
+        pair, critic.class_of_reward(reward), critic_table
     )
     q_estimate = float(np.dot(critic.CLASS_REWARDS, critic_grads.probabilities))
     if config.critic_lr != 0.0:
@@ -250,7 +277,7 @@ def train_step(
     if config.actor_lr != 0.0 and advantage != 0.0:
         grads = actor.actor_gradients(
             params,
-            candidates,
+            ids,
             out.index,
             advantage,
             forward=out.forward,
@@ -258,14 +285,14 @@ def train_step(
         )
         _apply_actor_update(params, grads, config.actor_lr)
 
-    metrics = StepMetrics(
+    return StepMetrics(
+        chosen_index=out.index,
         reward=reward,
         q_estimate=q_estimate,
         advantage=advantage,
         critic_loss=critic_loss,
         log_probability=out.log_probability,
     )
-    return replace(transition, log_probability=out.log_probability), metrics
 
 
 @dataclass(eq=False)
@@ -306,12 +333,7 @@ def evaluate(
             raise ShapeMismatch(f"{name} table rows are not built over the corpus vocabulary")
     compiled = corpus.compiled
 
-    order = params.global_rep.order
-    tokens = compiled.query_tokens[:, :order]
-    if tokens.shape[1] < order:
-        tokens = np.pad(tokens, ((0, 0), (0, order - tokens.shape[1])), constant_values=-1)
-    in_query = np.arange(order) < compiled.query_lengths[:, None]
-    ids = np.where(in_query, tokens + qrep.WORD_ROW_OFFSET, qrep.NULL_ID)
+    ids = query_row_ids(compiled, params.global_rep.order)
     scores = actor.score_rows(params.global_rep, params.table.amplitudes[ids]).scores
     chosen = actor.first_argmax(scores, compiled.offsets)
     rewards = compiled.labels[compiled.offsets + chosen]
@@ -675,10 +697,13 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
         if config.checkpoint_path:
             save_checkpoint(make_checkpoint(params, critic_table, config), config.checkpoint_path)
 
+    compiled = corpus.compiled
+    query_ids = query_row_ids(compiled, config.query_order)
     for episode in range(1, config.episodes + 1):
         while True:
-            _, step_metrics = train_step(
-                params, critic_table, environment.reset(), config, policy_rng
+            _, rows = environment.draw()
+            step_metrics = train_step(
+                params, critic_table, compiled, query_ids, rows, config, policy_rng
             )
             rewards.append(step_metrics.reward)
             if environment.last_of_patch:

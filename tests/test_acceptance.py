@@ -193,10 +193,10 @@ class TestCriterion4GradientFidelity:
             ]
             chosen = int(rng.integers(0, n_cands))
             advantage = float(rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0]))
-            candidates = [
-                qrep.embed_query(tokens, table, order) for tokens in token_lists
-            ]
-            grads = actor.actor_gradients(params, candidates, chosen, advantage)
+            ids = np.stack(
+                [qrep.embed_query(tokens, table, order).word_ids for tokens in token_lists]
+            )
+            grads = actor.actor_gradients(params, ids, chosen, advantage)
 
             def loss(amps, weights, factors):
                 return self.actor_loss(
@@ -232,7 +232,8 @@ class TestCriterion4GradientFidelity:
                 vocab[j] for j in rng.integers(0, len(vocab), int(rng.integers(1, 5)))
             ]
             label = int(rng.integers(0, 3))
-            _, grads = critic.critic_loss_and_gradients(tokens, label, table)
+            ids = critic.token_ids(tokens, table)
+            _, grads = critic.critic_loss_and_gradients(ids, label, table)
 
             def loss(amps, phases, salience):
                 return self.critic_loss(amps, phases, salience, vocab, tokens, label)

@@ -39,6 +39,16 @@ def make_candidates(table, order, token_lists):
     return [qrep.embed_query(tokens, table, order) for tokens in token_lists]
 
 
+def rows_of(candidates):
+    """The (C, n, k) amplitude rows act scores."""
+    return np.stack([q.rows for q in candidates])
+
+
+def ids_of(candidates):
+    """The (C, n) table rows actor_gradients takes."""
+    return np.stack([q.word_ids for q in candidates])
+
+
 class TestActorForward:
     def test_scores_equal_projection(self):
         rng = np.random.default_rng(3)
@@ -194,17 +204,22 @@ class TestAct:
         rng = np.random.default_rng(41)
         params = make_params(rng)
         candidates = make_candidates(params.table, 2, [["w0", "w1"]])
-        out = act(params, candidates, np.random.default_rng(1))
+        out = act(params, rows_of(candidates), np.random.default_rng(1))
         assert out.index == 0
         assert out.probabilities[0] == pytest.approx(1.0, abs=1e-12)
         assert out.log_probability == 0.0
+
+    def test_empty_batch_rejected(self):
+        params = make_params(np.random.default_rng(42))
+        with pytest.raises(NoCandidates):
+            act(params, np.empty((0, 2, 3)), np.random.default_rng(1))
 
     def test_one_softmax_gives_the_standalone_draw_bitwise(self):
         rng = np.random.default_rng(43)
         params = make_params(rng, rank=3, temperature=0.7)
         candidates = make_candidates(params.table, 2, [["w0"], ["w1"], ["w2"]])
         for seed in range(20):
-            out = act(params, candidates, np.random.default_rng(seed))
+            out = act(params, rows_of(candidates), np.random.default_rng(seed))
             scores = actor_forward(params, candidates).scores
             index, log_prob = select_action(scores, 0.7, np.random.default_rng(seed))
             assert (out.index, out.log_probability) == (index, log_prob)
@@ -234,7 +249,7 @@ class TestActorGradients:
         rng = np.random.default_rng(47)
         params = make_params(rng)
         candidates = make_candidates(params.table, 2, [["w0"], ["w1"]])
-        grads = actor_gradients(params, candidates, chosen=0, advantage=0.0)
+        grads = actor_gradients(params, ids_of(candidates), chosen=0, advantage=0.0)
         assert not grads.table.any()
         assert not grads.weights.any()
         assert not grads.factors.any()
@@ -243,7 +258,7 @@ class TestActorGradients:
         rng = np.random.default_rng(53)
         params = make_params(rng)
         candidates = make_candidates(params.table, 2, [["w0", "w1"]])
-        grads = actor_gradients(params, candidates, chosen=0, advantage=1.0)
+        grads = actor_gradients(params, ids_of(candidates), chosen=0, advantage=1.0)
         np.testing.assert_allclose(grads.table, 0.0, atol=1e-15)
         np.testing.assert_allclose(grads.weights, 0.0, atol=1e-15)
         np.testing.assert_allclose(grads.factors, 0.0, atol=1e-15)
@@ -253,7 +268,30 @@ class TestActorGradients:
         params = make_params(rng)
         candidates = make_candidates(params.table, 2, [["w0"], ["w1"]])
         with pytest.raises(IndexOutOfRange):
-            actor_gradients(params, candidates, chosen=2, advantage=1.0)
+            actor_gradients(params, ids_of(candidates), chosen=2, advantage=1.0)
+
+    def test_candidate_ids_validated(self):
+        params = make_params(np.random.default_rng(60))
+        with pytest.raises(NoCandidates):
+            actor_gradients(params, np.empty((0, 2), dtype=np.int64), chosen=0, advantage=1.0)
+        with pytest.raises(ShapeMismatch):
+            actor_gradients(params, np.zeros((2, 3), dtype=np.int64), chosen=0, advantage=1.0)
+
+    def test_recomputed_forward_equals_the_sampled_one_bitwise(self):
+        params = make_params(np.random.default_rng(63), rank=3)
+        candidates = make_candidates(params.table, 2, [["w0", "w1"], ["w2"], ["w1", "w1"]])
+        out = act(params, rows_of(candidates), np.random.default_rng(5))
+        given = actor_gradients(
+            params,
+            ids_of(candidates),
+            out.index,
+            0.8,
+            forward=out.forward,
+            probabilities=out.probabilities,
+        )
+        recomputed = actor_gradients(params, ids_of(candidates), out.index, 0.8)
+        for name in ("ids", "rows", "weights", "factors"):
+            assert getattr(given, name).tobytes() == getattr(recomputed, name).tobytes()
 
     def test_matches_central_finite_differences(self):
         h = 1e-5
@@ -270,7 +308,7 @@ class TestActorGradients:
             candidates = make_candidates(params.table, order, token_lists)
             chosen = int(rng.integers(3))
             advantage = float(rng.uniform(0.2, 1.0))
-            grads = actor_gradients(params, candidates, chosen, advantage)
+            grads = actor_gradients(params, ids_of(candidates), chosen, advantage)
 
             def loss(amps, w, fac):
                 return selection_loss(
@@ -303,7 +341,7 @@ class TestActorGradients:
         token_lists = [["w0", "w1"], ["w2", "w3"]]
         candidates = make_candidates(params.table, 2, token_lists)
         before = actor_forward(params, candidates).scores
-        grads = actor_gradients(params, candidates, chosen=0, advantage=1.0)
+        grads = actor_gradients(params, ids_of(candidates), chosen=0, advantage=1.0)
         params.table.amplitudes -= 0.05 * grads.table
         params.global_rep.weights -= 0.05 * grads.weights
         params.global_rep.factors -= 0.05 * grads.factors

@@ -20,6 +20,7 @@ from qforage.critic import (
     critic_loss_and_gradients,
     measure_classes,
     q_value,
+    token_ids,
 )
 from qforage.errors import (
     DimensionNotDivisible,
@@ -280,7 +281,7 @@ class TestSparseCriticGradients:
             tokens = [VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(int(rng.integers(1, 8)))]
             tokens.append("zzzunseen")
             label = int(rng.integers(3))
-            _, grads = critic_loss_and_gradients(tokens, label, table)
+            _, grads = critic_loss_and_gradients(token_ids(tokens, table), label, table)
             amplitudes, salience = dense_reference_gradients(tokens, label, table)
             # Equal everywhere; bit for bit on the touched rows (the reference's
             # untouched rows may hold -0.0).
@@ -297,7 +298,7 @@ class TestSparseCriticGradients:
         for size in (60, 6000):
             words = tuple(f"w{i}" for i in range(size - 1))
             table = make_table(np.random.default_rng(5), embed_dim=12, words=words)
-            _, grads = critic_loss_and_gradients(tokens, 2, table)
+            _, grads = critic_loss_and_gradients(token_ids(tokens, table), 2, table)
             assert grads.amplitude_rows.shape[0] <= len(tokens)
             assert grads.num_rows == size
             shapes.append((grads.ids.shape, grads.amplitude_rows.shape, grads.salience_rows.shape))
@@ -307,14 +308,14 @@ class TestSparseCriticGradients:
         rng = np.random.default_rng(71)
         table = make_table(rng)
         tokens = ["cats", "not", "dogs", "cats"]
-        _, grads = critic_loss_and_gradients(tokens, 1, table)
+        _, grads = critic_loss_and_gradients(token_ids(tokens, table), 1, table)
         assert grads.probabilities.tobytes() == class_probabilities(tokens, table).tobytes()
 
 
 class TestCriticLossAndGradients:
     def test_certain_label_zero_loss_zero_gradients(self):
         table = block_supported_table()
-        loss, grads = critic_loss_and_gradients(["hi"], 2, table)
+        loss, grads = critic_loss_and_gradients(token_ids(["hi"], table), 2, table)
         assert loss == 0.0
         assert not grads.amplitudes.any()
         assert not grads.salience.any()
@@ -327,18 +328,32 @@ class TestCriticLossAndGradients:
             phases=np.zeros((rows, 6)),
             salience=np.zeros(rows),
         )
-        loss, _ = critic_loss_and_gradients(["cats", "dogs"], 1, table)
+        loss, _ = critic_loss_and_gradients(token_ids(["cats", "dogs"], table), 1, table)
         assert abs(loss - np.log(3.0)) <= 1e-10
 
     def test_invalid_label_rejected(self):
         table = make_table(np.random.default_rng(53))
         with pytest.raises(InvalidLabel):
-            critic_loss_and_gradients(["cats"], 3, table)
+            critic_loss_and_gradients(token_ids(["cats"], table), 3, table)
+
+    def test_rows_must_be_a_non_empty_sequence(self):
+        table = make_table(np.random.default_rng(54))
+        with pytest.raises(EmptyInput):
+            critic_loss_and_gradients(np.empty(0, dtype=np.int64), 1, table)
+        with pytest.raises(EmptyInput):
+            critic_loss_and_gradients(np.ones((2, 2), dtype=np.int64), 1, table)
+
+    def test_token_ids_map_unknown_words_to_the_unknown_row(self):
+        table = make_table(np.random.default_rng(55))
+        ids = token_ids(["dogs", "zzzunseen", "cats"], table)
+        assert ids.tolist() == [table.word_id("dogs"), 0, table.word_id("cats")]
+        with pytest.raises(EmptyInput):
+            token_ids([], table)
 
     def test_phase_gradients_identically_zero(self):
         rng = np.random.default_rng(59)
         table = make_table(rng)
-        _, grads = critic_loss_and_gradients(["dogs", "chase", "cats"], 0, table)
+        _, grads = critic_loss_and_gradients(token_ids(["dogs", "chase", "cats"], table), 0, table)
         assert not grads.phases.any()
 
     def test_matches_central_finite_differences(self):
@@ -349,7 +364,7 @@ class TestCriticLossAndGradients:
             count = int(rng.integers(1, 6))
             tokens = [VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(count)]
             label = int(rng.integers(3))
-            _, grads = critic_loss_and_gradients(tokens, label, table)
+            _, grads = critic_loss_and_gradients(token_ids(tokens, table), label, table)
 
             for arr, grad in (
                 (table.amplitudes, grads.amplitudes),
@@ -376,10 +391,10 @@ class TestCriticLossAndGradients:
         rng = np.random.default_rng(61)
         table = make_table(rng)
         tokens = ["dogs", "chase", "cats"]
-        loss_before, grads = critic_loss_and_gradients(tokens, 2, table)
+        loss_before, grads = critic_loss_and_gradients(token_ids(tokens, table), 2, table)
         table.amplitudes -= 0.1 * grads.amplitudes
         table.salience -= 0.1 * grads.salience
-        loss_after, _ = critic_loss_and_gradients(tokens, 2, table)
+        loss_after, _ = critic_loss_and_gradients(token_ids(tokens, table), 2, table)
         assert loss_after < loss_before
 
     def test_normalized_probabilities_match_measurement(self):

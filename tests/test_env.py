@@ -250,6 +250,76 @@ class TestEnvironment:
             Environment(small_corpus(), np.random.default_rng(0), mode="batch")
 
 
+def interleaved_corpus():
+    """Three patches whose documents interleave, so a patch is not a run of rows."""
+    corpus = gen_corpus(CorpusSpec(docs=9, patches=3, vocab_size=60), np.random.default_rng(47))
+    order = [0, 3, 6, 1, 4, 7, 2, 5, 8]
+    return Corpus(
+        documents=tuple(corpus.documents[i] for i in order),
+        vocabulary=corpus.vocabulary,
+        keyword_count=corpus.keyword_count,
+    )
+
+
+def documented_draws(corpus, seed, mode, count):
+    """(document, candidate permutation, last_of_patch) per draw, from the stream as documented.
+
+    Bandit: one uniform document index, then a candidate permutation. Session:
+    on an empty queue, a permutation of the patches (first-appearance order)
+    and one of each patch's documents (corpus order); then a candidate
+    permutation per draw.
+    """
+    rng = np.random.default_rng(seed)
+    draws, queue = [], []
+    patch_ids = list(dict.fromkeys(doc.patch_id for doc in corpus.documents))
+    for _ in range(count):
+        if mode == "bandit":
+            j, last = int(rng.integers(len(corpus.documents))), True
+        else:
+            if not queue:
+                for p in rng.permutation(len(patch_ids)):
+                    docs = [
+                        i for i, d in enumerate(corpus.documents) if d.patch_id == patch_ids[p]
+                    ]
+                    order = rng.permutation(len(docs))
+                    queue.extend((docs[i], n == len(order) - 1) for n, i in enumerate(order))
+            j, last = queue.pop(0)
+        draws.append((j, rng.permutation(len(corpus.documents[j].candidates)).tolist(), last))
+    return draws
+
+
+class TestDraw:
+    @pytest.mark.parametrize("mode", ["bandit", "session"])
+    def test_draws_follow_the_documented_stream(self, mode):
+        corpus = interleaved_corpus()
+        environment = Environment(corpus, np.random.default_rng(53), mode=mode)
+        offsets = corpus.compiled.offsets
+        for j, permutation, last in documented_draws(corpus, 53, mode, 30):
+            drawn, rows = environment.draw()
+            assert drawn == j
+            assert (rows - offsets[j]).tolist() == permutation
+            assert environment.last_of_patch == last
+
+    @pytest.mark.parametrize("mode", ["bandit", "session"])
+    def test_reset_wraps_the_same_draw(self, mode):
+        corpus = interleaved_corpus()
+        drawing = Environment(corpus, np.random.default_rng(59), mode=mode)
+        resetting = Environment(corpus, np.random.default_rng(59), mode=mode)
+        compiled = corpus.compiled
+        for _ in range(30):
+            j, rows = drawing.draw()
+            obs = resetting.reset()
+            doc = corpus.documents[j]
+            assert (obs.doc_id, obs.patch_id, obs.keywords) == (
+                doc.doc_id,
+                doc.patch_id,
+                doc.keywords,
+            )
+            assert [c.label for c in obs.candidates] == compiled.labels[rows].tolist()
+            assert obs.candidates == tuple(doc.candidates[i - compiled.offsets[j]] for i in rows)
+            assert resetting.last_of_patch == drawing.last_of_patch
+
+
 class TestStep:
     def test_reward_follows_candidate_label_exhaustively(self):
         spec = CorpusSpec(docs=12, patches=2, vocab_size=40)

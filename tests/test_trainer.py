@@ -68,13 +68,21 @@ def critic_state_bytes(table):
     )
 
 
-def observation_for(doc):
-    return env.Observation(
-        doc_id=doc.doc_id,
-        patch_id=doc.patch_id,
-        keywords=doc.keywords,
-        candidates=doc.candidates,
-    )
+def doc_rows(corpus, j):
+    """Document j's candidates as compiled rows, in corpus order."""
+    return corpus.compiled.offsets[j] + np.arange(len(corpus.documents[j].candidates))
+
+
+def run_step(params, critic_table, corpus, rows, config, rng):
+    compiled = corpus.compiled
+    query_ids = trainer.query_row_ids(compiled, config.query_order)
+    return trainer.train_step(params, critic_table, compiled, query_ids, rows, config, rng)
+
+
+def drawn_candidates(corpus, j, rows):
+    """The candidates behind an Environment.draw, in the drawn order."""
+    doc = corpus.documents[j]
+    return [doc.candidates[i] for i in (rows - corpus.compiled.offsets[j]).tolist()]
 
 
 class TestTrainConfig:
@@ -151,19 +159,19 @@ class TestTrainStep:
         params, _ = trainer.init_params(corpus, config)
         critic_table = uniform_critic_table(corpus.vocabulary, config.embed_dim)
         doc = corpus.documents[0]
-        neutral = tuple(
-            env.Candidate(c.tokens, 0) for c in doc.candidates
+        neutral_doc = dataclasses.replace(
+            doc, candidates=tuple(env.Candidate(c.tokens, 0) for c in doc.candidates)
         )
-        obs = env.Observation(
-            doc_id=doc.doc_id,
-            patch_id=doc.patch_id,
-            keywords=doc.keywords,
-            candidates=neutral,
+        # Built directly: a loaded corpus needs a +1 candidate in every document.
+        neutral = env.Corpus(
+            documents=(neutral_doc,),
+            vocabulary=corpus.vocabulary,
+            keyword_count=corpus.keyword_count,
         )
         before_actor = actor_state_bytes(params)
         before_critic = critic_state_bytes(critic_table)
-        transition, metrics = trainer.train_step(
-            params, critic_table, obs, config, np.random.default_rng(9)
+        metrics = run_step(
+            params, critic_table, neutral, doc_rows(neutral, 0), config, np.random.default_rng(9)
         )
         assert metrics.reward == 0
         assert metrics.q_estimate == 0.0
@@ -175,18 +183,18 @@ class TestTrainStep:
         corpus = small_corpus()
         config = small_config(actor_lr=0.0)
         params, critic_table = trainer.init_params(corpus, small_config())
-        obs = observation_for(corpus.documents[0])
         before = actor_state_bytes(params)
-        trainer.train_step(params, critic_table, obs, config, np.random.default_rng(9))
+        rows = doc_rows(corpus, 0)
+        run_step(params, critic_table, corpus, rows, config, np.random.default_rng(9))
         assert actor_state_bytes(params) == before
 
     def test_zero_critic_lr_freezes_critic(self):
         corpus = small_corpus()
         config = small_config(critic_lr=0.0)
         params, critic_table = trainer.init_params(corpus, small_config())
-        obs = observation_for(corpus.documents[0])
         before = critic_state_bytes(critic_table)
-        trainer.train_step(params, critic_table, obs, config, np.random.default_rng(9))
+        rows = doc_rows(corpus, 0)
+        run_step(params, critic_table, corpus, rows, config, np.random.default_rng(9))
         assert critic_state_bytes(critic_table) == before
 
     def test_uniform_critic_reduces_to_reward_weighted_ascent(self):
@@ -195,22 +203,24 @@ class TestTrainStep:
         params_a, _ = trainer.init_params(corpus, config)
         params_b = copy.deepcopy(params_a)
         critic_table = uniform_critic_table(corpus.vocabulary, config.embed_dim)
-        obs = observation_for(corpus.documents[0])
+        doc = corpus.documents[0]
 
-        transition, metrics = trainer.train_step(
-            params_a, critic_table, obs, config, np.random.default_rng(21)
+        metrics = run_step(
+            params_a, critic_table, corpus, doc_rows(corpus, 0), config, np.random.default_rng(21)
         )
         assert metrics.advantage == metrics.reward
 
         candidates = [
             qrep.embed_query(c.tokens, params_b.table, config.query_order)
-            for c in obs.candidates
+            for c in doc.candidates
         ]
-        out = actor.act(params_b, candidates, np.random.default_rng(21))
-        assert out.index == transition.chosen_index
-        reward = obs.candidates[out.index].label
+        rows = np.stack([q.rows for q in candidates])
+        out = actor.act(params_b, rows, np.random.default_rng(21))
+        assert out.index == metrics.chosen_index
+        reward = doc.candidates[out.index].label
         if reward != 0:
-            grads = actor.actor_gradients(params_b, candidates, out.index, float(reward))
+            ids = np.stack([q.word_ids for q in candidates])
+            grads = actor.actor_gradients(params_b, ids, out.index, float(reward))
             params_b.table.amplitudes -= config.actor_lr * grads.table
             params_b.global_rep.weights -= config.actor_lr * grads.weights
             params_b.global_rep.factors -= config.actor_lr * grads.factors
@@ -222,13 +232,18 @@ class TestTrainStep:
         corpus = small_corpus()
         config = small_config()
         params, critic_table = trainer.init_params(corpus, config)
-        obs = observation_for(corpus.documents[0])
-        transition, metrics = trainer.train_step(
-            params, critic_table, obs, config, np.random.default_rng(33)
+        doc = corpus.documents[0]
+        candidates = [
+            qrep.embed_query(c.tokens, params.table, config.query_order) for c in doc.candidates
+        ]
+        out = actor.act(params, np.stack([q.rows for q in candidates]), np.random.default_rng(33))
+        metrics = run_step(
+            params, critic_table, corpus, doc_rows(corpus, 0), config, np.random.default_rng(33)
         )
-        assert metrics.reward == transition.reward
+        assert metrics.chosen_index == out.index
+        assert metrics.reward == doc.candidates[metrics.chosen_index].label
         assert metrics.advantage == metrics.reward - metrics.q_estimate
-        assert metrics.log_probability == transition.log_probability
+        assert metrics.log_probability == out.log_probability
         assert metrics.log_probability <= 0.0
         assert metrics.critic_loss >= 0.0
 
@@ -241,7 +256,8 @@ class TestTrainStep:
             rng = np.random.default_rng(77)
             environment = env.Environment(corpus, np.random.default_rng(78))
             for _ in range(10):
-                trainer.train_step(params, critic_table, environment.reset(), config, rng)
+                _, rows = environment.draw()
+                run_step(params, critic_table, corpus, rows, config, rng)
             states.append(actor_state_bytes(params) + critic_state_bytes(critic_table))
         assert states[0] == states[1]
 
@@ -252,7 +268,8 @@ class TestTrainStep:
         rng = np.random.default_rng(55)
         environment = env.Environment(corpus, np.random.default_rng(56))
         for _ in range(25):
-            trainer.train_step(params, critic_table, environment.reset(), config, rng)
+            _, rows = environment.draw()
+            run_step(params, critic_table, corpus, rows, config, rng)
         np.testing.assert_allclose(
             np.linalg.norm(params.table.amplitudes, axis=1), 1.0, atol=1e-9
         )
@@ -266,6 +283,131 @@ class TestTrainStep:
             np.linalg.norm(critic_table.amplitudes, axis=1), 1.0, atol=1e-9
         )
         assert np.all(np.isfinite(critic_table.salience))
+
+
+def string_path_step(params, critic_table, observation, config, rng):
+    """A training step from token strings: embed_query rows and word_id lookups.
+
+    It takes train_step's arithmetic in train_step's order, so parameters
+    must come out bit for bit the same.
+    """
+    candidates = [
+        qrep.embed_query(c.tokens, params.table, config.query_order)
+        for c in observation.candidates
+    ]
+    out = actor.act(params, np.stack([q.rows for q in candidates]), rng)
+    chosen = observation.candidates[out.index]
+    tokens = list(observation.keywords) + list(chosen.tokens)
+    ids = np.asarray([critic_table.word_id(t) for t in tokens], dtype=np.int64)
+    _, cgrads = critic.critic_loss_and_gradients(
+        ids, critic.class_of_reward(chosen.label), critic_table
+    )
+    q_estimate = float(np.dot(critic.CLASS_REWARDS, cgrads.probabilities))
+    critic_table.amplitudes[cgrads.ids] -= config.critic_lr * cgrads.amplitude_rows
+    critic_table.salience[cgrads.ids] -= config.critic_lr * cgrads.salience_rows
+    critic_table.renormalize(cgrads.ids)
+    advantage = chosen.label - q_estimate
+    if advantage != 0.0:
+        grads = actor.actor_gradients(
+            params,
+            np.stack([q.word_ids for q in candidates]),
+            out.index,
+            advantage,
+            forward=out.forward,
+            probabilities=out.probabilities,
+        )
+        params.table.amplitudes[grads.ids] -= config.actor_lr * grads.rows
+        params.global_rep.weights -= config.actor_lr * grads.weights
+        params.global_rep.factors -= config.actor_lr * grads.factors
+        params.table.renormalize(grads.ids)
+        params.global_rep.renormalize()
+    return out.index, chosen.label
+
+
+class TestCompiledStep:
+    """train_step on compiled rows against a step from token strings, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["bandit", "session"])
+    def test_equals_the_string_path_after_every_step(self, mode):
+        corpus = small_corpus(docs=8)
+        config = small_config(mode=mode)
+        params, critic_table = trainer.init_params(corpus, config)
+        ref_params, ref_critic = copy.deepcopy(params), copy.deepcopy(critic_table)
+        compiled = corpus.compiled
+        query_ids = trainer.query_row_ids(compiled, config.query_order)
+        # Same seeds: the compiled side draws, the reference side resets.
+        drawing = env.Environment(corpus, np.random.default_rng(90), mode=mode)
+        resetting = env.Environment(corpus, np.random.default_rng(90), mode=mode)
+        rng, ref_rng = np.random.default_rng(91), np.random.default_rng(91)
+        rewards = set()
+        for _ in range(50):
+            _, rows = drawing.draw()
+            metrics = trainer.train_step(
+                params, critic_table, compiled, query_ids, rows, config, rng
+            )
+            observation = resetting.reset()
+            assert drawing.last_of_patch == resetting.last_of_patch
+            index, reward = string_path_step(ref_params, ref_critic, observation, config, ref_rng)
+            assert (metrics.chosen_index, metrics.reward) == (index, reward)
+            assert actor_state_bytes(params) == actor_state_bytes(ref_params)
+            assert critic_state_bytes(critic_table) == critic_state_bytes(ref_critic)
+            rewards.add(reward)
+        assert rewards == {-1, 0, 1}
+
+
+class TestQueryRowIds:
+    def test_pads_with_null_and_truncates_at_order(self):
+        corpus = hand_corpus()
+        word = {w: i + qrep.WORD_ROW_OFFSET for i, w in enumerate(corpus.vocabulary)}
+        ids = trainer.query_row_ids(corpus.compiled, 3)
+        assert ids.shape == (len(corpus.compiled.labels), 3)
+        # d0's candidates: one word, then five.
+        assert ids[0].tolist() == [word["alpha"], qrep.NULL_ID, qrep.NULL_ID]
+        assert ids[1].tolist() == [word["delta"], word["eps"], word["zeta"]]
+        wide = trainer.query_row_ids(corpus.compiled, 7)
+        assert wide[1].tolist() == [word[t] for t in "delta eps zeta eta theta".split()] + [
+            qrep.NULL_ID
+        ] * 2
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5, 7])
+    def test_rows_equal_embed_query_word_ids(self, order):
+        corpus = hand_corpus()
+        table = qrep.AmplitudeTable.from_vocab(corpus.vocabulary, 3, np.random.default_rng(0))
+        ids = trainer.query_row_ids(corpus.compiled, order)
+        expected = [
+            qrep.embed_query(c.tokens, table, order).word_ids
+            for doc in corpus.documents
+            for c in doc.candidates
+        ]
+        assert ids.tolist() == np.stack(expected).tolist()
+
+    def test_built_once_per_train_call(self, monkeypatch):
+        spy = mock.Mock(wraps=trainer.query_row_ids)
+        monkeypatch.setattr(trainer, "query_row_ids", spy)
+        result = trainer.train(small_config(episodes=30, eval_interval=0), small_corpus())
+        assert len(result.rewards) == 30
+        assert spy.call_count == 1
+
+
+class TestTrainingPathTouchesNoStrings:
+    """Training runs on compiled rows: no Transition, no query or token lookups by string."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_string_paths(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the string path was taken")
+
+        monkeypatch.setattr(env.Transition, "__post_init__", refuse)
+        monkeypatch.setattr(env.Environment, "reset", refuse)
+        monkeypatch.setattr(env, "step", refuse)
+        monkeypatch.setattr(qrep, "embed_query", refuse)
+        monkeypatch.setattr(critic, "token_ids", refuse)
+
+    @pytest.mark.parametrize("mode", ["bandit", "session"])
+    def test_train_builds_no_transition(self, mode):
+        result = trainer.train(small_config(mode=mode, episodes=6, eval_interval=3), small_corpus())
+        assert len(result.metrics) == 2
+        assert set(result.rewards) <= {-1, 0, 1}
 
 
 def dense_reference_table_gradient(params, candidates, chosen, advantage):
@@ -319,16 +461,16 @@ class TestSparseStep:
         rng = np.random.default_rng(62)
         moved = 0
         for _ in range(15):
-            obs = environment.reset()
+            j, rows = environment.draw()
             before = (
                 params.table.amplitudes.copy(),
                 critic_table.amplitudes.copy(),
                 critic_table.salience.copy()[:, None],
             )
-            transition, _ = trainer.train_step(params, critic_table, obs, config, rng)
+            metrics = run_step(params, critic_table, corpus, rows, config, rng)
             actor_rows, critic_rows = step_rows(
-                params, critic_table, obs.keywords, obs.candidates,
-                transition.chosen_index, config.query_order,
+                params, critic_table, corpus.documents[j].keywords,
+                drawn_candidates(corpus, j, rows), metrics.chosen_index, config.query_order,
             )
             moved += assert_only_rows_changed(before[0], params.table.amplitudes, actor_rows)
             moved += assert_only_rows_changed(before[1], critic_table.amplitudes, critic_rows)
@@ -346,7 +488,8 @@ class TestSparseStep:
             global_rep = qrep.GlobalRepresentation.from_random(order, 4, 10, rng)
             params = actor.ActorParams(table=table, global_rep=global_rep)
             candidates = [qrep.embed_query(t, table, order) for t in token_lists]
-            grads = actor.actor_gradients(params, candidates, 2, 0.7)
+            ids = np.stack([q.word_ids for q in candidates])
+            grads = actor.actor_gradients(params, ids, 2, 0.7)
             assert grads.rows.shape[0] <= len(candidates) * order
             assert grads.num_rows == size
             shapes.append((grads.ids.shape, grads.rows.shape))
@@ -363,7 +506,8 @@ class TestSparseStep:
             candidates = [qrep.embed_query(t, params.table, 3) for t in token_lists]
             chosen = int(rng.integers(len(candidates)))
             advantage = float(rng.uniform(-1.5, 1.5))
-            grads = actor.actor_gradients(params, candidates, chosen, advantage)
+            ids = np.stack([q.word_ids for q in candidates])
+            grads = actor.actor_gradients(params, ids, chosen, advantage)
             dense = dense_reference_table_gradient(params, candidates, chosen, advantage)
             assert grads.table.tobytes() == dense.tobytes()
             assert list(grads.ids) == sorted({int(i) for q in candidates for i in q.word_ids})
@@ -635,10 +779,11 @@ class TestNoDensityMatrixOnTrainingPaths:
         environment = env.Environment(corpus, np.random.default_rng(12))
         rng = np.random.default_rng(13)
         for _ in range(10):
-            obs = environment.reset()
+            j, rows = environment.draw()
             before = copy.deepcopy(critic_table)
-            transition, metrics = trainer.train_step(params, critic_table, obs, config, rng)
-            tokens = list(obs.keywords) + list(obs.candidates[transition.chosen_index].tokens)
+            metrics = run_step(params, critic_table, corpus, rows, config, rng)
+            chosen = drawn_candidates(corpus, j, rows)[metrics.chosen_index]
+            tokens = list(corpus.documents[j].keywords) + list(chosen.tokens)
             p = critic.class_probabilities(tokens, before)
             assert metrics.q_estimate == float(np.dot(critic.CLASS_REWARDS, p))
             assert critic_state_bytes(critic_table) != critic_state_bytes(before)
