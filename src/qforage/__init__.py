@@ -35,7 +35,6 @@ from .env import (
     gen_corpus,
     load_corpus,
     save_corpus,
-    scent_stats,
 )
 from .errors import QForageError
 from .qcore import DensityMatrix, Observable, born_probability, build_density, collapse_sample, tensor_product
@@ -86,7 +85,6 @@ __all__ = [
     "restore_params",
     "save_checkpoint",
     "save_corpus",
-    "scent_stats",
     "select_action",
     "stream_rng",
     "stream_seed",

@@ -18,8 +18,7 @@ meaning).
 Scent statistics summarize a reward array two ways at once: an
 exponentially smoothed scalar (s_t = lambda * r_t + (1 - lambda) * s_{t-1},
 starting at 0) and the frequency distribution of the reward patterns
-(-1, 0, +1), with a per-patch breakdown (reward_scent). scent_stats reads the
-same statistics off a sequence of Transitions.
+(-1, 0, +1), with a per-patch breakdown (reward_scent).
 """
 
 from __future__ import annotations
@@ -543,10 +542,3 @@ def reward_scent(
             for pid, patch_rewards, patch_counts, size in zip(patch_ids, by_patch, counts, sizes)
         },
     )
-
-
-def scent_stats(transitions: Sequence[Transition], smoothing: float) -> ScentStats:
-    """Scent summary of a transition sequence (reward_scent of its rewards and patches)."""
-    index: dict[str, int] = {}
-    patches = [index.setdefault(t.patch_id, len(index)) for t in transitions]
-    return reward_scent([t.reward for t in transitions], patches, tuple(index), smoothing)

@@ -120,9 +120,9 @@ def _actor_loss(
     advantage: float,
     order: int,
 ) -> float:
-    candidates = [qrep.embed_query(toks, params.table, order) for toks in token_lists]
-    forward = actor.actor_forward(params, candidates)
-    probs = actor.policy_probabilities(forward.scores, params.temperature)
+    ids = np.stack([qrep.embed_query(toks, params.table, order).word_ids for toks in token_lists])
+    scores = actor.score_rows(params.global_rep, params.table.amplitudes[ids]).scores
+    probs = actor.policy_probabilities(scores, params.temperature)
     return -advantage * float(np.log(probs[chosen]))
 
 

@@ -489,7 +489,11 @@ def _parse_block(lines: list[str], start: int, name: str, rows: int, cols: int) 
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Parse a checkpoint file; malformed structure raises ParseError with a line number."""
+    """Parse a checkpoint file; malformed structure raises ParseError with a line number.
+
+    Block shapes are nonnegative and each parameter block appears once; rng.*
+    blocks, which earlier versions wrote, are skipped.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
@@ -520,8 +524,12 @@ def load_checkpoint(path: str) -> Checkpoint:
             rows, cols = int(parts[1]), int(parts[2])
         except ValueError:
             raise ParseError(f"non-integer block shape in {line!r}", line=i + 1) from None
+        if rows < 0 or cols < 0:
+            raise ParseError(f"negative block shape in {line!r}", line=i + 1)
         if name not in _PARAM_BLOCKS and not name.startswith("rng."):
             raise ParseError(f"unknown block {name!r}", line=i + 1)
+        if name in blocks:
+            raise ParseError(f"block {name!r} appears twice", line=i + 1)
         data = _parse_block(lines, i + 1, name, rows, cols)
         # rng.* blocks hold stream states earlier versions wrote; nothing reads them.
         if not name.startswith("rng."):

@@ -322,23 +322,39 @@ class TestCriterion8RewardMapping:
         start = time.perf_counter()
         spec = env.CorpusSpec(docs=20, patches=2, candidates_per_doc=3)
         corpus = env.gen_corpus(spec, np.random.default_rng(1008))
+        compiled = corpus.compiled
         checked = 0
-        for doc in corpus.documents:
-            observation = env.Observation(
-                doc_id=doc.doc_id,
-                patch_id=doc.patch_id,
-                keywords=doc.keywords,
-                candidates=doc.candidates,
-            )
+        for j, doc in enumerate(corpus.documents):
             for index, candidate in enumerate(doc.candidates):
-                reward, transition = env.step(observation, index)
+                reward = int(compiled.labels[compiled.offsets[j] + index])
                 assert reward == candidate.label
                 assert reward in (-1, 0, 1)
-                assert transition.reward == reward
                 checked += 1
+        # One training step per document, on the rows the environment draws:
+        # one session pass serves every document once.
+        config = trainer.TrainConfig(seed=1008)
+        params, critic_table = trainer.init_params(corpus, config)
+        query_ids = trainer.query_row_ids(compiled, config.query_order)
+        environment = env.Environment(corpus, np.random.default_rng(1008), mode="session")
+        rng = np.random.default_rng(1008)
+        stepped = set()
+        for _ in corpus.documents:
+            j, rows = environment.draw()
+            metrics = trainer.train_step(
+                params, critic_table, compiled, query_ids, rows, config, rng
+            )
+            position = rows[metrics.chosen_index] - compiled.offsets[j]
+            assert metrics.reward == corpus.documents[j].candidates[position].label
+            stepped.add(j)
+        assert stepped == set(range(len(corpus.documents)))
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
-        report(8, "reward mapping", f"{checked} (document, candidate) pairs matched")
+        report(
+            8,
+            "reward mapping",
+            f"{checked} (document, candidate) pairs matched, "
+            f"{len(stepped)} training steps paid the chosen label",
+        )
 
 
 class TestCriterion9Determinism:
@@ -369,29 +385,22 @@ class TestCriterion9Determinism:
 
 class TestCriterion10ScentStatistics:
     @staticmethod
-    def trace(rewards, patch="p0"):
-        return [
-            env.Transition(
-                doc_id=f"d{i}",
-                patch_id=patch,
-                candidates=(),
-                chosen_index=0,
-                reward=r,
-            )
-            for i, r in enumerate(rewards)
-        ]
+    def scent(rewards, smoothing):
+        """Scent of a trace of rewards from one patch."""
+        patches = np.zeros(len(rewards), dtype=np.int64)
+        return env.reward_scent(np.array(rewards), patches, ("p0",), smoothing)
 
     def test_closed_form_traces_match_exactly(self):
         start = time.perf_counter()
-        stats = env.scent_stats(self.trace([1, 1, 0]), smoothing=0.1)
+        stats = self.scent([1, 1, 0], smoothing=0.1)
         np.testing.assert_array_equal(stats.frequencies, [0.0, 1.0 / 3.0, 2.0 / 3.0])
         expected = 0.0
         for r in (1, 1, 0):
             expected = 0.1 * r + 0.9 * expected
         assert stats.scalar == expected
 
-        assert env.scent_stats(self.trace([-1, -1, -1]), smoothing=1.0).scalar == -1.0
-        assert env.scent_stats(self.trace([1, -1]), smoothing=0.5).scalar == -0.25
+        assert self.scent([-1, -1, -1], smoothing=1.0).scalar == -1.0
+        assert self.scent([1, -1], smoothing=0.5).scalar == -0.25
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         report(10, "scent statistics", "closed-form traces match exactly")

@@ -340,11 +340,11 @@ class TestActorGradients:
         params = make_params(rng)
         token_lists = [["w0", "w1"], ["w2", "w3"]]
         candidates = make_candidates(params.table, 2, token_lists)
-        before = actor_forward(params, candidates).scores
+        before = score_rows(params.global_rep, rows_of(candidates)).scores
         grads = actor_gradients(params, ids_of(candidates), chosen=0, advantage=1.0)
         params.table.amplitudes -= 0.05 * grads.table
         params.global_rep.weights -= 0.05 * grads.weights
         params.global_rep.factors -= 0.05 * grads.factors
         refreshed = make_candidates(params.table, 2, token_lists)
-        after = actor_forward(params, refreshed).scores
+        after = score_rows(params.global_rep, rows_of(refreshed)).scores
         assert after[0] - after[1] > before[0] - before[1]

@@ -244,6 +244,21 @@ class TestEval:
         assert code == 1
         assert "error:" in err
 
+    def test_negative_block_shape_is_runtime_error(self, corpus_dir, trained_dir, tmp_path, capsys):
+        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
+        header = next(i for i, l in enumerate(lines) if l.startswith("[global.weights"))
+        lines[header] = "[global.weights -1 1]"
+        bad = tmp_path / "negative.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = [
+            "eval",
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--checkpoint", str(bad),
+        ]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert f"error: line {header + 1}: negative block shape" in err
+
     def test_non_finite_actor_rows_are_runtime_error(
         self, corpus_dir, trained_dir, tmp_path, capsys
     ):

@@ -4,6 +4,7 @@ from math import ceil
 
 import numpy as np
 import pytest
+from scent_reference import reference_scent
 
 from qforage.env import (
     Candidate,
@@ -20,7 +21,6 @@ from qforage.env import (
     parse_corpus_lines,
     reward_scent,
     save_corpus,
-    scent_stats,
     step,
     top_keywords,
 )
@@ -382,43 +382,27 @@ class TestStep:
             )
 
 
-def make_transitions(rewards, patch_id="p0"):
-    return [
-        Transition(
-            doc_id=f"d{i}",
-            patch_id=patch_id,
-            candidates=(),
-            chosen_index=0,
-            reward=r,
-        )
-        for i, r in enumerate(rewards)
-    ]
+def one_patch_scent(rewards, smoothing):
+    """reward_scent of rewards that all come from one patch."""
+    patches = np.zeros(len(rewards), dtype=np.int64)
+    return reward_scent(np.array(rewards), patches, ("p0",), smoothing)
 
 
 class TestScentStats:
     def test_counting_distribution(self):
-        stats = scent_stats(make_transitions([1, 1, 0]), smoothing=0.1)
+        stats = one_patch_scent([1, 1, 0], smoothing=0.1)
         np.testing.assert_array_equal(stats.frequencies, [0.0, 1.0 / 3.0, 2.0 / 3.0])
 
     def test_full_smoothing_tracks_last_reward(self):
-        stats = scent_stats(make_transitions([-1, -1, -1]), smoothing=1.0)
+        stats = one_patch_scent([-1, -1, -1], smoothing=1.0)
         assert stats.scalar == -1.0
 
     def test_two_step_smoothing_arithmetic(self):
-        stats = scent_stats(make_transitions([1, -1]), smoothing=0.5)
+        stats = one_patch_scent([1, -1], smoothing=0.5)
         assert stats.scalar == -0.25
 
-    def test_empty_trace_gives_zeros(self):
-        stats = scent_stats([], smoothing=0.5)
-        assert stats.scalar == 0.0
-        np.testing.assert_array_equal(stats.frequencies, 0.0)
-        assert stats.per_patch == {}
-
     def test_per_patch_breakdown(self):
-        transitions = make_transitions([1, 1], patch_id="a") + make_transitions(
-            [-1], patch_id="b"
-        )
-        stats = scent_stats(transitions, smoothing=1.0)
+        stats = reward_scent(np.array([1, 1, -1]), np.array([0, 0, 1]), ("a", "b"), 1.0)
         assert set(stats.per_patch) == {"a", "b"}
         assert stats.per_patch["a"].count == 2
         assert stats.per_patch["a"].scalar == 1.0
@@ -428,32 +412,14 @@ class TestScentStats:
     def test_frequencies_sum_to_one(self):
         rng = np.random.default_rng(47)
         rewards = [int(rng.choice([-1, 0, 1])) for _ in range(50)]
-        stats = scent_stats(make_transitions(rewards), smoothing=0.3)
+        stats = one_patch_scent(rewards, smoothing=0.3)
         assert abs(stats.frequencies.sum() - 1.0) <= 1e-12
 
     def test_invalid_smoothing_rejected(self):
         with pytest.raises(ValueError):
-            scent_stats([], smoothing=0.0)
+            one_patch_scent([], smoothing=0.0)
         with pytest.raises(ValueError):
-            scent_stats([], smoothing=1.5)
-
-
-def reference_scent(rewards, patch_ids, smoothing):
-    """(scalar, frequencies, count) overall and per patch, one reward at a time."""
-
-    def summary(rs):
-        s, freq = 0.0, np.zeros(3)
-        for r in rs:
-            s = smoothing * r + (1.0 - smoothing) * s
-            freq[r + 1] += 1
-        if rs:
-            freq /= len(rs)
-        return s, freq, len(rs)
-
-    by_patch = {}
-    for r, pid in zip(rewards, patch_ids):
-        by_patch.setdefault(pid, []).append(r)
-    return summary(rewards), {pid: summary(rs) for pid, rs in by_patch.items()}
+            one_patch_scent([], smoothing=1.5)
 
 
 class TestRewardScent:
@@ -496,13 +462,3 @@ class TestRewardScent:
                 freq.tobytes(),
                 count,
             )
-
-    def test_transition_adapter_groups_by_first_appearance(self):
-        transitions = (
-            make_transitions([1], patch_id="b")
-            + make_transitions([0, -1], patch_id="a")
-            + make_transitions([-1], patch_id="b")
-        )
-        stats = scent_stats(transitions, smoothing=0.5)
-        assert list(stats.per_patch) == ["b", "a"]
-        assert (stats.per_patch["b"].scalar, stats.per_patch["b"].count) == (-0.25, 2)

@@ -13,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scent_reference import reference_scent
 
 from qforage import actor, critic, env, qcore, qrep, trainer
 from qforage.errors import (
@@ -285,19 +286,17 @@ class TestTrainStep:
         assert np.all(np.isfinite(critic_table.salience))
 
 
-def string_path_step(params, critic_table, observation, config, rng):
+def string_path_step(params, critic_table, keywords, drawn, config, rng):
     """A training step from token strings: embed_query rows and word_id lookups.
 
-    It takes train_step's arithmetic in train_step's order, so parameters
-    must come out bit for bit the same.
+    `drawn` are the document's candidates in the drawn order. It takes
+    train_step's arithmetic in train_step's order, so parameters must come
+    out bit for bit the same.
     """
-    candidates = [
-        qrep.embed_query(c.tokens, params.table, config.query_order)
-        for c in observation.candidates
-    ]
+    candidates = [qrep.embed_query(c.tokens, params.table, config.query_order) for c in drawn]
     out = actor.act(params, np.stack([q.rows for q in candidates]), rng)
-    chosen = observation.candidates[out.index]
-    tokens = list(observation.keywords) + list(chosen.tokens)
+    chosen = drawn[out.index]
+    tokens = list(keywords) + list(chosen.tokens)
     ids = np.asarray([critic_table.word_id(t) for t in tokens], dtype=np.int64)
     _, cgrads = critic.critic_loss_and_gradients(
         ids, critic.class_of_reward(chosen.label), critic_table
@@ -335,19 +334,23 @@ class TestCompiledStep:
         ref_params, ref_critic = copy.deepcopy(params), copy.deepcopy(critic_table)
         compiled = corpus.compiled
         query_ids = trainer.query_row_ids(compiled, config.query_order)
-        # Same seeds: the compiled side draws, the reference side resets.
-        drawing = env.Environment(corpus, np.random.default_rng(90), mode=mode)
-        resetting = env.Environment(corpus, np.random.default_rng(90), mode=mode)
+        # One draw feeds both sides: compiled rows here, the Documents' candidates there.
+        environment = env.Environment(corpus, np.random.default_rng(90), mode=mode)
         rng, ref_rng = np.random.default_rng(91), np.random.default_rng(91)
         rewards = set()
         for _ in range(50):
-            _, rows = drawing.draw()
+            j, rows = environment.draw()
             metrics = trainer.train_step(
                 params, critic_table, compiled, query_ids, rows, config, rng
             )
-            observation = resetting.reset()
-            assert drawing.last_of_patch == resetting.last_of_patch
-            index, reward = string_path_step(ref_params, ref_critic, observation, config, ref_rng)
+            index, reward = string_path_step(
+                ref_params,
+                ref_critic,
+                corpus.documents[j].keywords,
+                drawn_candidates(corpus, j, rows),
+                config,
+                ref_rng,
+            )
             assert (metrics.chosen_index, metrics.reward) == (index, reward)
             assert actor_state_bytes(params) == actor_state_bytes(ref_params)
             assert critic_state_bytes(critic_table) == critic_state_bytes(ref_critic)
@@ -412,7 +415,7 @@ class TestTrainingPathTouchesNoStrings:
 
 def dense_reference_table_gradient(params, candidates, chosen, advantage):
     """The (V, k) amplitude gradient accumulated straight into a full table with np.add.at."""
-    forward = actor.actor_forward(params, candidates)
+    forward = actor.score_rows(params.global_rep, np.stack([q.rows for q in candidates]))
     probs = actor.policy_probabilities(forward.scores, params.temperature)
     one_hot = np.zeros_like(probs)
     one_hot[chosen] = 1.0
@@ -529,7 +532,7 @@ class TestEvaluate:
                 qrep.embed_query(c.tokens, params.table, config.query_order)
                 for c in doc.candidates
             ]
-            scores = actor.actor_forward(params, states).scores
+            scores = actor.score_rows(params.global_rep, np.stack([q.rows for q in states])).scores
             index = int(np.argmax(scores))
             rewards.append(doc.candidates[index].label)
             hits += int(doc.candidates[index].label == 1)
@@ -611,32 +614,38 @@ def interleaved_corpus():
     return env.parse_corpus_lines(lines, keyword_count=3)
 
 
-def assert_same_scent(got, want):
-    assert got.scalar == want.scalar
-    assert got.frequencies.tobytes() == want.frequencies.tobytes()
-    assert list(got.per_patch) == list(want.per_patch)
-    for patch_id, patch in want.per_patch.items():
-        assert (got.per_patch[patch_id].scalar, got.per_patch[patch_id].count) == (
-            patch.scalar,
-            patch.count,
-        )
-        assert got.per_patch[patch_id].frequencies.tobytes() == patch.frequencies.tobytes()
+def assert_scent_equals_reference(got, rewards, patch_ids, smoothing):
+    """Every scent field bit for bit against the per-reward reference_scent."""
+    (scalar, frequencies, _), per_patch = reference_scent(rewards, patch_ids, smoothing)
+    assert got.scalar == scalar
+    assert got.frequencies.tobytes() == frequencies.tobytes()
+    assert list(got.per_patch) == list(per_patch)
+    for patch_id, (scalar, frequencies, count) in per_patch.items():
+        patch = got.per_patch[patch_id]
+        assert (patch.scalar, patch.count) == (scalar, count)
+        assert patch.frequencies.tobytes() == frequencies.tobytes()
 
 
 def per_document_recount(params, critic_table, corpus):
-    """evaluate's metrics from one document and one pair at a time."""
+    """evaluate's metrics from one document and one pair at a time.
+
+    Returns each document's greedy reward and patch id, its choice record,
+    and every pair's class probabilities with the class of its label.
+    """
     order = params.global_rep.order
-    transitions, choices, probabilities = [], [], []
+    rewards, patch_ids, choices, probabilities = [], [], [], []
     for doc in corpus.documents:
         states = [qrep.embed_query(c.tokens, params.table, order) for c in doc.candidates]
-        index = int(np.argmax(actor.actor_forward(params, states).scores))
+        scores = actor.score_rows(params.global_rep, np.stack([q.rows for q in states])).scores
+        index = int(np.argmax(scores))
         reward = doc.candidates[index].label
-        transitions.append(env.Transition(doc.doc_id, doc.patch_id, doc.candidates, index, reward))
+        rewards.append(reward)
+        patch_ids.append(doc.patch_id)
         choices.append((doc.doc_id, doc.candidates[index].tokens, reward))
         for cand in doc.candidates:
             p = critic.class_probabilities(list(doc.keywords) + list(cand.tokens), critic_table)
             probabilities.append((p, critic.class_of_reward(cand.label)))
-    return transitions, choices, probabilities
+    return rewards, patch_ids, choices, probabilities
 
 
 class TestBatchedEvaluate:
@@ -659,24 +668,25 @@ class TestBatchedEvaluate:
         corpus = hand_corpus()
         params, critic_table = self.trained(corpus, seed)
         ev = trainer.evaluate(params, critic_table, corpus, scent_smoothing=0.3)
-        transitions, choices, probabilities = per_document_recount(params, critic_table, corpus)
-        rewards = [t.reward for t in transitions]
+        rewards, patch_ids, choices, probabilities = per_document_recount(
+            params, critic_table, corpus
+        )
         assert ev.choices == choices
         assert ev.greedy_accuracy == rewards.count(1) / len(rewards)
         assert ev.mean_reward == float(np.mean(rewards))
         hits = sum(int(np.argmax(p)) == label for p, label in probabilities)
         assert ev.critic_accuracy == hits / len(probabilities)
-        assert_same_scent(ev.scent, env.scent_stats(transitions, 0.3))
+        assert_scent_equals_reference(ev.scent, rewards, patch_ids, 0.3)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_interleaved_patches_keep_first_appearance_order(self, seed):
         corpus = interleaved_corpus()
         params, critic_table = self.trained(corpus, seed)
         ev = trainer.evaluate(params, critic_table, corpus, scent_smoothing=0.3)
-        transitions, _, _ = per_document_recount(params, critic_table, corpus)
+        rewards, patch_ids, _, _ = per_document_recount(params, critic_table, corpus)
         assert list(ev.scent.per_patch) == ["pb", "pa"]
         assert [ev.scent.per_patch[p].count for p in ("pb", "pa")] == [2, 2]
-        assert_same_scent(ev.scent, env.scent_stats(transitions, 0.3))
+        assert_scent_equals_reference(ev.scent, rewards, patch_ids, 0.3)
 
     def test_builds_no_transition(self, monkeypatch):
         corpus = interleaved_corpus()
@@ -704,7 +714,7 @@ class TestBatchedEvaluate:
         batch = critic.batch_class_probabilities(
             compiled.pair_tokens + critic.WORD_ROW_OFFSET, compiled.pair_lengths, critic_table
         )
-        _, _, probabilities = per_document_recount(params, critic_table, corpus)
+        *_, probabilities = per_document_recount(params, critic_table, corpus)
         assert len(probabilities) == len(batch)
         for row, (p, _) in zip(batch, probabilities):
             assert row.tobytes() == p.tobytes()
@@ -917,6 +927,33 @@ class TestCheckpointFormat:
         with pytest.raises(ParseError) as excinfo:
             trainer.load_checkpoint(str(path))
         assert "mystery.block" in str(excinfo.value)
+
+    @pytest.mark.parametrize("shape", ["-1 1", "1 -1", "-1 -1"])
+    def test_negative_block_shape_reports_the_header_line(self, tmp_path, shape):
+        _, _, _, _, _, path = self.make(tmp_path)
+        lines = path.read_text().splitlines()
+        header = next(i for i, l in enumerate(lines) if l.startswith("[global.weights"))
+        lines[header] = f"[global.weights {shape}]"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="negative block shape") as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert excinfo.value.line == header + 1
+
+    def test_repeated_block_reports_the_second_header(self, tmp_path):
+        _, _, _, _, checkpoint, path = self.make(tmp_path)
+        # A later copy with two rows swapped: still unit rows, a pinned padding
+        # row and the right shape, so only the repetition gives it away.
+        order = np.arange(len(checkpoint.actor_amplitudes))
+        order[[2, 3]] = order[[3, 2]]
+        swapped = checkpoint.actor_amplitudes[order]
+        rows, cols = swapped.shape
+        header = len(path.read_text().splitlines()) + 1
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"[actor.amplitudes {rows} {cols}]\n")
+            fh.write("".join(" ".join(map(trainer.format_float, row)) + "\n" for row in swapped))
+        with pytest.raises(ParseError, match="twice") as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert excinfo.value.line == header
 
     def test_missing_blocks_rejected(self, tmp_path):
         path = tmp_path / "thin.txt"
