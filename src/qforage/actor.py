@@ -106,7 +106,7 @@ def score_rows(g: qrep.GlobalRepresentation, rows: np.ndarray) -> ActorForward:
             f"candidate rows have shape {rows.shape}"
         )
     dots = np.einsum("rik,cik->cri", g.factors, rows)
-    pooled = np.prod(dots, axis=2)
+    pooled = dots.prod(axis=2)
     scores = np.fromiter(map(g.weights.dot, pooled), dtype=np.float64, count=pooled.shape[0])
     return ActorForward(scores=scores, pooled=pooled, dots=dots, rows=rows)
 
@@ -122,7 +122,7 @@ def actor_forward(params: ActorParams, candidates: Sequence[qrep.QueryState]) ->
 
 
 def _check_finite(scores: np.ndarray) -> None:
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise NonFiniteScore(f"scores contain non-finite values: {scores!r}")
 
 
@@ -158,9 +158,9 @@ def _sample(
     """
     z, e, total = _softmax(scores, temperature)
     probabilities = e / total
-    cdf = np.cumsum(probabilities)
+    cdf = probabilities.cumsum()
     u = rng.random() * cdf[-1]
-    index = min(int(np.searchsorted(cdf, u, side="right")), probabilities.shape[0] - 1)
+    index = min(int(cdf.searchsorted(u, side="right")), probabilities.shape[0] - 1)
     return index, float(z[index] - np.log(total)), probabilities
 
 
@@ -215,15 +215,18 @@ def actor_gradients(
     advantage: float,
     forward: ActorForward | None = None,
     probabilities: np.ndarray | None = None,
+    unique_rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ActorGradients:
     """Gradients of loss = -advantage * log pi(chosen) for all actor parameters.
 
     `ids` (C, n) are the candidates' amplitude table rows, as
     QueryState.word_ids lists them. `forward` is the pass the choice was
-    sampled from (act's output) and `probabilities` its softmax; without them
-    they are recomputed from the table, with the same arithmetic. The padding
-    row's gradient is computed like any other row; the trainer is the one
-    that refuses to move it. Zero advantage short-circuits to exact zeros.
+    sampled from (act's output) and `probabilities` its softmax;
+    `unique_rows` is (sorted unique rows of ids, each id's index among
+    them), as qrep.segment_unique gives them for ids.ravel(). Without them
+    they are recomputed, with the same arithmetic. The padding row's
+    gradient is computed like any other row; the trainer is the one that
+    refuses to move it. Zero advantage short-circuits to exact zeros.
     """
     g = params.global_rep
     if ids.ndim != 2 or ids.shape[1] != g.order:
@@ -236,40 +239,46 @@ def actor_gradients(
         raise IndexOutOfRange(f"chosen index {chosen} outside 0..{ids.shape[0] - 1}")
     # Repeated words share one row: `position_row` maps each (candidate,
     # position) to its row.
-    table_ids, position_row = np.unique(ids.ravel(), return_inverse=True)
-    grads = ActorGradients(
-        ids=table_ids,
-        rows=np.zeros((table_ids.shape[0], params.table.basis_dim)),
-        weights=np.zeros(g.rank),
-        factors=np.zeros_like(g.factors),
-        num_rows=params.table.num_rows,
-    )
+    if unique_rows is None:
+        table_ids, _, position_row = qrep.segment_unique(ids.ravel())
+    else:
+        table_ids, position_row = unique_rows
+    k = params.table.basis_dim
+    table_rows = np.zeros((table_ids.shape[0], k))
     if advantage == 0.0:
-        return grads
+        return ActorGradients(
+            ids=table_ids,
+            rows=table_rows,
+            weights=np.zeros(g.rank),
+            factors=np.zeros_like(g.factors),
+            num_rows=params.table.num_rows,
+        )
 
     if forward is None:
         forward = score_rows(g, params.table.amplitudes[ids])
     if probabilities is None:
         probabilities = policy_probabilities(forward.scores, params.temperature)
-    rows = forward.rows                                     # (C, n, k)
     dots = forward.dots                                     # (C, R, n)
 
-    one_hot = np.zeros_like(probabilities)
+    one_hot = np.zeros(probabilities.shape)
     one_hot[chosen] = 1.0
     # d loss / d score_c; the 1/temperature comes from the softmax logits.
     g_scores = -advantage * (one_hot - probabilities) / params.temperature
 
     # Leave-one-out products along the position axis: the product of the
     # positions before i times the product of those after it.
-    prefix = np.ones_like(dots)
-    suffix = np.ones_like(dots)
-    prefix[..., 1:] = np.cumprod(dots[..., :-1], axis=-1)
-    suffix[..., -2::-1] = np.cumprod(dots[..., :0:-1], axis=-1)
-    loo = prefix * suffix                                   # (C, R, n)
+    prefix = np.ones(dots.shape)
+    suffix = np.ones(dots.shape)
+    np.cumprod(dots[..., :-1], axis=-1, out=prefix[..., 1:])
+    np.cumprod(dots[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
+    w_loo = g.weights[None, :, None] * (prefix * suffix)    # (C, R, n)
 
-    grads.weights[:] = g_scores @ forward.pooled
-    w_loo = g.weights[None, :, None] * loo                  # (C, R, n)
-    grads.factors[:] = np.einsum("c,crn,cnk->rnk", g_scores, w_loo, rows)
     per_row = np.einsum("c,crn,rnk->cnk", g_scores, w_loo, g.factors)
-    np.add.at(grads.rows, position_row, per_row.reshape(-1, grads.rows.shape[1]))
-    return grads
+    np.add.at(table_rows, position_row, per_row.reshape(-1, k))
+    return ActorGradients(
+        ids=table_ids,
+        rows=table_rows,
+        weights=g_scores @ forward.pooled,
+        factors=np.einsum("c,crn,cnk->rnk", g_scores, w_loo, forward.rows),
+        num_rows=params.table.num_rows,
+    )

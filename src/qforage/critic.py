@@ -124,15 +124,19 @@ class ComplexEmbeddingTable:
         """Project amplitude rows back onto the nonnegative unit sphere.
 
         Negatives clamp to zero first; a row clamped to all zeros resets to
-        the uniform unit row. The rest is qrep.renormalize_rows, so rows
-        already unit within its dead band are left bit-identical. `ids`
-        limits the work to the rows an update touched.
+        the uniform unit row. The rest is qrep.scale_to_unit, so rows
+        already unit within its dead band are left bit-identical. The
+        squared norms are taken once unless a row was reset. `ids` limits
+        the work to the rows an update touched.
         """
         rows = self.amplitudes if ids is None else self.amplitudes[ids]
         np.maximum(rows, 0.0, out=rows)
         sq = np.einsum("ij,ij->i", rows, rows)
-        rows[sq <= 1e-300] = 1.0 / np.sqrt(self.embed_dim)
-        qrep.renormalize_rows(rows)
+        dead = sq <= 1e-300
+        if dead.any():
+            rows[dead] = 1.0 / np.sqrt(self.embed_dim)
+            sq = np.einsum("ij,ij->i", rows, rows)
+        qrep.scale_to_unit(rows, sq)
         if ids is not None:
             self.amplitudes[ids] = rows
 
@@ -283,6 +287,7 @@ def critic_loss_and_gradients(
     ids: np.ndarray,
     label: int,
     table: ComplexEmbeddingTable,
+    unique_rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, CriticGradients]:
     """Cross-entropy against the labeled class, with gradients for the judged word rows.
 
@@ -291,7 +296,9 @@ def critic_loss_and_gradients(
     the loss is constant, so gradients are zero there). Gradients are reverse
     mode through the salience softmax and the squared-amplitude block masses;
     phases do not enter the diagonal, so their gradient is identically zero.
-    Each word's occurrences add into its row in token order.
+    Each word's occurrences add into its row in token order. `unique_rows`
+    is (sorted unique rows of ids, each token's index among them), as
+    qrep.segment_unique gives them; without it it is computed here.
     """
     if label not in (0, 1, 2):
         raise InvalidLabel(f"label {label!r} is not a class index in (0, 1, 2)")
@@ -304,7 +311,10 @@ def critic_loss_and_gradients(
     loss = -float(np.log(max(p_label, PROB_FLOOR)))
 
     # Repeated words share one row: `occurrence` maps each token to its row.
-    rows, occurrence = np.unique(ids, return_inverse=True)
+    if unique_rows is None:
+        rows, _, occurrence = qrep.segment_unique(ids)
+    else:
+        rows, occurrence = unique_rows
     d = table.embed_dim
     if p_label <= PROB_FLOOR:
         return loss, CriticGradients(
@@ -327,7 +337,7 @@ def critic_loss_and_gradients(
 
     # Amplitude path: m_c picks up 2 * beta_t * a_{w,j} for j in block c.
     word_coeff = np.bincount(occurrence, weights=beta, minlength=rows.shape[0])
-    block_scale = np.repeat(2.0 * d_masses, d // 3)
+    block_scale = (2.0 * d_masses).repeat(d // 3)
     return loss, CriticGradients(
         ids=rows,
         amplitude_rows=block_scale[None, :] * word_coeff[:, None] * table.amplitudes[rows],

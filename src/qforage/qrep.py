@@ -53,19 +53,62 @@ DEFAULT_RANK = 10
 _RENORM_DEADBAND = 1e-13
 
 
+def scale_to_unit(block: np.ndarray, sq: np.ndarray) -> None:
+    """Divide each row of a 2-D array by the root of its squared norm `sq`, in place.
+
+    Rows inside the dead band and rows whose squared norm is NaN are divided
+    by 1.0, which is exact, so their bits stay as they are.
+    """
+    block /= np.where(np.abs(sq - 1.0) > _RENORM_DEADBAND, np.sqrt(sq), 1.0)[:, None]
+
+
 def renormalize_rows(rows: np.ndarray, ids: np.ndarray | None = None) -> None:
     """Scale rows of a 2-D array to unit norm, in place, with a dead band.
 
     With `ids` (unique row indices) only those rows are read and written;
     without, every row is. Rows inside the dead band and rows whose squared
-    norm is NaN are left as they are.
+    norm is NaN are left as they are (scale_to_unit).
     """
     block = rows if ids is None else rows[ids]
-    sq = np.einsum("ij,ij->i", block, block)
-    off = np.abs(sq - 1.0) > _RENORM_DEADBAND
-    block[off] /= np.sqrt(sq[off])[:, None]
+    scale_to_unit(block, np.einsum("ij,ij->i", block, block))
     if ids is not None:
         rows[ids] = block
+
+
+def segment_unique(
+    values: np.ndarray, counts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each segment's sorted distinct values, and where each value sits among them.
+
+    `values` (M,) are nonnegative integers cut into consecutive segments of
+    `counts` values each; without `counts` they are one segment. Returns
+    (unique, unique_counts, inverse): `unique` holds every segment's sorted
+    distinct values back to back, unique_counts[s] of them for segment s,
+    and inverse[m] is the index of values[m] among its own segment's. For
+    one segment this is what np.unique(values, return_inverse=True) gives.
+    Every segment takes part in one sort, on the key
+    segment * width + value, so many short segments cost one pass.
+    """
+    # Segment s's keys lie in [s * width, (s + 1) * width), so one sort
+    # orders every segment and keeps each at its own positions.
+    width = int(values.max(initial=0)) + 1
+    key = values if counts is None else np.repeat(np.arange(len(counts)) * width, counts) + values
+    order = np.argsort(key)
+    key = key[order]
+    first = np.empty(key.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    key = key[first]
+    unique, segment = key % width, key // width
+    unique_counts = np.bincount(segment, minlength=1 if counts is None else len(counts))
+    # Index among all segments' distinct values, less those of earlier segments.
+    index = np.cumsum(first)
+    index -= 1
+    if counts is not None:
+        index -= np.repeat(np.cumsum(unique_counts) - unique_counts, counts)
+    inverse = np.empty(index.shape[0], dtype=np.intp)
+    inverse[order] = index
+    return unique, unique_counts, inverse
 
 
 @dataclass(eq=False)

@@ -33,6 +33,16 @@ and the critic's rows off the compiled arrays: no token strings, no
 Observation and no Transition on the training path. Its parameters keep the
 bits of a step from token strings through qrep.embed_query.
 
+What only the corpus and the query order decide is compiled once per train
+call into a StepPlan (compile_step_plan): each document's sorted unique
+actor rows with each candidate's positions into them, and each pair's
+critic rows with each token's index among its sorted unique rows. One
+qrep.segment_unique sort builds each side for every document or pair at
+once. A step draws a permutation of a document's candidates, so the
+positions of the drawn rows, read in drawn order, are what np.unique gives
+for the gathered ids, and the gradients add into the merged rows in the
+same order, with the same bits; a step only slices the plan.
+
 Evaluation is one batched pass, not a loop over documents: every candidate is
 scored at once by actor.score_rows, the scorer a training step uses, and
 every (document, candidate) pair is judged at once from per-word block
@@ -76,6 +86,9 @@ from .errors import (
 from .seeding import stream_rng
 
 CHECKPOINT_HEADER = "qforage-checkpoint v1"
+
+#: critic.CLASS_REWARDS as floats, for the expected reward of class probabilities.
+_CLASS_REWARDS = np.array(critic.CLASS_REWARDS, dtype=np.float64)
 
 
 def format_float(x: float) -> str:
@@ -239,6 +252,78 @@ def query_row_ids(compiled: env.CompiledCorpus, order: int) -> np.ndarray:
     return np.where(in_query, tokens + qrep.WORD_ROW_OFFSET, qrep.NULL_ID)
 
 
+@dataclass(frozen=True, eq=False)
+class StepPlan:
+    """Where a step's repeated rows merge, fixed by the corpus and the query order.
+
+    Flat arrays cut by bounds arrays, built once per train call
+    (compile_step_plan). Document j's sorted unique actor table rows are
+    actor_rows[actor_bounds[j]:actor_bounds[j + 1]], and actor_positions[i]
+    are candidate i's (order,) indices into them. Compiled pair i's tokens
+    have their indices into the pair's sorted unique critic rows at
+    occurrence[pair_bounds[i]:pair_bounds[i + 1]], and those rows are
+    critic_rows[critic_bounds[i]:critic_bounds[i + 1]].
+    """
+
+    document: np.ndarray          # (N,) document of each compiled row
+    actor_rows: np.ndarray
+    actor_bounds: np.ndarray      # (D + 1,)
+    actor_positions: np.ndarray   # (N, order)
+    occurrence: np.ndarray
+    pair_bounds: np.ndarray       # (N + 1,)
+    critic_rows: np.ndarray
+    critic_bounds: np.ndarray     # (N + 1,)
+
+    def actor_unique(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """actor.actor_gradients' unique_rows for query_ids[rows].
+
+        `rows` hold every candidate of one document, in any order.
+        """
+        j = self.document[rows[0]]
+        return (
+            self.actor_rows[self.actor_bounds[j] : self.actor_bounds[j + 1]],
+            self.actor_positions[rows].ravel(),
+        )
+
+    def critic_unique(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """critic.critic_loss_and_gradients' unique_rows for compiled pair `row`."""
+        return (
+            self.critic_rows[self.critic_bounds[row] : self.critic_bounds[row + 1]],
+            self.occurrence[self.pair_bounds[row] : self.pair_bounds[row + 1]],
+        )
+
+
+def _bounds(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def compile_step_plan(compiled: env.CompiledCorpus, query_ids: np.ndarray) -> StepPlan:
+    """The StepPlan of a compiled corpus and its query_row_ids.
+
+    One qrep.segment_unique call takes every document and one every pair,
+    so the indices are what np.unique gives each of them alone.
+    """
+    num_rows, order = query_ids.shape
+    candidates = np.diff(compiled.offsets, append=num_rows)
+    actor_rows, actor_counts, positions = qrep.segment_unique(
+        query_ids.ravel(), candidates * order
+    )
+    in_pair = np.arange(compiled.pair_tokens.shape[1]) < compiled.pair_lengths[:, None]
+    critic_rows, critic_counts, occurrence = qrep.segment_unique(
+        compiled.pair_tokens[in_pair] + critic.WORD_ROW_OFFSET, compiled.pair_lengths
+    )
+    return StepPlan(
+        document=np.repeat(np.arange(len(candidates)), candidates),
+        actor_rows=actor_rows,
+        actor_bounds=_bounds(actor_counts),
+        actor_positions=positions.reshape(num_rows, order),
+        occurrence=occurrence,
+        pair_bounds=_bounds(compiled.pair_lengths),
+        critic_rows=critic_rows,
+        critic_bounds=_bounds(critic_counts),
+    )
+
+
 def train_step(
     params: actor.ActorParams,
     critic_table: critic.ComplexEmbeddingTable,
@@ -247,6 +332,7 @@ def train_step(
     rows: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
+    plan: StepPlan | None = None,
 ) -> StepMetrics:
     """Sample, collect the reward, judge, then update the critic and the actor.
 
@@ -254,22 +340,28 @@ def train_step(
     environment drew them (env.Environment.draw), and `query_ids` is
     query_row_ids of the compiled corpus. The candidates' amplitude rows are
     gathered once, and the reward and the critic's rows are read off the
-    compiled arrays. The critic's expected reward q is read from its block
-    masses before this step's critic update. The actor steps on the one-step
-    advantage reward - q, with gradients taken through the forward pass the
-    action was sampled from. A zero advantage leaves actor parameters
-    bit-identical; a zero learning rate does the same for that side.
+    compiled arrays. `plan` is compile_step_plan of the two; with it the
+    rows a gradient merges are sliced from it, without it they are sorted
+    out here, to the same bits. The critic's expected reward q is read from
+    its block masses before this step's critic update. The actor steps on
+    the one-step advantage reward - q, with gradients taken through the
+    forward pass the action was sampled from. A zero advantage leaves actor
+    parameters bit-identical; a zero learning rate does the same for that
+    side.
     """
     ids = query_ids[rows]
     out = actor.act(params, params.table.amplitudes[ids], rng)
-    row = rows[out.index]
+    row = int(rows[out.index])
     reward = int(compiled.labels[row])
 
     pair = compiled.pair_tokens[row, : compiled.pair_lengths[row]] + critic.WORD_ROW_OFFSET
     critic_loss, critic_grads = critic.critic_loss_and_gradients(
-        pair, critic.class_of_reward(reward), critic_table
+        pair,
+        critic.class_of_reward(reward),
+        critic_table,
+        None if plan is None else plan.critic_unique(row),
     )
-    q_estimate = float(np.dot(critic.CLASS_REWARDS, critic_grads.probabilities))
+    q_estimate = float(np.dot(_CLASS_REWARDS, critic_grads.probabilities))
     if config.critic_lr != 0.0:
         _apply_critic_update(critic_table, critic_grads, config.critic_lr)
 
@@ -282,6 +374,7 @@ def train_step(
             advantage,
             forward=out.forward,
             probabilities=out.probabilities,
+            unique_rows=None if plan is None else plan.actor_unique(rows),
         )
         _apply_actor_update(params, grads, config.actor_lr)
 
@@ -374,10 +467,11 @@ class Checkpoint:
 
         Vectors are columns; factors (R, order, k) are rows r * order + i.
         """
+        rank, order, basis_dim = self.global_factors.shape
         return {
             "actor.amplitudes": self.actor_amplitudes,
             "global.weights": self.global_weights.reshape(-1, 1),
-            "global.factors": self.global_factors.reshape(-1, self.global_factors.shape[-1]),
+            "global.factors": self.global_factors.reshape(rank * order, basis_dim),
             "critic.amplitudes": self.critic_amplitudes,
             "critic.phases": self.critic_phases,
             "critic.salience": self.critic_salience.reshape(-1, 1),
@@ -564,7 +658,8 @@ def check_invariants(checkpoint: Checkpoint) -> None:
     Every value is finite; actor, factor and critic rows are unit length
     within qcore.UNIT_TOL; the actor padding row is exactly the first basis
     vector; critic amplitudes are nonnegative. Rows are numbered as the
-    checkpoint file lays its blocks out.
+    checkpoint file lays its blocks out. The block shapes must fit first
+    (checkpoint_config checks them).
     """
     blocks = checkpoint.blocks()
     # Whole-array tests first; the offending row is looked up only on failure.
@@ -593,13 +688,51 @@ def check_invariants(checkpoint: Checkpoint) -> None:
         raise CheckpointInvalid(f"block 'critic.amplitudes' row {row} has a negative amplitude")
 
 
+def _check_shapes(checkpoint: Checkpoint, config: TrainConfig) -> None:
+    """Reject blocks whose shapes disagree with the settings the checkpoint echoes.
+
+    rank, query_order, basis_dim and embed_dim fix every block but the
+    number of table rows. The actor table holds at least the padding and
+    unknown rows, and the critic table one row fewer (no padding row).
+    """
+    actor_rows = checkpoint.actor_amplitudes.shape[0]
+    if actor_rows < qrep.WORD_ROW_OFFSET:
+        raise CheckpointInvalid(
+            f"block 'actor.amplitudes' has {actor_rows} rows, fewer than the "
+            f"{qrep.WORD_ROW_OFFSET} padding and unknown rows"
+        )
+    critic_rows = actor_rows - qrep.WORD_ROW_OFFSET + critic.WORD_ROW_OFFSET
+    expected = {
+        "actor.amplitudes": (actor_rows, config.basis_dim),
+        "global.weights": (config.rank, 1),
+        "global.factors": (config.rank * config.query_order, config.basis_dim),
+        "critic.amplitudes": (critic_rows, config.embed_dim),
+        "critic.phases": (critic_rows, config.embed_dim),
+        "critic.salience": (critic_rows, 1),
+    }
+    for name, block in checkpoint.blocks().items():
+        if block.shape != expected[name]:
+            raise CheckpointInvalid(
+                f"block {name!r} has shape {block.shape}, expected {expected[name]} from "
+                f"{actor_rows} actor rows and the echoed rank={config.rank} "
+                f"query_order={config.query_order} basis_dim={config.basis_dim} "
+                f"embed_dim={config.embed_dim}"
+            )
+
+
 def checkpoint_config(checkpoint: Checkpoint) -> TrainConfig:
-    """The settings a checkpoint echoes; an echo train would refuse raises CheckpointInvalid."""
+    """The settings a checkpoint echoes, checked against its block shapes.
+
+    An echo train would refuse, or a block it does not fit, raises
+    CheckpointInvalid. Every block is then safe to index, so this runs
+    before check_invariants.
+    """
     try:
         config = TrainConfig.from_echo(checkpoint.config_echo)
         config.validate()
     except ValueError as exc:
         raise CheckpointInvalid(f"config echo: {exc}") from None
+    _check_shapes(checkpoint, config)
     return config
 
 
@@ -611,8 +744,8 @@ def restore_params(
     Rows are (null, unk) + sorted vocabulary on the actor side, (unk) + sorted
     vocabulary on the critic side; a shape disagreement means the checkpoint
     was trained against a different corpus. Parameters that break a training
-    invariant, or an echoed config that train would refuse, raise
-    CheckpointInvalid.
+    invariant, an echoed config that train would refuse, and blocks whose
+    shapes disagree with it raise CheckpointInvalid.
     """
     config = checkpoint_config(checkpoint)
     if config.keyword_count != corpus.keyword_count:
@@ -625,13 +758,6 @@ def restore_params(
             f"checkpoint has {checkpoint.actor_amplitudes.shape[0]} actor rows, "
             f"corpus vocabulary needs {len(vocab) + 2}"
         )
-    if checkpoint.critic_amplitudes.shape[0] != len(vocab) + 1:
-        raise CheckpointMismatch(
-            f"checkpoint has {checkpoint.critic_amplitudes.shape[0]} critic rows, "
-            f"corpus vocabulary needs {len(vocab) + 1}"
-        )
-    if checkpoint.critic_phases.shape != checkpoint.critic_amplitudes.shape:
-        raise CheckpointMismatch("critic amplitude and phase shapes disagree")
     check_invariants(checkpoint)
     table = qrep.AmplitudeTable(words=vocab, amplitudes=checkpoint.actor_amplitudes.copy())
     global_rep = qrep.GlobalRepresentation(
@@ -707,11 +833,12 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
 
     compiled = corpus.compiled
     query_ids = query_row_ids(compiled, config.query_order)
+    plan = compile_step_plan(compiled, query_ids)
     for episode in range(1, config.episodes + 1):
         while True:
             _, rows = environment.draw()
             step_metrics = train_step(
-                params, critic_table, compiled, query_ids, rows, config, policy_rng
+                params, critic_table, compiled, query_ids, rows, config, policy_rng, plan
             )
             rewards.append(step_metrics.reward)
             if environment.last_of_patch:

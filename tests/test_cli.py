@@ -367,6 +367,74 @@ class TestEval:
         assert code == 1
 
 
+BLOCKS = (
+    "actor.amplitudes",
+    "global.weights",
+    "global.factors",
+    "critic.amplitudes",
+    "critic.phases",
+    "critic.salience",
+)
+
+
+def with_block_shape(lines, name, shape):
+    """The checkpoint's lines with block `name` replaced by one of shape(rows, cols)."""
+    start = next(i for i, l in enumerate(lines) if l.startswith(f"[{name} "))
+    rows, cols = (int(n) for n in lines[start][1:-1].split()[1:])
+    new_rows, new_cols = shape(rows, cols)
+    block = [f"[{name} {new_rows} {new_cols}]"] + [" ".join(["0.5"] * new_cols)] * new_rows
+    return lines[:start] + block + lines[start + 1 + rows :]
+
+
+# Empty in either dimension, and off the echoed sizes by one row or column.
+SHAPES = {
+    "0x0": lambda r, c: (0, 0),
+    "0xc": lambda r, c: (0, c),
+    "rx0": lambda r, c: (r, 0),
+    "r-1xc": lambda r, c: (r - 1, c),
+    "rxc+1": lambda r, c: (r, c + 1),
+}
+
+
+class TestBlockShapes:
+    """A checkpoint whose blocks do not fit its echo, or are empty, exits 1 with one error line."""
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_is_runtime_error_without_traceback(
+        self, corpus_dir, trained_dir, tmp_path, capsys, command, shape, name
+    ):
+        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
+        bad = tmp_path / "shape.txt"
+        bad.write_text("\n".join(with_block_shape(lines, name, SHAPES[shape])) + "\n")
+        argv = [command, "--checkpoint", str(bad)]
+        if command == "eval":
+            argv += ["--corpus", str(corpus_dir / "corpus.tsv")]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == []
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_order_zero_factors_name_the_echoed_order(
+        self, corpus_dir, trained_dir, tmp_path, capsys, command
+    ):
+        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
+        bad = tmp_path / "order0.txt"
+        bad.write_text(
+            "\n".join(with_block_shape(lines, "global.factors", lambda r, c: (0, c))) + "\n"
+        )
+        argv = [command, "--checkpoint", str(bad)]
+        if command == "eval":
+            argv += ["--corpus", str(corpus_dir / "corpus.tsv")]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == []
+        assert err.startswith("error: block 'global.factors' has shape (0, 3), expected (12, 3)")
+        assert "query_order=3" in err
+
+
 class TestInspect:
     def test_summarizes_checkpoint(self, trained_dir, capsys):
         code, out, _ = run(

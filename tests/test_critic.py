@@ -53,6 +53,20 @@ def block_supported_table(embed_dim=6):
     )
 
 
+def renormalize_reference(amplitudes, ids):
+    """Clamp, reset and dead-band scaling of the given rows, one row at a time."""
+    rows = np.maximum(amplitudes[ids], 0.0)
+    sq = np.einsum("ij,ij->i", rows, rows)
+    for i in range(rows.shape[0]):
+        if sq[i] <= 1e-300:
+            rows[i] = 1.0 / np.sqrt(rows.shape[1])
+    sq = np.einsum("ij,ij->i", rows, rows)
+    for i in range(rows.shape[0]):
+        if abs(sq[i] - 1.0) > 1e-13:
+            rows[i] /= np.sqrt(sq[i])
+    amplitudes[ids] = rows
+
+
 class TestComplexEmbeddingTable:
     def test_random_init_rows_are_nonnegative_unit(self):
         table = make_table(np.random.default_rng(3))
@@ -104,6 +118,25 @@ class TestComplexEmbeddingTable:
         np.testing.assert_allclose(np.linalg.norm(table.amplitudes[ids], axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(table.amplitudes[2], 1.0 / np.sqrt(6), atol=1e-15)
         assert table.amplitudes[[0, 4]].tobytes() == before[[0, 4]].tobytes()
+
+    @pytest.mark.parametrize("selected", [False, True])
+    def test_clamped_rows_reset_like_the_per_row_reference(self, selected):
+        words = tuple(f"w{i}" for i in range(9))
+        table = make_table(np.random.default_rng(20), words=words)
+        table.amplitudes[1] = -np.abs(table.amplitudes[1])  # clamps to all zeros
+        table.amplitudes[2, 0] = -0.4                          # clamps one entry
+        table.amplitudes[3] *= 2.0
+        table.amplitudes[4] = 1e-200                           # squared norm below 1e-300
+        table.amplitudes[5] *= np.sqrt(1.0 + 5e-14)            # inside the dead band
+        table.amplitudes[6] *= np.sqrt(1.0 + 3e-13)            # just outside it
+        table.amplitudes[7, 1] = -0.1
+        ids = np.array([1, 2, 3, 4, 5, 6, 9]) if selected else np.arange(table.num_rows)
+        expected = table.amplitudes.copy()
+        renormalize_reference(expected, ids)
+        table.renormalize(ids if selected else None)
+        assert table.amplitudes.tobytes() == expected.tobytes()
+        assert table.amplitudes[[1, 4]].tobytes() == np.full((2, 6), 1.0 / np.sqrt(6)).tobytes()
+        assert (table.amplitudes[7, 1] < 0.0) == selected
 
     def test_embedding_is_unit_complex(self):
         table = make_table(np.random.default_rng(19))

@@ -29,6 +29,7 @@ from qforage.qrep import (
     product_pool,
     project,
     renormalize_rows,
+    segment_unique,
 )
 
 VOCAB = ("cats", "chase", "dogs", "mice", "run")
@@ -147,12 +148,74 @@ class TestRenormalizeRows:
         assert np.isnan(rows[5]).all()
         np.testing.assert_allclose(np.linalg.norm(rows[3:5], axis=1), 1.0, atol=1e-15)
 
+    def rows_with_special_values(self, rng, basis_dim):
+        rows = self.rows_around_the_dead_band(rng, basis_dim)
+        rows[21, 0] = np.inf
+        rows[22, -1] = -np.inf
+        rows[23, :] = np.inf
+        rows[24] = 0.0
+        rows[25, 0] = np.nan       # one NaN among finite values
+        rows[26] = 1e-170          # squared norm underflows to 0
+        return rows
+
+    @pytest.mark.parametrize("basis_dim", [1, 3, 4, 12])
+    @pytest.mark.parametrize("selected", [False, True])
+    def test_special_rows_match_per_row_loop_bitwise(self, basis_dim, selected):
+        rows = self.rows_with_special_values(np.random.default_rng(90 + basis_dim), basis_dim)
+        ids = np.array([0, 1, 2, 3, 4, 5, 8, 21, 22, 23, 24, 25, 26, 33]) if selected else None
+        expected = rows.copy()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            per_row_reference(expected, ids)
+            renormalize_rows(rows, ids)
+        assert rows.tobytes() == expected.tobytes()
+        # Rows inside the band and NaN rows keep their bits; the loop divides the rest.
+        before = self.rows_with_special_values(np.random.default_rng(90 + basis_dim), basis_dim)
+        assert rows[[1, 2, 5, 25]].tobytes() == before[[1, 2, 5, 25]].tobytes()
+        assert np.isnan(rows[[23, 24]]).all() and np.isinf(rows[26]).all()
+
     def test_writes_through_a_reshaped_view(self):
         factors = np.random.default_rng(73).standard_normal((3, 2, 4))
         renormalize_rows(factors.reshape(-1, 4), np.array([1, 4]))
         norms = np.linalg.norm(factors, axis=2)
         np.testing.assert_allclose(norms[[0, 2], [1, 0]], 1.0, atol=1e-15)
         assert abs(norms[0, 0] - 1.0) > 1e-3
+
+
+class TestSegmentUnique:
+    """segment_unique against np.unique(..., return_inverse=True) on each segment alone."""
+
+    @staticmethod
+    def assert_matches_np_unique(values, counts):
+        unique, unique_counts, inverse = segment_unique(values, counts)
+        assert len(unique_counts) == len(counts)
+        starts = np.cumsum(counts) - counts
+        unique_starts = np.cumsum(unique_counts) - unique_counts
+        for s, c, us, uc in zip(starts, counts, unique_starts, unique_counts):
+            expected, expected_inverse = np.unique(values[s : s + c], return_inverse=True)
+            assert uc == len(expected)
+            assert unique[us : us + uc].tolist() == expected.tolist()
+            assert inverse[s : s + c].tolist() == expected_inverse.tolist()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_segment_equals_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 16, size=rng.integers(1, 30))
+        values = rng.integers(0, rng.integers(1, 40), size=int(counts.sum()))
+        self.assert_matches_np_unique(values, counts)
+
+    def test_repeats_within_and_across_segments(self):
+        values = np.array([7, 7, 0, 3, 3, 3, 0, 9, 7, 2, 2])
+        self.assert_matches_np_unique(values, np.array([3, 0, 4, 1, 3]))
+
+    @pytest.mark.parametrize("values", [[5], [4, 4, 4], [9, 2, 9, 0, 2, 11]])
+    def test_one_segment_is_np_unique(self, values):
+        values = np.array(values)
+        unique, unique_counts, inverse = segment_unique(values)
+        expected, expected_inverse = np.unique(values, return_inverse=True)
+        assert unique.tolist() == expected.tolist()
+        assert unique_counts.tolist() == [len(expected)]
+        assert inverse.tolist() == expected_inverse.tolist()
+        assert inverse.dtype == expected_inverse.dtype
 
 
 class TestEmbedQuery:

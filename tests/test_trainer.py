@@ -614,6 +614,102 @@ def interleaved_corpus():
     return env.parse_corpus_lines(lines, keyword_count=3)
 
 
+# The hand corpus plus documents of 1 and 3 candidates, with words repeated
+# within a query (mu, xi) and across a document's candidates (nu). The parser
+# wants two candidates per document, so d4's second is dropped after parsing.
+PLAN_CORPUS = HAND_CORPUS + [
+    "d4\tpc\tmu nu mu\tmu mu nu\t1",
+    "d4\tpc\tmu nu mu\tnu\t0",
+    "d5\tpc\tnu xi\tnu\t0",
+    "d5\tpc\tnu xi\txi nu xi omicron\t1",
+    "d5\tpc\tnu xi\tpi\t-1",
+]
+
+
+class TestStepPlan:
+    """The plan's slices against np.unique(..., return_inverse=True) on each document and pair."""
+
+    def plan_corpus(self):
+        corpus = env.parse_corpus_lines(PLAN_CORPUS, keyword_count=3)
+        documents = tuple(
+            dataclasses.replace(doc, candidates=doc.candidates[:1]) if doc.doc_id == "d4" else doc
+            for doc in corpus.documents
+        )
+        return dataclasses.replace(corpus, documents=documents)
+
+    def test_plan_corpus_covers_its_cases(self):
+        compiled = self.plan_corpus().compiled
+        counts = np.diff(np.append(compiled.offsets, len(compiled.labels)))
+        assert set(counts.tolist()) == {1, 2, 3, 4}
+        assert compiled.query_lengths.min() < 3 < compiled.query_lengths.max()
+        ids = trainer.query_row_ids(compiled, 3)
+        # Short queries repeat NULL_ID; some query repeats a word; some document repeats one.
+        assert any((row == qrep.NULL_ID).sum() >= 2 for row in ids)
+        assert any(len(set(q[:n].tolist())) < n for q, n in zip(
+            compiled.query_tokens, np.minimum(compiled.query_lengths, 3)))
+        pairs = [p[:n].tolist() for p, n in zip(compiled.pair_tokens, compiled.pair_lengths)]
+        assert any(len(set(p)) < len(p) for p in pairs)
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_slices_equal_np_unique_per_document_and_pair(self, order):
+        compiled = self.plan_corpus().compiled
+        query_ids = trainer.query_row_ids(compiled, order)
+        plan = trainer.compile_step_plan(compiled, query_ids)
+        rng = np.random.default_rng(order)
+        counts = np.diff(np.append(compiled.offsets, len(compiled.labels)))
+        for first, count in zip(compiled.offsets, counts):
+            rows = first + rng.permutation(count)
+            expected_rows, expected_positions = np.unique(
+                query_ids[rows].ravel(), return_inverse=True
+            )
+            table_ids, positions = plan.actor_unique(rows)
+            assert table_ids.tolist() == expected_rows.tolist()
+            assert positions.tolist() == expected_positions.tolist()
+        for row in range(len(compiled.labels)):
+            pair = compiled.pair_tokens[row, : compiled.pair_lengths[row]] + critic.WORD_ROW_OFFSET
+            unique, occurrence = plan.critic_unique(row)
+            expected_rows, expected_occurrence = np.unique(pair, return_inverse=True)
+            assert unique.tolist() == expected_rows.tolist()
+            assert occurrence.tolist() == expected_occurrence.tolist()
+
+    @pytest.mark.parametrize("mode", ["bandit", "session"])
+    def test_planned_step_equals_the_seven_argument_step(self, mode):
+        corpus = self.plan_corpus()
+        config = small_config(mode=mode)
+        params, critic_table = trainer.init_params(corpus, config)
+        ref_params, ref_critic = copy.deepcopy(params), copy.deepcopy(critic_table)
+        compiled = corpus.compiled
+        query_ids = trainer.query_row_ids(compiled, config.query_order)
+        plan = trainer.compile_step_plan(compiled, query_ids)
+        environment = env.Environment(corpus, np.random.default_rng(92), mode=mode)
+        rng, ref_rng = np.random.default_rng(93), np.random.default_rng(93)
+        for _ in range(60):
+            _, rows = environment.draw()
+            got = trainer.train_step(
+                params, critic_table, compiled, query_ids, rows, config, rng, plan
+            )
+            expected = trainer.train_step(
+                ref_params, ref_critic, compiled, query_ids, rows, config, ref_rng
+            )
+            assert got == expected
+            assert actor_state_bytes(params) == actor_state_bytes(ref_params)
+            assert critic_state_bytes(critic_table) == critic_state_bytes(ref_critic)
+
+    @pytest.mark.parametrize("mode", ["bandit", "session"])
+    def test_train_calls_np_unique_on_no_step(self, monkeypatch, mode):
+        calls = []
+        real = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        result = trainer.train(small_config(mode=mode, episodes=30, eval_interval=0), small_corpus())
+        assert len(result.rewards) >= 30
+        assert calls == []
+
+
 def assert_scent_equals_reference(got, rewards, patch_ids, smoothing):
     """Every scent field bit for bit against the per-reward reference_scent."""
     (scalar, frequencies, _), per_patch = reference_scent(rewards, patch_ids, smoothing)
@@ -982,6 +1078,40 @@ class TestCheckpointFormat:
         )
         with pytest.raises(CheckpointMismatch):
             trainer.restore_params(checkpoint, other)
+
+    @pytest.mark.parametrize(
+        "key, value, block",
+        [
+            ("rank", "5", "global.weights"),
+            ("query_order", "2", "global.factors"),
+            ("basis_dim", "4", "actor.amplitudes"),
+            ("embed_dim", "9", "critic.amplitudes"),
+        ],
+    )
+    def test_blocks_must_fit_the_echoed_sizes(self, tmp_path, key, value, block):
+        corpus, _, _, _, checkpoint, _ = self.make(tmp_path)
+        edited = dataclasses.replace(checkpoint, config_echo={**checkpoint.config_echo, key: value})
+        with pytest.raises(CheckpointInvalid, match=f"block {block!r} has shape"):
+            trainer.checkpoint_config(edited)
+        with pytest.raises(CheckpointInvalid, match=f"{key}={value}"):
+            trainer.restore_params(edited, corpus)
+
+    @pytest.mark.parametrize(
+        "field, shape, block",
+        [
+            ("global_factors", (4, 0, 3), "global.factors"),
+            ("global_factors", (4, 0, 0), "global.factors"),
+            ("actor_amplitudes", (0, 3), "actor.amplitudes"),
+            ("actor_amplitudes", (1, 3), "actor.amplitudes"),
+            ("critic_phases", (0, 0), "critic.phases"),
+            ("critic_salience", (0,), "critic.salience"),
+        ],
+    )
+    def test_empty_blocks_are_refused_before_any_is_indexed(self, tmp_path, field, shape, block):
+        _, _, _, _, checkpoint, _ = self.make(tmp_path)
+        edited = dataclasses.replace(checkpoint, **{field: np.zeros(shape)})
+        with pytest.raises(CheckpointInvalid, match=f"block {block!r} has "):
+            trainer.checkpoint_config(edited)
 
     def test_restore_against_another_keyword_count(self, tmp_path):
         corpus, _, _, _, checkpoint, _ = self.make(tmp_path)
