@@ -7,6 +7,12 @@ and the chosen candidate's log probability come from the same logits.
 Gradients are hand-derived reverse mode through the softmax, the weighted sum,
 and the product pooling. Leave-one-out products use prefix/suffix
 accumulation, never division, so exactly-zero inner products are safe.
+
+A training step calls the array routines sample_rows and policy_gradient:
+they return tuples of arrays and skip the shape and temperature checks that
+the compiled corpus and ActorParams already settle. act, score_rows and
+actor_gradients check their inputs, then wrap the same routines in
+dataclasses, so each quantity is computed one way.
 """
 
 from __future__ import annotations
@@ -88,26 +94,39 @@ class ActorGradients:
         return dense
 
 
-def score_rows(g: qrep.GlobalRepresentation, rows: np.ndarray) -> ActorForward:
-    """Score an (N, n, k) batch of candidate amplitude rows against the global space.
+def project_rows(
+    g: qrep.GlobalRepresentation, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scores, pooled, dots) of an (N, n, k) batch of candidate amplitude rows.
 
-    The one scoring path: training, inspect and evaluation all come here.
-    One einsum takes every (candidate, rank, position) inner product, with
-    the per-candidate arithmetic of qrep.product_pool, and each score is the
-    weighted sum qrep.project takes, one dot product per candidate (a
+    The one scoring arithmetic: training, inspect and evaluation all come
+    here. One einsum takes every (candidate, rank, position) inner product,
+    with the per-candidate arithmetic of qrep.product_pool, and each score is
+    the weighted sum qrep.project takes, one dot product per candidate (a
     matrix-vector product would sum in another order). So module-level and
     actor-level scoring agree bit for bit, and a candidate's score does not
-    depend on the batch around it. The rows and dots ride along for
-    actor_gradients.
+    depend on the batch around it. The shapes are not checked here
+    (score_rows checks them); the pooled products and dots serve
+    policy_gradient.
     """
+    dots = np.einsum("rik,cik->cri", g.factors, rows)
+    pooled = dots.prod(axis=2)
+    scores = np.fromiter(map(g.weights.dot, pooled), dtype=np.float64, count=pooled.shape[0])
+    return scores, pooled, dots
+
+
+def _check_rows(g: qrep.GlobalRepresentation, rows: np.ndarray) -> None:
     if rows.ndim != 3 or rows.shape[1:] != (g.order, g.basis_dim):
         raise ShapeMismatch(
             f"global space is order {g.order} over k={g.basis_dim}, "
             f"candidate rows have shape {rows.shape}"
         )
-    dots = np.einsum("rik,cik->cri", g.factors, rows)
-    pooled = dots.prod(axis=2)
-    scores = np.fromiter(map(g.weights.dot, pooled), dtype=np.float64, count=pooled.shape[0])
+
+
+def score_rows(g: qrep.GlobalRepresentation, rows: np.ndarray) -> ActorForward:
+    """project_rows of an (N, n, k) batch whose shape fits the global space."""
+    _check_rows(g, rows)
+    scores, pooled, dots = project_rows(g, rows)
     return ActorForward(scores=scores, pooled=pooled, dots=dots, rows=rows)
 
 
@@ -126,20 +145,31 @@ def _check_finite(scores: np.ndarray) -> None:
         raise NonFiniteScore(f"scores contain non-finite values: {scores!r}")
 
 
-def _softmax(scores: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _check_temperature(temperature: float) -> None:
+    if not (TEMPERATURE_MIN <= temperature <= TEMPERATURE_MAX):
+        raise ValueError(
+            f"temperature {temperature!r} outside [{TEMPERATURE_MIN}, {TEMPERATURE_MAX}]"
+        )
+
+
+def _logits(scores: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Max-shifted logits z = scores / temperature - max, e = exp(z), and sum(e).
 
     The probabilities are e / sum(e) and log pi(i) is z_i - log(sum(e)); the
     shift makes the sum >= 1, so a log probability never rounds above 0.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    _check_finite(scores)
-    if not (TEMPERATURE_MIN <= temperature <= TEMPERATURE_MAX):
-        raise ValueError(f"temperature {temperature!r} outside [{TEMPERATURE_MIN}, {TEMPERATURE_MAX}]")
     z = scores / temperature
     z = z - z.max()
     e = np.exp(z)
     return z, e, e.sum()
+
+
+def _softmax(scores: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """_logits of finite float scores at a supported temperature."""
+    scores = np.asarray(scores, dtype=np.float64)
+    _check_finite(scores)
+    _check_temperature(temperature)
+    return _logits(scores, temperature)
 
 
 def policy_probabilities(scores: np.ndarray, temperature: float) -> np.ndarray:
@@ -148,15 +178,14 @@ def policy_probabilities(scores: np.ndarray, temperature: float) -> np.ndarray:
     return e / total
 
 
-def _sample(
-    scores: np.ndarray, temperature: float, rng: np.random.Generator
+def _draw(
+    z: np.ndarray, e: np.ndarray, total: float, rng: np.random.Generator
 ) -> tuple[int, float, np.ndarray]:
-    """Draw an index from one softmax; return it, its log probability and the probabilities.
+    """Draw an index from _logits' softmax; return it, its log probability, the probabilities.
 
     The draw is an inverse CDF on one uniform, so a fixed generator gives a
     fixed index sequence.
     """
-    z, e, total = _softmax(scores, temperature)
     probabilities = e / total
     cdf = probabilities.cumsum()
     u = rng.random() * cdf[-1]
@@ -168,7 +197,7 @@ def select_action(
     scores: np.ndarray, temperature: float, rng: np.random.Generator
 ) -> tuple[int, float]:
     """Sample a candidate index from the softmax; return it with its log probability."""
-    return _sample(scores, temperature, rng)[:2]
+    return _draw(*_softmax(scores, temperature), rng)[:2]
 
 
 def first_argmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -190,43 +219,95 @@ def first_argmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(np.where(at_top, position, scores.shape[0]), offsets)
 
 
-def act(params: ActorParams, rows: np.ndarray, rng: np.random.Generator) -> ActionOutput:
-    """Score a (C, n, k) batch of candidate rows (score_rows) and sample one candidate.
+def sample_rows(
+    g: qrep.GlobalRepresentation, rows: np.ndarray, temperature: float, rng: np.random.Generator
+) -> tuple[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score a (C, n, k) batch of candidate rows (project_rows) and sample one candidate.
 
+    Returns (index, log probability, probabilities, scores, pooled, dots).
     The softmax is taken once and serves the draw, the log probability, and
-    (through ActionOutput.probabilities) the policy gradient.
+    policy_gradient. Non-finite scores raise NonFiniteScore. The caller
+    brings a nonempty batch that fits the global space and a supported
+    temperature (act checks them).
     """
+    scores, pooled, dots = project_rows(g, rows)
+    _check_finite(scores)
+    index, log_probability, probabilities = _draw(*_logits(scores, temperature), rng)
+    return index, log_probability, probabilities, scores, pooled, dots
+
+
+def act(params: ActorParams, rows: np.ndarray, rng: np.random.Generator) -> ActionOutput:
+    """sample_rows of a checked batch, as an ActionOutput."""
     if len(rows) == 0:
         raise NoCandidates("act needs at least one candidate")
-    forward = score_rows(params.global_rep, rows)
-    index, log_probability, probabilities = _sample(forward.scores, params.temperature, rng)
+    g = params.global_rep
+    _check_rows(g, rows)
+    _check_temperature(params.temperature)
+    index, log_probability, probabilities, scores, pooled, dots = sample_rows(
+        g, rows, params.temperature, rng
+    )
     return ActionOutput(
         index=index,
-        forward=forward,
+        forward=ActorForward(scores=scores, pooled=pooled, dots=dots, rows=rows),
         probabilities=probabilities,
         log_probability=log_probability,
     )
 
 
-def actor_gradients(
-    params: ActorParams,
-    ids: np.ndarray,
+def policy_gradient(
+    g: qrep.GlobalRepresentation,
+    temperature: float,
+    rows: np.ndarray,
+    pooled: np.ndarray,
+    dots: np.ndarray,
+    probabilities: np.ndarray,
     chosen: int,
     advantage: float,
-    forward: ActorForward | None = None,
-    probabilities: np.ndarray | None = None,
-    unique_rows: tuple[np.ndarray, np.ndarray] | None = None,
+    position_row: np.ndarray,
+    num_unique: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of loss = -advantage * log pi(chosen): (table rows, weights, factors).
+
+    `rows`, `pooled`, `dots` and `probabilities` are the pass the choice was
+    sampled from (sample_rows). Repeated words share one table row:
+    position_row maps each (candidate, position) to its index among the
+    num_unique distinct rows, and their gradients add there in that order.
+    """
+    one_hot = np.zeros(probabilities.shape)
+    one_hot[chosen] = 1.0
+    # d loss / d score_c; the 1/temperature comes from the softmax logits.
+    g_scores = -advantage * (one_hot - probabilities) / temperature
+
+    # Leave-one-out products along the position axis: the product of the
+    # positions before i times the product of those after it. A running
+    # product is what np.cumprod takes, without its wrapper's call cost.
+    prefix, suffix = np.ones((2,) + dots.shape)
+    np.multiply.accumulate(dots[..., :-1], axis=-1, out=prefix[..., 1:])
+    np.multiply.accumulate(dots[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
+    w_loo = g.weights[None, :, None] * (prefix * suffix)    # (C, R, n)
+
+    k = g.basis_dim
+    per_row = np.einsum("c,crn,rnk->cnk", g_scores, w_loo, g.factors)
+    table_rows = np.zeros((num_unique, k))
+    np.add.at(table_rows, position_row, per_row.reshape(-1, k))
+    return (
+        table_rows,
+        g_scores @ pooled,
+        np.einsum("c,crn,cnk->rnk", g_scores, w_loo, rows),
+    )
+
+
+def actor_gradients(
+    params: ActorParams, ids: np.ndarray, chosen: int, advantage: float
 ) -> ActorGradients:
     """Gradients of loss = -advantage * log pi(chosen) for all actor parameters.
 
     `ids` (C, n) are the candidates' amplitude table rows, as
-    QueryState.word_ids lists them. `forward` is the pass the choice was
-    sampled from (act's output) and `probabilities` its softmax;
-    `unique_rows` is (sorted unique rows of ids, each id's index among
-    them), as qrep.segment_unique gives them for ids.ravel(). Without them
-    they are recomputed, with the same arithmetic. The padding row's
-    gradient is computed like any other row; the trainer is the one that
-    refuses to move it. Zero advantage short-circuits to exact zeros.
+    QueryState.word_ids lists them. The candidates are scored afresh
+    (score_rows, policy_probabilities) and policy_gradient takes it from
+    there. The padding row's gradient is computed like any other row; the
+    trainer is the one that refuses to move it. Zero advantage short-circuits
+    to exact zeros.
     """
     g = params.global_rep
     if ids.ndim != 2 or ids.shape[1] != g.order:
@@ -237,48 +318,33 @@ def actor_gradients(
         raise NoCandidates("actor_gradients needs at least one candidate")
     if not (0 <= chosen < ids.shape[0]):
         raise IndexOutOfRange(f"chosen index {chosen} outside 0..{ids.shape[0] - 1}")
-    # Repeated words share one row: `position_row` maps each (candidate,
-    # position) to its row.
-    if unique_rows is None:
-        table_ids, _, position_row = qrep.segment_unique(ids.ravel())
-    else:
-        table_ids, position_row = unique_rows
-    k = params.table.basis_dim
-    table_rows = np.zeros((table_ids.shape[0], k))
+    table_ids, _, position_row = qrep.segment_unique(ids.ravel())
     if advantage == 0.0:
         return ActorGradients(
             ids=table_ids,
-            rows=table_rows,
+            rows=np.zeros((table_ids.shape[0], params.table.basis_dim)),
             weights=np.zeros(g.rank),
             factors=np.zeros_like(g.factors),
             num_rows=params.table.num_rows,
         )
-
-    if forward is None:
-        forward = score_rows(g, params.table.amplitudes[ids])
-    if probabilities is None:
-        probabilities = policy_probabilities(forward.scores, params.temperature)
-    dots = forward.dots                                     # (C, R, n)
-
-    one_hot = np.zeros(probabilities.shape)
-    one_hot[chosen] = 1.0
-    # d loss / d score_c; the 1/temperature comes from the softmax logits.
-    g_scores = -advantage * (one_hot - probabilities) / params.temperature
-
-    # Leave-one-out products along the position axis: the product of the
-    # positions before i times the product of those after it.
-    prefix = np.ones(dots.shape)
-    suffix = np.ones(dots.shape)
-    np.cumprod(dots[..., :-1], axis=-1, out=prefix[..., 1:])
-    np.cumprod(dots[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
-    w_loo = g.weights[None, :, None] * (prefix * suffix)    # (C, R, n)
-
-    per_row = np.einsum("c,crn,rnk->cnk", g_scores, w_loo, g.factors)
-    np.add.at(table_rows, position_row, per_row.reshape(-1, k))
+    forward = score_rows(g, params.table.amplitudes[ids])
+    probabilities = policy_probabilities(forward.scores, params.temperature)
+    rows, weights, factors = policy_gradient(
+        g,
+        params.temperature,
+        forward.rows,
+        forward.pooled,
+        forward.dots,
+        probabilities,
+        chosen,
+        advantage,
+        position_row,
+        table_ids.shape[0],
+    )
     return ActorGradients(
         ids=table_ids,
-        rows=table_rows,
-        weights=g_scores @ forward.pooled,
-        factors=np.einsum("c,crn,cnk->rnk", g_scores, w_loo, forward.rows),
+        rows=rows,
+        weights=weights,
+        factors=factors,
         num_rows=params.table.num_rows,
     )

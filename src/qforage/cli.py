@@ -165,9 +165,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_for_eval(checkpoint: trainer.Checkpoint, corpus_path: str) -> tuple:
-    config_hint = trainer.checkpoint_config(checkpoint)
-    corpus = env.load_corpus(corpus_path, keyword_count=config_hint.keyword_count)
-    params, critic_table, config = trainer.restore_params(checkpoint, corpus)
+    """Check the echo once, read the corpus with its keyword count, and bind the rows."""
+    config = trainer.checkpoint_config(checkpoint)
+    corpus = env.load_corpus(corpus_path, keyword_count=config.keyword_count)
+    params, critic_table = trainer.bind_params(checkpoint, corpus, config)
     return corpus, params, critic_table, config
 
 
@@ -231,7 +232,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if args.doc is None:
         trainer.checkpoint_config(checkpoint)
         trainer.check_invariants(checkpoint)
-    else:  # restore_params checks the echo and the invariants as it binds the rows.
+    else:  # _load_for_eval checks the echo and the invariants as it binds the rows.
         corpus, params, critic_table, config = _load_for_eval(checkpoint, args.corpus)
     fmt = trainer.format_float
     lines = [trainer.CHECKPOINT_HEADER]

@@ -121,24 +121,45 @@ class ComplexEmbeddingTable:
         return self.amplitudes[ids] * np.exp(1j * self.phases[ids])
 
     def renormalize(self, ids: np.ndarray | None = None) -> None:
-        """Project amplitude rows back onto the nonnegative unit sphere.
+        """Project amplitude rows back onto the nonnegative unit sphere (_project_rows).
 
-        Negatives clamp to zero first; a row clamped to all zeros resets to
-        the uniform unit row. The rest is qrep.scale_to_unit, so rows
-        already unit within its dead band are left bit-identical. The
-        squared norms are taken once unless a row was reset. `ids` limits
-        the work to the rows an update touched.
+        `ids` limits the work to the rows an update touched.
         """
         rows = self.amplitudes if ids is None else self.amplitudes[ids]
-        np.maximum(rows, 0.0, out=rows)
-        sq = np.einsum("ij,ij->i", rows, rows)
-        dead = sq <= 1e-300
-        if dead.any():
-            rows[dead] = 1.0 / np.sqrt(self.embed_dim)
-            sq = np.einsum("ij,ij->i", rows, rows)
-        qrep.scale_to_unit(rows, sq)
+        _project_rows(rows)
         if ids is not None:
             self.amplitudes[ids] = rows
+
+    def descend(
+        self, ids: np.ndarray, lr: float, amplitude_grad: np.ndarray, salience_grad: np.ndarray
+    ) -> None:
+        """One SGD step on rows `ids` (unique), then _project_rows on them.
+
+        The amplitude rows are gathered once, stepped and projected, and
+        written back once.
+        """
+        self.salience[ids] -= lr * salience_grad
+        rows = self.amplitudes[ids]
+        rows -= lr * amplitude_grad
+        _project_rows(rows)
+        self.amplitudes[ids] = rows
+
+
+def _project_rows(rows: np.ndarray) -> None:
+    """Put the rows of a 2-D array on the nonnegative unit sphere, in place.
+
+    Negatives clamp to zero first; a row clamped to all zeros resets to the
+    uniform unit row. The rest is qrep.scale_to_unit, so rows already unit
+    within its dead band are left bit-identical. The squared norms are taken
+    once unless a row was reset.
+    """
+    np.maximum(rows, 0.0, out=rows)
+    sq = np.einsum("ij,ij->i", rows, rows)
+    dead = sq <= 1e-300
+    if dead.any():
+        rows[dead] = 1.0 / np.sqrt(rows.shape[1])
+        sq = np.einsum("ij,ij->i", rows, rows)
+    qrep.scale_to_unit(rows, sq)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -283,46 +304,36 @@ def batch_class_probabilities(
     return probabilities
 
 
-def critic_loss_and_gradients(
+def loss_gradient_rows(
+    table: ComplexEmbeddingTable,
     ids: np.ndarray,
     label: int,
-    table: ComplexEmbeddingTable,
-    unique_rows: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, CriticGradients]:
-    """Cross-entropy against the labeled class, with gradients for the judged word rows.
+    rows: np.ndarray,
+    occurrence: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Cross-entropy against class `label`: (loss, probabilities, amplitude rows, salience rows).
 
-    `ids` are the table rows of the judged tokens in order, as token_ids
-    gives them. loss = -log p_label, floored at p >= 1e-12 (below the floor
-    the loss is constant, so gradients are zero there). Gradients are reverse
-    mode through the salience softmax and the squared-amplitude block masses;
+    `ids` are the table rows of the judged tokens in order, `rows` their
+    sorted distinct values and occurrence[t] the index of ids[t] among them.
+    loss = -log p_label, floored at p >= 1e-12 (below the floor the loss is
+    constant, so gradients are zero there). Gradients are reverse mode
+    through the salience softmax and the squared-amplitude block masses;
     phases do not enter the diagonal, so their gradient is identically zero.
-    Each word's occurrences add into its row in token order. `unique_rows`
-    is (sorted unique rows of ids, each token's index among them), as
-    qrep.segment_unique gives them; without it it is computed here.
+    Each word's occurrences add into its row in token order. The
+    probabilities are the masses over their total. The label and the ids are
+    not checked here (critic_loss_and_gradients checks them).
     """
-    if label not in (0, 1, 2):
-        raise InvalidLabel(f"label {label!r} is not a class index in (0, 1, 2)")
-    if ids.ndim != 1 or ids.shape[0] == 0:
-        raise EmptyInput(f"critic needs a non-empty 1-D sequence of rows, got shape {ids.shape}")
     beta, s, masses = _class_masses(ids, table)
     total = float(masses.sum())
     probabilities = masses / total
     p_label = float(probabilities[label])
     loss = -float(np.log(max(p_label, PROB_FLOOR)))
-
-    # Repeated words share one row: `occurrence` maps each token to its row.
-    if unique_rows is None:
-        rows, _, occurrence = qrep.segment_unique(ids)
-    else:
-        rows, occurrence = unique_rows
-    d = table.embed_dim
     if p_label <= PROB_FLOOR:
-        return loss, CriticGradients(
-            ids=rows,
-            amplitude_rows=np.zeros((rows.shape[0], d)),
-            salience_rows=np.zeros(rows.shape[0]),
-            num_rows=table.num_rows,
-            probabilities=probabilities,
+        return (
+            loss,
+            probabilities,
+            np.zeros((rows.shape[0], table.embed_dim)),
+            np.zeros(rows.shape[0]),
         )
 
     # loss = -log(m_label) + log(sum_c m_c)
@@ -337,10 +348,30 @@ def critic_loss_and_gradients(
 
     # Amplitude path: m_c picks up 2 * beta_t * a_{w,j} for j in block c.
     word_coeff = np.bincount(occurrence, weights=beta, minlength=rows.shape[0])
-    block_scale = (2.0 * d_masses).repeat(d // 3)
+    block_scale = (2.0 * d_masses).repeat(table.embed_dim // 3)
+    amplitude_rows = block_scale[None, :] * word_coeff[:, None] * table.amplitudes[rows]
+    return loss, probabilities, amplitude_rows, salience_rows
+
+
+def critic_loss_and_gradients(
+    ids: np.ndarray, label: int, table: ComplexEmbeddingTable
+) -> tuple[float, CriticGradients]:
+    """loss_gradient_rows of a checked label and token sequence, as CriticGradients.
+
+    `ids` are the table rows of the judged tokens in order, as token_ids
+    gives them, and `label` a class index.
+    """
+    if label not in (0, 1, 2):
+        raise InvalidLabel(f"label {label!r} is not a class index in (0, 1, 2)")
+    if ids.ndim != 1 or ids.shape[0] == 0:
+        raise EmptyInput(f"critic needs a non-empty 1-D sequence of rows, got shape {ids.shape}")
+    rows, _, occurrence = qrep.segment_unique(ids)
+    loss, probabilities, amplitude_rows, salience_rows = loss_gradient_rows(
+        table, ids, label, rows, occurrence
+    )
     return loss, CriticGradients(
         ids=rows,
-        amplitude_rows=block_scale[None, :] * word_coeff[:, None] * table.amplitudes[rows],
+        amplitude_rows=amplitude_rows,
         salience_rows=salience_rows,
         num_rows=table.num_rows,
         probabilities=probabilities,

@@ -62,6 +62,10 @@ def scale_to_unit(block: np.ndarray, sq: np.ndarray) -> None:
     block /= np.where(np.abs(sq - 1.0) > _RENORM_DEADBAND, np.sqrt(sq), 1.0)[:, None]
 
 
+def _to_unit(block: np.ndarray) -> None:
+    scale_to_unit(block, np.einsum("ij,ij->i", block, block))
+
+
 def renormalize_rows(rows: np.ndarray, ids: np.ndarray | None = None) -> None:
     """Scale rows of a 2-D array to unit norm, in place, with a dead band.
 
@@ -70,7 +74,7 @@ def renormalize_rows(rows: np.ndarray, ids: np.ndarray | None = None) -> None:
     norm is NaN are left as they are (scale_to_unit).
     """
     block = rows if ids is None else rows[ids]
-    scale_to_unit(block, np.einsum("ij,ij->i", block, block))
+    _to_unit(block)
     if ids is not None:
         rows[ids] = block
 
@@ -166,6 +170,21 @@ class AmplitudeTable:
         `ids` limits the work to the rows an update touched.
         """
         renormalize_rows(self.amplitudes, ids)
+        self._pin_padding()
+
+    def descend(self, ids: np.ndarray, lr: float, grad: np.ndarray) -> None:
+        """One SGD step on rows `ids` (unique), renormalized; re-pins the padding row.
+
+        The rows are gathered once, stepped and scaled to unit length, and
+        written back once.
+        """
+        block = self.amplitudes[ids]
+        block -= lr * grad
+        _to_unit(block)
+        self.amplitudes[ids] = block
+        self._pin_padding()
+
+    def _pin_padding(self) -> None:
         self.amplitudes[NULL_ID] = 0.0
         self.amplitudes[NULL_ID, 0] = 1.0
 
@@ -256,6 +275,12 @@ class GlobalRepresentation:
 
     def renormalize(self) -> None:
         """Restore unit factor vectors after an optimizer step."""
+        renormalize_rows(self.factors.reshape(-1, self.basis_dim))
+
+    def descend(self, lr: float, weights_grad: np.ndarray, factors_grad: np.ndarray) -> None:
+        """One SGD step on the weights and factors, then unit factor vectors again."""
+        self.weights -= lr * weights_grad
+        self.factors -= lr * factors_grad
         renormalize_rows(self.factors.reshape(-1, self.basis_dim))
 
 

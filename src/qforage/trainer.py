@@ -11,11 +11,12 @@ against the true label. The policy gradient reuses the forward pass and the
 softmax the action was sampled from, and the critic's estimate is read from
 the class probabilities its loss is taken on.
 
-A step touches only its tokens' rows: gradients carry (row ids, row values),
-and the update subtracts and renormalizes those rows alone, so its cost does
-not grow with the vocabulary. Every other row has zero gradient and is
-already unit within the renormalization dead band, so the result is the same
-as a dense update. After every step every unit-norm row (actor amplitudes,
+A step touches only its tokens' rows: gradients come as the rows of the
+touched ids, and each table's update gathers those rows once, subtracts the
+step, clamps (critic only), renormalizes and writes them back once, so its
+cost does not grow with the vocabulary. Every other row has zero gradient and
+is already unit within the renormalization dead band, so the result is the
+same as a dense update. After every step every unit-norm row (actor amplitudes,
 factor vectors, critic amplitudes) is unit again, the actor padding row stays
 pinned, and critic amplitudes stay nonnegative.
 
@@ -43,8 +44,24 @@ positions of the drawn rows, read in drawn order, are what np.unique gives
 for the gathered ids, and the gradients add into the merged rows in the
 same order, with the same bits; a step only slices the plan.
 
+A step runs on plain arrays, one array routine per layer, each called
+through its module: actor.sample_rows scores and samples,
+critic.loss_gradient_rows takes the critic's loss and gradient rows,
+actor.policy_gradient the policy gradient, and the descend methods of
+qrep.AmplitudeTable, qrep.GlobalRepresentation and
+critic.ComplexEmbeddingTable each update one table. The routines return
+tuples of arrays, and the step builds no dataclass but the StepMetrics it
+returns. It re-checks nothing that compile or validate time settles:
+env.compile_corpus checks the labels, so the critic's class is reward + 1;
+ActorParams checks the temperature; the plan and query_row_ids fix the
+candidates' shape and count, and the sampler clamps the drawn index. It does
+check every step that the scores are finite. The dataclass API (actor.act,
+actor.actor_gradients, critic.critic_loss_and_gradients and the renormalize
+methods) checks its inputs and wraps the same routines, so each quantity is
+computed one way.
+
 Evaluation is one batched pass, not a loop over documents: every candidate is
-scored at once by actor.score_rows, the scorer a training step uses, and
+scored at once by actor.project_rows, the scoring a training step uses, and
 every (document, candidate) pair is judged at once from per-word block
 masses. Scores and class probabilities keep the bits of a per-document pass.
 Scent statistics come from the array of chosen rewards (env.reward_scent),
@@ -67,6 +84,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import os
 import warnings
 from collections.abc import Iterator
@@ -131,8 +149,11 @@ class TrainConfig:
     def validate(self) -> None:
         if self.episodes < 1:
             raise ValueError(f"episodes must be >= 1, got {self.episodes}")
-        if self.actor_lr <= 0.0 or self.critic_lr <= 0.0:
-            raise ValueError("learning rates must be positive")
+        for name in ("actor_lr", "critic_lr"):
+            lr = getattr(self, name)
+            # Written so that NaN fails too.
+            if not (0.0 < lr < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {lr!r}")
         if not (actor.TEMPERATURE_MIN <= self.temperature <= actor.TEMPERATURE_MAX):
             raise ValueError(f"temperature {self.temperature!r} outside the supported range")
         env.check_smoothing(self.scent_smoothing)
@@ -220,24 +241,6 @@ def init_params(
     return params, critic_table
 
 
-def _apply_actor_update(
-    params: actor.ActorParams, grads: actor.ActorGradients, lr: float
-) -> None:
-    params.table.amplitudes[grads.ids] -= lr * grads.rows
-    params.global_rep.weights -= lr * grads.weights
-    params.global_rep.factors -= lr * grads.factors
-    params.table.renormalize(grads.ids)
-    params.global_rep.renormalize()
-
-
-def _apply_critic_update(
-    table: critic.ComplexEmbeddingTable, grads: critic.CriticGradients, lr: float
-) -> None:
-    table.amplitudes[grads.ids] -= lr * grads.amplitude_rows
-    table.salience[grads.ids] -= lr * grads.salience_rows
-    table.renormalize(grads.ids)
-
-
 def query_row_ids(compiled: env.CompiledCorpus, order: int) -> np.ndarray:
     """The (N, order) actor table rows of every compiled candidate query.
 
@@ -275,7 +278,7 @@ class StepPlan:
     critic_bounds: np.ndarray     # (N + 1,)
 
     def actor_unique(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """actor.actor_gradients' unique_rows for query_ids[rows].
+        """Sorted unique rows of query_ids[rows] and each id's index among them.
 
         `rows` hold every candidate of one document, in any order.
         """
@@ -286,7 +289,7 @@ class StepPlan:
         )
 
     def critic_unique(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """critic.critic_loss_and_gradients' unique_rows for compiled pair `row`."""
+        """Sorted unique critic rows of compiled pair `row` and each token's index among them."""
         return (
             self.critic_rows[self.critic_bounds[row] : self.critic_bounds[row + 1]],
             self.occurrence[self.pair_bounds[row] : self.pair_bounds[row + 1]],
@@ -347,44 +350,58 @@ def train_step(
     the one-step advantage reward - q, with gradients taken through the
     forward pass the action was sampled from. A zero advantage leaves actor
     parameters bit-identical; a zero learning rate does the same for that
-    side.
+    side. The step runs on arrays and re-checks nothing the compiled corpus
+    or ActorParams settles (see the module docstring).
     """
     ids = query_ids[rows]
-    out = actor.act(params, params.table.amplitudes[ids], rng)
-    row = int(rows[out.index])
+    g = params.global_rep
+    amplitude_rows = params.table.amplitudes[ids]
+    index, log_probability, probabilities, _, pooled, dots = actor.sample_rows(
+        g, amplitude_rows, params.temperature, rng
+    )
+    row = int(rows[index])
     reward = int(compiled.labels[row])
 
     pair = compiled.pair_tokens[row, : compiled.pair_lengths[row]] + critic.WORD_ROW_OFFSET
-    critic_loss, critic_grads = critic.critic_loss_and_gradients(
-        pair,
-        critic.class_of_reward(reward),
-        critic_table,
-        None if plan is None else plan.critic_unique(row),
+    if plan is None:
+        critic_rows, _, occurrence = qrep.segment_unique(pair)
+    else:
+        critic_rows, occurrence = plan.critic_unique(row)
+    critic_loss, class_probabilities, amplitude_grad, salience_grad = critic.loss_gradient_rows(
+        critic_table, pair, reward + 1, critic_rows, occurrence
     )
-    q_estimate = float(np.dot(_CLASS_REWARDS, critic_grads.probabilities))
+    q_estimate = float(np.dot(_CLASS_REWARDS, class_probabilities))
     if config.critic_lr != 0.0:
-        _apply_critic_update(critic_table, critic_grads, config.critic_lr)
+        critic_table.descend(critic_rows, config.critic_lr, amplitude_grad, salience_grad)
 
     advantage = reward - q_estimate
     if config.actor_lr != 0.0 and advantage != 0.0:
-        grads = actor.actor_gradients(
-            params,
-            ids,
-            out.index,
+        if plan is None:
+            table_ids, _, position_row = qrep.segment_unique(ids.ravel())
+        else:
+            table_ids, position_row = plan.actor_unique(rows)
+        table_grad, weights_grad, factors_grad = actor.policy_gradient(
+            g,
+            params.temperature,
+            amplitude_rows,
+            pooled,
+            dots,
+            probabilities,
+            index,
             advantage,
-            forward=out.forward,
-            probabilities=out.probabilities,
-            unique_rows=None if plan is None else plan.actor_unique(rows),
+            position_row,
+            table_ids.shape[0],
         )
-        _apply_actor_update(params, grads, config.actor_lr)
+        params.table.descend(table_ids, config.actor_lr, table_grad)
+        g.descend(config.actor_lr, weights_grad, factors_grad)
 
     return StepMetrics(
-        chosen_index=out.index,
+        chosen_index=index,
         reward=reward,
         q_estimate=q_estimate,
         advantage=advantage,
         critic_loss=critic_loss,
-        log_probability=out.log_probability,
+        log_probability=log_probability,
     )
 
 
@@ -411,7 +428,7 @@ def evaluate(
 
     One batched pass over the corpus's compiled form (env.Corpus.compiled,
     built once per corpus): every candidate is scored at once by
-    actor.score_rows, the scorer actor_forward uses, each document's choice
+    actor.project_rows, the scoring actor_forward uses, each document's choice
     is the first argmax of its segment, and every pair is judged at once by
     critic.batch_class_probabilities. Each score and class probability has
     the bits a per-document pass would give. Scent is env.reward_scent of the
@@ -427,7 +444,7 @@ def evaluate(
     compiled = corpus.compiled
 
     ids = query_row_ids(compiled, params.global_rep.order)
-    scores = actor.score_rows(params.global_rep, params.table.amplitudes[ids]).scores
+    scores = actor.project_rows(params.global_rep, params.table.amplitudes[ids])[0]
     chosen = actor.first_argmax(scores, compiled.offsets)
     rewards = compiled.labels[compiled.offsets + chosen]
 
@@ -739,15 +756,27 @@ def checkpoint_config(checkpoint: Checkpoint) -> TrainConfig:
 def restore_params(
     checkpoint: Checkpoint, corpus: env.Corpus
 ) -> tuple[actor.ActorParams, critic.ComplexEmbeddingTable, TrainConfig]:
-    """Rebind checkpoint arrays to the corpus vocabulary.
+    """bind_params under the settings the checkpoint echoes (checkpoint_config).
 
-    Rows are (null, unk) + sorted vocabulary on the actor side, (unk) + sorted
-    vocabulary on the critic side; a shape disagreement means the checkpoint
-    was trained against a different corpus. Parameters that break a training
-    invariant, an echoed config that train would refuse, and blocks whose
-    shapes disagree with it raise CheckpointInvalid.
+    An echoed config that train would refuse, and blocks whose shapes
+    disagree with it, raise CheckpointInvalid.
     """
     config = checkpoint_config(checkpoint)
+    params, critic_table = bind_params(checkpoint, corpus, config)
+    return params, critic_table, config
+
+
+def bind_params(
+    checkpoint: Checkpoint, corpus: env.Corpus, config: TrainConfig
+) -> tuple[actor.ActorParams, critic.ComplexEmbeddingTable]:
+    """Rebind checkpoint arrays to the corpus vocabulary.
+
+    `config` is checkpoint_config(checkpoint). Rows are (null, unk) + sorted
+    vocabulary on the actor side, (unk) + sorted vocabulary on the critic
+    side; a shape disagreement means the checkpoint was trained against a
+    different corpus. Parameters that break a training invariant raise
+    CheckpointInvalid.
+    """
     if config.keyword_count != corpus.keyword_count:
         raise CheckpointMismatch(
             f"checkpoint has keyword_count={config.keyword_count}, corpus has {corpus.keyword_count}"
@@ -773,7 +802,7 @@ def restore_params(
         phases=checkpoint.critic_phases.copy(),
         salience=checkpoint.critic_salience.copy(),
     )
-    return params, critic_table, config
+    return params, critic_table
 
 
 @dataclass(eq=False)

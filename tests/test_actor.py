@@ -277,22 +277,6 @@ class TestActorGradients:
         with pytest.raises(ShapeMismatch):
             actor_gradients(params, np.zeros((2, 3), dtype=np.int64), chosen=0, advantage=1.0)
 
-    def test_recomputed_forward_equals_the_sampled_one_bitwise(self):
-        params = make_params(np.random.default_rng(63), rank=3)
-        candidates = make_candidates(params.table, 2, [["w0", "w1"], ["w2"], ["w1", "w1"]])
-        out = act(params, rows_of(candidates), np.random.default_rng(5))
-        given = actor_gradients(
-            params,
-            ids_of(candidates),
-            out.index,
-            0.8,
-            forward=out.forward,
-            probabilities=out.probabilities,
-        )
-        recomputed = actor_gradients(params, ids_of(candidates), out.index, 0.8)
-        for name in ("ids", "rows", "weights", "factors"):
-            assert getattr(given, name).tobytes() == getattr(recomputed, name).tobytes()
-
     def test_matches_central_finite_differences(self):
         h = 1e-5
         for seed in range(20):

@@ -193,6 +193,24 @@ class TestTrain:
         code, _, _ = run(argv, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--actor-lr", "nan"), ("--critic-lr", "nan"), ("--actor-lr", "inf")]
+    )
+    def test_non_finite_learning_rate_is_usage_error(
+        self, corpus_dir, tmp_path, capsys, flag, value
+    ):
+        argv = [
+            "train",
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            flag, value,
+            "--out", str(tmp_path),
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == []
+        assert "must be positive and finite" in err
+        assert not (tmp_path / "checkpoint.txt").exists()
+
 
 class TestEval:
     def test_matches_final_train_record(self, corpus_dir, trained_dir, capsys):
@@ -334,7 +352,8 @@ class TestEval:
         assert scent and scent != [l for l in default_out if l.startswith("scent_scalar=")]
 
     @pytest.mark.parametrize(
-        "entry", ["scent_smoothing=0", "temperature=0", "episodes=abc"]
+        "entry",
+        ["scent_smoothing=0", "temperature=0", "episodes=abc", "actor_lr=nan", "critic_lr=inf"],
     )
     def test_invalid_config_echo_is_runtime_error(
         self, corpus_dir, trained_dir, tmp_path, capsys, entry
@@ -394,6 +413,27 @@ SHAPES = {
     "r-1xc": lambda r, c: (r - 1, c),
     "rxc+1": lambda r, c: (r, c + 1),
 }
+
+
+class TestEchoCheckedOnce:
+    """eval and inspect --doc check the checkpoint's config echo once, not twice."""
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_checkpoint_config_runs_once(self, corpus_dir, trained_dir, capsys, command):
+        corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)
+        argv = [
+            command,
+            "--checkpoint", str(trained_dir / "checkpoint.txt"),
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+        ]
+        if command == "inspect":
+            argv += ["--doc", corpus.documents[0].doc_id]
+        with mock.patch.object(
+            trainer, "checkpoint_config", wraps=trainer.checkpoint_config
+        ) as spy:
+            code, _, _ = run(argv, capsys)
+        assert code == 0
+        assert spy.call_count == 1
 
 
 class TestBlockShapes:

@@ -116,6 +116,10 @@ class TestTrainConfig:
             {"rank": 0},
             {"embed_dim": 7},
             {"keyword_count": 0},
+            {"actor_lr": float("nan")},
+            {"critic_lr": float("nan")},
+            {"actor_lr": float("inf")},
+            {"critic_lr": float("inf")},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -308,12 +312,7 @@ def string_path_step(params, critic_table, keywords, drawn, config, rng):
     advantage = chosen.label - q_estimate
     if advantage != 0.0:
         grads = actor.actor_gradients(
-            params,
-            np.stack([q.word_ids for q in candidates]),
-            out.index,
-            advantage,
-            forward=out.forward,
-            probabilities=out.probabilities,
+            params, np.stack([q.word_ids for q in candidates]), out.index, advantage
         )
         params.table.amplitudes[grads.ids] -= config.actor_lr * grads.rows
         params.global_rep.weights -= config.actor_lr * grads.weights
@@ -893,6 +892,42 @@ class TestNoDensityMatrixOnTrainingPaths:
             p = critic.class_probabilities(tokens, before)
             assert metrics.q_estimate == float(np.dot(critic.CLASS_REWARDS, p))
             assert critic_state_bytes(critic_table) != critic_state_bytes(before)
+
+
+class TestNoStepDataclassesOnTrainingPaths:
+    """Training steps run on arrays; building a per-step result dataclass fails here."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_step_dataclasses(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a step dataclass was built")
+
+        for cls in (
+            actor.ActorForward,
+            actor.ActionOutput,
+            actor.ActorGradients,
+            critic.CriticGradients,
+        ):
+            monkeypatch.setattr(cls, "__init__", refuse)
+
+    def test_refusal_reaches_the_dataclass_api(self):
+        corpus = small_corpus()
+        params, critic_table = trainer.init_params(corpus, small_config())
+        ids = trainer.query_row_ids(corpus.compiled, params.global_rep.order)[:3]
+        rng = np.random.default_rng(0)
+        with pytest.raises(AssertionError):
+            actor.act(params, params.table.amplitudes[ids], rng)
+        with pytest.raises(AssertionError):
+            actor.actor_gradients(params, ids, 0, 0.5)
+        with pytest.raises(AssertionError):
+            critic.critic_loss_and_gradients(np.array([1, 2]), 2, critic_table)
+
+    @pytest.mark.parametrize("mode", ["bandit", "session"])
+    def test_training_and_evaluation(self, mode):
+        corpus = small_corpus()
+        result = trainer.train(small_config(mode=mode, episodes=10, eval_interval=5), corpus)
+        assert len(result.metrics) == 2
+        trainer.evaluate(result.params, result.critic_table, corpus)
 
 
 class TestCheckpointFormat:
