@@ -244,7 +244,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     lines.append(f"critic.amplitudes: {checkpoint.critic_amplitudes.shape}")
     lines.append(
         f"critic.phases: {checkpoint.critic_phases.shape} "
-        "the init draw; training never updates them"
+        "the init draw, redrawn from the echoed seed; training never updates them"
     )
 
     if args.doc is not None:

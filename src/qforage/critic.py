@@ -99,11 +99,17 @@ class ComplexEmbeddingTable:
         if embed_dim % 3 != 0:
             raise DimensionNotDivisible(f"embedding dimension {embed_dim} is not divisible by 3")
         rows = len(words) + WORD_ROW_OFFSET
-        amps = np.abs(rng.standard_normal((rows, embed_dim))) + 1e-3
+        normal = rng.standard_normal((rows, embed_dim))
+        return cls.from_draws(words, normal, rng.uniform(-np.pi, np.pi, size=(rows, embed_dim)))
+
+    @classmethod
+    def from_draws(
+        cls, words: Sequence[str], normal: np.ndarray, phases: np.ndarray
+    ) -> "ComplexEmbeddingTable":
+        """The from_vocab table of its normal and uniform(-pi, pi) draws, both (rows, d)."""
+        amps = np.abs(normal) + 1e-3
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-        phases = rng.uniform(-np.pi, np.pi, size=(rows, embed_dim))
-        salience = np.zeros(rows)
-        return cls(words=tuple(words), amplitudes=amps, phases=phases, salience=salience)
+        return cls(words=tuple(words), amplitudes=amps, phases=phases, salience=np.zeros(len(amps)))
 
     @property
     def embed_dim(self) -> int:

@@ -148,9 +148,14 @@ class AmplitudeTable:
         from zero and gradients flow from the first episode.
         """
         rows = len(words) + WORD_ROW_OFFSET
-        amps = 1.0 + 0.2 * rng.standard_normal((rows, basis_dim))
+        return cls.from_normal(words, rng.standard_normal((rows, basis_dim)))
+
+    @classmethod
+    def from_normal(cls, words: Sequence[str], normal: np.ndarray) -> "AmplitudeTable":
+        """The from_vocab table of a standard normal draw of shape (rows, k)."""
+        amps = 1.0 + 0.2 * normal
         renormalize_rows(amps)
-        amps[NULL_ID] = qcore.basis_vector(basis_dim, 0)
+        amps[NULL_ID] = qcore.basis_vector(amps.shape[1], 0)
         return cls(words=tuple(words), amplitudes=amps)
 
     @property
@@ -252,13 +257,21 @@ class GlobalRepresentation:
         rng: np.random.Generator,
         weight_scale: float = 0.3,
     ) -> "GlobalRepresentation":
-        factors = 1.0 + 0.2 * rng.standard_normal((rank, order, basis_dim))
-        flat = factors.reshape(rank * order, basis_dim)
+        factor_normal = rng.standard_normal((rank, order, basis_dim))
+        return cls.from_normal(factor_normal, rng.standard_normal(rank), weight_scale)
+
+    @classmethod
+    def from_normal(
+        cls, factor_normal: np.ndarray, weight_normal: np.ndarray, weight_scale: float = 0.3
+    ) -> "GlobalRepresentation":
+        """The from_random representation of standard normal draws, (R, order, k) and (R,)."""
+        rank, order, basis_dim = factor_normal.shape
+        flat = (1.0 + 0.2 * factor_normal).reshape(rank * order, basis_dim)
         renormalize_rows(flat)
         # Positive initial weights keep the score monotone in slot alignment
         # at the start of training; signed products of near-unit dots are
         # otherwise free to rank candidates by parity instead of overlap.
-        weights = weight_scale * np.abs(rng.standard_normal(rank)) + 0.05
+        weights = weight_scale * np.abs(weight_normal) + 0.05
         return cls(weights=weights, factors=flat.reshape(rank, order, basis_dim))
 
     @property

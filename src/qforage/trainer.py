@@ -67,14 +67,24 @@ masses. Scores and class probabilities keep the bits of a per-document pass.
 Scent statistics come from the array of chosen rewards (env.reward_scent),
 and training's scent scalar uses the same recurrence.
 
-Checkpoints are UTF-8 text: a `qforage-checkpoint v1` header, `# key=value`
-config echo lines, then named decimal matrix blocks (Checkpoint.blocks).
-Floats print with 17 significant digits, so save followed by load reproduces
-every parameter bit for bit. Each block is formatted by one `%` operation and
-parsed by one np.loadtxt call, not one Python call per value; only a block
-that fails to parse is walked row by row, to name the bad line. A save writes
-a temporary file block by block and renames it onto the target, so a failed
-save never truncates an earlier checkpoint.
+Checkpoints are UTF-8 text: a `qforage-checkpoint v2` header, `# key=value`
+config echo lines, then named decimal matrix blocks (Checkpoint.blocks) for
+everything but critic.phases. The phases are the init stream's last draw and
+training never changes them, so a load redraws them from the echoed seed and
+the block shapes (init_draws replays the whole stream, whose draws all have
+fixed sizes), and a save refuses phases that are not that draw, so no file
+loads back to other parameters. An edited seed echo therefore redraws other
+phases; they reach only the density-matrix views (inspect's off-diagonals
+and the demos), never train or evaluate, which read class block masses.
+v1 files, which store the phases block, still load with the phases they
+store. Floats print with 17 significant digits, so save followed by load
+reproduces every parameter bit for bit. Each block is formatted by one `%`
+operation and parsed by one np.loadtxt call, not one Python call per value;
+only a block that fails to parse is walked row by row, to name the bad line.
+A load reads the file block by block, numbering lines as str.splitlines
+numbers the whole text. A save writes a temporary file block by block and
+renames it onto the target, so a failed save never truncates an earlier
+checkpoint.
 The vocabulary-to-row mapping is not stored; it is rebuilt as (null, unk) +
 sorted corpus vocabulary, and shape validation rejects a checkpoint paired
 with the wrong corpus.
@@ -84,6 +94,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import math
 import os
 import warnings
@@ -103,7 +114,18 @@ from .errors import (
 )
 from .seeding import stream_rng
 
-CHECKPOINT_HEADER = "qforage-checkpoint v1"
+CHECKPOINT_HEADER = "qforage-checkpoint v2"
+#: The blocks a file stores, in file order. v1 files also store critic.phases
+#: after critic.amplitudes.
+_STORED_BLOCKS = (
+    "actor.amplitudes",
+    "global.weights",
+    "global.factors",
+    "critic.amplitudes",
+    "critic.salience",
+)
+_V1_HEADER = "qforage-checkpoint v1"
+_V1_BLOCKS = _STORED_BLOCKS + ("critic.phases",)
 
 #: critic.CLASS_REWARDS as floats, for the expected reward of class probabilities.
 _CLASS_REWARDS = np.array(critic.CLASS_REWARDS, dtype=np.float64)
@@ -223,22 +245,48 @@ class MetricRow:
         )
 
 
+def init_draws(
+    seed: int,
+    actor_shape: tuple[int, int],
+    factor_shape: tuple[int, int, int],
+    critic_shape: tuple[int, int],
+) -> tuple[np.ndarray, ...]:
+    """The init stream's draws, in the order it makes them.
+
+    Standard normals for the actor table (V + 2, k), the factors (R, n, k)
+    and the weights (R,) and the critic amplitudes (V + 1, d), then the
+    critic phases, uniform on [-pi, pi) of shape (V + 1, d). Every draw has
+    a fixed size, so a seed and the shapes give the same bits every time:
+    init_params builds its parameters from them, and a v2 checkpoint's
+    phases are redrawn from them.
+    """
+    rng = stream_rng(seed, "init")
+    return (
+        rng.standard_normal(actor_shape),
+        rng.standard_normal(factor_shape),
+        rng.standard_normal(factor_shape[0]),
+        rng.standard_normal(critic_shape),
+        rng.uniform(-np.pi, np.pi, size=critic_shape),
+    )
+
+
 def init_params(
     corpus: env.Corpus, config: TrainConfig
 ) -> tuple[actor.ActorParams, critic.ComplexEmbeddingTable]:
-    """Fresh parameters over the corpus vocabulary, seeded from the init stream."""
-    rng = stream_rng(config.seed, "init")
-    table = qrep.AmplitudeTable.from_vocab(corpus.vocabulary, config.basis_dim, rng)
-    global_rep = qrep.GlobalRepresentation.from_random(
-        config.query_order, config.basis_dim, config.rank, rng
-    )
-    critic_table = critic.ComplexEmbeddingTable.from_vocab(
-        corpus.vocabulary, config.embed_dim, rng
+    """Fresh parameters over the corpus vocabulary, built from init_draws."""
+    vocab = corpus.vocabulary
+    actor_normal, factor_normal, weight_normal, critic_normal, phases = init_draws(
+        config.seed,
+        (len(vocab) + qrep.WORD_ROW_OFFSET, config.basis_dim),
+        (config.rank, config.query_order, config.basis_dim),
+        (len(vocab) + critic.WORD_ROW_OFFSET, config.embed_dim),
     )
     params = actor.ActorParams(
-        table=table, global_rep=global_rep, temperature=config.temperature
+        table=qrep.AmplitudeTable.from_normal(vocab, actor_normal),
+        global_rep=qrep.GlobalRepresentation.from_normal(factor_normal, weight_normal),
+        temperature=config.temperature,
     )
-    return params, critic_table
+    return params, critic.ComplexEmbeddingTable.from_draws(vocab, critic_normal, phases)
 
 
 def query_row_ids(compiled: env.CompiledCorpus, order: int) -> np.ndarray:
@@ -511,17 +559,42 @@ def make_checkpoint(
     )
 
 
-def checkpoint_text(checkpoint: Checkpoint) -> Iterator[str]:
-    """The file's text in order: header and echo, then each block's header and rows.
+def echoed_init_phases(
+    config_echo: dict[str, str],
+    actor_amplitudes: np.ndarray,
+    global_factors: np.ndarray,
+    critic_amplitudes: np.ndarray,
+) -> np.ndarray:
+    """The critic phases init_draws gives for the echoed seed and the blocks' shapes.
 
-    Every piece ends in a newline. A block's rows are one `%` operation over
-    its values; `%.17g` prints what format_float prints.
+    An echo without an integer seed raises CheckpointInvalid.
+    """
+    try:
+        seed = int(config_echo["seed"])
+    except (KeyError, ValueError):
+        found = repr(config_echo["seed"]) if "seed" in config_echo else "none"
+        raise CheckpointInvalid(
+            f"config echo: critic.phases are redrawn from an integer seed, found {found}"
+        ) from None
+    return init_draws(
+        seed, actor_amplitudes.shape, global_factors.shape, critic_amplitudes.shape
+    )[-1]
+
+
+def checkpoint_text(checkpoint: Checkpoint) -> Iterator[str]:
+    """The file's text in order: header and echo, then each stored block's header and rows.
+
+    Every piece ends in a newline. critic.phases is not stored; a loader
+    redraws it (echoed_init_phases). A block's rows are one `%` operation
+    over its values; `%.17g` prints what format_float prints.
     """
     yield "".join(
         [CHECKPOINT_HEADER + "\n"]
         + [f"# {key}={value}\n" for key, value in checkpoint.config_echo.items()]
     )
-    for name, block in checkpoint.blocks().items():
+    blocks = checkpoint.blocks()
+    for name in _STORED_BLOCKS:
+        block = blocks[name]
         rows, cols = block.shape
         yield f"[{name} {rows} {cols}]\n"
         row = " ".join(["%.17g"] * cols) + "\n"
@@ -536,9 +609,23 @@ def checkpoint_lines(checkpoint: Checkpoint) -> list[str]:
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Write the file beside `path` and rename it into place.
 
-    A save that fails leaves any earlier file at `path` as it was and no
-    temporary file behind.
+    Phases that are not bit for bit the echoed seed's init draw would load
+    back as other phases, so they raise CheckpointInvalid before anything is
+    written. A save that fails leaves any earlier file at `path` as it was
+    and no temporary file behind.
     """
+    redrawn = echoed_init_phases(
+        checkpoint.config_echo,
+        checkpoint.actor_amplitudes,
+        checkpoint.global_factors,
+        checkpoint.critic_amplitudes,
+    )
+    phases = checkpoint.critic_phases
+    if phases.shape != redrawn.shape or phases.tobytes() != redrawn.tobytes():
+        raise CheckpointInvalid(
+            f"block 'critic.phases' is not the init draw of the echoed "
+            f"seed={checkpoint.config_echo['seed']}, and a checkpoint does not store it"
+        )
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -551,14 +638,34 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         raise
 
 
-_PARAM_BLOCKS = (
-    "actor.amplitudes",
-    "global.weights",
-    "global.factors",
-    "critic.amplitudes",
-    "critic.phases",
-    "critic.salience",
-)
+class _Lines:
+    """A text file's lines as str.splitlines cuts the whole text, read as they are asked for.
+
+    The file object cuts only at \\n, \\r and \\r\\n; str.splitlines also cuts
+    at \\x0b, \\x0c, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029. Each read joins
+    the file lines it takes and cuts them again, keeping the lines past the
+    request for the next read, so a line's number is its splitlines index + 1.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._ahead: list[str] = []
+        self.count = 0  # lines handed out so far
+
+    def take(self, n: int) -> list[str]:
+        """The next n lines without their line breaks; fewer at the end of the file."""
+        lines = self._ahead[:n]
+        del self._ahead[:n]
+        while len(lines) < n:
+            text = "".join(itertools.islice(self._fh, n - len(lines)))
+            if not text:
+                break
+            more = text.splitlines()
+            need = n - len(lines)
+            lines += more[:need]
+            self._ahead = more[need:]
+        self.count += len(lines)
+        return lines
 
 
 def _parse_rows(rows: list[str]) -> np.ndarray:
@@ -569,12 +676,15 @@ def _parse_rows(rows: list[str]) -> np.ndarray:
         return np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
 
 
-def _parse_block(lines: list[str], start: int, name: str, rows: int, cols: int) -> np.ndarray:
+def _parse_block(
+    lines: list[str], start: int, name: str, rows: int, cols: int, base: int = 0
+) -> np.ndarray:
     """The (rows, cols) values on lines[start:start + rows], parsed in one call.
 
     A block that does not parse whole is walked row by row to raise
-    ParseError at its first bad line. A block without values parses to an
-    empty array once every row is checked.
+    ParseError at its first bad line, numbered as if `base` file lines came
+    before lines[0]. A block without values parses to an empty array once
+    every row is checked.
     """
     try:
         data = _parse_rows(lines[start : start + rows])
@@ -586,82 +696,99 @@ def _parse_block(lines: list[str], start: int, name: str, rows: int, cols: int) 
     for r in range(rows):
         j = start + r
         if j >= len(lines):
-            raise ParseError(f"block {name!r} truncated at row {r}", line=len(lines))
+            raise ParseError(f"block {name!r} truncated at row {r}", line=base + len(lines))
         count = len(lines[j].split())
         if count != cols:
-            raise ParseError(f"block {name!r} row has {count} values, expected {cols}", line=j + 1)
+            raise ParseError(
+                f"block {name!r} row has {count} values, expected {cols}", line=base + j + 1
+            )
         try:
             _parse_rows([lines[j]])
         except ValueError:
-            raise ParseError(f"non-numeric value in block {name!r}", line=j + 1) from None
+            raise ParseError(f"non-numeric value in block {name!r}", line=base + j + 1) from None
     if rows * cols > 0:  # Not reached while np.loadtxt splits rows as str.split does.
-        raise ParseError(f"block {name!r} does not parse", line=start)
+        raise ParseError(f"block {name!r} does not parse", line=base + start)
     return np.empty((rows, cols), dtype=np.float64)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Parse a checkpoint file; malformed structure raises ParseError with a line number.
 
-    Block shapes are nonnegative and each parameter block appears once; rng.*
-    blocks, which earlier versions wrote, are skipped.
+    The file is read block by block. Block shapes are nonnegative and each
+    parameter block appears once; rng.* blocks, which earlier versions wrote,
+    are skipped. A v2 file's critic.phases are redrawn from its echoed seed
+    and block shapes (echoed_init_phases) once the blocks have parsed; a v1
+    file stores them.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_HEADER:
-        found = lines[0] if lines else "<empty file>"
-        raise VersionMismatch(f"expected header {CHECKPOINT_HEADER!r}, found {found!r}")
-    echo: dict[str, str] = {}
-    blocks: dict[str, np.ndarray] = {}
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        if not line.strip():
-            i += 1
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                echo[key.strip()] = value
-            i += 1
-            continue
-        if not (line.startswith("[") and line.endswith("]")):
-            raise ParseError(f"expected a block header, got {line!r}", line=i + 1)
-        parts = line[1:-1].split()
-        if len(parts) != 3:
-            raise ParseError(f"malformed block header {line!r}", line=i + 1)
-        name = parts[0]
-        try:
-            rows, cols = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"non-integer block shape in {line!r}", line=i + 1) from None
-        if rows < 0 or cols < 0:
-            raise ParseError(f"negative block shape in {line!r}", line=i + 1)
-        if name not in _PARAM_BLOCKS and not name.startswith("rng."):
-            raise ParseError(f"unknown block {name!r}", line=i + 1)
-        if name in blocks:
-            raise ParseError(f"block {name!r} appears twice", line=i + 1)
-        data = _parse_block(lines, i + 1, name, rows, cols)
-        # rng.* blocks hold stream states earlier versions wrote; nothing reads them.
-        if not name.startswith("rng."):
-            blocks[name] = data
-        i += 1 + rows
-    missing = [b for b in _PARAM_BLOCKS if b not in blocks]
+        lines = _Lines(fh)
+        header = lines.take(1)
+        if header not in ([CHECKPOINT_HEADER], [_V1_HEADER]):
+            found = header[0] if header else "<empty file>"
+            raise VersionMismatch(
+                f"expected header {CHECKPOINT_HEADER!r} or {_V1_HEADER!r}, found {found!r}"
+            )
+        stored = _STORED_BLOCKS if header[0] == CHECKPOINT_HEADER else _V1_BLOCKS
+        echo: dict[str, str] = {}
+        blocks: dict[str, np.ndarray] = {}
+        while taken := lines.take(1):
+            line = taken[0]
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    echo[key.strip()] = value
+                continue
+            if not (line.startswith("[") and line.endswith("]")):
+                raise ParseError(f"expected a block header, got {line!r}", line=lines.count)
+            parts = line[1:-1].split()
+            if len(parts) != 3:
+                raise ParseError(f"malformed block header {line!r}", line=lines.count)
+            name = parts[0]
+            try:
+                rows, cols = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"non-integer block shape in {line!r}", line=lines.count) from None
+            if rows < 0 or cols < 0:
+                raise ParseError(f"negative block shape in {line!r}", line=lines.count)
+            if name == "critic.phases" and name not in stored:
+                raise ParseError(
+                    "a v2 file does not store block 'critic.phases'; it is redrawn "
+                    "from the echoed seed",
+                    line=lines.count,
+                )
+            if name not in stored and not name.startswith("rng."):
+                raise ParseError(f"unknown block {name!r}", line=lines.count)
+            if name in blocks:
+                raise ParseError(f"block {name!r} appears twice", line=lines.count)
+            base = lines.count
+            data = _parse_block(lines.take(rows), 0, name, rows, cols, base)
+            # rng.* blocks hold stream states earlier versions wrote; nothing reads them.
+            if not name.startswith("rng."):
+                blocks[name] = data
+    missing = [b for b in stored if b not in blocks]
     if missing:
-        raise ParseError(f"missing parameter blocks: {missing}", line=len(lines))
+        raise ParseError(f"missing parameter blocks: {missing}", line=lines.count)
     weights = blocks["global.weights"].ravel()
     rank = weights.shape[0]
     factors_flat = blocks["global.factors"]
     if rank == 0 or factors_flat.shape[0] % rank != 0:
         raise ParseError(
             f"factor rows {factors_flat.shape[0]} not divisible by rank {rank}",
-            line=len(lines),
+            line=lines.count,
         )
     order = factors_flat.shape[0] // rank
+    factors = factors_flat.reshape(rank, order, factors_flat.shape[1])
+    if "critic.phases" not in blocks:
+        blocks["critic.phases"] = echoed_init_phases(
+            echo, blocks["actor.amplitudes"], factors, blocks["critic.amplitudes"]
+        )
     return Checkpoint(
         actor_amplitudes=blocks["actor.amplitudes"],
         global_weights=weights,
-        global_factors=factors_flat.reshape(rank, order, factors_flat.shape[1]),
+        global_factors=factors,
         critic_amplitudes=blocks["critic.amplitudes"],
         critic_phases=blocks["critic.phases"],
         critic_salience=blocks["critic.salience"].ravel(),

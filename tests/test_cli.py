@@ -12,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from checkpoint_v1 import v1_lines
 
 from qforage import cli, env, trainer
 
@@ -445,7 +446,11 @@ class TestBlockShapes:
     def test_is_runtime_error_without_traceback(
         self, corpus_dir, trained_dir, tmp_path, capsys, command, shape, name
     ):
-        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
+        saved = trained_dir / "checkpoint.txt"
+        if name == "critic.phases":  # Only a v1 file stores the phases.
+            lines = v1_lines(trainer.load_checkpoint(str(saved)))
+        else:
+            lines = saved.read_text().splitlines()
         bad = tmp_path / "shape.txt"
         bad.write_text("\n".join(with_block_shape(lines, name, SHAPES[shape])) + "\n")
         argv = [command, "--checkpoint", str(bad)]
@@ -473,6 +478,57 @@ class TestBlockShapes:
         assert out == []
         assert err.startswith("error: block 'global.factors' has shape (0, 3), expected (12, 3)")
         assert "query_order=3" in err
+
+
+class TestCheckpointV2:
+    """Files leave critic.phases out; damage to what redraws them exits 1 with one error line."""
+
+    def test_trained_file_is_v2_without_phases(self, trained_dir):
+        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
+        assert lines[0] == "qforage-checkpoint v2"
+        assert not any(l.startswith("[critic.phases ") for l in lines)
+
+    def run_edited(self, corpus_dir, trained_dir, tmp_path, capsys, command, edit):
+        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
+        assert lines[0] == "qforage-checkpoint v2"
+        bad = tmp_path / "edited.txt"
+        bad.write_text("\n".join(edit(lines)) + "\n")
+        argv = [command, "--checkpoint", str(bad)]
+        if command == "eval":
+            argv += ["--corpus", str(corpus_dir / "corpus.tsv")]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == []
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    @pytest.mark.parametrize("seed_line", [None, "# seed=1.5", "# seed=nine"])
+    def test_seed_echo_must_be_an_integer(
+        self, corpus_dir, trained_dir, tmp_path, capsys, command, seed_line
+    ):
+        def edit(lines):
+            kept = [l for l in lines if not l.startswith("# seed=")]
+            return kept if seed_line is None else kept[:1] + [seed_line] + kept[1:]
+
+        err = self.run_edited(corpus_dir, trained_dir, tmp_path, capsys, command, edit)
+        assert "critic.phases are redrawn from an integer seed" in err
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_empty_weights_block(self, corpus_dir, trained_dir, tmp_path, capsys, command):
+        def edit(lines):
+            return with_block_shape(lines, "global.weights", lambda r, c: (0, 0))
+
+        err = self.run_edited(corpus_dir, trained_dir, tmp_path, capsys, command, edit)
+        assert "not divisible by rank 0" in err
+
+    def test_inspect_says_the_phases_are_redrawn(self, trained_dir, capsys):
+        code, out, _ = run(
+            ["inspect", "--checkpoint", str(trained_dir / "checkpoint.txt")], capsys
+        )
+        assert code == 0
+        phases = [l for l in out if l.startswith("critic.phases: ")]
+        assert len(phases) == 1 and "redrawn from the echoed seed" in phases[0]
 
 
 class TestInspect:

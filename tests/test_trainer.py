@@ -9,10 +9,12 @@ Evaluation metrics are re-derived from scratch over the corpus.
 
 import copy
 import dataclasses
+import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
+from checkpoint_v1 import CRITERION9_V1, v1_lines, write_v1
 from scent_reference import reference_scent
 
 from qforage import actor, critic, env, qcore, qrep, trainer
@@ -930,15 +932,20 @@ class TestNoStepDataclassesOnTrainingPaths:
         trainer.evaluate(result.params, result.critic_table, corpus)
 
 
+def init_checkpoint_file(tmp_path, **overrides):
+    """Init-time parameters over small_corpus(), saved to tmp_path / "checkpoint.txt"."""
+    corpus = small_corpus()
+    config = small_config(**overrides)
+    params, critic_table = trainer.init_params(corpus, config)
+    checkpoint = trainer.make_checkpoint(params, critic_table, config)
+    path = tmp_path / "checkpoint.txt"
+    trainer.save_checkpoint(checkpoint, str(path))
+    return corpus, config, params, critic_table, checkpoint, path
+
+
 class TestCheckpointFormat:
     def make(self, tmp_path, **overrides):
-        corpus = small_corpus()
-        config = small_config(**overrides)
-        params, critic_table = trainer.init_params(corpus, config)
-        checkpoint = trainer.make_checkpoint(params, critic_table, config)
-        path = tmp_path / "checkpoint.txt"
-        trainer.save_checkpoint(checkpoint, str(path))
-        return corpus, config, params, critic_table, checkpoint, path
+        return init_checkpoint_file(tmp_path, **overrides)
 
     def test_round_trip_is_bitwise(self, tmp_path):
         _, _, _, _, checkpoint, path = self.make(tmp_path)
@@ -1041,8 +1048,9 @@ class TestCheckpointFormat:
         assert excinfo.value.line == header + 2
 
     def test_non_numeric_value_rejected(self, tmp_path):
-        _, _, _, _, _, path = self.make(tmp_path)
-        lines = path.read_text().splitlines()
+        # A v1 file, the only layout that stores critic.phases.
+        _, _, _, _, checkpoint, path = self.make(tmp_path)
+        lines = v1_lines(checkpoint)
         header = next(i for i, l in enumerate(lines) if l.startswith("[critic.phases"))
         row = lines[header + 1].split()
         row[0] = "chewy"
@@ -1155,11 +1163,175 @@ class TestCheckpointFormat:
             trainer.restore_params(checkpoint, other)
 
 
+def phase_corpora():
+    """Two corpora of different vocabulary sizes."""
+    return [small_corpus(), small_corpus(seed=7, docs=20)]
+
+
+class TestCheckpointV2:
+    """v2 files leave critic.phases out; a load redraws them from the echoed seed."""
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**40 + 3])
+    def test_redraw_is_the_init_draw(self, tmp_path, seed):
+        path = tmp_path / "checkpoint.txt"
+        for corpus in phase_corpora():
+            for k, n, rank, d in itertools.product((1, 4), (1, 5), (1, 10), (3, 12)):
+                config = trainer.TrainConfig(
+                    seed=seed, basis_dim=k, query_order=n, rank=rank, embed_dim=d,
+                    keyword_count=corpus.keyword_count,
+                )
+                params, critic_table = trainer.init_params(corpus, config)
+                trainer.save_checkpoint(
+                    trainer.make_checkpoint(params, critic_table, config), str(path)
+                )
+                assert "[critic.phases" not in path.read_text()
+                loaded = trainer.load_checkpoint(str(path))
+                assert loaded.critic_phases.shape == critic_table.phases.shape
+                assert loaded.critic_phases.tobytes() == critic_table.phases.tobytes()
+
+    def test_trained_file_restores_every_parameter(self, tmp_path):
+        corpus = small_corpus()
+        path = tmp_path / "checkpoint.txt"
+        result = trainer.train(small_config(checkpoint_path=str(path)), corpus)
+        assert path.read_text().splitlines()[0] == "qforage-checkpoint v2"
+        params, critic_table, _ = trainer.restore_params(trainer.load_checkpoint(str(path)), corpus)
+        assert actor_state_bytes(params) == actor_state_bytes(result.params)
+        assert critic_state_bytes(critic_table) == critic_state_bytes(result.critic_table)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c.critic_phases.__setitem__((1, 2), np.nextafter(c.critic_phases[1, 2], 9.0)),
+            lambda c: c.config_echo.__setitem__("seed", "6"),
+        ],
+        ids=["phase-one-ulp-off", "other-seed"],
+    )
+    def test_save_refuses_phases_that_are_not_the_init_draw(self, tmp_path, edit):
+        _, _, _, _, checkpoint, path = init_checkpoint_file(tmp_path)
+        before = path.read_bytes()
+        edit(checkpoint)
+        with pytest.raises(CheckpointInvalid, match="block 'critic.phases' is not the init draw"):
+            trainer.save_checkpoint(checkpoint, str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.txt"]
+
+    @pytest.mark.parametrize("seed_line", [None, "# seed=", "# seed=1.5", "# seed=five"])
+    def test_seed_echo_must_be_an_integer(self, tmp_path, seed_line):
+        _, _, _, _, _, path = init_checkpoint_file(tmp_path)
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("# seed=")]
+        if seed_line is not None:
+            lines.insert(1, seed_line)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointInvalid, match="redrawn from an integer seed"):
+            trainer.load_checkpoint(str(path))
+
+    def test_stored_phases_block_is_rejected(self, tmp_path):
+        _, _, _, critic_table, checkpoint, path = init_checkpoint_file(tmp_path)
+        v1 = v1_lines(checkpoint)
+        start = v1.index(next(l for l in v1 if l.startswith("[critic.phases ")))
+        phases = v1[start : start + 1 + len(critic_table.phases)]
+        lines = path.read_text().splitlines() + phases
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="does not store block 'critic.phases'") as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert excinfo.value.line == len(lines) - len(phases) + 1
+
+
+class TestCheckpointV1:
+    """v1 files, which store critic.phases, still load with the phases they store."""
+
+    @staticmethod
+    def criterion9():
+        corpus = env.gen_corpus(
+            env.CorpusSpec(docs=20, patches=2, candidates_per_doc=3), np.random.default_rng(1009)
+        )
+        return corpus, trainer.TrainConfig(episodes=400, eval_interval=100, seed=9)
+
+    def test_committed_file_restores_what_training_gives(self, tmp_path):
+        corpus, config = self.criterion9()
+        result = trainer.train(config, corpus)
+        loaded = trainer.load_checkpoint(str(CRITERION9_V1))
+        params, critic_table, restored_config = trainer.restore_params(loaded, corpus)
+        assert restored_config == config
+        assert actor_state_bytes(params) == actor_state_bytes(result.params)
+        assert critic_state_bytes(critic_table) == critic_state_bytes(result.critic_table)
+        # Saving what a v1 file loads to writes the v2 file training writes.
+        ours, theirs = tmp_path / "ours.txt", tmp_path / "theirs.txt"
+        trainer.save_checkpoint(loaded, str(ours))
+        trainer.save_checkpoint(result.checkpoint, str(theirs))
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    def test_stored_phases_that_are_not_the_init_draw_are_kept(self, tmp_path):
+        corpus, _ = self.criterion9()
+        checkpoint = trainer.load_checkpoint(str(CRITERION9_V1))
+        checkpoint.critic_phases = np.random.default_rng(4).uniform(
+            -np.pi, np.pi, checkpoint.critic_phases.shape
+        )
+        path = tmp_path / "edited-v1.txt"
+        write_v1(checkpoint, path)
+        loaded = trainer.load_checkpoint(str(path))
+        assert loaded.critic_phases.tobytes() == checkpoint.critic_phases.tobytes()
+        _, critic_table, _ = trainer.restore_params(loaded, corpus)
+        assert critic_table.phases.tobytes() == checkpoint.critic_phases.tobytes()
+        # No v2 file can hold them.
+        with pytest.raises(CheckpointInvalid, match="critic.phases"):
+            trainer.save_checkpoint(loaded, str(tmp_path / "v2.txt"))
+
+
+#: Every line break str.splitlines splits at. A file object in text mode
+#: splits only at \n, \r and \r\n.
+LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineNumbersFollowSplitlines:
+    """A ParseError names the bad line's str.splitlines index + 1, whatever breaks precede it."""
+
+    @staticmethod
+    def saved_lines(tmp_path):
+        path = init_checkpoint_file(tmp_path)[-1]
+        return path, path.read_text().splitlines()
+
+    @staticmethod
+    def block_start(lines, name):
+        return next(i for i, l in enumerate(lines) if l.startswith(f"[{name} "))
+
+    def assert_reported_at(self, path, lines, is_bad):
+        text = "\n".join(lines) + "\n"
+        path.write_bytes(text.encode("utf-8"))
+        expected = next(i for i, l in enumerate(text.splitlines()) if is_bad(l)) + 1
+        with pytest.raises(ParseError) as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert excinfo.value.line == expected
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+    def test_break_inside_a_row(self, tmp_path, brk):
+        path, lines = self.saved_lines(tmp_path)
+        row = self.block_start(lines, "actor.amplitudes") + 3
+        first, *rest = lines[row].split()
+        lines[row] = f"{first}{brk}{' '.join(rest)}"
+        self.assert_reported_at(path, lines, lambda l: l == first)
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+    def test_breaks_before_a_later_bad_row(self, tmp_path, brk):
+        path, lines = self.saved_lines(tmp_path)
+        # One break splits an echo line in two comments, and one leaves a
+        # blank line after the actor block's last row.
+        lines[1] = f"{lines[1]}{brk}# a second comment"
+        start = self.block_start(lines, "actor.amplitudes")
+        last = start + int(lines[start][1:-1].split()[1])
+        lines[last] = f"{lines[last]}{brk} "
+        bad = self.block_start(lines, "critic.amplitudes") + 2
+        lines[bad] = "chewy " + lines[bad].partition(" ")[2]
+        self.assert_reported_at(path, lines, lambda l: l.startswith("chewy"))
+
+
 def reference_lines(checkpoint):
-    """The checkpoint's lines, each value formatted on its own."""
+    """The checkpoint's lines, each value formatted on its own; critic.phases is not stored."""
     lines = [trainer.CHECKPOINT_HEADER]
     lines.extend(f"# {key}={value}" for key, value in checkpoint.config_echo.items())
     for name, block in checkpoint.blocks().items():
+        if name == "critic.phases":
+            continue
         lines.append(f"[{name} {block.shape[0]} {block.shape[1]}]")
         lines.extend(" ".join(f"{float(v):.17g}" for v in row) for row in block)
     return lines
@@ -1221,6 +1393,17 @@ def random_checkpoint(rng, critic_rows):
     )
 
 
+def with_init_phases(checkpoint):
+    """The checkpoint with the phases its echoed seed and block shapes redraw, so it saves."""
+    phases = trainer.echoed_init_phases(
+        checkpoint.config_echo,
+        checkpoint.actor_amplitudes,
+        checkpoint.global_factors,
+        checkpoint.critic_amplitudes,
+    )
+    return dataclasses.replace(checkpoint, critic_phases=phases)
+
+
 class TestBlockTextMatchesPerValueReference:
     """Blocks are formatted and parsed whole; each must give what one value at a time gives."""
 
@@ -1230,15 +1413,29 @@ class TestBlockTextMatchesPerValueReference:
         lines = reference_lines(checkpoint)
         assert trainer.checkpoint_lines(checkpoint) == lines
         path = tmp_path / "random.txt"
-        trainer.save_checkpoint(checkpoint, str(path))
+        saved = with_init_phases(checkpoint)
+        trainer.save_checkpoint(saved, str(path))
         assert path.read_text() == "".join(line + "\n" for line in lines)
+        loaded = self.assert_parsed_bits(path, lines)
+        assert loaded.critic_phases.tobytes() == saved.critic_phases.tobytes()
 
+        # Random phases are not the init draw, so only a v1 file holds them.
+        write_v1(checkpoint, path)
+        self.assert_parsed_bits(path, v1_lines(checkpoint))
+
+    @staticmethod
+    def assert_parsed_bits(path, lines):
+        """Every block the file stores parses to the reference's bits."""
         loaded = trainer.load_checkpoint(str(path))
         for name, block in loaded.blocks().items():
-            start = lines.index(f"[{name} {block.shape[0]} {block.shape[1]}]") + 1
+            header = f"[{name} {block.shape[0]} {block.shape[1]}]"
+            if header not in lines:  # critic.phases, which a v2 file does not store
+                continue
+            start = lines.index(header) + 1
             expected = reference_block(lines, start, name, *block.shape)
             assert block.shape == expected.shape
             assert block.tobytes() == expected.tobytes(), name
+        return loaded
 
     def test_every_special_value_round_trips(self, tmp_path):
         block = np.array(SPECIAL_VALUES).reshape(3, 4)
@@ -1307,7 +1504,7 @@ class TestBlockTextMatchesPerValueReference:
         assert "non-numeric" in str(excinfo.value)
 
     def test_bad_row_is_named_in_a_saved_file(self, tmp_path):
-        checkpoint = random_checkpoint(np.random.default_rng(5), 4)
+        checkpoint = with_init_phases(random_checkpoint(np.random.default_rng(5), 4))
         path = tmp_path / "bad.txt"
         trainer.save_checkpoint(checkpoint, str(path))
         lines = path.read_text().splitlines()
@@ -1388,7 +1585,10 @@ class TestRestoreRejectsBrokenInvariants:
         checkpoint = copy.deepcopy(result.checkpoint)
         damage(checkpoint)
         path = tmp_path / "damaged.txt"
-        trainer.save_checkpoint(checkpoint, str(path))
+        if block == "critic.phases":  # Only a v1 file stores phases that are not the init draw.
+            write_v1(checkpoint, path)
+        else:
+            trainer.save_checkpoint(checkpoint, str(path))
         loaded = trainer.load_checkpoint(str(path))
         with pytest.raises(CheckpointInvalid) as excinfo:
             trainer.restore_params(loaded, corpus)
