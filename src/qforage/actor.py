@@ -34,6 +34,14 @@ TEMPERATURE_MIN = 1e-3
 TEMPERATURE_MAX = 1e3
 
 
+def check_temperature(temperature: float) -> None:
+    """Reject a softmax temperature outside [TEMPERATURE_MIN, TEMPERATURE_MAX], NaN included."""
+    if not (TEMPERATURE_MIN <= temperature <= TEMPERATURE_MAX):
+        raise ValueError(
+            f"temperature {temperature!r} outside [{TEMPERATURE_MIN}, {TEMPERATURE_MAX}]"
+        )
+
+
 @dataclass(eq=False)
 class ActorParams:
     """Everything the policy needs: word amplitudes, global space, softmax temperature."""
@@ -43,10 +51,7 @@ class ActorParams:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if not (TEMPERATURE_MIN <= self.temperature <= TEMPERATURE_MAX):
-            raise ValueError(
-                f"temperature {self.temperature!r} outside [{TEMPERATURE_MIN}, {TEMPERATURE_MAX}]"
-            )
+        check_temperature(self.temperature)
         if self.table.basis_dim != self.global_rep.basis_dim:
             raise ShapeMismatch(
                 f"table basis k={self.table.basis_dim} vs global k={self.global_rep.basis_dim}"
@@ -145,13 +150,6 @@ def _check_finite(scores: np.ndarray) -> None:
         raise NonFiniteScore(f"scores contain non-finite values: {scores!r}")
 
 
-def _check_temperature(temperature: float) -> None:
-    if not (TEMPERATURE_MIN <= temperature <= TEMPERATURE_MAX):
-        raise ValueError(
-            f"temperature {temperature!r} outside [{TEMPERATURE_MIN}, {TEMPERATURE_MAX}]"
-        )
-
-
 def _logits(scores: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Max-shifted logits z = scores / temperature - max, e = exp(z), and sum(e).
 
@@ -168,7 +166,7 @@ def _softmax(scores: np.ndarray, temperature: float) -> tuple[np.ndarray, np.nda
     """_logits of finite float scores at a supported temperature."""
     scores = np.asarray(scores, dtype=np.float64)
     _check_finite(scores)
-    _check_temperature(temperature)
+    check_temperature(temperature)
     return _logits(scores, temperature)
 
 
@@ -242,7 +240,7 @@ def act(params: ActorParams, rows: np.ndarray, rng: np.random.Generator) -> Acti
         raise NoCandidates("act needs at least one candidate")
     g = params.global_rep
     _check_rows(g, rows)
-    _check_temperature(params.temperature)
+    check_temperature(params.temperature)
     index, log_probability, probabilities, scores, pooled, dots = sample_rows(
         g, rows, params.temperature, rng
     )

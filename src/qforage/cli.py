@@ -235,16 +235,18 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     else:  # _load_for_eval checks the echo and the invariants as it binds the rows.
         corpus, params, critic_table, config = _load_for_eval(checkpoint, args.corpus)
     fmt = trainer.format_float
-    lines = [trainer.CHECKPOINT_HEADER]
+    lines = [checkpoint.header]
     lines.extend(f"# {k}={v}" for k, v in checkpoint.config_echo.items())
     rank, order, k = checkpoint.global_factors.shape
     lines.append(f"actor.amplitudes: {checkpoint.actor_amplitudes.shape}")
     lines.append(f"global.weights: rank={rank}")
     lines.append(f"global.factors: rank={rank} order={order} basis_dim={k}")
     lines.append(f"critic.amplitudes: {checkpoint.critic_amplitudes.shape}")
+    # A v1 file stores its phases, which need not be the init draw.
+    redrawn = checkpoint.header == trainer.CHECKPOINT_HEADER
+    source = "the init draw, redrawn from the echoed seed" if redrawn else "stored in the file"
     lines.append(
-        f"critic.phases: {checkpoint.critic_phases.shape} "
-        "the init draw, redrawn from the echoed seed; training never updates them"
+        f"critic.phases: {checkpoint.critic_phases.shape} {source}; training never updates them"
     )
 
     if args.doc is not None:
@@ -285,7 +287,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         pairs = ", ".join(
             f"({iu[0][t]},{iu[1][t]})={fmt(magnitudes[iu][t])}" for t in top
         )
-        lines.append(f"top off-diagonals (init-time phases): {pairs}")
+        phases = "init-time" if redrawn else "stored"
+        lines.append(f"top off-diagonals ({phases} phases): {pairs}")
 
     for line in lines:
         print(line)

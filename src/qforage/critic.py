@@ -126,15 +126,9 @@ class ComplexEmbeddingTable:
         """Complex vectors amplitude * exp(i * phase) for the given rows."""
         return self.amplitudes[ids] * np.exp(1j * self.phases[ids])
 
-    def renormalize(self, ids: np.ndarray | None = None) -> None:
-        """Project amplitude rows back onto the nonnegative unit sphere (_project_rows).
-
-        `ids` limits the work to the rows an update touched.
-        """
-        rows = self.amplitudes if ids is None else self.amplitudes[ids]
-        _project_rows(rows)
-        if ids is not None:
-            self.amplitudes[ids] = rows
+    def renormalize(self) -> None:
+        """Project every amplitude row back onto the nonnegative unit sphere (_project_rows)."""
+        _project_rows(self.amplitudes)
 
     def descend(
         self, ids: np.ndarray, lr: float, amplitude_grad: np.ndarray, salience_grad: np.ndarray

@@ -62,21 +62,13 @@ def scale_to_unit(block: np.ndarray, sq: np.ndarray) -> None:
     block /= np.where(np.abs(sq - 1.0) > _RENORM_DEADBAND, np.sqrt(sq), 1.0)[:, None]
 
 
-def _to_unit(block: np.ndarray) -> None:
-    scale_to_unit(block, np.einsum("ij,ij->i", block, block))
+def renormalize_rows(rows: np.ndarray) -> None:
+    """Scale every row of a 2-D array to unit norm, in place, with a dead band.
 
-
-def renormalize_rows(rows: np.ndarray, ids: np.ndarray | None = None) -> None:
-    """Scale rows of a 2-D array to unit norm, in place, with a dead band.
-
-    With `ids` (unique row indices) only those rows are read and written;
-    without, every row is. Rows inside the dead band and rows whose squared
-    norm is NaN are left as they are (scale_to_unit).
+    Rows inside the dead band and rows whose squared norm is NaN are left as
+    they are (scale_to_unit).
     """
-    block = rows if ids is None else rows[ids]
-    _to_unit(block)
-    if ids is not None:
-        rows[ids] = block
+    scale_to_unit(rows, np.einsum("ij,ij->i", rows, rows))
 
 
 def segment_unique(
@@ -169,12 +161,9 @@ class AmplitudeTable:
     def word_id(self, token: str) -> int:
         return self._index.get(token, UNK_ID)
 
-    def renormalize(self, ids: np.ndarray | None = None) -> None:
-        """Restore unit rows after an optimizer step; re-pins the padding row.
-
-        `ids` limits the work to the rows an update touched.
-        """
-        renormalize_rows(self.amplitudes, ids)
+    def renormalize(self) -> None:
+        """Restore every row to unit length; re-pins the padding row."""
+        renormalize_rows(self.amplitudes)
         self._pin_padding()
 
     def descend(self, ids: np.ndarray, lr: float, grad: np.ndarray) -> None:
@@ -185,7 +174,7 @@ class AmplitudeTable:
         """
         block = self.amplitudes[ids]
         block -= lr * grad
-        _to_unit(block)
+        renormalize_rows(block)
         self.amplitudes[ids] = block
         self._pin_padding()
 

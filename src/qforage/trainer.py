@@ -26,39 +26,35 @@ picks the document order (env.Environment): a bandit episode is one document,
 a session episode one pass through a patch.
 
 Training and evaluation both run on the corpus compiled once into arrays of
-vocabulary indices (env.Corpus.compiled). query_row_ids turns it into every
-candidate's actor table rows, once per train or evaluate call. A step takes
-the drawn document's candidates as compiled rows (env.Environment.draw),
-gathers their amplitude rows in one indexing operation, and reads the reward
-and the critic's rows off the compiled arrays: no token strings, no
-Observation and no Transition on the training path. Its parameters keep the
-bits of a step from token strings through qrep.embed_query.
-
-What only the corpus and the query order decide is compiled once per train
-call into a StepPlan (compile_step_plan): each document's sorted unique
-actor rows with each candidate's positions into them, and each pair's
-critic rows with each token's index among its sorted unique rows. One
-qrep.segment_unique sort builds each side for every document or pair at
-once. A step draws a permutation of a document's candidates, so the
-positions of the drawn rows, read in drawn order, are what np.unique gives
-for the gathered ids, and the gradients add into the merged rows in the
-same order, with the same bits; a step only slices the plan.
+vocabulary indices (env.Corpus.compiled); query_row_ids turns it into every
+candidate's actor table rows. What only the corpus and the query order
+decide is compiled once per train call into a StepPlan (compile_step_plan),
+and a step reads nothing else off the corpus: the query rows, the labels,
+each document's sorted unique actor rows with each candidate's positions
+into them, and each pair's critic rows with their sorted unique values and
+each token's index among them. One qrep.segment_unique sort builds each side
+for every document or pair at once. A step takes the drawn document's
+candidates as compiled rows (env.Environment.draw), gathers their amplitude
+rows in one indexing operation and slices everything else from the plan.
+The drawn rows' positions, read in drawn order, are what np.unique gives for
+the gathered ids, so the gradients add into the merged rows in the same
+order, with the same bits, as a step from token strings through
+qrep.embed_query.
 
 A step runs on plain arrays, one array routine per layer, each called
 through its module: actor.sample_rows scores and samples,
 critic.loss_gradient_rows takes the critic's loss and gradient rows,
 actor.policy_gradient the policy gradient, and the descend methods of
 qrep.AmplitudeTable, qrep.GlobalRepresentation and
-critic.ComplexEmbeddingTable each update one table. The routines return
-tuples of arrays, and the step builds no dataclass but the StepMetrics it
-returns. It re-checks nothing that compile or validate time settles:
-env.compile_corpus checks the labels, so the critic's class is reward + 1;
-ActorParams checks the temperature; the plan and query_row_ids fix the
+critic.ComplexEmbeddingTable each update one table; descend is the only
+update that touches part of a table. The step builds no dataclass but the
+StepMetrics it returns, and re-checks nothing that compile or validate time
+settles: env.compile_corpus checks the labels, so the critic's class is
+reward + 1; ActorParams checks the temperature; the plan fixes the
 candidates' shape and count, and the sampler clamps the drawn index. It does
 check every step that the scores are finite. The dataclass API (actor.act,
-actor.actor_gradients, critic.critic_loss_and_gradients and the renormalize
-methods) checks its inputs and wraps the same routines, so each quantity is
-computed one way.
+actor.actor_gradients, critic.critic_loss_and_gradients) checks its inputs
+and wraps the same routines, so each quantity is computed one way.
 
 Evaluation is one batched pass, not a loop over documents: every candidate is
 scored at once by actor.project_rows, the scoring a training step uses, and
@@ -176,8 +172,7 @@ class TrainConfig:
             # Written so that NaN fails too.
             if not (0.0 < lr < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {lr!r}")
-        if not (actor.TEMPERATURE_MIN <= self.temperature <= actor.TEMPERATURE_MAX):
-            raise ValueError(f"temperature {self.temperature!r} outside the supported range")
+        actor.check_temperature(self.temperature)
         env.check_smoothing(self.scent_smoothing)
         if self.mode not in ("bandit", "session"):
             raise ValueError(f"mode must be 'bandit' or 'session', got {self.mode!r}")
@@ -305,21 +300,26 @@ def query_row_ids(compiled: env.CompiledCorpus, order: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StepPlan:
-    """Where a step's repeated rows merge, fixed by the corpus and the query order.
+    """Everything a training step reads off the corpus, fixed by it and the query order.
 
     Flat arrays cut by bounds arrays, built once per train call
-    (compile_step_plan). Document j's sorted unique actor table rows are
-    actor_rows[actor_bounds[j]:actor_bounds[j + 1]], and actor_positions[i]
-    are candidate i's (order,) indices into them. Compiled pair i's tokens
-    have their indices into the pair's sorted unique critic rows at
-    occurrence[pair_bounds[i]:pair_bounds[i + 1]], and those rows are
-    critic_rows[critic_bounds[i]:critic_bounds[i + 1]].
+    (compile_step_plan). query_ids are query_row_ids of the compiled corpus
+    and labels its compiled labels. Document j's sorted unique actor table
+    rows are actor_rows[actor_bounds[j]:actor_bounds[j + 1]], and
+    actor_positions[i] are candidate i's (order,) indices into them.
+    Compiled pair i's critic table rows, in token order, are
+    pair_ids[pair_bounds[i]:pair_bounds[i + 1]], their indices into the
+    pair's sorted unique rows lie at the same slice of occurrence, and those
+    rows are critic_rows[critic_bounds[i]:critic_bounds[i + 1]].
     """
 
+    query_ids: np.ndarray         # (N, order)
+    labels: np.ndarray            # (N,)
     document: np.ndarray          # (N,) document of each compiled row
     actor_rows: np.ndarray
     actor_bounds: np.ndarray      # (D + 1,)
     actor_positions: np.ndarray   # (N, order)
+    pair_ids: np.ndarray
     occurrence: np.ndarray
     pair_bounds: np.ndarray       # (N + 1,)
     critic_rows: np.ndarray
@@ -336,11 +336,13 @@ class StepPlan:
             self.actor_positions[rows].ravel(),
         )
 
-    def critic_unique(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted unique critic rows of compiled pair `row` and each token's index among them."""
+    def critic_unique(self, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compiled pair `row`'s critic rows in token order, sorted unique, and each one's index."""
+        pair = slice(self.pair_bounds[row], self.pair_bounds[row + 1])
         return (
+            self.pair_ids[pair],
             self.critic_rows[self.critic_bounds[row] : self.critic_bounds[row + 1]],
-            self.occurrence[self.pair_bounds[row] : self.pair_bounds[row + 1]],
+            self.occurrence[pair],
         )
 
 
@@ -348,26 +350,29 @@ def _bounds(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts)))
 
 
-def compile_step_plan(compiled: env.CompiledCorpus, query_ids: np.ndarray) -> StepPlan:
-    """The StepPlan of a compiled corpus and its query_row_ids.
+def compile_step_plan(compiled: env.CompiledCorpus, order: int) -> StepPlan:
+    """The StepPlan of a compiled corpus for queries of `order` words.
 
     One qrep.segment_unique call takes every document and one every pair,
     so the indices are what np.unique gives each of them alone.
     """
-    num_rows, order = query_ids.shape
+    query_ids = query_row_ids(compiled, order)
+    num_rows = query_ids.shape[0]
     candidates = np.diff(compiled.offsets, append=num_rows)
     actor_rows, actor_counts, positions = qrep.segment_unique(
         query_ids.ravel(), candidates * order
     )
     in_pair = np.arange(compiled.pair_tokens.shape[1]) < compiled.pair_lengths[:, None]
-    critic_rows, critic_counts, occurrence = qrep.segment_unique(
-        compiled.pair_tokens[in_pair] + critic.WORD_ROW_OFFSET, compiled.pair_lengths
-    )
+    pair_ids = compiled.pair_tokens[in_pair] + critic.WORD_ROW_OFFSET
+    critic_rows, critic_counts, occurrence = qrep.segment_unique(pair_ids, compiled.pair_lengths)
     return StepPlan(
+        query_ids=query_ids,
+        labels=compiled.labels,
         document=np.repeat(np.arange(len(candidates)), candidates),
         actor_rows=actor_rows,
         actor_bounds=_bounds(actor_counts),
         actor_positions=positions.reshape(num_rows, order),
+        pair_ids=pair_ids,
         occurrence=occurrence,
         pair_bounds=_bounds(compiled.pair_lengths),
         critic_rows=critic_rows,
@@ -378,43 +383,36 @@ def compile_step_plan(compiled: env.CompiledCorpus, query_ids: np.ndarray) -> St
 def train_step(
     params: actor.ActorParams,
     critic_table: critic.ComplexEmbeddingTable,
-    compiled: env.CompiledCorpus,
-    query_ids: np.ndarray,
+    plan: StepPlan,
     rows: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
-    plan: StepPlan | None = None,
 ) -> StepMetrics:
     """Sample, collect the reward, judge, then update the critic and the actor.
 
     `rows` are one document's candidates as compiled rows in the order the
-    environment drew them (env.Environment.draw), and `query_ids` is
-    query_row_ids of the compiled corpus. The candidates' amplitude rows are
-    gathered once, and the reward and the critic's rows are read off the
-    compiled arrays. `plan` is compile_step_plan of the two; with it the
-    rows a gradient merges are sliced from it, without it they are sorted
-    out here, to the same bits. The critic's expected reward q is read from
-    its block masses before this step's critic update. The actor steps on
-    the one-step advantage reward - q, with gradients taken through the
-    forward pass the action was sampled from. A zero advantage leaves actor
-    parameters bit-identical; a zero learning rate does the same for that
-    side. The step runs on arrays and re-checks nothing the compiled corpus
-    or ActorParams settles (see the module docstring).
+    environment drew them (env.Environment.draw), and `plan` is
+    compile_step_plan of the corpus they come from. The candidates'
+    amplitude rows are gathered once; the reward, the critic's rows and the
+    rows each gradient merges into are sliced from the plan. The critic's
+    expected reward q is read from its block masses before this step's
+    critic update. The actor steps on the one-step advantage reward - q,
+    with gradients taken through the forward pass the action was sampled
+    from. A zero advantage leaves actor parameters bit-identical; a zero
+    learning rate does the same for that side. The step runs on arrays and
+    re-checks nothing the compiled corpus or ActorParams settles (see the
+    module docstring).
     """
-    ids = query_ids[rows]
+    ids = plan.query_ids[rows]
     g = params.global_rep
     amplitude_rows = params.table.amplitudes[ids]
     index, log_probability, probabilities, _, pooled, dots = actor.sample_rows(
         g, amplitude_rows, params.temperature, rng
     )
     row = int(rows[index])
-    reward = int(compiled.labels[row])
+    reward = int(plan.labels[row])
 
-    pair = compiled.pair_tokens[row, : compiled.pair_lengths[row]] + critic.WORD_ROW_OFFSET
-    if plan is None:
-        critic_rows, _, occurrence = qrep.segment_unique(pair)
-    else:
-        critic_rows, occurrence = plan.critic_unique(row)
+    pair, critic_rows, occurrence = plan.critic_unique(row)
     critic_loss, class_probabilities, amplitude_grad, salience_grad = critic.loss_gradient_rows(
         critic_table, pair, reward + 1, critic_rows, occurrence
     )
@@ -424,10 +422,7 @@ def train_step(
 
     advantage = reward - q_estimate
     if config.actor_lr != 0.0 and advantage != 0.0:
-        if plan is None:
-            table_ids, _, position_row = qrep.segment_unique(ids.ravel())
-        else:
-            table_ids, position_row = plan.actor_unique(rows)
+        table_ids, position_row = plan.actor_unique(rows)
         table_grad, weights_grad, factors_grad = actor.policy_gradient(
             g,
             params.temperature,
@@ -517,7 +512,12 @@ def evaluate(
 
 @dataclass(eq=False)
 class Checkpoint:
-    """All trainable parameters plus the config echo."""
+    """All trainable parameters plus the config echo.
+
+    `header` is the first line of the file the checkpoint was loaded from
+    (CHECKPOINT_HEADER, or _V1_HEADER for a file that stores its phases); a
+    save always writes the current format.
+    """
 
     actor_amplitudes: np.ndarray
     global_weights: np.ndarray
@@ -526,6 +526,7 @@ class Checkpoint:
     critic_phases: np.ndarray
     critic_salience: np.ndarray
     config_echo: dict[str, str]
+    header: str = CHECKPOINT_HEADER
 
     def blocks(self) -> dict[str, np.ndarray]:
         """Each file block's name and 2-D array, in file order.
@@ -676,38 +677,36 @@ def _parse_rows(rows: list[str]) -> np.ndarray:
         return np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
 
 
-def _parse_block(
-    lines: list[str], start: int, name: str, rows: int, cols: int, base: int = 0
-) -> np.ndarray:
-    """The (rows, cols) values on lines[start:start + rows], parsed in one call.
+def _parse_block(lines: list[str], name: str, rows: int, cols: int, base: int = 0) -> np.ndarray:
+    """The (rows, cols) values on a block's lines, parsed in one call.
 
-    A block that does not parse whole is walked row by row to raise
-    ParseError at its first bad line, numbered as if `base` file lines came
-    before lines[0]. A block without values parses to an empty array once
-    every row is checked.
+    `lines` are the block's rows as the file holds them, fewer than `rows`
+    if it ends early. A block that does not parse whole is walked row by row
+    to raise ParseError at its first bad line, numbered as if `base` file
+    lines came before lines[0]. A block without values parses to an empty
+    array once every row is checked.
     """
     try:
-        data = _parse_rows(lines[start : start + rows])
+        data = _parse_rows(lines)
     except ValueError:
         pass
     else:
         if data.shape == (rows, cols):
             return data
     for r in range(rows):
-        j = start + r
-        if j >= len(lines):
+        if r >= len(lines):
             raise ParseError(f"block {name!r} truncated at row {r}", line=base + len(lines))
-        count = len(lines[j].split())
+        count = len(lines[r].split())
         if count != cols:
             raise ParseError(
-                f"block {name!r} row has {count} values, expected {cols}", line=base + j + 1
+                f"block {name!r} row has {count} values, expected {cols}", line=base + r + 1
             )
         try:
-            _parse_rows([lines[j]])
+            _parse_rows([lines[r]])
         except ValueError:
-            raise ParseError(f"non-numeric value in block {name!r}", line=base + j + 1) from None
+            raise ParseError(f"non-numeric value in block {name!r}", line=base + r + 1) from None
     if rows * cols > 0:  # Not reached while np.loadtxt splits rows as str.split does.
-        raise ParseError(f"block {name!r} does not parse", line=base + start)
+        raise ParseError(f"block {name!r} does not parse", line=base)
     return np.empty((rows, cols), dtype=np.float64)
 
 
@@ -764,7 +763,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             if name in blocks:
                 raise ParseError(f"block {name!r} appears twice", line=lines.count)
             base = lines.count
-            data = _parse_block(lines.take(rows), 0, name, rows, cols, base)
+            data = _parse_block(lines.take(rows), name, rows, cols, base)
             # rng.* blocks hold stream states earlier versions wrote; nothing reads them.
             if not name.startswith("rng."):
                 blocks[name] = data
@@ -793,6 +792,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         critic_phases=blocks["critic.phases"],
         critic_salience=blocks["critic.salience"].ravel(),
         config_echo=echo,
+        header=header[0],
     )
 
 
@@ -987,15 +987,11 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
         if config.checkpoint_path:
             save_checkpoint(make_checkpoint(params, critic_table, config), config.checkpoint_path)
 
-    compiled = corpus.compiled
-    query_ids = query_row_ids(compiled, config.query_order)
-    plan = compile_step_plan(compiled, query_ids)
+    plan = compile_step_plan(corpus.compiled, config.query_order)
     for episode in range(1, config.episodes + 1):
         while True:
             _, rows = environment.draw()
-            step_metrics = train_step(
-                params, critic_table, compiled, query_ids, rows, config, policy_rng, plan
-            )
+            step_metrics = train_step(params, critic_table, plan, rows, config, policy_rng)
             rewards.append(step_metrics.reward)
             if environment.last_of_patch:
                 break

@@ -334,15 +334,13 @@ class TestCriterion8RewardMapping:
         # one session pass serves every document once.
         config = trainer.TrainConfig(seed=1008)
         params, critic_table = trainer.init_params(corpus, config)
-        query_ids = trainer.query_row_ids(compiled, config.query_order)
+        plan = trainer.compile_step_plan(compiled, config.query_order)
         environment = env.Environment(corpus, np.random.default_rng(1008), mode="session")
         rng = np.random.default_rng(1008)
         stepped = set()
         for _ in corpus.documents:
             j, rows = environment.draw()
-            metrics = trainer.train_step(
-                params, critic_table, compiled, query_ids, rows, config, rng
-            )
+            metrics = trainer.train_step(params, critic_table, plan, rows, config, rng)
             position = rows[metrics.chosen_index] - compiled.offsets[j]
             assert metrics.reward == corpus.documents[j].candidates[position].label
             stepped.add(j)

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from checkpoint_v1 import v1_lines
+from checkpoint_v1 import CRITERION9_V1, V1_HEADER, v1_lines, write_v1
 
 from qforage import cli, env, trainer
 
@@ -529,6 +529,39 @@ class TestCheckpointV2:
         assert code == 0
         phases = [l for l in out if l.startswith("critic.phases: ")]
         assert len(phases) == 1 and "redrawn from the echoed seed" in phases[0]
+
+    @pytest.mark.parametrize("source", ["fixture", "edited"])
+    def test_inspect_says_a_v1_file_stores_its_phases(self, trained_dir, tmp_path, capsys, source):
+        path = CRITERION9_V1
+        if source == "edited":  # phases that are not the init draw of the echoed seed
+            checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+            checkpoint.critic_phases = -checkpoint.critic_phases
+            path = tmp_path / "v1.txt"
+            write_v1(checkpoint, path)
+        code, out, _ = run(["inspect", "--checkpoint", str(path)], capsys)
+        assert code == 0
+        assert out[0] == V1_HEADER
+        phases = [l for l in out if l.startswith("critic.phases: ")]
+        assert len(phases) == 1 and "stored in the file" in phases[0]
+        assert "redrawn" not in phases[0]
+
+    def test_inspect_doc_labels_a_v1_file_s_stored_phases(
+        self, corpus_dir, trained_dir, tmp_path, capsys
+    ):
+        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint.critic_phases = np.zeros_like(checkpoint.critic_phases)
+        path = tmp_path / "v1.txt"
+        write_v1(checkpoint, path)
+        corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)
+        argv = [
+            "inspect",
+            "--checkpoint", str(path),
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--doc", corpus.documents[0].doc_id,
+        ]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert any(l.startswith("top off-diagonals (stored phases): ") for l in out)
 
 
 class TestInspect:

@@ -67,6 +67,16 @@ def renormalize_reference(amplitudes, ids):
     amplitudes[ids] = rows
 
 
+def descend_reference(table, ids, lr, amplitude_grad, salience_grad):
+    """ComplexEmbeddingTable.descend's amplitudes and saliences, row by row."""
+    amplitudes, salience = table.amplitudes.copy(), table.salience.copy()
+    for r, i in enumerate(ids):
+        amplitudes[i] = amplitudes[i] - lr * amplitude_grad[r]
+        salience[i] = salience[i] - lr * salience_grad[r]
+    renormalize_reference(amplitudes, ids)
+    return amplitudes, salience
+
+
 class TestComplexEmbeddingTable:
     def test_random_init_rows_are_nonnegative_unit(self):
         table = make_table(np.random.default_rng(3))
@@ -105,19 +115,27 @@ class TestComplexEmbeddingTable:
         table.renormalize()
         assert table.amplitudes.tobytes() == before
 
-    def test_renormalize_with_ids_touches_only_those_rows(self):
-        table = make_table(np.random.default_rng(18))
-        table.amplitudes[1, 0] = -0.4
-        table.amplitudes[2] = 0.0
-        table.amplitudes[3] *= 2.0
+    def test_descend_touches_only_its_rows(self):
+        rng = np.random.default_rng(18)
+        table = make_table(rng)
         table.amplitudes[4, 1] = -0.2
-        before = table.amplitudes.copy()
         ids = np.array([1, 2, 3])
-        table.renormalize(ids)
+        amplitude_grad = rng.standard_normal((3, 6))
+        amplitude_grad[1] = 2.0 * table.amplitudes[2] / 0.5  # row 2 steps to -row 2
+        amplitude_grad[2] = 0.0                              # row 3 stays inside the dead band
+        salience_grad = rng.standard_normal(3)
+        expected = descend_reference(table, ids, 0.5, amplitude_grad, salience_grad)
+        before = table.amplitudes.copy(), table.salience.copy()
+        table.descend(ids, 0.5, amplitude_grad, salience_grad)
+        assert table.amplitudes.tobytes() == expected[0].tobytes()
+        assert table.salience.tobytes() == expected[1].tobytes()
         assert np.all(table.amplitudes[ids] >= 0.0)
         np.testing.assert_allclose(np.linalg.norm(table.amplitudes[ids], axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(table.amplitudes[2], 1.0 / np.sqrt(6), atol=1e-15)
-        assert table.amplitudes[[0, 4]].tobytes() == before[[0, 4]].tobytes()
+        # Row 2 clamps to all zeros and resets to the uniform unit row.
+        assert table.amplitudes[2].tobytes() == np.full(6, 1.0 / np.sqrt(6)).tobytes()
+        assert table.amplitudes[3].tobytes() == before[0][3].tobytes()
+        assert table.amplitudes[[0, 4]].tobytes() == before[0][[0, 4]].tobytes()
+        assert table.salience[[0, 4]].tobytes() == before[1][[0, 4]].tobytes()
 
     @pytest.mark.parametrize("selected", [False, True])
     def test_clamped_rows_reset_like_the_per_row_reference(self, selected):
@@ -130,10 +148,17 @@ class TestComplexEmbeddingTable:
         table.amplitudes[5] *= np.sqrt(1.0 + 5e-14)            # inside the dead band
         table.amplitudes[6] *= np.sqrt(1.0 + 3e-13)            # just outside it
         table.amplitudes[7, 1] = -0.1
-        ids = np.array([1, 2, 3, 4, 5, 6, 9]) if selected else np.arange(table.num_rows)
-        expected = table.amplitudes.copy()
-        renormalize_reference(expected, ids)
-        table.renormalize(ids if selected else None)
+        if selected:  # Through descend, the one update of selected rows.
+            ids = np.array([1, 2, 3, 4, 5, 6, 9])
+            amplitude_grad = np.zeros((len(ids), 6))
+            amplitude_grad[[2, 6]] = np.random.default_rng(21).standard_normal((2, 6))
+            salience_grad = np.zeros(len(ids))
+            expected, _ = descend_reference(table, ids, 0.1, amplitude_grad, salience_grad)
+            table.descend(ids, 0.1, amplitude_grad, salience_grad)
+        else:
+            expected = table.amplitudes.copy()
+            renormalize_reference(expected, np.arange(table.num_rows))
+            table.renormalize()
         assert table.amplitudes.tobytes() == expected.tobytes()
         assert table.amplitudes[[1, 4]].tobytes() == np.full((2, 6), 1.0 / np.sqrt(6)).tobytes()
         assert (table.amplitudes[7, 1] < 0.0) == selected

@@ -86,15 +86,20 @@ class TestAmplitudeTable:
         with pytest.raises(ShapeMismatch):
             AmplitudeTable(words=VOCAB, amplitudes=np.ones((3, 4)))
 
-    def test_renormalize_with_ids_touches_only_those_rows(self):
-        table = make_table(np.random.default_rng(15))
-        table.amplitudes[1:] *= 1.5
-        table.amplitudes[NULL_ID] = 0.5
+    def test_descend_touches_only_its_rows(self):
+        rng = np.random.default_rng(15)
+        table = make_table(rng)
+        table.amplitudes[3] *= np.sqrt(1.0 + 5e-14)  # inside the dead band, and not stepped
+        ids = np.array([0, 2, 3, 4])                  # the padding row among them
+        grad = rng.standard_normal((4, 3))
+        grad[2] = 0.0
+        expected = descend_reference(table.amplitudes, ids, 0.3, grad)
         before = table.amplitudes.copy()
-        ids = np.array([0, 2, 4])
-        table.renormalize(ids)
+        table.descend(ids, 0.3, grad)
+        assert table.amplitudes.tobytes() == expected.tobytes()
         np.testing.assert_allclose(np.linalg.norm(table.amplitudes[ids], axis=1), 1.0, atol=1e-9)
         np.testing.assert_array_equal(table.amplitudes[NULL_ID], [1.0, 0.0, 0.0])
+        assert table.amplitudes[3].tobytes() == before[3].tobytes()
         untouched = np.setdiff1d(np.arange(table.num_rows), ids)
         assert table.amplitudes[untouched].tobytes() == before[untouched].tobytes()
 
@@ -105,6 +110,21 @@ def per_row_reference(rows, ids=None):
     for i in range(rows.shape[0]) if ids is None else ids:
         if abs(sq[i] - 1.0) > 1e-13:
             rows[i] /= np.sqrt(sq[i])
+
+
+def descend_reference(amplitudes, ids, lr, grad):
+    """AmplitudeTable.descend one row at a time: step, per-row scaling, padding pinned."""
+    stepped = amplitudes.copy()
+    for r, i in enumerate(ids):
+        stepped[i] = amplitudes[i] - lr * grad[r]
+    per_row_reference(stepped, ids)
+    stepped[NULL_ID] = qcore.basis_vector(stepped.shape[1], 0)
+    return stepped
+
+
+def word_table(rows):
+    """An AmplitudeTable over the given (V + 2, k) rows, without copying them."""
+    return AmplitudeTable(words=tuple(f"w{i}" for i in range(rows.shape[0] - 2)), amplitudes=rows)
 
 
 class TestRenormalizeRows:
@@ -130,13 +150,19 @@ class TestRenormalizeRows:
 
     @pytest.mark.parametrize("basis_dim", [1, 3, 4, 12])
     def test_selected_rows_match_per_row_loop_bitwise(self, basis_dim):
+        # AmplitudeTable.descend is the one update of selected rows.
         rng = np.random.default_rng(50 + basis_dim)
         rows = self.rows_around_the_dead_band(rng, basis_dim)
+        before = rows.copy()
         ids = np.array([1, 3, 4, 5, 6, 9, 17, 30])
-        expected = rows.copy()
-        per_row_reference(expected, ids)
-        renormalize_rows(rows, ids)
+        grad = rng.standard_normal((len(ids), basis_dim))
+        grad[:4] = 0.0  # the band edges and the NaN row keep their norms
+        expected = descend_reference(rows, ids, 0.05, grad)
+        word_table(rows).descend(ids, 0.05, grad)
         assert rows.tobytes() == expected.tobytes()
+        assert rows[1].tobytes() == before[1].tobytes()
+        assert rows[3].tobytes() != before[3].tobytes()
+        assert np.isnan(rows[5]).all()
 
     def test_band_edges_and_non_finite_rows(self):
         rows = self.rows_around_the_dead_band(np.random.default_rng(71), 4)
@@ -162,11 +188,17 @@ class TestRenormalizeRows:
     @pytest.mark.parametrize("selected", [False, True])
     def test_special_rows_match_per_row_loop_bitwise(self, basis_dim, selected):
         rows = self.rows_with_special_values(np.random.default_rng(90 + basis_dim), basis_dim)
-        ids = np.array([0, 1, 2, 3, 4, 5, 8, 21, 22, 23, 24, 25, 26, 33]) if selected else None
-        expected = rows.copy()
         with np.errstate(invalid="ignore", divide="ignore"):
-            per_row_reference(expected, ids)
-            renormalize_rows(rows, ids)
+            if selected:  # Through AmplitudeTable.descend, padding row 0 among the ids.
+                ids = np.array([0, 1, 2, 3, 4, 5, 8, 21, 22, 23, 24, 25, 26, 33])
+                grad = np.zeros((len(ids), basis_dim))
+                grad[[6, 13]] = np.random.default_rng(basis_dim).standard_normal((2, basis_dim))
+                expected = descend_reference(rows, ids, 0.05, grad)
+                word_table(rows).descend(ids, 0.05, grad)
+            else:
+                expected = rows.copy()
+                per_row_reference(expected)
+                renormalize_rows(rows)
         assert rows.tobytes() == expected.tobytes()
         # Rows inside the band and NaN rows keep their bits; the loop divides the rest.
         before = self.rows_with_special_values(np.random.default_rng(90 + basis_dim), basis_dim)
@@ -175,10 +207,11 @@ class TestRenormalizeRows:
 
     def test_writes_through_a_reshaped_view(self):
         factors = np.random.default_rng(73).standard_normal((3, 2, 4))
-        renormalize_rows(factors.reshape(-1, 4), np.array([1, 4]))
-        norms = np.linalg.norm(factors, axis=2)
-        np.testing.assert_allclose(norms[[0, 2], [1, 0]], 1.0, atol=1e-15)
-        assert abs(norms[0, 0] - 1.0) > 1e-3
+        expected = factors.reshape(-1, 4).copy()
+        per_row_reference(expected)
+        renormalize_rows(factors.reshape(-1, 4))
+        assert factors.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(np.linalg.norm(factors, axis=2), 1.0, atol=1e-15)
 
 
 class TestSegmentUnique:
@@ -412,6 +445,22 @@ class TestGlobalRepresentation:
         g.renormalize()
         norms = np.linalg.norm(g.factors.reshape(-1, 4), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
+
+    def test_descend_matches_a_per_row_reference(self):
+        rng = np.random.default_rng(98)
+        g = GlobalRepresentation.from_random(order=3, basis_dim=4, rank=2, rng=rng)
+        g.factors[1, 2] *= np.sqrt(1.0 + 5e-14)  # inside the dead band, and not stepped
+        weights_grad = rng.standard_normal(2)
+        factors_grad = rng.standard_normal((2, 3, 4))
+        factors_grad[1, 2] = 0.0
+        expected_weights = g.weights - 0.1 * weights_grad
+        expected = (g.factors - 0.1 * factors_grad).reshape(-1, 4)
+        per_row_reference(expected)
+        before = g.factors[1, 2].copy()
+        g.descend(0.1, weights_grad, factors_grad)
+        assert g.weights.tobytes() == expected_weights.tobytes()
+        assert g.factors.tobytes() == expected.tobytes()
+        assert g.factors[1, 2].tobytes() == before.tobytes()
 
     def test_weight_factor_count_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
