@@ -26,12 +26,12 @@ lessons = [
 
 for step in range(200):
     for tokens, label in lessons:
-        loss, grads = critic.critic_loss_and_gradients(
+        loss, _, rows, amplitude_grad, salience_grad = critic.critic_loss_and_gradients(
             critic.token_ids(tokens, table), label, table
         )
-        table.amplitudes -= 0.3 * grads.amplitudes
-        table.phases -= 0.3 * grads.phases
-        table.salience -= 0.3 * grads.salience
+        # Only the judged words' rows have gradients; phases have none.
+        table.amplitudes[rows] -= 0.3 * amplitude_grad
+        table.salience[rows] -= 0.3 * salience_grad
         table.renormalize()
     if step % 50 == 0:
         print(f"step {step:3d}  loss on last pair: {loss:.4f}")

@@ -10,9 +10,9 @@ accumulation, never division, so exactly-zero inner products are safe.
 
 A training step calls the array routines sample_rows and policy_gradient:
 they return tuples of arrays and skip the shape and temperature checks that
-the compiled corpus and ActorParams already settle. act, score_rows and
-actor_gradients check their inputs, then wrap the same routines in
-dataclasses, so each quantity is computed one way.
+the compiled corpus and ActorParams already settle. actor_forward, act and
+actor_gradients check their inputs, then return what the routine they wrap
+returns, so each quantity is computed one way and has one shape.
 """
 
 from __future__ import annotations
@@ -58,47 +58,6 @@ class ActorParams:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class ActorForward:
-    scores: np.ndarray   # (C,)
-    pooled: np.ndarray   # (C, R) per-rank products per candidate
-    dots: np.ndarray     # (C, R, n) per-position inner products <e_{r,i}, alpha_i>
-    rows: np.ndarray     # (C, n, k) the candidate amplitude rows scored
-
-
-@dataclass(frozen=True, eq=False)
-class ActionOutput:
-    """One selection: chosen index, the forward pass, and the softmax it was drawn from."""
-
-    index: int
-    forward: ActorForward
-    probabilities: np.ndarray
-    log_probability: float
-
-
-@dataclass(frozen=True, eq=False)
-class ActorGradients:
-    """Gradients of -advantage * log pi(chosen) in parameter layout.
-
-    The amplitude table's gradient is kept on the rows the candidates touch;
-    every other row's gradient is zero, and `table` builds the dense view on
-    demand.
-    """
-
-    ids: np.ndarray       # (U,) sorted unique table rows of the candidates
-    rows: np.ndarray      # (U, k)
-    weights: np.ndarray   # (R,)
-    factors: np.ndarray   # (R, n, k)
-    num_rows: int
-
-    @property
-    def table(self) -> np.ndarray:
-        """(V, k) dense view."""
-        dense = np.zeros((self.num_rows, self.rows.shape[1]))
-        dense[self.ids] = self.rows
-        return dense
-
-
 def project_rows(
     g: qrep.GlobalRepresentation, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,7 +70,7 @@ def project_rows(
     matrix-vector product would sum in another order). So module-level and
     actor-level scoring agree bit for bit, and a candidate's score does not
     depend on the batch around it. The shapes are not checked here
-    (score_rows checks them); the pooled products and dots serve
+    (actor_forward and act check them); the pooled products and dots serve
     policy_gradient.
     """
     dots = np.einsum("rik,cik->cri", g.factors, rows)
@@ -120,29 +79,19 @@ def project_rows(
     return scores, pooled, dots
 
 
-def _check_rows(g: qrep.GlobalRepresentation, rows: np.ndarray) -> None:
-    if rows.ndim != 3 or rows.shape[1:] != (g.order, g.basis_dim):
-        raise ShapeMismatch(
-            f"global space is order {g.order} over k={g.basis_dim}, "
-            f"candidate rows have shape {rows.shape}"
-        )
+def actor_forward(
+    params: ActorParams, candidates: Sequence[qrep.QueryState]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """project_rows of every candidate's rows: (scores, pooled, dots).
 
-
-def score_rows(g: qrep.GlobalRepresentation, rows: np.ndarray) -> ActorForward:
-    """project_rows of an (N, n, k) batch whose shape fits the global space."""
-    _check_rows(g, rows)
-    scores, pooled, dots = project_rows(g, rows)
-    return ActorForward(scores=scores, pooled=pooled, dots=dots, rows=rows)
-
-
-def actor_forward(params: ActorParams, candidates: Sequence[qrep.QueryState]) -> ActorForward:
-    """Score every candidate (score_rows). Deterministic: same inputs, bitwise-same outputs."""
+    Deterministic: same inputs, bitwise-same outputs.
+    """
     if len(candidates) == 0:
         raise NoCandidates("actor_forward needs at least one candidate")
     g = params.global_rep
     for q in candidates:
         qrep._check_compatible(g, q)
-    return score_rows(g, np.stack([q.rows for q in candidates]))
+    return project_rows(g, np.stack([q.rows for q in candidates]))
 
 
 def _check_finite(scores: np.ndarray) -> None:
@@ -234,22 +183,23 @@ def sample_rows(
     return index, log_probability, probabilities, scores, pooled, dots
 
 
-def act(params: ActorParams, rows: np.ndarray, rng: np.random.Generator) -> ActionOutput:
-    """sample_rows of a checked batch, as an ActionOutput."""
+def act(
+    params: ActorParams, rows: np.ndarray, rng: np.random.Generator
+) -> tuple[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """sample_rows of a checked batch.
+
+    Returns (index, log probability, probabilities, scores, pooled, dots).
+    """
     if len(rows) == 0:
         raise NoCandidates("act needs at least one candidate")
     g = params.global_rep
-    _check_rows(g, rows)
+    if rows.ndim != 3 or rows.shape[1:] != (g.order, g.basis_dim):
+        raise ShapeMismatch(
+            f"global space is order {g.order} over k={g.basis_dim}, "
+            f"candidate rows have shape {rows.shape}"
+        )
     check_temperature(params.temperature)
-    index, log_probability, probabilities, scores, pooled, dots = sample_rows(
-        g, rows, params.temperature, rng
-    )
-    return ActionOutput(
-        index=index,
-        forward=ActorForward(scores=scores, pooled=pooled, dots=dots, rows=rows),
-        probabilities=probabilities,
-        log_probability=log_probability,
-    )
+    return sample_rows(g, rows, params.temperature, rng)
 
 
 def policy_gradient(
@@ -297,15 +247,16 @@ def policy_gradient(
 
 def actor_gradients(
     params: ActorParams, ids: np.ndarray, chosen: int, advantage: float
-) -> ActorGradients:
-    """Gradients of loss = -advantage * log pi(chosen) for all actor parameters.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of loss = -advantage * log pi(chosen): (table ids, table rows, weights, factors).
 
     `ids` (C, n) are the candidates' amplitude table rows, as
-    QueryState.word_ids lists them. The candidates are scored afresh
-    (score_rows, policy_probabilities) and policy_gradient takes it from
-    there. The padding row's gradient is computed like any other row; the
-    trainer is the one that refuses to move it. Zero advantage short-circuits
-    to exact zeros.
+    QueryState.word_ids lists them. The table gradient is kept on their
+    sorted unique values, table ids; every other row's gradient is zero. The
+    candidates are scored afresh (project_rows, policy_probabilities) and
+    policy_gradient takes it from there. The padding row's gradient is
+    computed like any other row; the trainer is the one that refuses to move
+    it. Zero advantage short-circuits to exact zeros.
     """
     g = params.global_rep
     if ids.ndim != 2 or ids.shape[1] != g.order:
@@ -318,31 +269,24 @@ def actor_gradients(
         raise IndexOutOfRange(f"chosen index {chosen} outside 0..{ids.shape[0] - 1}")
     table_ids, _, position_row = qrep.segment_unique(ids.ravel())
     if advantage == 0.0:
-        return ActorGradients(
-            ids=table_ids,
-            rows=np.zeros((table_ids.shape[0], params.table.basis_dim)),
-            weights=np.zeros(g.rank),
-            factors=np.zeros_like(g.factors),
-            num_rows=params.table.num_rows,
+        return (
+            table_ids,
+            np.zeros((table_ids.shape[0], params.table.basis_dim)),
+            np.zeros(g.rank),
+            np.zeros_like(g.factors),
         )
-    forward = score_rows(g, params.table.amplitudes[ids])
-    probabilities = policy_probabilities(forward.scores, params.temperature)
-    rows, weights, factors = policy_gradient(
+    rows = params.table.amplitudes[ids]
+    scores, pooled, dots = project_rows(g, rows)
+    probabilities = policy_probabilities(scores, params.temperature)
+    return (table_ids,) + policy_gradient(
         g,
         params.temperature,
-        forward.rows,
-        forward.pooled,
-        forward.dots,
+        rows,
+        pooled,
+        dots,
         probabilities,
         chosen,
         advantage,
         position_row,
         table_ids.shape[0],
-    )
-    return ActorGradients(
-        ids=table_ids,
-        rows=rows,
-        weights=weights,
-        factors=factors,
-        num_rows=params.table.num_rows,
     )

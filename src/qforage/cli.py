@@ -257,18 +257,18 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         first = int(corpus.compiled.offsets[corpus.documents.index(doc)])
         rows = slice(first, first + len(doc.candidates))
         ids = trainer.query_row_ids(corpus.compiled, config.query_order)[rows]
-        forward = actor.score_rows(params.global_rep, params.table.amplitudes[ids])
-        probs = actor.policy_probabilities(forward.scores, params.temperature)
-        chosen = int(actor.first_argmax(forward.scores, [0])[0])
+        scores, pooled, _ = actor.project_rows(params.global_rep, params.table.amplitudes[ids])
+        probs = actor.policy_probabilities(scores, params.temperature)
+        chosen = int(actor.first_argmax(scores, [0])[0])
         lines.append(f"doc {doc.doc_id} patch {doc.patch_id}")
         lines.append(f"keywords: {' '.join(doc.keywords)}")
         for i, cand in enumerate(doc.candidates):
             marker = "*" if i == chosen else " "
             lines.append(
-                f"{marker} [{i}] score={fmt(forward.scores[i])} prob={fmt(probs[i])} "
+                f"{marker} [{i}] score={fmt(scores[i])} prob={fmt(probs[i])} "
                 f"label={cand.label:+d} {' '.join(cand.tokens)}"
             )
-        lines.append("pool: " + " ".join(fmt(v) for v in forward.pooled[chosen]))
+        lines.append("pool: " + " ".join(fmt(v) for v in pooled[chosen]))
         rho = critic.critic_density(doc.keywords, doc.candidates[chosen].tokens, critic_table)
         measurement = critic.measure_classes(rho)
         p = measurement.probabilities

@@ -215,41 +215,6 @@ def q_value(measurement: ClassMeasurement) -> float:
     return float(np.dot(measurement.observable.eigenvalues, measurement.probabilities))
 
 
-@dataclass(frozen=True, eq=False)
-class CriticGradients:
-    """Loss gradients on the word rows the tokens touch; every other row's gradient is zero.
-
-    The dense (V, ...) views are built on demand, for checks that index the
-    whole table. `probabilities` are the class probabilities the loss was
-    taken on, masses over their total.
-    """
-
-    ids: np.ndarray              # (U,) sorted unique word rows of the tokens
-    amplitude_rows: np.ndarray   # (U, d)
-    salience_rows: np.ndarray    # (U,)
-    num_rows: int
-    probabilities: np.ndarray    # (3,)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """(V, d) dense view."""
-        dense = np.zeros((self.num_rows, self.amplitude_rows.shape[1]))
-        dense[self.ids] = self.amplitude_rows
-        return dense
-
-    @property
-    def salience(self) -> np.ndarray:
-        """(V,) dense view."""
-        dense = np.zeros(self.num_rows)
-        dense[self.ids] = self.salience_rows
-        return dense
-
-    @property
-    def phases(self) -> np.ndarray:
-        """(V, d) zeros: phases do not enter the block masses, so nothing stores this."""
-        return np.zeros((self.num_rows, self.amplitude_rows.shape[1]))
-
-
 def block_masses(amplitudes: np.ndarray) -> np.ndarray:
     """Squared-amplitude mass of each class block, row by row: (..., d) to (..., 3)."""
     block = amplitudes.shape[-1] // 3
@@ -355,11 +320,14 @@ def loss_gradient_rows(
 
 def critic_loss_and_gradients(
     ids: np.ndarray, label: int, table: ComplexEmbeddingTable
-) -> tuple[float, CriticGradients]:
-    """loss_gradient_rows of a checked label and token sequence, as CriticGradients.
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """loss_gradient_rows of a checked label and token sequence.
 
     `ids` are the table rows of the judged tokens in order, as token_ids
-    gives them, and `label` a class index.
+    gives them, and `label` a class index. Returns (loss, probabilities,
+    rows, amplitude rows, salience rows): `rows` are the sorted distinct ids,
+    the table rows the gradient rows belong to. Every other row's gradient
+    is zero, and so is every phase gradient.
     """
     if label not in (0, 1, 2):
         raise InvalidLabel(f"label {label!r} is not a class index in (0, 1, 2)")
@@ -369,10 +337,4 @@ def critic_loss_and_gradients(
     loss, probabilities, amplitude_rows, salience_rows = loss_gradient_rows(
         table, ids, label, rows, occurrence
     )
-    return loss, CriticGradients(
-        ids=rows,
-        amplitude_rows=amplitude_rows,
-        salience_rows=salience_rows,
-        num_rows=table.num_rows,
-        probabilities=probabilities,
-    )
+    return loss, probabilities, rows, amplitude_rows, salience_rows

@@ -10,7 +10,7 @@ have teeth: a perturbed run must fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,9 +121,16 @@ def _actor_loss(
     order: int,
 ) -> float:
     ids = np.stack([qrep.embed_query(toks, params.table, order).word_ids for toks in token_lists])
-    scores = actor.score_rows(params.global_rep, params.table.amplitudes[ids]).scores
+    scores = actor.project_rows(params.global_rep, params.table.amplitudes[ids])[0]
     probs = actor.policy_probabilities(scores, params.temperature)
     return -advantage * float(np.log(probs[chosen]))
+
+
+def _scatter(like: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Zeros shaped like `like`, holding `rows` at `ids`: a dense view of sparse gradient rows."""
+    dense = np.zeros_like(like)
+    dense[ids] = rows
+    return dense
 
 
 def _fd_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -147,9 +154,11 @@ def check_gradients(seed: int = 0, perturb: float = 0.0, instances: int = 10) ->
         chosen = int(rng.integers(0, 3))
         advantage = float(rng.uniform(0.2, 1.0))
         ids = np.stack([qrep.embed_query(t, table, order).word_ids for t in token_lists])
-        grads = actor.actor_gradients(params, ids, chosen, advantage)
+        table_ids, table_rows, weights, factors = actor.actor_gradients(
+            params, ids, chosen, advantage
+        )
         if perturb:
-            grads = replace(grads, rows=grads.rows * (1.0 + perturb))
+            table_rows = table_rows * (1.0 + perturb)
 
         def fd(array: np.ndarray, flat_index: int) -> float:
             orig = array.flat[flat_index]
@@ -161,9 +170,9 @@ def check_gradients(seed: int = 0, perturb: float = 0.0, instances: int = 10) ->
             return (hi - lo) / (2.0 * h)
 
         for array, analytic in (
-            (table.amplitudes, grads.table),
-            (g.weights, grads.weights),
-            (g.factors, grads.factors),
+            (table.amplitudes, _scatter(table.amplitudes, table_ids, table_rows)),
+            (g.weights, weights),
+            (g.factors, factors),
         ):
             numeric = np.array([fd(array, i) for i in range(array.size)])
             worst = max(worst, _fd_relative_error(analytic.ravel(), numeric))
@@ -171,23 +180,25 @@ def check_gradients(seed: int = 0, perturb: float = 0.0, instances: int = 10) ->
         ctable = critic.ComplexEmbeddingTable.from_vocab(vocab, 6, rng)
         ids = critic.token_ids(["w0", "w1", "w2"], ctable)
         label = int(rng.integers(0, 3))
-        _, cgrads = critic.critic_loss_and_gradients(ids, label, ctable)
+        _, _, rows, amplitude_rows, salience_rows = critic.critic_loss_and_gradients(
+            ids, label, ctable
+        )
         if perturb:
-            cgrads = replace(cgrads, amplitude_rows=cgrads.amplitude_rows * (1.0 + perturb))
+            amplitude_rows = amplitude_rows * (1.0 + perturb)
 
         def cfd(array: np.ndarray, flat_index: int) -> float:
             orig = array.flat[flat_index]
             array.flat[flat_index] = orig + h
-            hi, _ = critic.critic_loss_and_gradients(ids, label, ctable)
+            hi = critic.critic_loss_and_gradients(ids, label, ctable)[0]
             array.flat[flat_index] = orig - h
-            lo, _ = critic.critic_loss_and_gradients(ids, label, ctable)
+            lo = critic.critic_loss_and_gradients(ids, label, ctable)[0]
             array.flat[flat_index] = orig
             return (hi - lo) / (2.0 * h)
 
         for array, analytic in (
-            (ctable.amplitudes, cgrads.amplitudes),
-            (ctable.phases, cgrads.phases),
-            (ctable.salience, cgrads.salience),
+            (ctable.amplitudes, _scatter(ctable.amplitudes, rows, amplitude_rows)),
+            (ctable.phases, np.zeros_like(ctable.phases)),
+            (ctable.salience, _scatter(ctable.salience, rows, salience_rows)),
         ):
             numeric = np.array([cfd(array, i) for i in range(array.size)])
             worst = max(worst, _fd_relative_error(analytic.ravel(), numeric))

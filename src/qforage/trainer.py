@@ -52,9 +52,10 @@ StepMetrics it returns, and re-checks nothing that compile or validate time
 settles: env.compile_corpus checks the labels, so the critic's class is
 reward + 1; ActorParams checks the temperature; the plan fixes the
 candidates' shape and count, and the sampler clamps the drawn index. It does
-check every step that the scores are finite. The dataclass API (actor.act,
-actor.actor_gradients, critic.critic_loss_and_gradients) checks its inputs
-and wraps the same routines, so each quantity is computed one way.
+check every step that the scores are finite. The checked entry points
+(actor.act, actor.actor_gradients, critic.critic_loss_and_gradients) check
+their inputs and return the tuples of the routines they wrap, so each
+quantity is computed one way and has one shape; training never calls them.
 
 Evaluation is one batched pass, not a loop over documents: every candidate is
 scored at once by actor.project_rows, the scoring a training step uses, and
@@ -494,9 +495,7 @@ def evaluate(
     probabilities = critic.batch_class_probabilities(
         compiled.pair_tokens + critic.WORD_ROW_OFFSET, compiled.pair_lengths, critic_table
     )
-    # class_of_reward of every label, since CLASS_REWARDS is sorted.
-    classes = np.searchsorted(critic.CLASS_REWARDS, compiled.labels)
-    critic_hits = int(np.count_nonzero(np.argmax(probabilities, axis=1) == classes))
+    critic_hits = int(np.count_nonzero(np.argmax(probabilities, axis=1) == compiled.labels + 1))
 
     return EvalMetrics(
         greedy_accuracy=int(np.count_nonzero(rewards == 1)) / len(corpus.documents),
@@ -909,10 +908,11 @@ def bind_params(
             f"checkpoint has keyword_count={config.keyword_count}, corpus has {corpus.keyword_count}"
         )
     vocab = corpus.vocabulary
-    if checkpoint.actor_amplitudes.shape[0] != len(vocab) + 2:
+    actor_rows = len(vocab) + qrep.WORD_ROW_OFFSET
+    if checkpoint.actor_amplitudes.shape[0] != actor_rows:
         raise CheckpointMismatch(
             f"checkpoint has {checkpoint.actor_amplitudes.shape[0]} actor rows, "
-            f"corpus vocabulary needs {len(vocab) + 2}"
+            f"corpus vocabulary needs {actor_rows}"
         )
     check_invariants(checkpoint)
     table = qrep.AmplitudeTable(words=vocab, amplitudes=checkpoint.actor_amplitudes.copy())

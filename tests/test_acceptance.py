@@ -196,7 +196,9 @@ class TestCriterion4GradientFidelity:
             ids = np.stack(
                 [qrep.embed_query(tokens, table, order).word_ids for tokens in token_lists]
             )
-            grads = actor.actor_gradients(params, ids, chosen, advantage)
+            table_ids, table_rows, weights, factors = actor.actor_gradients(
+                params, ids, chosen, advantage
+            )
 
             def loss(amps, weights, factors):
                 return self.actor_loss(
@@ -208,7 +210,9 @@ class TestCriterion4GradientFidelity:
                 global_rep.weights.copy(),
                 global_rep.factors.copy(),
             ]
-            analytic = [grads.table, grads.weights, grads.factors]
+            table_grad = np.zeros_like(table.amplitudes)
+            table_grad[table_ids] = table_rows
+            analytic = [table_grad, weights, factors]
             for index in range(3):
                 flat = arrays[index]
                 for entry in np.ndindex(flat.shape):
@@ -233,7 +237,9 @@ class TestCriterion4GradientFidelity:
             ]
             label = int(rng.integers(0, 3))
             ids = critic.token_ids(tokens, table)
-            _, grads = critic.critic_loss_and_gradients(ids, label, table)
+            _, _, rows, amplitude_rows, salience_rows = critic.critic_loss_and_gradients(
+                ids, label, table
+            )
 
             def loss(amps, phases, salience):
                 return self.critic_loss(amps, phases, salience, vocab, tokens, label)
@@ -243,7 +249,11 @@ class TestCriterion4GradientFidelity:
                 table.phases.copy(),
                 table.salience.copy(),
             ]
-            analytic = [grads.amplitudes, grads.phases, grads.salience]
+            amplitude_grad = np.zeros_like(table.amplitudes)
+            amplitude_grad[rows] = amplitude_rows
+            salience_grad = np.zeros_like(table.salience)
+            salience_grad[rows] = salience_rows
+            analytic = [amplitude_grad, np.zeros_like(table.phases), salience_grad]
             for index in range(3):
                 for entry in np.ndindex(arrays[index].shape):
                     numeric = self.finite_difference(loss, arrays, index, entry)

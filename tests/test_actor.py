@@ -16,7 +16,7 @@ from qforage.actor import (
     actor_gradients,
     first_argmax,
     policy_probabilities,
-    score_rows,
+    project_rows,
     select_action,
 )
 from qforage.errors import (
@@ -49,29 +49,36 @@ def ids_of(candidates):
     return np.stack([q.word_ids for q in candidates])
 
 
+def dense_table(params, table_ids, table_rows):
+    """The (V, k) view of actor_gradients' table rows: zero on every other row."""
+    dense = np.zeros_like(params.table.amplitudes)
+    dense[table_ids] = table_rows
+    return dense
+
+
 class TestActorForward:
     def test_scores_equal_projection(self):
         rng = np.random.default_rng(3)
         params = make_params(rng)
         candidates = make_candidates(params.table, 2, [["w0", "w1"], ["w2"], ["w3", "w0"]])
-        forward = actor_forward(params, candidates)
-        for score, q in zip(forward.scores, candidates):
+        scores, _, _ = actor_forward(params, candidates)
+        for score, q in zip(scores, candidates):
             assert score == qrep.project(params.global_rep, q)
 
     def test_identical_candidates_identical_scores(self):
         rng = np.random.default_rng(5)
         params = make_params(rng)
         candidates = make_candidates(params.table, 2, [["w0", "w1"], ["w0", "w1"]])
-        forward = actor_forward(params, candidates)
-        assert forward.scores[0] == forward.scores[1]
-        np.testing.assert_array_equal(forward.pooled[0], forward.pooled[1])
+        scores, pooled, _ = actor_forward(params, candidates)
+        assert scores[0] == scores[1]
+        np.testing.assert_array_equal(pooled[0], pooled[1])
 
     def test_pooled_shape(self):
         rng = np.random.default_rng(7)
         params = make_params(rng, rank=4)
         candidates = make_candidates(params.table, 2, [["w0"], ["w1"], ["w2"]])
-        forward = actor_forward(params, candidates)
-        assert forward.pooled.shape == (3, 4)
+        _, pooled, _ = actor_forward(params, candidates)
+        assert pooled.shape == (3, 4)
 
     def test_empty_candidate_list_rejected(self):
         rng = np.random.default_rng(11)
@@ -83,9 +90,9 @@ class TestActorForward:
         rng = np.random.default_rng(13)
         params = make_params(rng)
         candidates = make_candidates(params.table, 2, [["w0", "w2"], ["w1", "w3"]])
-        a = actor_forward(params, candidates)
-        b = actor_forward(params, candidates)
-        assert a.scores.tobytes() == b.scores.tobytes()
+        a, _, _ = actor_forward(params, candidates)
+        b, _, _ = actor_forward(params, candidates)
+        assert a.tobytes() == b.tobytes()
 
     def test_table_global_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(17)
@@ -156,17 +163,17 @@ class TestScoreRows:
         params = make_params(rng, order=3, rank=5)
         token_lists = [["w0", "w1", "w2"], ["w3"], ["w2", "w2"], ["w1", "w0", "w3"]]
         candidates = make_candidates(params.table, 3, token_lists)
-        batch = score_rows(params.global_rep, np.stack([q.rows for q in candidates]))
+        scores, _, dots = project_rows(params.global_rep, np.stack([q.rows for q in candidates]))
         for i, q in enumerate(candidates):
-            single = actor_forward(params, [q])
-            assert batch.scores[i] == single.scores[0] == qrep.project(params.global_rep, q)
-            assert batch.dots[i].tobytes() == single.dots[0].tobytes()
+            single_scores, _, single_dots = actor_forward(params, [q])
+            assert scores[i] == single_scores[0] == qrep.project(params.global_rep, q)
+            assert dots[i].tobytes() == single_dots[0].tobytes()
 
     def test_row_shape_must_match_the_global_space(self):
         rng = np.random.default_rng(53)
         params = make_params(rng, order=2)
         with pytest.raises(ShapeMismatch):
-            score_rows(params.global_rep, np.ones((4, 3, 3)))
+            act(params, np.ones((4, 3, 3)), np.random.default_rng(1))
 
 
 class TestSelectAction:
@@ -204,10 +211,12 @@ class TestAct:
         rng = np.random.default_rng(41)
         params = make_params(rng)
         candidates = make_candidates(params.table, 2, [["w0", "w1"]])
-        out = act(params, rows_of(candidates), np.random.default_rng(1))
-        assert out.index == 0
-        assert out.probabilities[0] == pytest.approx(1.0, abs=1e-12)
-        assert out.log_probability == 0.0
+        index, log_probability, probabilities, *_ = act(
+            params, rows_of(candidates), np.random.default_rng(1)
+        )
+        assert index == 0
+        assert probabilities[0] == pytest.approx(1.0, abs=1e-12)
+        assert log_probability == 0.0
 
     def test_empty_batch_rejected(self):
         params = make_params(np.random.default_rng(42))
@@ -220,11 +229,11 @@ class TestAct:
         candidates = make_candidates(params.table, 2, [["w0"], ["w1"], ["w2"]])
         for seed in range(20):
             out = act(params, rows_of(candidates), np.random.default_rng(seed))
-            scores = actor_forward(params, candidates).scores
+            scores = actor_forward(params, candidates)[0]
             index, log_prob = select_action(scores, 0.7, np.random.default_rng(seed))
-            assert (out.index, out.log_probability) == (index, log_prob)
+            assert out[:2] == (index, log_prob)
             probs = policy_probabilities(scores, 0.7)
-            assert out.probabilities.tobytes() == probs.tobytes()
+            assert out[2].tobytes() == probs.tobytes()
 
 
 def selection_loss(table_amps, weights, factors, token_lists, vocab, chosen, advantage, temperature):
@@ -249,19 +258,23 @@ class TestActorGradients:
         rng = np.random.default_rng(47)
         params = make_params(rng)
         candidates = make_candidates(params.table, 2, [["w0"], ["w1"]])
-        grads = actor_gradients(params, ids_of(candidates), chosen=0, advantage=0.0)
-        assert not grads.table.any()
-        assert not grads.weights.any()
-        assert not grads.factors.any()
+        table_ids, table_rows, weights, factors = actor_gradients(
+            params, ids_of(candidates), chosen=0, advantage=0.0
+        )
+        assert not dense_table(params, table_ids, table_rows).any()
+        assert not weights.any()
+        assert not factors.any()
 
     def test_single_candidate_gives_zero_gradients(self):
         rng = np.random.default_rng(53)
         params = make_params(rng)
         candidates = make_candidates(params.table, 2, [["w0", "w1"]])
-        grads = actor_gradients(params, ids_of(candidates), chosen=0, advantage=1.0)
-        np.testing.assert_allclose(grads.table, 0.0, atol=1e-15)
-        np.testing.assert_allclose(grads.weights, 0.0, atol=1e-15)
-        np.testing.assert_allclose(grads.factors, 0.0, atol=1e-15)
+        table_ids, table_rows, weights, factors = actor_gradients(
+            params, ids_of(candidates), chosen=0, advantage=1.0
+        )
+        np.testing.assert_allclose(dense_table(params, table_ids, table_rows), 0.0, atol=1e-15)
+        np.testing.assert_allclose(weights, 0.0, atol=1e-15)
+        np.testing.assert_allclose(factors, 0.0, atol=1e-15)
 
     def test_chosen_index_validated(self):
         rng = np.random.default_rng(59)
@@ -292,7 +305,9 @@ class TestActorGradients:
             candidates = make_candidates(params.table, order, token_lists)
             chosen = int(rng.integers(3))
             advantage = float(rng.uniform(0.2, 1.0))
-            grads = actor_gradients(params, ids_of(candidates), chosen, advantage)
+            table_ids, table_rows, weights_grad, factors_grad = actor_gradients(
+                params, ids_of(candidates), chosen, advantage
+            )
 
             def loss(amps, w, fac):
                 return selection_loss(
@@ -303,9 +318,9 @@ class TestActorGradients:
             weights = params.global_rep.weights
             factors = params.global_rep.factors
             for arr, grad in (
-                (amps, grads.table),
-                (weights, grads.weights),
-                (factors, grads.factors),
+                (amps, dense_table(params, table_ids, table_rows)),
+                (weights, weights_grad),
+                (factors, factors_grad),
             ):
                 flat, gflat = arr.ravel(), grad.ravel()
                 for j in range(flat.size):
@@ -324,11 +339,13 @@ class TestActorGradients:
         params = make_params(rng)
         token_lists = [["w0", "w1"], ["w2", "w3"]]
         candidates = make_candidates(params.table, 2, token_lists)
-        before = score_rows(params.global_rep, rows_of(candidates)).scores
-        grads = actor_gradients(params, ids_of(candidates), chosen=0, advantage=1.0)
-        params.table.amplitudes -= 0.05 * grads.table
-        params.global_rep.weights -= 0.05 * grads.weights
-        params.global_rep.factors -= 0.05 * grads.factors
+        before = project_rows(params.global_rep, rows_of(candidates))[0]
+        table_ids, table_rows, weights, factors = actor_gradients(
+            params, ids_of(candidates), chosen=0, advantage=1.0
+        )
+        params.table.amplitudes -= 0.05 * dense_table(params, table_ids, table_rows)
+        params.global_rep.weights -= 0.05 * weights
+        params.global_rep.factors -= 0.05 * factors
         refreshed = make_candidates(params.table, 2, token_lists)
-        after = score_rows(params.global_rep, rows_of(refreshed)).scores
+        after = project_rows(params.global_rep, rows_of(refreshed))[0]
         assert after[0] - after[1] > before[0] - before[1]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from checkpoint_v1 import CRITERION9_V1, V1_HEADER, v1_lines, write_v1
 
-from qforage import cli, env, trainer
+from qforage import cli, env, oracles, trainer
 
 GEN_ARGS = [
     "gen-corpus",
@@ -782,6 +782,14 @@ class TestOracle:
         code, out, _ = run(["oracle", "--perturb", "1e-3"], capsys)
         assert code == 3
         assert any(l.startswith("FAIL") for l in out)
+
+    @pytest.mark.parametrize("name", oracles.ORACLE_NAMES)
+    def test_each_check_passes_at_zero_and_fails_alone_when_perturbed(self, name, capsys):
+        for perturb, expected_code, verdict in (("0", 0, "ok"), ("1e-3", 3, "FAIL")):
+            code, out, _ = run(["oracle", "--checks", name, "--perturb", perturb], capsys)
+            checks = [l for l in out if not l.startswith("#")]
+            assert code == expected_code
+            assert [l.split()[:2] for l in checks] == [[verdict, name]]
 
     def test_writes_report_with_out(self, tmp_path, capsys):
         code, out, _ = run(

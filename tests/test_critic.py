@@ -307,6 +307,13 @@ def label_probability(amplitudes, phases, salience, words, tokens, label):
     return -np.log(class_probabilities(tokens, table)[label])
 
 
+def scatter(like, rows, values):
+    """Zeros shaped like `like`, holding `values` at `rows`: the dense view of gradient rows."""
+    dense = np.zeros_like(like)
+    dense[rows] = values
+    return dense
+
+
 def dense_reference_gradients(tokens, label, table):
     """Dense (V, d) and (V,) gradients, accumulated straight into full tables with np.add.at."""
     ids = np.asarray([table.word_id(t) for t in tokens])
@@ -339,16 +346,19 @@ class TestSparseCriticGradients:
             tokens = [VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(int(rng.integers(1, 8)))]
             tokens.append("zzzunseen")
             label = int(rng.integers(3))
-            _, grads = critic_loss_and_gradients(token_ids(tokens, table), label, table)
+            _, _, rows, amplitude_rows, salience_rows = critic_loss_and_gradients(
+                token_ids(tokens, table), label, table
+            )
             amplitudes, salience = dense_reference_gradients(tokens, label, table)
             # Equal everywhere; bit for bit on the touched rows (the reference's
             # untouched rows may hold -0.0).
-            np.testing.assert_array_equal(grads.amplitudes, amplitudes)
-            np.testing.assert_array_equal(grads.salience, salience)
-            assert grads.amplitude_rows.tobytes() == amplitudes[grads.ids].tobytes()
-            assert grads.salience_rows.tobytes() == salience[grads.ids].tobytes()
-            assert grads.phases.shape == table.phases.shape
-            assert list(grads.ids) == sorted({table.word_id(t) for t in tokens})
+            dense_amplitudes = scatter(table.amplitudes, rows, amplitude_rows)
+            np.testing.assert_array_equal(dense_amplitudes, amplitudes)
+            np.testing.assert_array_equal(scatter(table.salience, rows, salience_rows), salience)
+            assert amplitude_rows.tobytes() == amplitudes[rows].tobytes()
+            assert salience_rows.tobytes() == salience[rows].tobytes()
+            assert amplitude_rows.shape == (rows.shape[0], table.phases.shape[1])
+            assert list(rows) == sorted({table.word_id(t) for t in tokens})
 
     def test_row_count_follows_tokens_not_vocabulary(self):
         tokens = ["w3", "w7", "w3", "w12", "w40", "absent"]
@@ -356,27 +366,31 @@ class TestSparseCriticGradients:
         for size in (60, 6000):
             words = tuple(f"w{i}" for i in range(size - 1))
             table = make_table(np.random.default_rng(5), embed_dim=12, words=words)
-            _, grads = critic_loss_and_gradients(token_ids(tokens, table), 2, table)
-            assert grads.amplitude_rows.shape[0] <= len(tokens)
-            assert grads.num_rows == size
-            shapes.append((grads.ids.shape, grads.amplitude_rows.shape, grads.salience_rows.shape))
+            _, _, rows, amplitude_rows, salience_rows = critic_loss_and_gradients(
+                token_ids(tokens, table), 2, table
+            )
+            assert amplitude_rows.shape[0] <= len(tokens)
+            assert rows.max() < table.num_rows == size
+            shapes.append((rows.shape, amplitude_rows.shape, salience_rows.shape))
         assert shapes[0] == shapes[1] == ((5,), (5, 12), (5,))
 
     def test_probabilities_are_the_class_probabilities(self):
         rng = np.random.default_rng(71)
         table = make_table(rng)
         tokens = ["cats", "not", "dogs", "cats"]
-        _, grads = critic_loss_and_gradients(token_ids(tokens, table), 1, table)
-        assert grads.probabilities.tobytes() == class_probabilities(tokens, table).tobytes()
+        probabilities = critic_loss_and_gradients(token_ids(tokens, table), 1, table)[1]
+        assert probabilities.tobytes() == class_probabilities(tokens, table).tobytes()
 
 
 class TestCriticLossAndGradients:
     def test_certain_label_zero_loss_zero_gradients(self):
         table = block_supported_table()
-        loss, grads = critic_loss_and_gradients(token_ids(["hi"], table), 2, table)
+        loss, _, _, amplitude_rows, salience_rows = critic_loss_and_gradients(
+            token_ids(["hi"], table), 2, table
+        )
         assert loss == 0.0
-        assert not grads.amplitudes.any()
-        assert not grads.salience.any()
+        assert not amplitude_rows.any()
+        assert not salience_rows.any()
 
     def test_uniform_state_loss_is_log_three(self):
         rows = len(VOCAB) + 1
@@ -386,7 +400,7 @@ class TestCriticLossAndGradients:
             phases=np.zeros((rows, 6)),
             salience=np.zeros(rows),
         )
-        loss, _ = critic_loss_and_gradients(token_ids(["cats", "dogs"], table), 1, table)
+        loss = critic_loss_and_gradients(token_ids(["cats", "dogs"], table), 1, table)[0]
         assert abs(loss - np.log(3.0)) <= 1e-10
 
     def test_invalid_label_rejected(self):
@@ -411,8 +425,13 @@ class TestCriticLossAndGradients:
     def test_phase_gradients_identically_zero(self):
         rng = np.random.default_rng(59)
         table = make_table(rng)
-        _, grads = critic_loss_and_gradients(token_ids(["dogs", "chase", "cats"], table), 0, table)
-        assert not grads.phases.any()
+        ids = token_ids(["dogs", "chase", "cats"], table)
+        before = critic_loss_and_gradients(ids, 0, table)
+        table.phases[:] = rng.uniform(-np.pi, np.pi, size=table.phases.shape)
+        after = critic_loss_and_gradients(ids, 0, table)
+        # Nothing the loss returns moves with the phases, so their gradient is exactly zero.
+        assert before[0] == after[0]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before[1:], after[1:]))
 
     def test_matches_central_finite_differences(self):
         h = 1e-5
@@ -422,12 +441,14 @@ class TestCriticLossAndGradients:
             count = int(rng.integers(1, 6))
             tokens = [VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(count)]
             label = int(rng.integers(3))
-            _, grads = critic_loss_and_gradients(token_ids(tokens, table), label, table)
+            _, _, rows, amplitude_rows, salience_rows = critic_loss_and_gradients(
+                token_ids(tokens, table), label, table
+            )
 
             for arr, grad in (
-                (table.amplitudes, grads.amplitudes),
-                (table.phases, grads.phases),
-                (table.salience, grads.salience),
+                (table.amplitudes, scatter(table.amplitudes, rows, amplitude_rows)),
+                (table.phases, np.zeros_like(table.phases)),
+                (table.salience, scatter(table.salience, rows, salience_rows)),
             ):
                 flat, gflat = arr.ravel(), grad.ravel()
                 for j in range(flat.size):
@@ -449,10 +470,12 @@ class TestCriticLossAndGradients:
         rng = np.random.default_rng(61)
         table = make_table(rng)
         tokens = ["dogs", "chase", "cats"]
-        loss_before, grads = critic_loss_and_gradients(token_ids(tokens, table), 2, table)
-        table.amplitudes -= 0.1 * grads.amplitudes
-        table.salience -= 0.1 * grads.salience
-        loss_after, _ = critic_loss_and_gradients(token_ids(tokens, table), 2, table)
+        loss_before, _, rows, amplitude_rows, salience_rows = critic_loss_and_gradients(
+            token_ids(tokens, table), 2, table
+        )
+        table.amplitudes[rows] -= 0.1 * amplitude_rows
+        table.salience[rows] -= 0.1 * salience_rows
+        loss_after = critic_loss_and_gradients(token_ids(tokens, table), 2, table)[0]
         assert loss_after < loss_before
 
     def test_normalized_probabilities_match_measurement(self):

@@ -221,15 +221,19 @@ class TestTrainStep:
             for c in doc.candidates
         ]
         rows = np.stack([q.rows for q in candidates])
-        out = actor.act(params_b, rows, np.random.default_rng(21))
-        assert out.index == metrics.chosen_index
-        reward = doc.candidates[out.index].label
+        index = actor.act(params_b, rows, np.random.default_rng(21))[0]
+        assert index == metrics.chosen_index
+        reward = doc.candidates[index].label
         if reward != 0:
             ids = np.stack([q.word_ids for q in candidates])
-            grads = actor.actor_gradients(params_b, ids, out.index, float(reward))
-            params_b.table.amplitudes -= config.actor_lr * grads.table
-            params_b.global_rep.weights -= config.actor_lr * grads.weights
-            params_b.global_rep.factors -= config.actor_lr * grads.factors
+            table_ids, table_rows, weights, factors = actor.actor_gradients(
+                params_b, ids, index, float(reward)
+            )
+            table_grad = np.zeros_like(params_b.table.amplitudes)
+            table_grad[table_ids] = table_rows
+            params_b.table.amplitudes -= config.actor_lr * table_grad
+            params_b.global_rep.weights -= config.actor_lr * weights
+            params_b.global_rep.factors -= config.actor_lr * factors
             params_b.table.renormalize()
             params_b.global_rep.renormalize()
         assert actor_state_bytes(params_a) == actor_state_bytes(params_b)
@@ -242,14 +246,16 @@ class TestTrainStep:
         candidates = [
             qrep.embed_query(c.tokens, params.table, config.query_order) for c in doc.candidates
         ]
-        out = actor.act(params, np.stack([q.rows for q in candidates]), np.random.default_rng(33))
+        index, log_probability, *_ = actor.act(
+            params, np.stack([q.rows for q in candidates]), np.random.default_rng(33)
+        )
         metrics = run_step(
             params, critic_table, corpus, doc_rows(corpus, 0), config, np.random.default_rng(33)
         )
-        assert metrics.chosen_index == out.index
+        assert metrics.chosen_index == index
         assert metrics.reward == doc.candidates[metrics.chosen_index].label
         assert metrics.advantage == metrics.reward - metrics.q_estimate
-        assert metrics.log_probability == out.log_probability
+        assert metrics.log_probability == log_probability
         assert metrics.log_probability <= 0.0
         assert metrics.critic_loss >= 0.0
 
@@ -301,28 +307,28 @@ def string_path_step(params, critic_table, keywords, drawn, config, rng):
     within the dead band.
     """
     candidates = [qrep.embed_query(c.tokens, params.table, config.query_order) for c in drawn]
-    out = actor.act(params, np.stack([q.rows for q in candidates]), rng)
-    chosen = drawn[out.index]
+    index = actor.act(params, np.stack([q.rows for q in candidates]), rng)[0]
+    chosen = drawn[index]
     tokens = list(keywords) + list(chosen.tokens)
     ids = np.asarray([critic_table.word_id(t) for t in tokens], dtype=np.int64)
-    _, cgrads = critic.critic_loss_and_gradients(
+    _, probabilities, rows, amplitude_rows, salience_rows = critic.critic_loss_and_gradients(
         ids, critic.class_of_reward(chosen.label), critic_table
     )
-    q_estimate = float(np.dot(critic.CLASS_REWARDS, cgrads.probabilities))
-    critic_table.amplitudes[cgrads.ids] -= config.critic_lr * cgrads.amplitude_rows
-    critic_table.salience[cgrads.ids] -= config.critic_lr * cgrads.salience_rows
+    q_estimate = float(np.dot(critic.CLASS_REWARDS, probabilities))
+    critic_table.amplitudes[rows] -= config.critic_lr * amplitude_rows
+    critic_table.salience[rows] -= config.critic_lr * salience_rows
     critic_table.renormalize()
     advantage = chosen.label - q_estimate
     if advantage != 0.0:
-        grads = actor.actor_gradients(
-            params, np.stack([q.word_ids for q in candidates]), out.index, advantage
+        table_ids, table_rows, weights, factors = actor.actor_gradients(
+            params, np.stack([q.word_ids for q in candidates]), index, advantage
         )
-        params.table.amplitudes[grads.ids] -= config.actor_lr * grads.rows
-        params.global_rep.weights -= config.actor_lr * grads.weights
-        params.global_rep.factors -= config.actor_lr * grads.factors
+        params.table.amplitudes[table_ids] -= config.actor_lr * table_rows
+        params.global_rep.weights -= config.actor_lr * weights
+        params.global_rep.factors -= config.actor_lr * factors
         params.table.renormalize()
         params.global_rep.renormalize()
-    return out.index, chosen.label
+    return index, chosen.label
 
 
 class TestCompiledStep:
@@ -392,7 +398,12 @@ class TestQueryRowIds:
 
 
 class TestTrainingPathTouchesNoStrings:
-    """Training runs on compiled rows: no Transition, no query or token lookups by string."""
+    """Training and evaluation run on compiled rows and the array routines.
+
+    No Transition, no query or token lookups by string, and none of the
+    checked actor and critic entry points, which re-check what the compiled
+    corpus settles.
+    """
 
     @pytest.fixture(autouse=True)
     def refuse_string_paths(self, monkeypatch):
@@ -404,22 +415,26 @@ class TestTrainingPathTouchesNoStrings:
         monkeypatch.setattr(env, "step", refuse)
         monkeypatch.setattr(qrep, "embed_query", refuse)
         monkeypatch.setattr(critic, "token_ids", refuse)
+        for name in ("act", "actor_forward", "select_action", "actor_gradients"):
+            monkeypatch.setattr(actor, name, refuse)
+        monkeypatch.setattr(critic, "critic_loss_and_gradients", refuse)
 
     @pytest.mark.parametrize("mode", ["bandit", "session"])
     def test_train_builds_no_transition(self, mode):
-        result = trainer.train(small_config(mode=mode, episodes=6, eval_interval=3), small_corpus())
+        corpus = small_corpus()
+        result = trainer.train(small_config(mode=mode, episodes=6, eval_interval=3), corpus)
         assert len(result.metrics) == 2
         assert set(result.rewards) <= {-1, 0, 1}
+        trainer.evaluate(result.params, result.critic_table, corpus)
 
 
 def dense_reference_table_gradient(params, candidates, chosen, advantage):
     """The (V, k) amplitude gradient accumulated straight into a full table with np.add.at."""
-    forward = actor.score_rows(params.global_rep, np.stack([q.rows for q in candidates]))
-    probs = actor.policy_probabilities(forward.scores, params.temperature)
+    scores, _, dots = actor.project_rows(params.global_rep, np.stack([q.rows for q in candidates]))
+    probs = actor.policy_probabilities(scores, params.temperature)
     one_hot = np.zeros_like(probs)
     one_hot[chosen] = 1.0
     g_scores = -advantage * (one_hot - probs) / params.temperature
-    dots = forward.dots
     n = dots.shape[2]
     prefix = np.ones_like(dots)
     suffix = np.ones_like(dots)
@@ -491,10 +506,10 @@ class TestSparseStep:
             params = actor.ActorParams(table=table, global_rep=global_rep)
             candidates = [qrep.embed_query(t, table, order) for t in token_lists]
             ids = np.stack([q.word_ids for q in candidates])
-            grads = actor.actor_gradients(params, ids, 2, 0.7)
-            assert grads.rows.shape[0] <= len(candidates) * order
-            assert grads.num_rows == size
-            shapes.append((grads.ids.shape, grads.rows.shape))
+            table_ids, table_rows, _, _ = actor.actor_gradients(params, ids, 2, 0.7)
+            assert table_rows.shape[0] <= len(candidates) * order
+            assert table_ids.max() < table.num_rows == size
+            shapes.append((table_ids.shape, table_rows.shape))
         # null, unk, w3, w7, w12, w40, w41
         assert shapes[0] == shapes[1] == ((7,), (7, 4))
 
@@ -509,10 +524,12 @@ class TestSparseStep:
             chosen = int(rng.integers(len(candidates)))
             advantage = float(rng.uniform(-1.5, 1.5))
             ids = np.stack([q.word_ids for q in candidates])
-            grads = actor.actor_gradients(params, ids, chosen, advantage)
+            table_ids, table_rows, _, _ = actor.actor_gradients(params, ids, chosen, advantage)
             dense = dense_reference_table_gradient(params, candidates, chosen, advantage)
-            assert grads.table.tobytes() == dense.tobytes()
-            assert list(grads.ids) == sorted({int(i) for q in candidates for i in q.word_ids})
+            table_grad = np.zeros_like(params.table.amplitudes)
+            table_grad[table_ids] = table_rows
+            assert table_grad.tobytes() == dense.tobytes()
+            assert list(table_ids) == sorted({int(i) for q in candidates for i in q.word_ids})
 
 
 class TestEvaluate:
@@ -531,7 +548,7 @@ class TestEvaluate:
                 qrep.embed_query(c.tokens, params.table, config.query_order)
                 for c in doc.candidates
             ]
-            scores = actor.score_rows(params.global_rep, np.stack([q.rows for q in states])).scores
+            scores = actor.project_rows(params.global_rep, np.stack([q.rows for q in states]))[0]
             index = int(np.argmax(scores))
             rewards.append(doc.candidates[index].label)
             hits += int(doc.candidates[index].label == 1)
@@ -711,7 +728,7 @@ def per_document_recount(params, critic_table, corpus):
     rewards, patch_ids, choices, probabilities = [], [], [], []
     for doc in corpus.documents:
         states = [qrep.embed_query(c.tokens, params.table, order) for c in doc.candidates]
-        scores = actor.score_rows(params.global_rep, np.stack([q.rows for q in states])).scores
+        scores = actor.project_rows(params.global_rep, np.stack([q.rows for q in states]))[0]
         index = int(np.argmax(scores))
         reward = doc.candidates[index].label
         rewards.append(reward)
@@ -872,42 +889,6 @@ class TestNoDensityMatrixOnTrainingPaths:
             p = critic.class_probabilities(tokens, before)
             assert metrics.q_estimate == float(np.dot(critic.CLASS_REWARDS, p))
             assert critic_state_bytes(critic_table) != critic_state_bytes(before)
-
-
-class TestNoStepDataclassesOnTrainingPaths:
-    """Training steps run on arrays; building a per-step result dataclass fails here."""
-
-    @pytest.fixture(autouse=True)
-    def refuse_step_dataclasses(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a step dataclass was built")
-
-        for cls in (
-            actor.ActorForward,
-            actor.ActionOutput,
-            actor.ActorGradients,
-            critic.CriticGradients,
-        ):
-            monkeypatch.setattr(cls, "__init__", refuse)
-
-    def test_refusal_reaches_the_dataclass_api(self):
-        corpus = small_corpus()
-        params, critic_table = trainer.init_params(corpus, small_config())
-        ids = trainer.query_row_ids(corpus.compiled, params.global_rep.order)[:3]
-        rng = np.random.default_rng(0)
-        with pytest.raises(AssertionError):
-            actor.act(params, params.table.amplitudes[ids], rng)
-        with pytest.raises(AssertionError):
-            actor.actor_gradients(params, ids, 0, 0.5)
-        with pytest.raises(AssertionError):
-            critic.critic_loss_and_gradients(np.array([1, 2]), 2, critic_table)
-
-    @pytest.mark.parametrize("mode", ["bandit", "session"])
-    def test_training_and_evaluation(self, mode):
-        corpus = small_corpus()
-        result = trainer.train(small_config(mode=mode, episodes=10, eval_interval=5), corpus)
-        assert len(result.metrics) == 2
-        trainer.evaluate(result.params, result.critic_table, corpus)
 
 
 def init_checkpoint_file(tmp_path, **overrides):
