@@ -398,12 +398,7 @@ class TestQueryRowIds:
 
 
 class TestTrainingPathTouchesNoStrings:
-    """Training and evaluation run on compiled rows and the array routines.
-
-    No Transition, no query or token lookups by string, and none of the
-    checked actor and critic entry points, which re-check what the compiled
-    corpus settles.
-    """
+    """Training and evaluation run on compiled rows: no Transition, no query or token lookups by string."""
 
     @pytest.fixture(autouse=True)
     def refuse_string_paths(self, monkeypatch):
@@ -415,9 +410,6 @@ class TestTrainingPathTouchesNoStrings:
         monkeypatch.setattr(env, "step", refuse)
         monkeypatch.setattr(qrep, "embed_query", refuse)
         monkeypatch.setattr(critic, "token_ids", refuse)
-        for name in ("act", "actor_forward", "select_action", "actor_gradients"):
-            monkeypatch.setattr(actor, name, refuse)
-        monkeypatch.setattr(critic, "critic_loss_and_gradients", refuse)
 
     @pytest.mark.parametrize("mode", ["bandit", "session"])
     def test_train_builds_no_transition(self, mode):
@@ -425,6 +417,30 @@ class TestTrainingPathTouchesNoStrings:
         result = trainer.train(small_config(mode=mode, episodes=6, eval_interval=3), corpus)
         assert len(result.metrics) == 2
         assert set(result.rewards) <= {-1, 0, 1}
+        trainer.evaluate(result.params, result.critic_table, corpus)
+
+
+class TestNoStepDataclassesOnTrainingPaths:
+    """Training steps run on the array routines, not the checked actor and critic entry points.
+
+    The checked entry points re-check what the compiled corpus settles; calling
+    one from training or evaluation fails here.
+    """
+
+    @pytest.fixture(autouse=True)
+    def refuse_checked_entry_points(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checked entry point was called")
+
+        for name in ("act", "actor_forward", "select_action", "actor_gradients"):
+            monkeypatch.setattr(actor, name, refuse)
+        monkeypatch.setattr(critic, "critic_loss_and_gradients", refuse)
+
+    @pytest.mark.parametrize("mode", ["bandit", "session"])
+    def test_training_and_evaluation(self, mode):
+        corpus = small_corpus()
+        result = trainer.train(small_config(mode=mode, episodes=10, eval_interval=5), corpus)
+        assert len(result.metrics) == 2
         trainer.evaluate(result.params, result.critic_table, corpus)
 
 
