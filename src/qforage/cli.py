@@ -8,10 +8,13 @@ Subcommands
     oracle      run the self-check suite (optionally with an injected fault)
 
 Shared flags: every subcommand takes --seed, --config (flat key=value text),
-and --out (output directory). Precedence is flag > config file > built-in
-default, and unknown config keys are rejected. The effective configuration is
-echoed as `# key=value` lines at the top of every output file, so artifacts
-are self-describing and two identical invocations write identical bytes.
+and --out (output directory). Each config key is also a flag, "--" plus the
+key with dashes (actor_lr is --actor-lr), except vocab_size, candidates_per_doc
+and keyword_count, whose flags are --vocab, --candidates and --keywords.
+Precedence is flag > config file > built-in default, and unknown config keys
+are rejected. The effective configuration is echoed as `# key=value` lines at
+the top of every output file, so artifacts are self-describing and two
+identical invocations write identical bytes.
 
 Exit codes: 0 success, 1 runtime or IO failure, 2 usage or configuration
 error, 3 one or more oracle checks failed.
@@ -71,9 +74,8 @@ def _effective(
 ) -> dict:
     """Merge defaults, config-file values, and flags; flags win."""
     effective = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, raw in _read_config_file(config_path).items():
+    if args.config:
+        for key, raw in _read_config_file(args.config).items():
             if key not in keys:
                 raise UsageError(
                     f"unknown config key {key!r}; valid keys: {', '.join(sorted(keys))}"
@@ -83,7 +85,7 @@ def _effective(
             except ValueError:
                 raise UsageError(f"config key {key!r} has invalid value {raw!r}") from None
     for key in keys:
-        flag_value = getattr(args, key, None)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             effective[key] = flag_value
     return effective
@@ -94,7 +96,7 @@ def _echo_lines(effective: dict) -> list[str]:
 
 
 def _ensure_out_dir(args: argparse.Namespace) -> str:
-    out = getattr(args, "out", None) or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -103,6 +105,14 @@ def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def _report(args: argparse.Namespace, filename: str, lines: list[str]) -> None:
+    """Print a report and, with --out, write the same lines to filename there."""
+    for line in lines:
+        print(line)
+    if args.out:
+        _write_lines(os.path.join(_ensure_out_dir(args), filename), lines)
 
 
 _GEN_KEYS = {**trainer.field_parsers(env.CorpusSpec), "seed": int}
@@ -116,17 +126,14 @@ _ORACLE_KEYS: dict[str, type] = {"seed": int, "perturb": float, "checks": str}
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
     defaults = {**dataclasses.asdict(env.CorpusSpec()), "seed": 0}
     effective = _effective(_GEN_KEYS, defaults, args)
-    seed = effective.pop("seed")
-    spec = env.CorpusSpec(**effective)
+    spec = env.CorpusSpec(**{k: v for k, v in effective.items() if k != "seed"})
     try:
         spec.validate()
     except SpecInvalid as exc:
         raise UsageError(str(exc)) from None
-    corpus = env.gen_corpus(spec, stream_rng(seed, "gen-corpus"))
-    out_dir = _ensure_out_dir(args)
-    path = os.path.join(out_dir, CORPUS_FILENAME)
-    echo = _echo_lines({**effective, "seed": seed})
-    env.save_corpus(corpus, path, echo=echo)
+    corpus = env.gen_corpus(spec, stream_rng(effective["seed"], "gen-corpus"))
+    path = os.path.join(_ensure_out_dir(args), CORPUS_FILENAME)
+    env.save_corpus(corpus, path, echo=_echo_lines(effective))
     candidates = sum(len(d.candidates) for d in corpus.documents)
     print(f"wrote {path}")
     print(
@@ -140,14 +147,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     base = trainer.TrainConfig()
     defaults = {key: getattr(base, key) for key in _TRAIN_KEYS}
     effective = _effective(_TRAIN_KEYS, defaults, args)
-    out_dir = _ensure_out_dir(args)
     config = trainer.TrainConfig(
-        **effective, checkpoint_path=os.path.join(out_dir, CHECKPOINT_FILENAME)
+        **effective, checkpoint_path=os.path.join(args.out or ".", CHECKPOINT_FILENAME)
     )
     try:
         config.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    out_dir = _ensure_out_dir(args)
     corpus = env.load_corpus(args.corpus, keyword_count=config.keyword_count)
     result = trainer.train(config, corpus)
 
@@ -189,12 +196,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ev = trainer.evaluate(
         params, critic_table, corpus, scent_smoothing=effective["scent_smoothing"]
     )
-    lines = [
-        f"# {entry}"
-        for entry in _echo_lines(
-            {**effective, "corpus": args.corpus, "checkpoint": args.checkpoint}
-        )
-    ]
+    echo = {**effective, "corpus": args.corpus, "checkpoint": args.checkpoint}
+    lines = [f"# {entry}" for entry in _echo_lines(echo)]
     for doc_id, tokens, reward in ev.choices:
         lines.append(f"{doc_id}\t{' '.join(tokens)}\t{reward:d}")
     fmt = trainer.format_float
@@ -212,11 +215,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"patch {patch_id}: scent={fmt(patch.scalar)} count={patch.count} "
             + frequencies(patch.frequencies)
         )
-    for line in lines:
-        print(line)
-    if getattr(args, "out", None):
-        out_dir = _ensure_out_dir(args)
-        _write_lines(os.path.join(out_dir, EVAL_FILENAME), lines)
+    _report(args, EVAL_FILENAME, lines)
     return EXIT_OK
 
 
@@ -290,11 +289,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         phases = "init-time" if redrawn else "stored"
         lines.append(f"top off-diagonals ({phases} phases): {pairs}")
 
-    for line in lines:
-        print(line)
-    if getattr(args, "out", None):
-        out_dir = _ensure_out_dir(args)
-        _write_lines(os.path.join(out_dir, "inspect.txt"), lines)
+    _report(args, "inspect.txt", lines)
     return EXIT_OK
 
 
@@ -310,18 +305,34 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for report in reports:
         status = "ok" if report.passed else "FAIL"
         lines.append(f"{status:4s} {report.name:12s} {report.detail}")
-    for line in lines:
-        print(line)
-    if getattr(args, "out", None):
-        out_dir = _ensure_out_dir(args)
-        _write_lines(os.path.join(out_dir, ORACLE_FILENAME), lines)
+    _report(args, ORACLE_FILENAME, lines)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_ORACLE
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="root seed for all randomness")
-    sub.add_argument("--config", default=None, help="flat key=value config file")
-    sub.add_argument("--out", default=None, help="output directory (default: current)")
+# The flags not named "--" plus their config key with dashes.
+_SHORT_FLAGS = {
+    "vocab_size": "--vocab",
+    "candidates_per_doc": "--candidates",
+    "keyword_count": "--keywords",
+}
+
+_HELP = {
+    "gen-corpus": "synthesize a patchy corpus file",
+    "train": "train actor and critic on a corpus",
+    "eval": "greedy evaluation of a checkpoint",
+    "inspect": "dump a checkpoint, optionally one document's diagnostics",
+    "oracle": "run the self-check suite",
+    "config": "flat key=value config file",
+    "out": "output directory (default: current)",
+    "corpus": "corpus file (inspect needs it with --doc)",
+    "doc": "document id to diagnose",
+    "seed": "root seed for all randomness",
+    "noise": "label noise rate in [0, 1]",
+    "mode": "bandit or session",
+    "off_diagonals": "how many of the largest off-diagonal magnitudes to print (default 5)",
+    "checks": f"comma-separated subset of {', '.join(oracles.ORACLE_NAMES)}",
+    "perturb": "inject a fault of this magnitude; a meaningful size must make checks fail",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,66 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-inspired query foraging: corpus tools, training, evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-corpus", help="synthesize a patchy corpus file")
-    _add_common(p)
-    p.add_argument("--docs", type=int, default=None)
-    p.add_argument("--patches", type=int, default=None)
-    p.add_argument("--vocab", type=int, dest="vocab_size", default=None)
-    p.add_argument("--candidates", type=int, dest="candidates_per_doc", default=None)
-    p.add_argument("--noise", type=float, default=None, help="label noise rate in [0, 1]")
-    p.add_argument("--doc-len", type=int, dest="doc_len", default=None)
-    p.add_argument("--query-len", type=int, dest="query_len", default=None)
-    p.add_argument("--keywords", type=int, dest="keyword_count", default=None)
-    p.set_defaults(func=cmd_gen_corpus)
-
-    p = sub.add_parser("train", help="train actor and critic on a corpus")
-    _add_common(p)
-    p.add_argument("--corpus", required=True, help="corpus file to train on")
-    p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--actor-lr", type=float, dest="actor_lr", default=None)
-    p.add_argument("--critic-lr", type=float, dest="critic_lr", default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--scent-smoothing", type=float, dest="scent_smoothing", default=None)
-    p.add_argument("--mode", choices=("bandit", "session"), default=None)
-    p.add_argument("--eval-interval", type=int, dest="eval_interval", default=None)
-    p.add_argument("--basis-dim", type=int, dest="basis_dim", default=None)
-    p.add_argument("--query-order", type=int, dest="query_order", default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--embed-dim", type=int, dest="embed_dim", default=None)
-    p.add_argument("--keywords", type=int, dest="keyword_count", default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="greedy evaluation of a checkpoint")
-    _add_common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--scent-smoothing", type=float, dest="scent_smoothing", default=None)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("inspect", help="dump a checkpoint, optionally one document's diagnostics")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", default=None, help="needed with --doc")
-    p.add_argument("--doc", default=None, help="document id to diagnose")
-    p.add_argument(
-        "--off-diagonals", type=int, dest="off_diagonals", default=None,
-        help="how many of the largest off-diagonal magnitudes to print (default 5)",
-    )
-    p.set_defaults(func=cmd_inspect)
-
-    p = sub.add_parser("oracle", help="run the self-check suite")
-    _add_common(p)
-    p.add_argument(
-        "--checks", default=None,
-        help=f"comma-separated subset of {', '.join(oracles.ORACLE_NAMES)}",
-    )
-    p.add_argument(
-        "--perturb", type=float, default=None,
-        help="inject a fault of this magnitude; a meaningful size must make checks fail",
-    )
-    p.set_defaults(func=cmd_oracle)
-
+    # Each subcommand takes --config, --out, its file arguments (name: required)
+    # and one flag per config key.
+    for name, func, keys, files in (
+        ("gen-corpus", cmd_gen_corpus, _GEN_KEYS, {}),
+        ("train", cmd_train, _TRAIN_KEYS, {"corpus": True}),
+        ("eval", cmd_eval, _EVAL_KEYS, {"corpus": True, "checkpoint": True}),
+        ("inspect", cmd_inspect, _INSPECT_KEYS, {"checkpoint": True, "corpus": False, "doc": False}),
+        ("oracle", cmd_oracle, _ORACLE_KEYS, {}),
+    ):
+        p = sub.add_parser(name, help=_HELP[name])
+        for key, required in {"config": False, "out": False, **files}.items():
+            p.add_argument(f"--{key}", required=required, help=_HELP.get(key))
+        for key, parse in keys.items():
+            flag = _SHORT_FLAGS.get(key, "--" + key.replace("_", "-"))
+            p.add_argument(flag, type=parse, dest=key, help=_HELP.get(key))
+        p.set_defaults(func=func)
     return parser
 
 
@@ -405,10 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QForageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (QForageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

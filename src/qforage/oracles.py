@@ -10,7 +10,7 @@ have teeth: a perturbed run must fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -217,15 +217,7 @@ def check_determinism(seed: int = 0, perturb: float = 0.0) -> OracleReport:
     corpus = env.gen_corpus(spec, stream_rng(seed, "oracle:determinism-corpus"))
     config = trainer.TrainConfig(episodes=20, eval_interval=10, seed=seed, basis_dim=3, query_order=3, rank=4, embed_dim=6)
     first = trainer.train(config, corpus)
-    second_config = trainer.TrainConfig(
-        episodes=20,
-        eval_interval=10,
-        seed=seed + 1 if perturb != 0.0 else seed,
-        basis_dim=3,
-        query_order=3,
-        rank=4,
-        embed_dim=6,
-    )
+    second_config = replace(config, seed=seed + 1 if perturb != 0.0 else seed)
     second = trainer.train(second_config, corpus)
     lines_a = trainer.checkpoint_lines(first.checkpoint)
     lines_b = trainer.checkpoint_lines(second.checkpoint)

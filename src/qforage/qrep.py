@@ -244,14 +244,13 @@ class GlobalRepresentation:
         basis_dim: int,
         rank: int,
         rng: np.random.Generator,
-        weight_scale: float = 0.3,
     ) -> "GlobalRepresentation":
         factor_normal = rng.standard_normal((rank, order, basis_dim))
-        return cls.from_normal(factor_normal, rng.standard_normal(rank), weight_scale)
+        return cls.from_normal(factor_normal, rng.standard_normal(rank))
 
     @classmethod
     def from_normal(
-        cls, factor_normal: np.ndarray, weight_normal: np.ndarray, weight_scale: float = 0.3
+        cls, factor_normal: np.ndarray, weight_normal: np.ndarray
     ) -> "GlobalRepresentation":
         """The from_random representation of standard normal draws, (R, order, k) and (R,)."""
         rank, order, basis_dim = factor_normal.shape
@@ -260,7 +259,7 @@ class GlobalRepresentation:
         # Positive initial weights keep the score monotone in slot alignment
         # at the start of training; signed products of near-unit dots are
         # otherwise free to rank candidates by parity instead of overlap.
-        weights = weight_scale * np.abs(weight_normal) + 0.05
+        weights = 0.3 * np.abs(weight_normal) + 0.05
         return cls(weights=weights, factors=flat.reshape(rank, order, basis_dim))
 
     @property

@@ -951,7 +951,7 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
     policy), so two identical calls produce bitwise-identical parameters,
     metric rows, and checkpoint files. When evaluation is enabled a final
     record at the last episode is always emitted; when a checkpoint path is
-    set the file is rewritten at each interval and once at the end.
+    set the file is rewritten at each earlier record and once at the end.
     """
     config.validate()
     if len(corpus.documents) == 0:
@@ -984,7 +984,8 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
                 scent_scalar=scent_scalar,
             )
         )
-        if config.checkpoint_path:
+        # The final state is saved once, after the loop.
+        if config.checkpoint_path and episode != config.episodes:
             save_checkpoint(make_checkpoint(params, critic_table, config), config.checkpoint_path)
 
     plan = compile_step_plan(corpus.compiled, config.query_order)

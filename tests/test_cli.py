@@ -6,8 +6,10 @@ is compared on the exact printed decimal strings.
 """
 
 import argparse
+import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -193,6 +195,32 @@ class TestTrain:
         ]
         code, _, _ = run(argv, capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("actor_lr", "-1", "actor_lr must be positive and finite, got -1.0"),
+            ("mode", "batch", "mode must be 'bandit' or 'session', got 'batch'"),
+        ],
+        ids=["actor_lr", "mode"],
+    )
+    @pytest.mark.parametrize("given_as", ["flag", "config"])
+    def test_invalid_setting_exits_before_creating_out(
+        self, corpus_dir, tmp_path, capsys, key, value, message, given_as
+    ):
+        out = tmp_path / "run"
+        argv = ["train", "--corpus", str(corpus_dir / "corpus.tsv"), "--out", str(out)]
+        if given_as == "flag":
+            argv += ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            argv += ["--config", str(cfg)]
+        code, stdout, err = run(argv, capsys)
+        assert code == 2
+        assert stdout == []
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value", [("--actor-lr", "nan"), ("--critic-lr", "nan"), ("--actor-lr", "inf")]
@@ -799,12 +827,12 @@ class TestOracle:
         assert (tmp_path / "oracle.txt").read_text().splitlines() == out
 
 
-def subparser_dests(name):
-    """Option dests of one subcommand, without --help."""
+def subparser_actions(name):
+    """One subcommand's option actions by dest, without --help."""
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
-        action.dest
+        action.dest: action
         for action in commands.choices[name]._actions
         if not isinstance(action, argparse._HelpAction)
     }
@@ -813,15 +841,30 @@ def subparser_dests(name):
 class TestConfigKeysMatchFlags:
     """Every config key has a flag and every flag a key, so no flag is parsed and dropped."""
 
-    def test_train(self):
-        assert subparser_dests("train") - {"config", "out", "corpus"} == set(cli._TRAIN_KEYS)
+    SHORT = {"vocab_size": "--vocab", "candidates_per_doc": "--candidates", "keyword_count": "--keywords"}
+    # Each subcommand's config keys and file arguments (name: required).
+    COMMANDS = {
+        "gen-corpus": (cli._GEN_KEYS, {}),
+        "train": (cli._TRAIN_KEYS, {"corpus": True}),
+        "eval": (cli._EVAL_KEYS, {"corpus": True, "checkpoint": True}),
+        "inspect": (cli._INSPECT_KEYS, {"checkpoint": True, "corpus": False, "doc": False}),
+        "oracle": (cli._ORACLE_KEYS, {}),
+    }
 
-    def test_gen_corpus(self):
-        assert subparser_dests("gen-corpus") - {"config", "out"} == set(cli._GEN_KEYS)
-
-    def test_inspect(self):
-        dests = subparser_dests("inspect") - {"config", "out", "checkpoint", "corpus", "doc"}
-        assert dests == set(cli._INSPECT_KEYS)
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_flags_are_the_config_keys(self, name):
+        keys, files = self.COMMANDS[name]
+        assert keys["seed"] is int
+        actions = subparser_actions(name)
+        assert set(actions) == {"config", "out", *files, *keys}
+        for key in ("config", "out", *files):
+            assert actions[key].option_strings == [f"--{key}"]
+            assert actions[key].required == files.get(key, False)
+        for key, parse in keys.items():
+            flag = self.SHORT.get(key, "--" + key.replace("_", "-"))
+            assert actions[key].option_strings == [flag]
+            assert actions[key].type is parse
+            assert not actions[key].required
 
 
 class TestEntryPoints:
@@ -829,8 +872,10 @@ class TestEntryPoints:
         assert cli.main([]) == 2
 
     def test_module_invocation(self):
+        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "qforage", "oracle", "--checks", "projection"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True,
             text=True,
         )

@@ -1595,6 +1595,21 @@ class TestTrain:
         loaded = trainer.load_checkpoint(str(path))
         assert trainer.checkpoint_lines(loaded) == trainer.checkpoint_lines(result.checkpoint)
 
+    @pytest.mark.parametrize("episodes, interval, records", [(20, 10, 2), (25, 10, 3), (5, 0, 0)])
+    def test_each_checkpoint_is_made_and_saved_once(self, tmp_path, episodes, interval, records):
+        path = tmp_path / "checkpoint.txt"
+        config = small_config(episodes=episodes, eval_interval=interval, checkpoint_path=str(path))
+        with mock.patch.object(
+            trainer, "save_checkpoint", wraps=trainer.save_checkpoint
+        ) as save, mock.patch.object(
+            trainer, "make_checkpoint", wraps=trainer.make_checkpoint
+        ) as make:
+            result = trainer.train(config, small_corpus())
+        assert len(result.metrics) == records
+        assert save.call_count == make.call_count == max(records, 1)
+        loaded = trainer.load_checkpoint(str(path))
+        assert trainer.checkpoint_lines(loaded) == trainer.checkpoint_lines(result.checkpoint)
+
     def test_eval_interval_zero_records_nothing(self):
         result = trainer.train(small_config(eval_interval=0, episodes=5), small_corpus())
         assert result.metrics == []
