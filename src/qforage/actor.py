@@ -1,8 +1,9 @@
 """Policy head: scores candidate queries against the global semantic space.
 
-Each candidate's score is its projection onto the factored space; the policy
-is a temperature softmax over scores, taken once per step: the probabilities
-and the chosen candidate's log probability come from the same logits.
+Each candidate's score is its projection onto the factored space, taken by
+qrep.project_rows, the one scoring arithmetic; the policy is a temperature
+softmax over scores, taken once per step: the probabilities and the chosen
+candidate's log probability come from the same logits.
 
 Gradients are hand-derived reverse mode through the softmax, the weighted sum,
 and the product pooling. Leave-one-out products use prefix/suffix
@@ -58,31 +59,10 @@ class ActorParams:
             )
 
 
-def project_rows(
-    g: qrep.GlobalRepresentation, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(scores, pooled, dots) of an (N, n, k) batch of candidate amplitude rows.
-
-    The one scoring arithmetic: training, inspect and evaluation all come
-    here. One einsum takes every (candidate, rank, position) inner product,
-    with the per-candidate arithmetic of qrep.product_pool, and each score is
-    the weighted sum qrep.project takes, one dot product per candidate (a
-    matrix-vector product would sum in another order). So module-level and
-    actor-level scoring agree bit for bit, and a candidate's score does not
-    depend on the batch around it. The shapes are not checked here
-    (actor_forward and act check them); the pooled products and dots serve
-    policy_gradient.
-    """
-    dots = np.einsum("rik,cik->cri", g.factors, rows)
-    pooled = dots.prod(axis=2)
-    scores = np.fromiter(map(g.weights.dot, pooled), dtype=np.float64, count=pooled.shape[0])
-    return scores, pooled, dots
-
-
 def actor_forward(
     params: ActorParams, candidates: Sequence[qrep.QueryState]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """project_rows of every candidate's rows: (scores, pooled, dots).
+    """qrep.project_rows of every candidate's rows: (scores, pooled, dots).
 
     Deterministic: same inputs, bitwise-same outputs.
     """
@@ -91,7 +71,7 @@ def actor_forward(
     g = params.global_rep
     for q in candidates:
         qrep._check_compatible(g, q)
-    return project_rows(g, np.stack([q.rows for q in candidates]))
+    return qrep.project_rows(g, np.stack([q.rows for q in candidates]))
 
 
 def _check_finite(scores: np.ndarray) -> None:
@@ -169,7 +149,7 @@ def first_argmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def sample_rows(
     g: qrep.GlobalRepresentation, rows: np.ndarray, temperature: float, rng: np.random.Generator
 ) -> tuple[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Score a (C, n, k) batch of candidate rows (project_rows) and sample one candidate.
+    """Score a (C, n, k) batch of candidate rows (qrep.project_rows) and sample one candidate.
 
     Returns (index, log probability, probabilities, scores, pooled, dots).
     The softmax is taken once and serves the draw, the log probability, and
@@ -177,7 +157,7 @@ def sample_rows(
     brings a nonempty batch that fits the global space and a supported
     temperature (act checks them).
     """
-    scores, pooled, dots = project_rows(g, rows)
+    scores, pooled, dots = qrep.project_rows(g, rows)
     _check_finite(scores)
     index, log_probability, probabilities = _draw(*_logits(scores, temperature), rng)
     return index, log_probability, probabilities, scores, pooled, dots
@@ -253,7 +233,7 @@ def actor_gradients(
     `ids` (C, n) are the candidates' amplitude table rows, as
     QueryState.word_ids lists them. The table gradient is kept on their
     sorted unique values, table ids; every other row's gradient is zero. The
-    candidates are scored afresh (project_rows, policy_probabilities) and
+    candidates are scored afresh (qrep.project_rows, policy_probabilities) and
     policy_gradient takes it from there. The padding row's gradient is
     computed like any other row; the trainer is the one that refuses to move
     it. Zero advantage short-circuits to exact zeros.
@@ -276,7 +256,7 @@ def actor_gradients(
             np.zeros_like(g.factors),
         )
     rows = params.table.amplitudes[ids]
-    scores, pooled, dots = project_rows(g, rows)
+    scores, pooled, dots = qrep.project_rows(g, rows)
     probabilities = policy_probabilities(scores, params.temperature)
     return (table_ids,) + policy_gradient(
         g,

@@ -7,8 +7,9 @@ Subcommands
     inspect     dump checkpoint contents, or full diagnostics for one document
     oracle      run the self-check suite (optionally with an injected fault)
 
-Shared flags: every subcommand takes --seed, --config (flat key=value text),
-and --out (output directory). Each config key is also a flag, "--" plus the
+Shared flags: every subcommand takes --config (flat key=value text) and --out
+(output directory); gen-corpus, train and oracle, the subcommands that draw
+random numbers, take --seed. Each config key is also a flag, "--" plus the
 key with dashes (actor_lr is --actor-lr), except vocab_size, candidates_per_doc
 and keyword_count, whose flags are --vocab, --candidates and --keywords.
 Precedence is flag > config file > built-in default, and unknown config keys
@@ -29,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import actor, critic, env, oracles, trainer
+from . import actor, critic, env, oracles, qrep, trainer
 from .errors import QForageError, SpecInvalid
 from .seeding import stream_rng
 
@@ -117,9 +118,9 @@ def _report(args: argparse.Namespace, filename: str, lines: list[str]) -> None:
 
 _GEN_KEYS = {**trainer.field_parsers(env.CorpusSpec), "seed": int}
 _TRAIN_KEYS = trainer.field_parsers(trainer.TrainConfig)
-del _TRAIN_KEYS["checkpoint_path"]  # train sets it from --out
-_EVAL_KEYS: dict[str, type] = {"scent_smoothing": float, "seed": int}
-_INSPECT_KEYS: dict[str, type] = {"seed": int, "off_diagonals": int}
+_EVAL_KEYS: dict[str, type] = {"scent_smoothing": float}
+_INSPECT_KEYS: dict[str, type] = {"off_diagonals": int}
+DEFAULT_OFF_DIAGONALS = 5  # inspect's --off-diagonals when neither flag nor config sets it
 _ORACLE_KEYS: dict[str, type] = {"seed": int, "perturb": float, "checks": str}
 
 
@@ -147,16 +148,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     base = trainer.TrainConfig()
     defaults = {key: getattr(base, key) for key in _TRAIN_KEYS}
     effective = _effective(_TRAIN_KEYS, defaults, args)
-    config = trainer.TrainConfig(
-        **effective, checkpoint_path=os.path.join(args.out or ".", CHECKPOINT_FILENAME)
-    )
+    config = trainer.TrainConfig(**effective)
     try:
         config.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     out_dir = _ensure_out_dir(args)
     corpus = env.load_corpus(args.corpus, keyword_count=config.keyword_count)
-    result = trainer.train(config, corpus)
+    checkpoint_path = os.path.join(out_dir, CHECKPOINT_FILENAME)
+    result = trainer.train(config, corpus, checkpoint_path)
 
     metrics_path = os.path.join(out_dir, METRICS_FILENAME)
     lines = [f"# {entry}" for entry in _echo_lines({**effective, "corpus": args.corpus})]
@@ -166,7 +166,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     for row in result.metrics:
         print(row.line())
-    print(f"wrote {config.checkpoint_path}")
+    print(f"wrote {checkpoint_path}")
     print(f"wrote {metrics_path}")
     return EXIT_OK
 
@@ -191,8 +191,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     corpus, params, critic_table, config = _load_for_eval(
         trainer.load_checkpoint(args.checkpoint), args.corpus
     )
-    defaults = {"scent_smoothing": config.scent_smoothing, "seed": config.seed}
-    effective = {**defaults, **overrides}
+    effective = {"scent_smoothing": config.scent_smoothing, **overrides}
     ev = trainer.evaluate(
         params, critic_table, corpus, scent_smoothing=effective["scent_smoothing"]
     )
@@ -222,7 +221,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     if args.doc is not None and not args.corpus:
         raise UsageError("--doc requires --corpus")
-    effective = _effective(_INSPECT_KEYS, {"off_diagonals": 5}, args)
+    effective = _effective(_INSPECT_KEYS, {"off_diagonals": DEFAULT_OFF_DIAGONALS}, args)
     off_diagonals = effective["off_diagonals"]
     if off_diagonals < 0:
         name = "--off-diagonals" if args.off_diagonals is not None else "config key 'off_diagonals'"
@@ -256,7 +255,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         first = int(corpus.compiled.offsets[corpus.documents.index(doc)])
         rows = slice(first, first + len(doc.candidates))
         ids = trainer.query_row_ids(corpus.compiled, config.query_order)[rows]
-        scores, pooled, _ = actor.project_rows(params.global_rep, params.table.amplitudes[ids])
+        scores, pooled, _ = qrep.project_rows(params.global_rep, params.table.amplitudes[ids])
         probs = actor.policy_probabilities(scores, params.temperature)
         chosen = int(actor.first_argmax(scores, [0])[0])
         lines.append(f"doc {doc.doc_id} patch {doc.patch_id}")
@@ -329,7 +328,7 @@ _HELP = {
     "seed": "root seed for all randomness",
     "noise": "label noise rate in [0, 1]",
     "mode": "bandit or session",
-    "off_diagonals": "how many of the largest off-diagonal magnitudes to print (default 5)",
+    "off_diagonals": f"how many of the largest off-diagonal magnitudes to print (default {DEFAULT_OFF_DIAGONALS})",
     "checks": f"comma-separated subset of {', '.join(oracles.ORACLE_NAMES)}",
     "perturb": "inject a fault of this magnitude; a meaningful size must make checks fail",
 }

@@ -19,6 +19,12 @@ from .seeding import stream_rng
 
 ORACLE_NAMES = ("projection", "born", "cp", "gradients", "determinism")
 
+#: How many random instances each drawing check takes.
+PROJECTION_INSTANCES = 50
+BORN_INSTANCES = 50
+CP_INSTANCES = 5
+GRADIENT_INSTANCES = 10
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -33,11 +39,11 @@ def _random_query(order: int, k: int, rng: np.random.Generator) -> qrep.QuerySta
     return qrep.QueryState(word_ids=np.arange(order, dtype=np.int64), rows=rows)
 
 
-def check_projection(seed: int = 0, perturb: float = 0.0, instances: int = 50) -> OracleReport:
+def check_projection(seed: int = 0, perturb: float = 0.0) -> OracleReport:
     """Factored projection vs dense inner product of materialized tensors."""
     rng = stream_rng(seed, "oracle:projection")
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(PROJECTION_INSTANCES):
         k = int(rng.integers(2, 5))
         order = int(rng.integers(2, 5))
         rank = int(rng.integers(1, 6))
@@ -52,16 +58,16 @@ def check_projection(seed: int = 0, perturb: float = 0.0, instances: int = 50) -
     return OracleReport(
         name="projection",
         passed=passed,
-        detail=f"max |factored - dense| = {worst:.3e} over {instances} instances (tol 1e-10)",
+        detail=f"max |factored - dense| = {worst:.3e} over {PROJECTION_INSTANCES} instances (tol 1e-10)",
     )
 
 
-def check_born(seed: int = 0, perturb: float = 0.0, instances: int = 50) -> OracleReport:
+def check_born(seed: int = 0, perturb: float = 0.0) -> OracleReport:
     """Class probabilities from a density matrix sum to 1 and match diagonal sums."""
     rng = stream_rng(seed, "oracle:born")
     worst_sum = 0.0
     worst_diag = 0.0
-    for _ in range(instances):
+    for _ in range(BORN_INSTANCES):
         dim = int(rng.choice([3, 6, 9, 12]))
         count = int(rng.integers(1, 6))
         vectors = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
@@ -90,11 +96,11 @@ def check_born(seed: int = 0, perturb: float = 0.0, instances: int = 50) -> Orac
     )
 
 
-def check_cp(seed: int = 0, perturb: float = 0.0, instances: int = 5) -> OracleReport:
+def check_cp(seed: int = 0, perturb: float = 0.0) -> OracleReport:
     """Alternating least squares recovers constructed low-rank tensors."""
     rng = stream_rng(seed, "oracle:cp")
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(CP_INSTANCES):
         factors = rng.standard_normal((2, 3, 3))
         qrep.renormalize_rows(factors.reshape(-1, 3))
         truth = qrep.GlobalRepresentation(weights=0.5 + rng.random(2), factors=factors)
@@ -109,7 +115,7 @@ def check_cp(seed: int = 0, perturb: float = 0.0, instances: int = 5) -> OracleR
     return OracleReport(
         name="cp",
         passed=passed,
-        detail=f"max relative reconstruction error = {worst:.3e} over {instances} tensors (tol 1e-6)",
+        detail=f"max relative reconstruction error = {worst:.3e} over {CP_INSTANCES} tensors (tol 1e-6)",
     )
 
 
@@ -121,7 +127,7 @@ def _actor_loss(
     order: int,
 ) -> float:
     ids = np.stack([qrep.embed_query(toks, params.table, order).word_ids for toks in token_lists])
-    scores = actor.project_rows(params.global_rep, params.table.amplitudes[ids])[0]
+    scores = qrep.project_rows(params.global_rep, params.table.amplitudes[ids])[0]
     probs = actor.policy_probabilities(scores, params.temperature)
     return -advantage * float(np.log(probs[chosen]))
 
@@ -138,13 +144,13 @@ def _fd_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
-def check_gradients(seed: int = 0, perturb: float = 0.0, instances: int = 10) -> OracleReport:
+def check_gradients(seed: int = 0, perturb: float = 0.0) -> OracleReport:
     """Analytic gradients vs central finite differences (h = 1e-5)."""
     rng = stream_rng(seed, "oracle:gradients")
     h = 1e-5
     worst = 0.0
 
-    for _ in range(instances):
+    for _ in range(GRADIENT_INSTANCES):
         vocab = [f"w{i}" for i in range(4)]
         order, k, rank = 2, 3, 2
         table = qrep.AmplitudeTable.from_vocab(vocab, k, rng)

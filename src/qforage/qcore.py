@@ -76,7 +76,7 @@ def basis_vector(dim: int, index: int, dtype=np.float64) -> np.ndarray:
     return e
 
 
-def tensor_product(vectors: Sequence[np.ndarray], dense_cap: int = DENSE_CAP) -> np.ndarray:
+def tensor_product(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of one or more vectors.
 
     The composite index is row-major: for vectors of dimensions (d1, ..., dn),
@@ -92,8 +92,8 @@ def tensor_product(vectors: Sequence[np.ndarray], dense_cap: int = DENSE_CAP) ->
         if a.ndim != 1:
             raise ShapeMismatch(f"tensor_product operates on 1-D vectors, got shape {a.shape}")
         total *= a.shape[0]
-    if total > dense_cap:
-        raise DenseCapExceeded(f"dense product would hold {total} entries, cap is {dense_cap}")
+    if total > DENSE_CAP:
+        raise DenseCapExceeded(f"dense product would hold {total} entries, cap is {DENSE_CAP}")
     return reduce(np.kron, arrays)
 
 

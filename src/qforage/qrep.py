@@ -9,9 +9,9 @@ between the two is the projection
 
     project(g, q) = sum_r w_r * prod_i <e_{r,i}, alpha_i>,
 
-computed in O(R * n * k) without materializing any k^n object. product_pool
-returns the per-rank products, and project is literally their weighted sum, so
-the two share one arithmetic path.
+computed in O(R * n * k) without materializing any k^n object. project_rows
+takes it for a batch of candidates, and product_pool (the per-rank products)
+and project (their weighted sum) are its row for one query.
 
 cp_decompose goes the other way: alternating least squares recovers a rank-R
 factored form from a small dense tensor. It exists for oracle and analysis
@@ -293,25 +293,25 @@ def _check_compatible(g: GlobalRepresentation, q: QueryState) -> None:
         )
 
 
-def materialize_local(q: QueryState, dense_cap: int = qcore.DENSE_CAP) -> np.ndarray:
+def materialize_local(q: QueryState) -> np.ndarray:
     """Dense rank-1 local tensor: entry (b1, ..., bn) = prod_i alpha_{i, b_i}.
 
-    Only for small spaces; k^n past the cap raises DenseCapExceeded.
+    Only for small spaces; k^n past qcore.DENSE_CAP raises DenseCapExceeded.
     """
     total = q.basis_dim ** q.order
-    if total > dense_cap:
+    if total > qcore.DENSE_CAP:
         raise DenseCapExceeded(
-            f"local tensor would hold {total} entries, cap is {dense_cap}"
+            f"local tensor would hold {total} entries, cap is {qcore.DENSE_CAP}"
         )
     return reduce(np.multiply.outer, list(q.rows)).copy()
 
 
-def cp_reconstruct(g: GlobalRepresentation, dense_cap: int = qcore.DENSE_CAP) -> np.ndarray:
-    """Dense tensor sum_r w_r * e_{r,1} x ... x e_{r,n}. Subject to the dense cap."""
+def cp_reconstruct(g: GlobalRepresentation) -> np.ndarray:
+    """Dense tensor sum_r w_r * e_{r,1} x ... x e_{r,n}. Subject to qcore.DENSE_CAP."""
     total = g.basis_dim ** g.order
-    if total > dense_cap:
+    if total > qcore.DENSE_CAP:
         raise DenseCapExceeded(
-            f"global tensor would hold {total} entries, cap is {dense_cap}"
+            f"global tensor would hold {total} entries, cap is {qcore.DENSE_CAP}"
         )
     shape = (g.basis_dim,) * g.order
     out = np.zeros(shape, dtype=np.float64)
@@ -320,32 +320,47 @@ def cp_reconstruct(g: GlobalRepresentation, dense_cap: int = qcore.DENSE_CAP) ->
     return out
 
 
+def project_rows(
+    g: GlobalRepresentation, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scores, pooled, dots) of an (N, n, k) batch of candidate amplitude rows.
+
+    The one scoring arithmetic: training, evaluation, inspect, product_pool
+    and project all come here. One einsum takes every (candidate, rank,
+    position) inner product, and each score is the weighted sum of its
+    pooled row, one dot product per candidate (a matrix-vector product would
+    sum in another order), so a score does not depend on the batch around
+    it. The shapes are not checked here (product_pool, project and the
+    checked actor entry points check them).
+    """
+    dots = np.einsum("rik,cik->cri", g.factors, rows)
+    pooled = dots.prod(axis=2)
+    scores = np.fromiter(map(g.weights.dot, pooled), dtype=np.float64, count=pooled.shape[0])
+    return scores, pooled, dots
+
+
 def product_pool(g: GlobalRepresentation, q: QueryState) -> np.ndarray:
-    """Per-rank products: component r is prod_i <e_{r,i}, alpha_i>."""
+    """Per-rank products: component r is prod_i <e_{r,i}, alpha_i> (project_rows' pooled row)."""
     _check_compatible(g, q)
-    dots = np.einsum("rik,ik->ri", g.factors, q.rows)
-    return np.prod(dots, axis=1)
+    return project_rows(g, q.rows[None])[1][0]
 
 
 def project(g: GlobalRepresentation, q: QueryState) -> float:
     """Overlap of the factored global space with the query's local tensor.
 
     Equals the dense inner product <cp_reconstruct(g), materialize_local(q)>
-    but runs in O(R * n * k). Computed as the weighted sum of product_pool
-    components, the same arithmetic in the same order.
+    but runs in O(R * n * k): project_rows' score for the one query.
     """
-    return float(np.dot(g.weights, product_pool(g, q)))
+    _check_compatible(g, q)
+    return float(project_rows(g, q.rows[None])[0][0])
 
 
-@dataclass(frozen=True)
-class CPOptions:
-    """Knobs for alternating least squares."""
-
-    restarts: int = 20
-    max_sweeps: int = 500
-    tol: float = 1e-9
-    ridge: float = 1e-10
-    early_stop: float = 1e-12
+#: Alternating least squares settings (cp_decompose says how each is used).
+CP_RESTARTS = 20
+CP_MAX_SWEEPS = 500
+CP_TOL = 1e-9
+CP_RIDGE = 1e-10
+CP_EARLY_STOP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -440,22 +455,21 @@ def cp_decompose(
     tensor: np.ndarray,
     rank: int,
     rng: np.random.Generator,
-    options: CPOptions | None = None,
 ) -> tuple[GlobalRepresentation, CPFitReport]:
     """Fit a rank-R factored form to a small dense tensor by alternating least squares.
 
     Each sweep solves one linear least-squares problem per mode against the
     Khatri-Rao product of the other modes, then folds column magnitudes into
     the weights so factor vectors stay unit. Sweeps stop when the relative
-    reconstruction error changes by less than `tol` or after `max_sweeps`; the
-    best of `restarts` random restarts wins, stopping early once a restart
-    reaches `early_stop`. Rank-deficient normal equations are ridge-regularized.
+    reconstruction error changes by less than CP_TOL or after CP_MAX_SWEEPS;
+    the best of CP_RESTARTS random restarts wins, stopping early once a
+    restart reaches CP_EARLY_STOP. Rank-deficient normal equations are
+    ridge-regularized by CP_RIDGE.
 
     The tensor must have equal mode sizes (the factored type is uniform), and
     the rank may not exceed prod(sizes) / max(size), past which exact rank-R
     structure is not identifiable.
     """
-    opts = options or CPOptions()
     t = np.asarray(tensor, dtype=np.float64)
     if t.ndim < 1:
         raise ShapeMismatch("cp_decompose requires a tensor with at least one mode")
@@ -486,7 +500,7 @@ def cp_decompose(
     restarts_run = 0
     seeded = _algebraic_init(t, rank, rng)
 
-    for attempt in range(opts.restarts):
+    for attempt in range(CP_RESTARTS):
         restarts_run += 1
         if attempt == 0 and seeded is not None:
             factor_mats = [a.copy() for a in seeded]
@@ -500,7 +514,7 @@ def cp_decompose(
         prev_err = np.inf
         err = np.inf
         sweeps = 0
-        for sweep in range(1, opts.max_sweeps + 1):
+        for sweep in range(1, CP_MAX_SWEEPS + 1):
             sweeps = sweep
             for mode in range(n):
                 others = [factor_mats[i] for i in range(n) if i != mode]
@@ -516,11 +530,11 @@ def cp_decompose(
                 mttkrp = unfolded @ kr
                 cond = np.linalg.cond(gram)
                 if not np.isfinite(cond) or cond > 1e12:
-                    gram = gram + opts.ridge * np.eye(rank)
+                    gram = gram + CP_RIDGE * np.eye(rank)
                 try:
                     solved = np.linalg.solve(gram, mttkrp.T).T
                 except np.linalg.LinAlgError:
-                    solved = np.linalg.solve(gram + opts.ridge * np.eye(rank), mttkrp.T).T
+                    solved = np.linalg.solve(gram + CP_RIDGE * np.eye(rank), mttkrp.T).T
                 weights = np.linalg.norm(solved, axis=0)
                 for r in range(rank):
                     if weights[r] > 0.0:
@@ -529,14 +543,14 @@ def cp_decompose(
                         factor_mats[mode][:, r] = qcore.basis_vector(k, 0)
             fitted = _from_als(weights, factor_mats)
             err = float(np.linalg.norm(t - cp_reconstruct(fitted))) / norm_t
-            if err <= opts.early_stop or abs(prev_err - err) < opts.tol:
+            if err <= CP_EARLY_STOP or abs(prev_err - err) < CP_TOL:
                 break
             prev_err = err
         if err < best_err:
             best_err = err
             best = fitted
             best_sweeps = sweeps
-        if best_err <= opts.early_stop:
+        if best_err <= CP_EARLY_STOP:
             break
 
     assert best is not None

@@ -58,7 +58,7 @@ their inputs and return the tuples of the routines they wrap, so each
 quantity is computed one way and has one shape; training never calls them.
 
 Evaluation is one batched pass, not a loop over documents: every candidate is
-scored at once by actor.project_rows, the scoring a training step uses, and
+scored at once by qrep.project_rows, the scoring a training step uses, and
 every (document, candidate) pair is judged at once from per-word block
 masses. Scores and class probabilities keep the bits of a per-document pass.
 Scent statistics come from the array of chosen rewards (env.reward_scent),
@@ -138,7 +138,7 @@ def echo_text(value) -> str:
     return format_float(value) if isinstance(value, float) else str(value)
 
 
-_PARSERS = {"int": int, "float": float, "str": str, "str | None": str}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def field_parsers(cls) -> dict:
@@ -158,7 +158,6 @@ class TrainConfig:
     seed: int = 0
     mode: str = "bandit"
     eval_interval: int = 200
-    checkpoint_path: str | None = None
     basis_dim: int = qrep.DEFAULT_BASIS_DIM
     query_order: int = qrep.DEFAULT_QUERY_ORDER
     rank: int = qrep.DEFAULT_RANK
@@ -188,8 +187,7 @@ class TrainConfig:
 
     def echo(self) -> dict[str, str]:
         """Effective settings as strings, for echo lines in output artifacts."""
-        values = dataclasses.asdict(self)
-        return {name: echo_text(value) for name, value in values.items() if value is not None}
+        return {name: echo_text(value) for name, value in dataclasses.asdict(self).items()}
 
     @classmethod
     def from_echo(cls, echo: dict[str, str]) -> "TrainConfig":
@@ -462,7 +460,7 @@ def evaluate(
     params: actor.ActorParams,
     critic_table: critic.ComplexEmbeddingTable,
     corpus: env.Corpus,
-    scent_smoothing: float = 0.1,
+    scent_smoothing: float = TrainConfig.scent_smoothing,
 ) -> EvalMetrics:
     """Greedy pass over every document in corpus order; no randomness anywhere.
 
@@ -472,7 +470,7 @@ def evaluate(
 
     One batched pass over the corpus's compiled form (env.Corpus.compiled,
     built once per corpus): every candidate is scored at once by
-    actor.project_rows, the scoring actor_forward uses, each document's choice
+    qrep.project_rows, the scoring a training step uses, each document's choice
     is the first argmax of its segment, and every pair is judged at once by
     critic.batch_class_probabilities. Each score and class probability has
     the bits a per-document pass would give. Scent is env.reward_scent of the
@@ -488,7 +486,7 @@ def evaluate(
     compiled = corpus.compiled
 
     ids = query_row_ids(compiled, params.global_rep.order)
-    scores = actor.project_rows(params.global_rep, params.table.amplitudes[ids])[0]
+    scores = qrep.project_rows(params.global_rep, params.table.amplitudes[ids])[0]
     chosen = actor.first_argmax(scores, compiled.offsets)
     rewards = compiled.labels[compiled.offsets + chosen]
 
@@ -944,14 +942,16 @@ class TrainResult:
         return [row.line() for row in self.metrics]
 
 
-def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
+def train(config: TrainConfig, corpus: env.Corpus, checkpoint_path: str | None = None) -> TrainResult:
     """Run the full loop: episodes, periodic evaluation records, checkpoints.
 
     Everything random flows from config.seed through named streams (init, env,
     policy), so two identical calls produce bitwise-identical parameters,
     metric rows, and checkpoint files. When evaluation is enabled a final
-    record at the last episode is always emitted; when a checkpoint path is
-    set the file is rewritten at each earlier record and once at the end.
+    record at the last episode is always emitted; with a checkpoint_path the
+    file is rewritten at each earlier record and once at the end. The path is
+    an argument, not a TrainConfig field, so it is not echoed into the file:
+    the same run written to two places gives the same bytes.
     """
     config.validate()
     if len(corpus.documents) == 0:
@@ -985,8 +985,8 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
             )
         )
         # The final state is saved once, after the loop.
-        if config.checkpoint_path and episode != config.episodes:
-            save_checkpoint(make_checkpoint(params, critic_table, config), config.checkpoint_path)
+        if checkpoint_path and episode != config.episodes:
+            save_checkpoint(make_checkpoint(params, critic_table, config), checkpoint_path)
 
     plan = compile_step_plan(corpus.compiled, config.query_order)
     for episode in range(1, config.episodes + 1):
@@ -1003,8 +1003,8 @@ def train(config: TrainConfig, corpus: env.Corpus) -> TrainResult:
         record(config.episodes)
 
     checkpoint = make_checkpoint(params, critic_table, config)
-    if config.checkpoint_path:
-        save_checkpoint(checkpoint, config.checkpoint_path)
+    if checkpoint_path:
+        save_checkpoint(checkpoint, checkpoint_path)
     return TrainResult(
         params=params,
         critic_table=critic_table,

@@ -371,12 +371,10 @@ class TestCriterion9Determinism:
         spec = env.CorpusSpec(docs=20, patches=2, candidates_per_doc=3)
         corpus = env.gen_corpus(spec, np.random.default_rng(1009))
         path = tmp_path / "checkpoint.txt"
-        config = trainer.TrainConfig(
-            episodes=400, eval_interval=100, seed=9, checkpoint_path=str(path)
-        )
-        result_a = trainer.train(config, corpus)
+        config = trainer.TrainConfig(episodes=400, eval_interval=100, seed=9)
+        result_a = trainer.train(config, corpus, str(path))
         bytes_a = path.read_bytes()
-        result_b = trainer.train(config, corpus)
+        result_b = trainer.train(config, corpus, str(path))
         bytes_b = path.read_bytes()
         assert bytes_a == bytes_b
         assert result_a.metric_lines() == result_b.metric_lines()

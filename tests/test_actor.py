@@ -16,7 +16,6 @@ from qforage.actor import (
     actor_gradients,
     first_argmax,
     policy_probabilities,
-    project_rows,
     select_action,
 )
 from qforage.errors import (
@@ -163,7 +162,7 @@ class TestScoreRows:
         params = make_params(rng, order=3, rank=5)
         token_lists = [["w0", "w1", "w2"], ["w3"], ["w2", "w2"], ["w1", "w0", "w3"]]
         candidates = make_candidates(params.table, 3, token_lists)
-        scores, _, dots = project_rows(params.global_rep, np.stack([q.rows for q in candidates]))
+        scores, _, dots = qrep.project_rows(params.global_rep, np.stack([q.rows for q in candidates]))
         for i, q in enumerate(candidates):
             single_scores, _, single_dots = actor_forward(params, [q])
             assert scores[i] == single_scores[0] == qrep.project(params.global_rep, q)
@@ -339,7 +338,7 @@ class TestActorGradients:
         params = make_params(rng)
         token_lists = [["w0", "w1"], ["w2", "w3"]]
         candidates = make_candidates(params.table, 2, token_lists)
-        before = project_rows(params.global_rep, rows_of(candidates))[0]
+        before = qrep.project_rows(params.global_rep, rows_of(candidates))[0]
         table_ids, table_rows, weights, factors = actor_gradients(
             params, ids_of(candidates), chosen=0, advantage=1.0
         )
@@ -347,5 +346,5 @@ class TestActorGradients:
         params.global_rep.weights -= 0.05 * weights
         params.global_rep.factors -= 0.05 * factors
         refreshed = make_candidates(params.table, 2, token_lists)
-        after = project_rows(params.global_rep, rows_of(refreshed))[0]
+        after = qrep.project_rows(params.global_rep, rows_of(refreshed))[0]
         assert after[0] - after[1] > before[0] - before[1]

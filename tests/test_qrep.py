@@ -8,7 +8,7 @@ against constructed ground truth built from known factors.
 import numpy as np
 import pytest
 
-from qforage import qcore
+from qforage import qcore, qrep
 from qforage.errors import (
     DenseCapExceeded,
     EmptyQuery,
@@ -19,7 +19,6 @@ from qforage.qrep import (
     NULL_ID,
     UNK_ID,
     AmplitudeTable,
-    CPOptions,
     GlobalRepresentation,
     QueryState,
     cp_decompose,
@@ -533,11 +532,12 @@ class TestCPDecompose:
             err = np.linalg.norm(cp_reconstruct(fitted) - t) / np.linalg.norm(t)
             assert err < 1e-6
 
-    def test_options_respected(self):
+    def test_options_respected(self, monkeypatch):
         rng = np.random.default_rng(109)
         g_true = random_global(rng, rank=2, order=3, basis_dim=3)
         t = cp_reconstruct(g_true)
-        opts = CPOptions(restarts=1, max_sweeps=3, early_stop=0.0)
-        _, report = cp_decompose(t, rank=2, rng=np.random.default_rng(8), options=opts)
+        for name, value in (("CP_RESTARTS", 1), ("CP_MAX_SWEEPS", 3), ("CP_EARLY_STOP", 0.0)):
+            monkeypatch.setattr(qrep, name, value)
+        _, report = cp_decompose(t, rank=2, rng=np.random.default_rng(8))
         assert report.restarts_run == 1
         assert report.sweeps <= 3

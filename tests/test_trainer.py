@@ -92,7 +92,7 @@ class TestTrainConfig:
         trainer.TrainConfig().validate()
 
     def test_echo_round_trip(self):
-        config = small_config(actor_lr=0.05, mode="session", checkpoint_path="ck.txt")
+        config = small_config(actor_lr=0.05, mode="session")
         rebuilt = trainer.TrainConfig.from_echo(config.echo())
         assert rebuilt == config
 
@@ -446,7 +446,7 @@ class TestNoStepDataclassesOnTrainingPaths:
 
 def dense_reference_table_gradient(params, candidates, chosen, advantage):
     """The (V, k) amplitude gradient accumulated straight into a full table with np.add.at."""
-    scores, _, dots = actor.project_rows(params.global_rep, np.stack([q.rows for q in candidates]))
+    scores, _, dots = qrep.project_rows(params.global_rep, np.stack([q.rows for q in candidates]))
     probs = actor.policy_probabilities(scores, params.temperature)
     one_hot = np.zeros_like(probs)
     one_hot[chosen] = 1.0
@@ -564,7 +564,7 @@ class TestEvaluate:
                 qrep.embed_query(c.tokens, params.table, config.query_order)
                 for c in doc.candidates
             ]
-            scores = actor.project_rows(params.global_rep, np.stack([q.rows for q in states]))[0]
+            scores = qrep.project_rows(params.global_rep, np.stack([q.rows for q in states]))[0]
             index = int(np.argmax(scores))
             rewards.append(doc.candidates[index].label)
             hits += int(doc.candidates[index].label == 1)
@@ -744,7 +744,7 @@ def per_document_recount(params, critic_table, corpus):
     rewards, patch_ids, choices, probabilities = [], [], [], []
     for doc in corpus.documents:
         states = [qrep.embed_query(c.tokens, params.table, order) for c in doc.candidates]
-        scores = actor.project_rows(params.global_rep, np.stack([q.rows for q in states]))[0]
+        scores = qrep.project_rows(params.global_rep, np.stack([q.rows for q in states]))[0]
         index = int(np.argmax(scores))
         reward = doc.candidates[index].label
         rewards.append(reward)
@@ -964,12 +964,15 @@ class TestCheckpointFormat:
     def test_discount_echo_of_earlier_files_is_ignored(self, tmp_path):
         corpus, config, params, critic_table, _, path = self.make(tmp_path)
         # Earlier versions trained session mode on discounted returns and
-        # echoed the discount factor with the other settings.
+        # echoed the discount factor with the other settings; they also
+        # echoed the path the file was written to.
         lines = path.read_text().splitlines()
         lines.insert(1, "# discount=0.9")
+        lines.insert(10, "# checkpoint_path=out/checkpoint.txt")
         path.write_text("\n".join(lines) + "\n")
         loaded = trainer.load_checkpoint(str(path))
         assert loaded.config_echo["discount"] == "0.9"
+        assert loaded.config_echo["checkpoint_path"] == "out/checkpoint.txt"
         re_params, re_critic, re_config = trainer.restore_params(loaded, corpus)
         assert re_config == config
         assert actor_state_bytes(re_params) == actor_state_bytes(params)
@@ -1167,7 +1170,7 @@ class TestCheckpointV2:
     def test_trained_file_restores_every_parameter(self, tmp_path):
         corpus = small_corpus()
         path = tmp_path / "checkpoint.txt"
-        result = trainer.train(small_config(checkpoint_path=str(path)), corpus)
+        result = trainer.train(small_config(), corpus, str(path))
         assert path.read_text().splitlines()[0] == "qforage-checkpoint v2"
         params, critic_table, _ = trainer.restore_params(trainer.load_checkpoint(str(path)), corpus)
         assert actor_state_bytes(params) == actor_state_bytes(result.params)
@@ -1576,35 +1579,29 @@ class TestRestoreRejectsBrokenInvariants:
 class TestTrain:
     def test_identical_runs_are_bitwise_identical(self, tmp_path):
         corpus = small_corpus()
-        config_a = small_config(checkpoint_path=str(tmp_path / "a.txt"))
-        config_b = small_config(checkpoint_path=str(tmp_path / "b.txt"))
-        result_a = trainer.train(config_a, corpus)
-        result_b = trainer.train(config_b, corpus)
-        lines_a = trainer.checkpoint_lines(result_a.checkpoint)
-        lines_b = trainer.checkpoint_lines(result_b.checkpoint)
-        assert [l for l in lines_a if "checkpoint_path" not in l] == [
-            l for l in lines_b if "checkpoint_path" not in l
-        ]
+        result_a = trainer.train(small_config(), corpus, str(tmp_path / "a.txt"))
+        result_b = trainer.train(small_config(), corpus, str(tmp_path / "b.txt"))
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
         assert result_a.metric_lines() == result_b.metric_lines()
         assert result_a.rewards == result_b.rewards
 
     def test_saved_checkpoint_matches_result(self, tmp_path):
         corpus = small_corpus()
         path = tmp_path / "final.txt"
-        result = trainer.train(small_config(checkpoint_path=str(path)), corpus)
+        result = trainer.train(small_config(), corpus, str(path))
         loaded = trainer.load_checkpoint(str(path))
         assert trainer.checkpoint_lines(loaded) == trainer.checkpoint_lines(result.checkpoint)
 
     @pytest.mark.parametrize("episodes, interval, records", [(20, 10, 2), (25, 10, 3), (5, 0, 0)])
     def test_each_checkpoint_is_made_and_saved_once(self, tmp_path, episodes, interval, records):
         path = tmp_path / "checkpoint.txt"
-        config = small_config(episodes=episodes, eval_interval=interval, checkpoint_path=str(path))
+        config = small_config(episodes=episodes, eval_interval=interval)
         with mock.patch.object(
             trainer, "save_checkpoint", wraps=trainer.save_checkpoint
         ) as save, mock.patch.object(
             trainer, "make_checkpoint", wraps=trainer.make_checkpoint
         ) as make:
-            result = trainer.train(config, small_corpus())
+            result = trainer.train(config, small_corpus(), str(path))
         assert len(result.metrics) == records
         assert save.call_count == make.call_count == max(records, 1)
         loaded = trainer.load_checkpoint(str(path))
