@@ -221,10 +221,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     if args.doc is not None and not args.corpus:
         raise UsageError("--doc requires --corpus")
-    effective = _effective(_INSPECT_KEYS, {"off_diagonals": DEFAULT_OFF_DIAGONALS}, args)
-    off_diagonals = effective["off_diagonals"]
+    effective = _effective(_INSPECT_KEYS, {}, args)
+    off_diagonals = effective.get("off_diagonals", DEFAULT_OFF_DIAGONALS)
+    name = "--off-diagonals" if args.off_diagonals is not None else "config key 'off_diagonals'"
+    if "off_diagonals" in effective and args.doc is None:
+        raise UsageError(f"{name} requires --doc")
     if off_diagonals < 0:
-        name = "--off-diagonals" if args.off_diagonals is not None else "config key 'off_diagonals'"
         raise UsageError(f"{name} must be >= 0, got {off_diagonals}")
     checkpoint = trainer.load_checkpoint(args.checkpoint)
     if args.doc is None:

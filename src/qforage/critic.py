@@ -17,7 +17,7 @@ exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -90,7 +90,6 @@ class ComplexEmbeddingTable:
             raise DimensionNotDivisible(
                 f"embedding dimension {self.embed_dim} is not divisible by 3"
             )
-        self._index = {w: i + WORD_ROW_OFFSET for i, w in enumerate(self.words)}
 
     @classmethod
     def from_vocab(
@@ -118,6 +117,11 @@ class ComplexEmbeddingTable:
     @property
     def num_rows(self) -> int:
         return self.amplitudes.shape[0]
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Word -> table row, built on the first word_id call; training never reads it."""
+        return {w: i + WORD_ROW_OFFSET for i, w in enumerate(self.words)}
 
     def word_id(self, token: str) -> int:
         return self._index.get(token, UNK_ID)

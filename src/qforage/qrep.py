@@ -20,8 +20,8 @@ work; training updates the factored form directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -82,27 +82,49 @@ def segment_unique(
     distinct values back to back, unique_counts[s] of them for segment s,
     and inverse[m] is the index of values[m] among its own segment's. For
     one segment this is what np.unique(values, return_inverse=True) gives.
-    Every segment takes part in one sort, on the key
-    segment * width + value, so many short segments cost one pass.
+
+    Every segment takes part in one np.sort, of the key segment * width +
+    value (width = max(values) + 1) shifted left by `bits`, the bit length
+    of M - 1, with each value's position in the low bits, so the sorted
+    array also gives the order and many short segments cost one pass. The
+    packed key must fit in int64: S * width * 2**bits < 2**63, with S =
+    len(counts) (1 without counts); larger inputs raise ValueError.
     """
-    # Segment s's keys lie in [s * width, (s + 1) * width), so one sort
-    # orders every segment and keeps each at its own positions.
+    size = values.shape[0]
+    if counts is None:
+        counts = np.array([size])
     width = int(values.max(initial=0)) + 1
-    key = values if counts is None else np.repeat(np.arange(len(counts)) * width, counts) + values
-    order = np.argsort(key)
-    key = key[order]
-    first = np.empty(key.shape[0], dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    key = key[first]
-    unique, segment = key % width, key // width
-    unique_counts = np.bincount(segment, minlength=1 if counts is None else len(counts))
-    # Index among all segments' distinct values, less those of earlier segments.
-    index = np.cumsum(first)
-    index -= 1
-    if counts is not None:
-        index -= np.repeat(np.cumsum(unique_counts) - unique_counts, counts)
-    inverse = np.empty(index.shape[0], dtype=np.intp)
+    bits = max(size - 1, 0).bit_length()
+    if len(counts) * width << bits >= 1 << 63:
+        raise ValueError(
+            f"{len(counts)} segments of values below {width} at {size} positions "
+            "overflow the packed int64 sort key"
+        )
+    # Segment s's keys lie in [s * width, (s + 1) * width), so one sort
+    # orders every segment and keeps each at its own positions: sorted
+    # position m has position m's segment offset.
+    offset = np.repeat(np.arange(len(counts), dtype=np.int64) * (width << bits), counts)
+    packed = np.left_shift(values, bits, dtype=np.int64)
+    packed += offset
+    packed |= np.arange(size)
+    packed.sort()
+    order = packed & ((1 << bits) - 1)
+    packed -= offset
+    packed >>= bits
+    # A distinct value starts where the sorted value changes or a segment begins.
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    first = np.empty(size, dtype=bool)
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    first[bounds[:-1][counts > 0]] = True
+    unique = packed[first]
+    # seen[m] counts the distinct values among the first m sorted ones; less
+    # those of earlier segments, it gives each value's index in its own.
+    seen = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(first, out=seen[1:])
+    unique_counts = np.diff(seen[bounds])
+    index = seen[1:]
+    index -= np.repeat(seen[bounds[:-1]] + 1, counts)
+    inverse = np.empty(size, dtype=np.intp)
     inverse[order] = index
     return unique, unique_counts, inverse
 
@@ -118,7 +140,6 @@ class AmplitudeTable:
 
     words: tuple[str, ...]
     amplitudes: np.ndarray
-    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.words = tuple(self.words)
@@ -129,7 +150,6 @@ class AmplitudeTable:
                 f"amplitude table for {len(self.words)} words needs shape "
                 f"({rows}, k), got {self.amplitudes.shape}"
             )
-        self._index = {w: i + WORD_ROW_OFFSET for i, w in enumerate(self.words)}
 
     @classmethod
     def from_vocab(cls, words: Sequence[str], basis_dim: int, rng: np.random.Generator) -> "AmplitudeTable":
@@ -157,6 +177,11 @@ class AmplitudeTable:
     @property
     def num_rows(self) -> int:
         return self.amplitudes.shape[0]
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Word -> table row, built on the first word_id call; training never reads it."""
+        return {w: i + WORD_ROW_OFFSET for i, w in enumerate(self.words)}
 
     def word_id(self, token: str) -> int:
         return self._index.get(token, UNK_ID)

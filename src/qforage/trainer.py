@@ -32,8 +32,9 @@ decide is compiled once per train call into a StepPlan (compile_step_plan),
 and a step reads nothing else off the corpus: the query rows, the labels,
 each document's sorted unique actor rows with each candidate's positions
 into them, and each pair's critic rows with their sorted unique values and
-each token's index among them. One qrep.segment_unique sort builds each side
-for every document or pair at once. A step takes the drawn document's
+each token's index among them. One qrep.segment_unique call builds each side
+for every document or pair at once, with one np.sort of keys that pack each
+id's segment, value and position. A step takes the drawn document's
 candidates as compiled rows (env.Environment.draw), gathers their amplitude
 rows in one indexing operation and slices everything else from the plan.
 The drawn rows' positions, read in drawn order, are what np.unique gives for

@@ -676,6 +676,27 @@ class TestInspect:
         code, _, _ = run(argv, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, config, name",
+        [
+            (["--off-diagonals", "2"], None, "--off-diagonals"),
+            ([], "off_diagonals=2\n", "config key 'off_diagonals'"),
+            (["--off-diagonals", "2"], "off_diagonals=3\n", "--off-diagonals"),
+        ],
+    )
+    def test_off_diagonal_count_without_doc_is_usage_error(
+        self, trained_dir, tmp_path, capsys, flags, config, name
+    ):
+        argv = ["inspect", "--checkpoint", str(trained_dir / "checkpoint.txt")] + flags
+        if config is not None:
+            cfg = tmp_path / "inspect.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == []
+        assert f"error: {name} requires --doc" in err
+
     def test_unknown_document_is_runtime_error(self, corpus_dir, trained_dir, capsys):
         argv = [
             "inspect",

@@ -249,6 +249,35 @@ class TestSegmentUnique:
         assert inverse.tolist() == expected_inverse.tolist()
         assert inverse.dtype == expected_inverse.dtype
 
+    def test_empty_values(self):
+        values = np.array([], dtype=np.int64)
+        unique, unique_counts, inverse = segment_unique(values)
+        assert unique.tolist() == [] and unique_counts.tolist() == [0] and inverse.tolist() == []
+        self.assert_matches_np_unique(values, np.array([0, 0, 0]))
+
+    def test_segments_of_count_zero(self):
+        values = np.array([4, 1, 4, 0, 0, 2])
+        self.assert_matches_np_unique(values, np.array([0, 3, 0, 0, 2, 1, 0]))
+
+    def test_values_next_to_the_width_at_the_plans_largest_segment_count(self):
+        # A wide-bandit-sized critic side: 6000 pairs over 10 001 rows, the
+        # largest value at the end of one segment and 0 at the start of the
+        # next, so adjacent segments' keys differ by one.
+        rng = np.random.default_rng(3)
+        width = 10_001
+        counts = rng.integers(0, 12, size=6000)
+        pool = np.array([0, 1, width - 2, width - 1])
+        values = pool[rng.integers(0, len(pool), size=int(counts.sum()))]
+        self.assert_matches_np_unique(values, counts)
+
+    def test_packed_key_bound(self):
+        # 2 segments of one value each take 1 position bit, so
+        # 2 * width * 2**1 < 2**63 holds for values up to 2**61 - 2 and no larger.
+        widest = np.array([2**61 - 2, 0])
+        self.assert_matches_np_unique(widest, np.array([1, 1]))
+        with pytest.raises(ValueError, match="packed int64 sort key"):
+            segment_unique(widest + np.array([1, 0]), np.array([1, 1]))
+
 
 class TestEmbedQuery:
     def test_short_query_pads_with_null(self):

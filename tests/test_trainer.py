@@ -444,6 +444,35 @@ class TestNoStepDataclassesOnTrainingPaths:
         trainer.evaluate(result.params, result.critic_table, corpus)
 
 
+class TestWordIndexIsBuiltOnFirstLookup:
+    """A table builds its word -> row map on the first word_id call, so training never pays for it."""
+
+    @pytest.mark.parametrize("mode", ["bandit", "session"])
+    def test_training_and_evaluation_build_no_word_index(self, mode):
+        corpus = small_corpus()
+        result = trainer.train(small_config(mode=mode, episodes=6, eval_interval=3), corpus)
+        trainer.evaluate(result.params, result.critic_table, corpus)
+        assert "_index" not in vars(result.params.table)
+        assert "_index" not in vars(result.critic_table)
+
+    @pytest.mark.parametrize("source", ["init_params", "restore_params"])
+    def test_word_id_gives_every_words_row(self, tmp_path, source):
+        corpus = small_corpus()
+        config = small_config()
+        params, critic_table = trainer.init_params(corpus, config)
+        if source == "restore_params":
+            path = tmp_path / "checkpoint.txt"
+            trainer.save_checkpoint(trainer.make_checkpoint(params, critic_table, config), str(path))
+            params, critic_table, _ = trainer.restore_params(trainer.load_checkpoint(str(path)), corpus)
+        for table, module in ((params.table, qrep), (critic_table, critic)):
+            assert "_index" not in vars(table)
+            rows = [table.word_id(word) for word in corpus.vocabulary]
+            assert rows == list(range(module.WORD_ROW_OFFSET, table.num_rows))
+            assert table.word_id("not-a-vocabulary-word") == module.UNK_ID
+            assert table.word_id(module.UNK_TOKEN) == module.UNK_ID
+            assert "_index" in vars(table)
+
+
 def dense_reference_table_gradient(params, candidates, chosen, advantage):
     """The (V, k) amplitude gradient accumulated straight into a full table with np.add.at."""
     scores, _, dots = qrep.project_rows(params.global_rep, np.stack([q.rows for q in candidates]))
