@@ -30,17 +30,13 @@ for step in range(200):
             critic.token_ids(tokens, table), label, table
         )
         # Only the judged words' rows have gradients; phases have none.
-        table.amplitudes[rows] -= 0.3 * amplitude_grad
-        table.salience[rows] -= 0.3 * salience_grad
-        table.renormalize()
+        table.descend(rows, 0.3, amplitude_grad, salience_grad)
     if step % 50 == 0:
         print(f"step {step:3d}  loss on last pair: {loss:.4f}")
 
 for name, candidate in (("straight", straight), ("negated ", negated)):
-    rho = critic.critic_density(keywords, candidate, table)
-    measurement = critic.measure_classes(rho)
-    p = measurement.probabilities
-    q = critic.q_value(measurement)
+    p = critic.measure_classes(critic.critic_density(keywords, candidate, table))
+    q = critic.q_value(p)
     print(
         f"{name}: p(mismatch)={p[0]:.3f} p(neutral)={p[1]:.3f} "
         f"p(match)={p[2]:.3f}  q={q:+.3f}"

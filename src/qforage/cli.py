@@ -172,7 +172,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_for_eval(checkpoint: trainer.Checkpoint, corpus_path: str) -> tuple:
-    """Check the echo once, read the corpus with its keyword count, and bind the rows."""
+    """Check the checkpoint once, read the corpus with its keyword count, and bind the rows."""
     config = trainer.checkpoint_config(checkpoint)
     corpus = env.load_corpus(corpus_path, keyword_count=config.keyword_count)
     params, critic_table = trainer.bind_params(checkpoint, corpus, config)
@@ -231,8 +231,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     checkpoint = trainer.load_checkpoint(args.checkpoint)
     if args.doc is None:
         trainer.checkpoint_config(checkpoint)
-        trainer.check_invariants(checkpoint)
-    else:  # _load_for_eval checks the echo and the invariants as it binds the rows.
+    else:
         corpus, params, critic_table, config = _load_for_eval(checkpoint, args.corpus)
     fmt = trainer.format_float
     lines = [checkpoint.header]
@@ -269,15 +268,16 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 f"label={cand.label:+d} {' '.join(cand.tokens)}"
             )
         lines.append("pool: " + " ".join(fmt(v) for v in pooled[chosen]))
-        rho = critic.critic_density(doc.keywords, doc.candidates[chosen].tokens, critic_table)
-        measurement = critic.measure_classes(rho)
-        p = measurement.probabilities
+        query = doc.candidates[chosen].tokens
+        p = critic.class_probabilities(list(doc.keywords) + list(query), critic_table)
         lines.append(
             "critic p: "
             + " ".join(f"{name}={fmt(p[i])}" for i, name in enumerate(critic.CLASS_NAMES))
             + f" sum={fmt(float(p.sum()))}"
         )
-        lines.append(f"q_value: {fmt(critic.q_value(measurement))}")
+        lines.append(f"q_value: {fmt(critic.q_value(p))}")
+        # The density matrix only for what the class probabilities do not show.
+        rho = critic.critic_density(doc.keywords, query, critic_table)
         diag = rho.matrix.diagonal().real
         lines.append("rho diagonal: " + " ".join(fmt(v) for v in diag))
         dim = rho.dim

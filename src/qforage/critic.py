@@ -12,6 +12,12 @@ Because the projectors are diagonal blocks, class probabilities read only the
 squared amplitudes: phases shape off-diagonal structure (visible in inspect
 output) but are flat directions of the class loss, and their gradients are
 exactly zero.
+
+Training, evaluation and inspect judge one way: class_probabilities reads the
+block masses, which equal the Born probabilities on unit rows, and q_value
+weights them by the rewards. The density matrix (critic_density,
+measure_classes) is the reference for tests and oracles, and shows inspect
+its diagonal and off-diagonals.
 """
 
 from __future__ import annotations
@@ -31,12 +37,13 @@ from .errors import (
 )
 
 UNK_ID = 0
-UNK_TOKEN = "<unk>"
 #: Vocabulary word i lives in table row i + WORD_ROW_OFFSET, after the unknown row.
 WORD_ROW_OFFSET = 1
 
 CLASS_NAMES = ("mismatch", "partial", "match")
 CLASS_REWARDS = (-1, 0, 1)
+#: CLASS_REWARDS as floats: the class observable's eigenvalues and q_value's weights.
+_REWARD_WEIGHTS = np.array(CLASS_REWARDS, dtype=np.float64)
 
 DEFAULT_EMBED_DIM = 12
 
@@ -57,7 +64,7 @@ def class_observable(dim: int) -> qcore.Observable:
     """Three equal coordinate blocks with eigenvalues (-1, 0, +1)."""
     if dim % 3 != 0:
         raise DimensionNotDivisible(f"embedding dimension {dim} is not divisible by 3")
-    return qcore.Observable.coordinate_blocks(dim, 3, np.asarray(CLASS_REWARDS, dtype=np.float64))
+    return qcore.Observable.coordinate_blocks(dim, 3, _REWARD_WEIGHTS)
 
 
 @dataclass(eq=False)
@@ -197,26 +204,17 @@ def critic_density(
     return qcore.build_density(beta, list(vectors))
 
 
-@dataclass(frozen=True, eq=False)
-class ClassMeasurement:
-    """Class probabilities plus the observable that produced them."""
-
-    probabilities: np.ndarray
-    observable: qcore.Observable
-
-
-def measure_classes(rho: qcore.DensityMatrix) -> ClassMeasurement:
-    """Born probabilities of the three class blocks."""
+def measure_classes(rho: qcore.DensityMatrix) -> np.ndarray:
+    """Born probabilities of the three class blocks by dense projectors (the reference)."""
     dim = rho.dim if isinstance(rho, qcore.DensityMatrix) else np.asarray(rho).shape[0]
     if dim % 3 != 0:
         raise DimensionNotDivisible(f"state dimension {dim} is not divisible by 3")
-    obs = class_observable(dim)
-    return ClassMeasurement(probabilities=obs.probabilities(rho), observable=obs)
+    return class_observable(dim).probabilities(rho)
 
 
-def q_value(measurement: ClassMeasurement) -> float:
+def q_value(probabilities: np.ndarray) -> float:
     """Expected reward under the class distribution: (-1, 0, +1) weighted by p."""
-    return float(np.dot(measurement.observable.eigenvalues, measurement.probabilities))
+    return float(np.dot(_REWARD_WEIGHTS, probabilities))
 
 
 def block_masses(amplitudes: np.ndarray) -> np.ndarray:

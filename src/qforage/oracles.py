@@ -11,6 +11,7 @@ have teeth: a perturbed run must fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def check_born(seed: int = 0, perturb: float = 0.0) -> OracleReport:
         matrix = rho.matrix
         if perturb:
             matrix = matrix * (1.0 + perturb)
-        obs = qcore.Observable.coordinate_blocks(dim, 3, (-1.0, 0.0, 1.0))
+        obs = critic.class_observable(dim)
         probs = np.array([qcore.born_probability(p, matrix) for p in obs.projectors])
         worst_sum = max(worst_sum, abs(probs.sum() - 1.0))
         block = dim // 3
@@ -139,6 +140,20 @@ def _scatter(like: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return dense
 
 
+def _central_differences(loss, array: np.ndarray, h: float) -> np.ndarray:
+    """(loss() at +h - loss() at -h) / 2h along each entry of `array`, restored after."""
+    numeric = np.empty(array.size)
+    for i in range(array.size):
+        orig = array.flat[i]
+        array.flat[i] = orig + h
+        hi = loss()
+        array.flat[i] = orig - h
+        lo = loss()
+        array.flat[i] = orig
+        numeric[i] = (hi - lo) / (2.0 * h)
+    return numeric
+
+
 def _fd_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     return float(np.max(np.abs(analytic - numeric) / scale))
@@ -165,22 +180,14 @@ def check_gradients(seed: int = 0, perturb: float = 0.0) -> OracleReport:
         )
         if perturb:
             table_rows = table_rows * (1.0 + perturb)
-
-        def fd(array: np.ndarray, flat_index: int) -> float:
-            orig = array.flat[flat_index]
-            array.flat[flat_index] = orig + h
-            hi = _actor_loss(params, token_lists, chosen, advantage, order)
-            array.flat[flat_index] = orig - h
-            lo = _actor_loss(params, token_lists, chosen, advantage, order)
-            array.flat[flat_index] = orig
-            return (hi - lo) / (2.0 * h)
+        actor_loss = partial(_actor_loss, params, token_lists, chosen, advantage, order)
 
         for array, analytic in (
             (table.amplitudes, _scatter(table.amplitudes, table_ids, table_rows)),
             (g.weights, weights),
             (g.factors, factors),
         ):
-            numeric = np.array([fd(array, i) for i in range(array.size)])
+            numeric = _central_differences(actor_loss, array, h)
             worst = max(worst, _fd_relative_error(analytic.ravel(), numeric))
 
         ctable = critic.ComplexEmbeddingTable.from_vocab(vocab, 6, rng)
@@ -192,21 +199,14 @@ def check_gradients(seed: int = 0, perturb: float = 0.0) -> OracleReport:
         if perturb:
             amplitude_rows = amplitude_rows * (1.0 + perturb)
 
-        def cfd(array: np.ndarray, flat_index: int) -> float:
-            orig = array.flat[flat_index]
-            array.flat[flat_index] = orig + h
-            hi = critic.critic_loss_and_gradients(ids, label, ctable)[0]
-            array.flat[flat_index] = orig - h
-            lo = critic.critic_loss_and_gradients(ids, label, ctable)[0]
-            array.flat[flat_index] = orig
-            return (hi - lo) / (2.0 * h)
-
         for array, analytic in (
             (ctable.amplitudes, _scatter(ctable.amplitudes, rows, amplitude_rows)),
             (ctable.phases, np.zeros_like(ctable.phases)),
             (ctable.salience, _scatter(ctable.salience, rows, salience_rows)),
         ):
-            numeric = np.array([cfd(array, i) for i in range(array.size)])
+            numeric = _central_differences(
+                lambda: critic.critic_loss_and_gradients(ids, label, ctable)[0], array, h
+            )
             worst = max(worst, _fd_relative_error(analytic.ravel(), numeric))
 
     passed = worst <= 1e-4

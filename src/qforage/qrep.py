@@ -39,8 +39,6 @@ UNK_ID = 1
 #: Vocabulary word i lives in table row i + WORD_ROW_OFFSET, after the padding
 #: and unknown rows.
 WORD_ROW_OFFSET = 2
-NULL_TOKEN = "<null>"
-UNK_TOKEN = "<unk>"
 
 #: Engineering defaults for the representation sizes.
 DEFAULT_BASIS_DIM = 4

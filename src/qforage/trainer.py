@@ -6,10 +6,10 @@ environment pays the candidate's label as reward, the critic judges the
 judges by its class block masses (critic.class_probabilities), which equal
 measuring its density matrix on unit rows, so no density matrix is built
 during training or evaluation. The actor coefficient is the advantage, reward
-minus the critic's expected-reward estimate; the critic trains supervised
-against the true label. The policy gradient reuses the forward pass and the
-softmax the action was sampled from, and the critic's estimate is read from
-the class probabilities its loss is taken on.
+minus the critic's expected-reward estimate (critic.q_value); the critic
+trains supervised against the true label. The policy gradient reuses the
+forward pass and the softmax the action was sampled from, and the critic's
+estimate is read from the class probabilities its loss is taken on.
 
 A step touches only its tokens' rows: gradients come as the rows of the
 touched ids, and each table's update gathers those rows once, subtracts the
@@ -82,10 +82,11 @@ only a block that fails to parse is walked row by row, to name the bad line.
 A load reads the file block by block, numbering lines as str.splitlines
 numbers the whole text. A save writes a temporary file block by block and
 renames it onto the target, so a failed save never truncates an earlier
-checkpoint.
+checkpoint. checkpoint_config is the one check of a loaded checkpoint: its
+echo, then its block shapes, then its invariants.
 The vocabulary-to-row mapping is not stored; it is rebuilt as (null, unk) +
-sorted corpus vocabulary, and shape validation rejects a checkpoint paired
-with the wrong corpus.
+sorted corpus vocabulary, and bind_params rejects a checkpoint paired with
+the wrong corpus.
 """
 
 from __future__ import annotations
@@ -124,9 +125,6 @@ _STORED_BLOCKS = (
 )
 _V1_HEADER = "qforage-checkpoint v1"
 _V1_BLOCKS = _STORED_BLOCKS + ("critic.phases",)
-
-#: critic.CLASS_REWARDS as floats, for the expected reward of class probabilities.
-_CLASS_REWARDS = np.array(critic.CLASS_REWARDS, dtype=np.float64)
 
 
 def format_float(x: float) -> str:
@@ -416,7 +414,7 @@ def train_step(
     critic_loss, class_probabilities, amplitude_grad, salience_grad = critic.loss_gradient_rows(
         critic_table, pair, reward + 1, critic_rows, occurrence
     )
-    q_estimate = float(np.dot(_CLASS_REWARDS, class_probabilities))
+    q_estimate = critic.q_value(class_probabilities)
     if config.critic_lr != 0.0:
         critic_table.descend(critic_rows, config.critic_lr, amplitude_grad, salience_grad)
 
@@ -801,7 +799,7 @@ def check_invariants(checkpoint: Checkpoint) -> None:
     within qcore.UNIT_TOL; the actor padding row is exactly the first basis
     vector; critic amplitudes are nonnegative. Rows are numbered as the
     checkpoint file lays its blocks out. The block shapes must fit first
-    (checkpoint_config checks them).
+    (checkpoint_config checks them, then calls this).
     """
     blocks = checkpoint.blocks()
     # Whole-array tests first; the offending row is looked up only on failure.
@@ -863,11 +861,11 @@ def _check_shapes(checkpoint: Checkpoint, config: TrainConfig) -> None:
 
 
 def checkpoint_config(checkpoint: Checkpoint) -> TrainConfig:
-    """The settings a checkpoint echoes, checked against its block shapes.
+    """The settings a checkpoint echoes, once the whole checkpoint is checked.
 
-    An echo train would refuse, or a block it does not fit, raises
-    CheckpointInvalid. Every block is then safe to index, so this runs
-    before check_invariants.
+    An echo train would refuse, a block it does not fit, or parameters that
+    break a training invariant (check_invariants, once every block is safe
+    to index) raise CheckpointInvalid.
     """
     try:
         config = TrainConfig.from_echo(checkpoint.config_echo)
@@ -875,6 +873,7 @@ def checkpoint_config(checkpoint: Checkpoint) -> TrainConfig:
     except ValueError as exc:
         raise CheckpointInvalid(f"config echo: {exc}") from None
     _check_shapes(checkpoint, config)
+    check_invariants(checkpoint)
     return config
 
 
@@ -883,8 +882,8 @@ def restore_params(
 ) -> tuple[actor.ActorParams, critic.ComplexEmbeddingTable, TrainConfig]:
     """bind_params under the settings the checkpoint echoes (checkpoint_config).
 
-    An echoed config that train would refuse, and blocks whose shapes
-    disagree with it, raise CheckpointInvalid.
+    An echoed config that train would refuse, blocks that do not fit it and
+    broken invariants raise CheckpointInvalid.
     """
     config = checkpoint_config(checkpoint)
     params, critic_table = bind_params(checkpoint, corpus, config)
@@ -896,11 +895,10 @@ def bind_params(
 ) -> tuple[actor.ActorParams, critic.ComplexEmbeddingTable]:
     """Rebind checkpoint arrays to the corpus vocabulary.
 
-    `config` is checkpoint_config(checkpoint). Rows are (null, unk) + sorted
-    vocabulary on the actor side, (unk) + sorted vocabulary on the critic
-    side; a shape disagreement means the checkpoint was trained against a
-    different corpus. Parameters that break a training invariant raise
-    CheckpointInvalid.
+    `config` is checkpoint_config(checkpoint), which checked the checkpoint;
+    this only binds. Rows are (null, unk) + sorted vocabulary on the actor
+    side, (unk) + sorted vocabulary on the critic side; a keyword or row
+    count disagreement means a different corpus (CheckpointMismatch).
     """
     if config.keyword_count != corpus.keyword_count:
         raise CheckpointMismatch(
@@ -913,7 +911,6 @@ def bind_params(
             f"checkpoint has {checkpoint.actor_amplitudes.shape[0]} actor rows, "
             f"corpus vocabulary needs {actor_rows}"
         )
-    check_invariants(checkpoint)
     table = qrep.AmplitudeTable(words=vocab, amplitudes=checkpoint.actor_amplitudes.copy())
     global_rep = qrep.GlobalRepresentation(
         weights=checkpoint.global_weights.copy(),

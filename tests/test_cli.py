@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from checkpoint_v1 import CRITERION9_V1, V1_HEADER, v1_lines, write_v1
 
-from qforage import cli, env, oracles, trainer
+from qforage import cli, critic, env, oracles, trainer
 
 GEN_ARGS = [
     "gen-corpus",
@@ -347,6 +347,23 @@ class TestEval:
         assert out == []
         assert "error:" in err and "'actor.amplitudes' row 3" in err
 
+    def test_broken_checkpoint_is_refused_before_the_corpus_is_read(
+        self, trained_dir, tmp_path, capsys
+    ):
+        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint.actor_amplitudes[4, 1] = np.nan
+        bad = tmp_path / "nan.txt"
+        trainer.save_checkpoint(checkpoint, str(bad))
+        argv = [
+            "eval",
+            "--corpus", str(tmp_path / "missing.tsv"),
+            "--checkpoint", str(bad),
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == []
+        assert "'actor.amplitudes' row 4 holds a non-finite value" in err
+
     @pytest.mark.parametrize("value", ["0", "nan", "1.5"])
     def test_bad_scent_smoothing_flag_is_usage_error(self, corpus_dir, trained_dir, capsys, value):
         argv = [
@@ -643,6 +660,30 @@ class TestInspect:
         assert len(pool_line.split()) == 1 + 4
         critic_line = next(l for l in out if l.startswith("critic p: "))
         assert abs(float(critic_line.split("sum=")[1]) - 1.0) <= 1e-10
+
+    def test_document_diagnostics_judge_as_eval_does(self, corpus_dir, trained_dir, capsys):
+        corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)
+        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        _, critic_table, _ = trainer.restore_params(checkpoint, corpus)
+        compiled = corpus.compiled
+        judged = critic.batch_class_probabilities(
+            compiled.pair_tokens + critic.WORD_ROW_OFFSET, compiled.pair_lengths, critic_table
+        )
+        fmt = trainer.format_float
+        for d, doc in enumerate(corpus.documents):
+            argv = [
+                "inspect",
+                "--checkpoint", str(trained_dir / "checkpoint.txt"),
+                "--corpus", str(corpus_dir / "corpus.tsv"),
+                "--doc", doc.doc_id,
+            ]
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            chosen = next(int(l.split("]")[0][3:]) for l in out if l.startswith("* ["))
+            p = judged[compiled.offsets[d] + chosen]
+            expected = " ".join(f"{n}={fmt(v)}" for n, v in zip(critic.CLASS_NAMES, p))
+            assert f"critic p: {expected} sum={fmt(float(p.sum()))}" in out
+            assert f"q_value: {fmt(critic.q_value(p))}" in out
 
     def test_document_diagnostics_parse_and_check_the_checkpoint_once(
         self, corpus_dir, trained_dir, capsys, monkeypatch

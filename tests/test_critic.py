@@ -11,7 +11,6 @@ import pytest
 from qforage import qcore
 from qforage.critic import (
     CLASS_REWARDS,
-    ClassMeasurement,
     ComplexEmbeddingTable,
     class_observable,
     class_of_reward,
@@ -219,10 +218,10 @@ class TestCriticDensity:
         rng = np.random.default_rng(41)
         table = make_table(rng)
         rho_before = critic_density(["dogs"], ["chase", "cats"], table)
-        p_before = measure_classes(rho_before).probabilities
+        p_before = measure_classes(rho_before)
         table.phases[table.word_id("chase")] += 1.2345
         rho_after = critic_density(["dogs"], ["chase", "cats"], table)
-        p_after = measure_classes(rho_after).probabilities
+        p_after = measure_classes(rho_after)
         assert np.max(np.abs(rho_after.matrix - rho_before.matrix)) <= 1e-10
         np.testing.assert_allclose(p_after, p_before, atol=1e-10)
 
@@ -236,7 +235,7 @@ class TestMeasureClasses:
     def test_single_block_support(self):
         table = block_supported_table()
         rho = critic_density(["hi"], [], table)
-        probs = measure_classes(rho).probabilities
+        probs = measure_classes(rho)
         np.testing.assert_allclose(probs, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_maximally_mixed_state(self):
@@ -244,7 +243,7 @@ class TestMeasureClasses:
         weights = np.full(dim, 1.0 / dim)
         vectors = [qcore.basis_vector(dim, i, dtype=np.complex128) for i in range(dim)]
         rho = qcore.build_density(weights, vectors)
-        probs = measure_classes(rho).probabilities
+        probs = measure_classes(rho)
         np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-12)
 
     def test_probabilities_are_diagonal_partial_sums(self):
@@ -253,7 +252,7 @@ class TestMeasureClasses:
         for _ in range(50):
             tokens = [VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(3)]
             rho = critic_density(tokens, [], table)
-            probs = measure_classes(rho).probabilities
+            probs = measure_classes(rho)
             diag = np.real(np.diag(rho.matrix))
             expected = diag.reshape(3, 2).sum(axis=1)
             np.testing.assert_allclose(probs, expected, atol=1e-12)
@@ -267,31 +266,25 @@ class TestMeasureClasses:
 
 class TestQValue:
     def test_certain_mismatch(self):
-        m = ClassMeasurement(
-            probabilities=np.array([1.0, 0.0, 0.0]), observable=class_observable(6)
-        )
-        assert q_value(m) == -1.0
+        assert q_value(np.array([1.0, 0.0, 0.0])) == -1.0
 
     def test_uniform_distribution(self):
-        m = ClassMeasurement(
-            probabilities=np.full(3, 1.0 / 3.0), observable=class_observable(6)
-        )
-        assert q_value(m) == 0.0
+        assert q_value(np.full(3, 1.0 / 3.0)) == 0.0
 
     def test_weighted_distribution(self):
-        m = ClassMeasurement(
-            probabilities=np.array([0.2, 0.3, 0.5]), observable=class_observable(6)
-        )
-        assert q_value(m) == pytest.approx(0.3, abs=1e-15)
+        assert q_value(np.array([0.2, 0.3, 0.5])) == pytest.approx(0.3, abs=1e-15)
 
     def test_monotone_in_match_mass(self):
-        low = ClassMeasurement(
-            probabilities=np.array([0.2, 0.5, 0.3]), observable=class_observable(6)
-        )
-        high = ClassMeasurement(
-            probabilities=np.array([0.2, 0.3, 0.5]), observable=class_observable(6)
-        )
-        assert q_value(high) > q_value(low)
+        assert q_value(np.array([0.2, 0.3, 0.5])) > q_value(np.array([0.2, 0.5, 0.3]))
+
+    def test_is_the_class_observable_expectation(self):
+        rng = np.random.default_rng(59)
+        table = make_table(rng)
+        for _ in range(20):
+            tokens = [VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(3)]
+            rho = critic_density(tokens, [], table)
+            expectation = class_observable(rho.dim).expectation(rho)
+            assert q_value(measure_classes(rho)) == pytest.approx(expectation, abs=1e-12)
 
     def test_class_of_reward_mapping(self):
         assert [class_of_reward(r) for r in CLASS_REWARDS] == [0, 1, 2]
@@ -483,5 +476,5 @@ class TestCriticLossAndGradients:
         table = make_table(rng)
         tokens = ["cats", "not", "dogs"]
         direct = class_probabilities(tokens, table)
-        measured = measure_classes(critic_density(tokens[:1], tokens[1:], table)).probabilities
+        measured = measure_classes(critic_density(tokens[:1], tokens[1:], table))
         np.testing.assert_allclose(direct, measured, atol=1e-10)

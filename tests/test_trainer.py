@@ -469,7 +469,6 @@ class TestWordIndexIsBuiltOnFirstLookup:
             rows = [table.word_id(word) for word in corpus.vocabulary]
             assert rows == list(range(module.WORD_ROW_OFFSET, table.num_rows))
             assert table.word_id("not-a-vocabulary-word") == module.UNK_ID
-            assert table.word_id(module.UNK_TOKEN) == module.UNK_ID
             assert "_index" in vars(table)
 
 
