@@ -242,7 +242,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     lines.append(f"global.factors: rank={rank} order={order} basis_dim={k}")
     lines.append(f"critic.amplitudes: {checkpoint.critic_amplitudes.shape}")
     # A v1 file stores its phases, which need not be the init draw.
-    redrawn = checkpoint.header == trainer.CHECKPOINT_HEADER
+    redrawn = checkpoint.header != trainer.V1_HEADER
     source = "the init draw, redrawn from the echoed seed" if redrawn else "stored in the file"
     lines.append(
         f"critic.phases: {checkpoint.critic_phases.shape} {source}; training never updates them"

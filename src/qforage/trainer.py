@@ -65,8 +65,8 @@ masses. Scores and class probabilities keep the bits of a per-document pass.
 Scent statistics come from the array of chosen rewards (env.reward_scent),
 and training's scent scalar uses the same recurrence.
 
-Checkpoints are UTF-8 text: a `qforage-checkpoint v2` header, `# key=value`
-config echo lines, then named decimal matrix blocks (Checkpoint.blocks) for
+Checkpoints are UTF-8 text: a `qforage-checkpoint v3` header, `# key=value`
+config echo lines, then named matrix blocks (Checkpoint.blocks) for
 everything but critic.phases. The phases are the init stream's last draw and
 training never changes them, so a load redraws them from the echoed seed and
 the block shapes (init_draws replays the whole stream, whose draws all have
@@ -74,16 +74,23 @@ fixed sizes), and a save refuses phases that are not that draw, so no file
 loads back to other parameters. An edited seed echo therefore redraws other
 phases; they reach only the density-matrix views (inspect's off-diagonals
 and the demos), never train or evaluate, which read class block masses.
-v1 files, which store the phases block, still load with the phases they
-store. Floats print with 17 significant digits, so save followed by load
-reproduces every parameter bit for bit. Each block is formatted by one `%`
-operation and parsed by one np.loadtxt call, not one Python call per value;
-only a block that fails to parse is walked row by row, to name the bad line.
-A load reads the file block by block, numbering lines as str.splitlines
-numbers the whole text. A save writes a temporary file block by block and
-renames it onto the target, so a failed save never truncates an earlier
-checkpoint. checkpoint_config is the one check of a loaded checkpoint: its
-echo, then its block shapes, then its invariants.
+A v3 block is a `[name rows cols]` line, then its values' little-endian
+float64 bytes in base64, wrapped the one way the writer wraps them: groups
+of 76 characters (57 bytes; the block's last group may be shorter), up to 16
+groups to a line, separated by single spaces. So save followed by load
+reproduces every parameter bit for bit, and a load accepts a block's text
+only if it is what a save writes for the values it decodes to. v2 files,
+whose blocks are decimal rows printed with 17 significant digits, and v1
+files, which also store the phases block, still load; v1 files with the
+phases they store. A load reads the file block by block, numbering lines as
+str.splitlines numbers the whole text, and decodes each v3 block in one call
+(a decimal block parses in one np.loadtxt call); only a block that fails is
+walked line by line, to name the bad line. A save builds the whole file as
+one string, writes it to a temporary file, fsyncs it, renames it onto the
+target and fsyncs the directory, so neither a failed save nor an OS crash
+leaves a truncated checkpoint at the target. checkpoint_config is the one
+check of a loaded checkpoint: its echo, then its block shapes, then its
+invariants.
 The vocabulary-to-row mapping is not stored; it is rebuilt as (null, unk) +
 sorted corpus vocabulary, and bind_params rejects a checkpoint paired with
 the wrong corpus.
@@ -91,13 +98,13 @@ the wrong corpus.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import dataclasses
 import itertools
 import math
 import os
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +120,9 @@ from .errors import (
 )
 from .seeding import stream_rng
 
-CHECKPOINT_HEADER = "qforage-checkpoint v2"
+CHECKPOINT_HEADER = "qforage-checkpoint v3"
+V2_HEADER = "qforage-checkpoint v2"
+V1_HEADER = "qforage-checkpoint v1"
 #: The blocks a file stores, in file order. v1 files also store critic.phases
 #: after critic.amplitudes.
 _STORED_BLOCKS = (
@@ -123,8 +132,11 @@ _STORED_BLOCKS = (
     "critic.amplitudes",
     "critic.salience",
 )
-_V1_HEADER = "qforage-checkpoint v1"
 _V1_BLOCKS = _STORED_BLOCKS + ("critic.phases",)
+#: A v3 payload group is the base64 of 57 bytes, 76 characters; a payload
+#: line holds up to 16 groups, so every full line encodes 912 bytes.
+_GROUP_CHARS = 76
+_LINE_GROUPS = 16
 
 
 def format_float(x: float) -> str:
@@ -250,8 +262,8 @@ def init_draws(
     and the weights (R,) and the critic amplitudes (V + 1, d), then the
     critic phases, uniform on [-pi, pi) of shape (V + 1, d). Every draw has
     a fixed size, so a seed and the shapes give the same bits every time:
-    init_params builds its parameters from them, and a v2 checkpoint's
-    phases are redrawn from them.
+    init_params builds its parameters from them, and a v3 or v2
+    checkpoint's phases are redrawn from them.
     """
     rng = stream_rng(seed, "init")
     return (
@@ -510,9 +522,10 @@ def evaluate(
 class Checkpoint:
     """All trainable parameters plus the config echo.
 
-    `header` is the first line of the file the checkpoint was loaded from
-    (CHECKPOINT_HEADER, or _V1_HEADER for a file that stores its phases); a
-    save always writes the current format.
+    `header` is the first line of the file the checkpoint was loaded from:
+    CHECKPOINT_HEADER (v3), V2_HEADER, or V1_HEADER for a file that stores
+    its phases. A checkpoint made in memory carries CHECKPOINT_HEADER, and a
+    save always writes v3.
     """
 
     actor_amplitudes: np.ndarray
@@ -578,38 +591,49 @@ def echoed_init_phases(
     )[-1]
 
 
-def checkpoint_text(checkpoint: Checkpoint) -> Iterator[str]:
-    """The file's text in order: header and echo, then each stored block's header and rows.
+def _payload(block: np.ndarray) -> str:
+    """A v3 block's payload lines: its little-endian float64 bytes in base64, wrapped.
 
-    Every piece ends in a newline. critic.phases is not stored; a loader
-    redraws it (echoed_init_phases). A block's rows are one `%` operation
-    over its values; `%.17g` prints what format_float prints.
+    Each line is up to _LINE_GROUPS groups of _GROUP_CHARS characters,
+    space-separated, and ends in a newline; a block without values has none.
     """
-    yield "".join(
+    text = base64.b64encode(block.astype("<f8").tobytes()).decode("ascii")
+    groups = [text[i : i + _GROUP_CHARS] for i in range(0, len(text), _GROUP_CHARS)]
+    return "".join(
+        " ".join(groups[i : i + _LINE_GROUPS]) + "\n" for i in range(0, len(groups), _LINE_GROUPS)
+    )
+
+
+def checkpoint_text(checkpoint: Checkpoint) -> str:
+    """The whole v3 file: header and echo, then each stored block's header and payload.
+
+    critic.phases is not stored; a loader redraws it (echoed_init_phases).
+    """
+    blocks = checkpoint.blocks()
+    return "".join(
         [CHECKPOINT_HEADER + "\n"]
         + [f"# {key}={value}\n" for key, value in checkpoint.config_echo.items()]
+        + [
+            f"[{name} {blocks[name].shape[0]} {blocks[name].shape[1]}]\n" + _payload(blocks[name])
+            for name in _STORED_BLOCKS
+        ]
     )
-    blocks = checkpoint.blocks()
-    for name in _STORED_BLOCKS:
-        block = blocks[name]
-        rows, cols = block.shape
-        yield f"[{name} {rows} {cols}]\n"
-        row = " ".join(["%.17g"] * cols) + "\n"
-        yield row * rows % tuple(block.ravel().tolist())
 
 
 def checkpoint_lines(checkpoint: Checkpoint) -> list[str]:
-    """The file's lines, without newlines."""
-    return "".join(checkpoint_text(checkpoint)).split("\n")[:-1]
+    """The v3 file's lines, without newlines."""
+    return checkpoint_text(checkpoint).split("\n")[:-1]
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
-    """Write the file beside `path` and rename it into place.
+    """Write the v3 file beside `path`, fsync it, rename it into place, fsync the directory.
 
     Phases that are not bit for bit the echoed seed's init draw would load
     back as other phases, so they raise CheckpointInvalid before anything is
-    written. A save that fails leaves any earlier file at `path` as it was
-    and no temporary file behind.
+    written. A save that fails before the rename leaves any earlier file at
+    `path` as it was and no temporary file behind; one whose directory fsync
+    fails raises with the new file whole at `path`. Once both fsyncs
+    return, an OS crash cannot leave an empty or partial file at `path`.
     """
     redrawn = echoed_init_phases(
         checkpoint.config_echo,
@@ -623,16 +647,24 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
             f"block 'critic.phases' is not the init draw of the echoed "
             f"seed={checkpoint.config_echo['seed']}, and a checkpoint does not store it"
         )
+    text = checkpoint_text(checkpoint)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for text in checkpoint_text(checkpoint):
-                fh.write(text)
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+    if os.name == "posix":  # only POSIX systems open a directory to fsync it
+        directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 class _Lines:
@@ -674,7 +706,7 @@ def _parse_rows(rows: list[str]) -> np.ndarray:
 
 
 def _parse_block(lines: list[str], name: str, rows: int, cols: int, base: int = 0) -> np.ndarray:
-    """The (rows, cols) values on a block's lines, parsed in one call.
+    """The (rows, cols) values on a v2 or v1 block's decimal lines, parsed in one call.
 
     `lines` are the block's rows as the file holds them, fewer than `rows`
     if it ends early. A block that does not parse whole is walked row by row
@@ -706,26 +738,119 @@ def _parse_block(lines: list[str], name: str, rows: int, cols: int, base: int = 
     return np.empty((rows, cols), dtype=np.float64)
 
 
+def _payload_widths(size: int) -> list[int]:
+    """The character count of each payload line the writer wraps `size` bytes into."""
+    chars = 4 * -(-size // 3)
+    full = _LINE_GROUPS * (_GROUP_CHARS + 1) - 1
+    count, rest = divmod(chars, _LINE_GROUPS * _GROUP_CHARS)
+    last = [rest + -(-rest // _GROUP_CHARS) - 1] if rest else []
+    return [full] * count + last
+
+
+def _payload_error(lines: list[str], name: str, size: int, base: int) -> ParseError:
+    """The ParseError at a v3 block's first payload line that the writer would not write.
+
+    Lines are numbered as in _decode_block. Lines that each decode can still
+    decode to other than `size` bytes, through the padding of the block's
+    last group; that is named at the last line.
+    """
+    widths = _payload_widths(size)
+    for i, (line, width) in enumerate(zip(lines, widths)):
+        at = base + i + 1
+        if line.startswith("["):  # a block header: the payload ended early
+            return ParseError(
+                f"block {name!r} truncated at payload line {i + 1} of {len(widths)}", line=at
+            )
+        if len(line) != width:
+            return ParseError(
+                f"block {name!r} payload line has {len(line)} characters, expected {width}",
+                line=at,
+            )
+        groups = line.split(" ")
+        widths_ok = 0 < len(groups[-1]) <= _GROUP_CHARS
+        if not widths_ok or any(len(g) != _GROUP_CHARS for g in groups[:-1]):
+            return ParseError(
+                f"block {name!r} payload line is not groups of {_GROUP_CHARS} characters "
+                "separated by single spaces",
+                line=at,
+            )
+        chars = "".join(groups)
+        try:
+            base64.b64decode(chars, validate=True)
+        except ValueError:  # binascii.Error, or a character outside ASCII
+            pass
+        else:
+            if i == len(widths) - 1 or "=" not in chars:  # padding ends the block only
+                continue
+        return ParseError(f"block {name!r} payload line is not base64", line=at)
+    if len(lines) < len(widths):
+        return ParseError(
+            f"block {name!r} truncated at payload line {len(lines) + 1} of {len(widths)}",
+            line=base + len(lines),
+        )
+    return ParseError(
+        f"block {name!r} payload does not decode to its {size} bytes exactly",
+        line=base + len(lines),
+    )
+
+
+def _decode_block(lines: list[str], name: str, rows: int, cols: int, base: int = 0) -> np.ndarray:
+    """The (rows, cols) float64 values of a v3 block, decoded in one call.
+
+    `lines` are the block's payload lines as the file holds them, fewer than
+    the writer writes if the file ends early; the first is file line
+    base + 1. Only the text _payload writes for these values is accepted:
+    line and group widths, single-space separators, the base64 alphabet with
+    padding only at the end, and a last group that re-encodes to itself. Any
+    other text raises ParseError at its first bad line (_payload_error).
+    The array is writable and native-endian, as np.loadtxt returns it.
+    """
+    size = rows * cols * 8
+    widths = _payload_widths(size)
+    text = " ".join(lines)
+    separators = len(text) // (_GROUP_CHARS + 1)
+    if (
+        [len(line) for line in lines] != widths
+        or text[_GROUP_CHARS :: _GROUP_CHARS + 1] != " " * separators
+    ):
+        raise _payload_error(lines, name, size, base)
+    # A space anywhere else leaves too few characters to decode to `size` bytes.
+    encoded = text.replace(" ", "")
+    try:
+        raw = base64.b64decode(encoded, validate=True)
+    except ValueError:
+        raise _payload_error(lines, name, size, base) from None
+    tail = size % 3
+    if len(raw) != size or (tail and base64.b64encode(raw[-tail:]).decode("ascii") != encoded[-4:]):
+        raise _payload_error(lines, name, size, base)
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
+
+
 def load_checkpoint(path: str) -> Checkpoint:
-    """Parse a checkpoint file; malformed structure raises ParseError with a line number.
+    """Parse a v3, v2 or v1 checkpoint; malformed structure raises ParseError with a line number.
 
     The file is read block by block. Block shapes are nonnegative and each
-    parameter block appears once; rng.* blocks, which earlier versions wrote,
-    are skipped. A v2 file's critic.phases are redrawn from its echoed seed
+    parameter block appears once. A v3 block's payload is decoded whole
+    (_decode_block) and a v2 or v1 block's decimal rows are parsed whole
+    (_parse_block); rng.* blocks, which files before v3 may hold, are
+    skipped. A v3 or v2 file's critic.phases are redrawn from its echoed seed
     and block shapes (echoed_init_phases) once the blocks have parsed; a v1
     file stores them.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = _Lines(fh)
         header = lines.take(1)
-        if header not in ([CHECKPOINT_HEADER], [_V1_HEADER]):
+        if header not in ([CHECKPOINT_HEADER], [V2_HEADER], [V1_HEADER]):
             found = header[0] if header else "<empty file>"
             raise VersionMismatch(
-                f"expected header {CHECKPOINT_HEADER!r} or {_V1_HEADER!r}, found {found!r}"
+                f"expected header {CHECKPOINT_HEADER!r}, {V2_HEADER!r} or {V1_HEADER!r}, "
+                f"found {found!r}"
             )
-        stored = _STORED_BLOCKS if header[0] == CHECKPOINT_HEADER else _V1_BLOCKS
+        version = header[0].rpartition(" ")[2]
+        stored = _V1_BLOCKS if version == "v1" else _STORED_BLOCKS
         echo: dict[str, str] = {}
         blocks: dict[str, np.ndarray] = {}
+        last = None  # the block read last, which a stray line follows
         while taken := lines.take(1):
             line = taken[0]
             if not line.strip():
@@ -737,7 +862,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                     echo[key.strip()] = value
                 continue
             if not (line.startswith("[") and line.endswith("]")):
-                raise ParseError(f"expected a block header, got {line!r}", line=lines.count)
+                shown = line if len(line) <= 40 else line[:40] + "..."
+                after = f" after the lines of block {last!r}" if last else ""
+                raise ParseError(
+                    f"expected a block header{after}, got {shown!r}", line=lines.count
+                )
             parts = line[1:-1].split()
             if len(parts) != 3:
                 raise ParseError(f"malformed block header {line!r}", line=lines.count)
@@ -750,16 +879,21 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise ParseError(f"negative block shape in {line!r}", line=lines.count)
             if name == "critic.phases" and name not in stored:
                 raise ParseError(
-                    "a v2 file does not store block 'critic.phases'; it is redrawn "
+                    f"a {version} file does not store block 'critic.phases'; it is redrawn "
                     "from the echoed seed",
                     line=lines.count,
                 )
-            if name not in stored and not name.startswith("rng."):
+            if name not in stored and not (version != "v3" and name.startswith("rng.")):
                 raise ParseError(f"unknown block {name!r}", line=lines.count)
             if name in blocks:
                 raise ParseError(f"block {name!r} appears twice", line=lines.count)
             base = lines.count
-            data = _parse_block(lines.take(rows), name, rows, cols, base)
+            if version == "v3":
+                payload = lines.take(len(_payload_widths(rows * cols * 8)))
+                data = _decode_block(payload, name, rows, cols, base)
+            else:
+                data = _parse_block(lines.take(rows), name, rows, cols, base)
+            last = name
             # rng.* blocks hold stream states earlier versions wrote; nothing reads them.
             if not name.startswith("rng."):
                 blocks[name] = data

@@ -15,6 +15,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from checkpoint_v1 import CRITERION9_V1, V1_HEADER, v1_lines, write_v1
+from checkpoint_v2 import CRITERION9_V2, V2, V2_HEADER, write_v2
+from checkpoint_v3 import V3, block_span
 
 from qforage import cli, critic, env, oracles, trainer
 
@@ -249,7 +251,105 @@ class TestTrain:
         assert not (tmp_path / "checkpoint.txt").exists()
 
 
-class TestEval:
+class EvalRefusesDamagedFiles:
+    """eval on a damaged checkpoint exits 1, written once for either layout (`layout`)."""
+
+    layout = V2
+
+    def trained_lines(self, trained_dir):
+        """The trained checkpoint's lines in this layout."""
+        return self.layout.lines(trainer.load_checkpoint(str(trained_dir / "checkpoint.txt")))
+
+    def test_negative_block_shape_is_runtime_error(self, corpus_dir, trained_dir, tmp_path, capsys):
+        lines = self.trained_lines(trained_dir)
+        header = next(i for i, l in enumerate(lines) if l.startswith("[global.weights"))
+        lines[header] = "[global.weights -1 1]"
+        bad = tmp_path / "negative.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = [
+            "eval",
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--checkpoint", str(bad),
+        ]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert f"error: line {header + 1}: negative block shape" in err
+
+    def test_non_finite_actor_rows_are_runtime_error(
+        self, corpus_dir, trained_dir, tmp_path, capsys
+    ):
+        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint.actor_amplitudes[:] = np.nan
+        bad = tmp_path / "nan.txt"
+        self.layout.write(checkpoint, str(bad))
+        argv = [
+            "eval",
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--checkpoint", str(bad),
+        ]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "error:" in err
+
+    def test_actor_row_off_the_unit_sphere_is_runtime_error(
+        self, corpus_dir, trained_dir, tmp_path, capsys
+    ):
+        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint.actor_amplitudes[3] *= 3.0
+        bad = tmp_path / "scaled.txt"
+        self.layout.write(checkpoint, str(bad))
+        argv = [
+            "eval",
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--checkpoint", str(bad),
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == []
+        assert "error:" in err and "'actor.amplitudes' row 3" in err
+
+    def test_broken_checkpoint_is_refused_before_the_corpus_is_read(
+        self, trained_dir, tmp_path, capsys
+    ):
+        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint.actor_amplitudes[4, 1] = np.nan
+        bad = tmp_path / "nan.txt"
+        self.layout.write(checkpoint, str(bad))
+        argv = [
+            "eval",
+            "--corpus", str(tmp_path / "missing.tsv"),
+            "--checkpoint", str(bad),
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == []
+        assert "'actor.amplitudes' row 4 holds a non-finite value" in err
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["scent_smoothing=0", "temperature=0", "episodes=abc", "actor_lr=nan", "critic_lr=inf"],
+    )
+    def test_invalid_config_echo_is_runtime_error(
+        self, corpus_dir, trained_dir, tmp_path, capsys, entry
+    ):
+        key = entry.partition("=")[0]
+        lines = self.trained_lines(trained_dir)
+        edited = [f"# {entry}" if l.startswith(f"# {key}=") else l for l in lines]
+        assert edited != lines
+        bad = tmp_path / "echo.txt"
+        bad.write_text("\n".join(edited) + "\n")
+        argv = [
+            "eval",
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--checkpoint", str(bad),
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == []
+        assert err.startswith("error: config echo: ") and len(err.splitlines()) == 1
+
+
+class TestEval(EvalRefusesDamagedFiles):
     def test_matches_final_train_record(self, corpus_dir, trained_dir, capsys):
         metrics = (trained_dir / "metrics.tsv").read_text().splitlines()
         final = [l for l in metrics if not l.startswith("#")][-1].split("\t")
@@ -299,71 +399,6 @@ class TestEval:
         assert code == 1
         assert "error:" in err
 
-    def test_negative_block_shape_is_runtime_error(self, corpus_dir, trained_dir, tmp_path, capsys):
-        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
-        header = next(i for i, l in enumerate(lines) if l.startswith("[global.weights"))
-        lines[header] = "[global.weights -1 1]"
-        bad = tmp_path / "negative.txt"
-        bad.write_text("\n".join(lines) + "\n")
-        argv = [
-            "eval",
-            "--corpus", str(corpus_dir / "corpus.tsv"),
-            "--checkpoint", str(bad),
-        ]
-        code, _, err = run(argv, capsys)
-        assert code == 1
-        assert f"error: line {header + 1}: negative block shape" in err
-
-    def test_non_finite_actor_rows_are_runtime_error(
-        self, corpus_dir, trained_dir, tmp_path, capsys
-    ):
-        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
-        checkpoint.actor_amplitudes[:] = np.nan
-        bad = tmp_path / "nan.txt"
-        trainer.save_checkpoint(checkpoint, str(bad))
-        argv = [
-            "eval",
-            "--corpus", str(corpus_dir / "corpus.tsv"),
-            "--checkpoint", str(bad),
-        ]
-        code, _, err = run(argv, capsys)
-        assert code == 1
-        assert "error:" in err
-
-    def test_actor_row_off_the_unit_sphere_is_runtime_error(
-        self, corpus_dir, trained_dir, tmp_path, capsys
-    ):
-        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
-        checkpoint.actor_amplitudes[3] *= 3.0
-        bad = tmp_path / "scaled.txt"
-        trainer.save_checkpoint(checkpoint, str(bad))
-        argv = [
-            "eval",
-            "--corpus", str(corpus_dir / "corpus.tsv"),
-            "--checkpoint", str(bad),
-        ]
-        code, out, err = run(argv, capsys)
-        assert code == 1
-        assert out == []
-        assert "error:" in err and "'actor.amplitudes' row 3" in err
-
-    def test_broken_checkpoint_is_refused_before_the_corpus_is_read(
-        self, trained_dir, tmp_path, capsys
-    ):
-        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
-        checkpoint.actor_amplitudes[4, 1] = np.nan
-        bad = tmp_path / "nan.txt"
-        trainer.save_checkpoint(checkpoint, str(bad))
-        argv = [
-            "eval",
-            "--corpus", str(tmp_path / "missing.tsv"),
-            "--checkpoint", str(bad),
-        ]
-        code, out, err = run(argv, capsys)
-        assert code == 1
-        assert out == []
-        assert "'actor.amplitudes' row 4 holds a non-finite value" in err
-
     @pytest.mark.parametrize("value", ["0", "nan", "1.5"])
     def test_bad_scent_smoothing_flag_is_usage_error(self, corpus_dir, trained_dir, capsys, value):
         argv = [
@@ -405,29 +440,6 @@ class TestEval:
         scent = [l for l in out if l.startswith("scent_scalar=")]
         assert scent and scent != [l for l in default_out if l.startswith("scent_scalar=")]
 
-    @pytest.mark.parametrize(
-        "entry",
-        ["scent_smoothing=0", "temperature=0", "episodes=abc", "actor_lr=nan", "critic_lr=inf"],
-    )
-    def test_invalid_config_echo_is_runtime_error(
-        self, corpus_dir, trained_dir, tmp_path, capsys, entry
-    ):
-        key = entry.partition("=")[0]
-        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
-        edited = [f"# {entry}" if l.startswith(f"# {key}=") else l for l in lines]
-        assert edited != lines
-        bad = tmp_path / "echo.txt"
-        bad.write_text("\n".join(edited) + "\n")
-        argv = [
-            "eval",
-            "--corpus", str(corpus_dir / "corpus.tsv"),
-            "--checkpoint", str(bad),
-        ]
-        code, out, err = run(argv, capsys)
-        assert code == 1
-        assert out == []
-        assert err.startswith("error: config echo: ") and len(err.splitlines()) == 1
-
     def test_empty_corpus_is_runtime_error(self, trained_dir, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("# nothing here\n")
@@ -440,6 +452,10 @@ class TestEval:
         assert code == 1
 
 
+class TestEvalV3(EvalRefusesDamagedFiles):
+    layout = V3
+
+
 BLOCKS = (
     "actor.amplitudes",
     "global.weights",
@@ -450,13 +466,15 @@ BLOCKS = (
 )
 
 
-def with_block_shape(lines, name, shape):
-    """The checkpoint's lines with block `name` replaced by one of shape(rows, cols)."""
-    start = next(i for i, l in enumerate(lines) if l.startswith(f"[{name} "))
+def with_block_shape(lines, name, shape, layout=V2):
+    """The checkpoint's lines with block `name` replaced by 0.5s of shape(rows, cols).
+
+    The new block is written in `layout`, the layout of the file `lines` are from.
+    """
+    start, end = block_span(lines, name)
     rows, cols = (int(n) for n in lines[start][1:-1].split()[1:])
-    new_rows, new_cols = shape(rows, cols)
-    block = [f"[{name} {new_rows} {new_cols}]"] + [" ".join(["0.5"] * new_cols)] * new_rows
-    return lines[:start] + block + lines[start + 1 + rows :]
+    block = layout.block_lines(name, np.full(shape(rows, cols), 0.5))
+    return lines[:start] + block + lines[end:]
 
 
 # Empty in either dimension, and off the echoed sizes by one row or column.
@@ -491,7 +509,12 @@ class TestEchoCheckedOnce:
 
 
 class TestBlockShapes:
-    """A checkpoint whose blocks do not fit its echo, or are empty, exits 1 with one error line."""
+    """A checkpoint whose blocks do not fit its echo, or are empty, exits 1 with one error line.
+
+    Files are v2 here and v3 in the subclass below; only a v1 file stores critic.phases.
+    """
+
+    layout = V2
 
     @pytest.mark.parametrize("command", ["eval", "inspect"])
     @pytest.mark.parametrize("shape", SHAPES)
@@ -499,13 +522,13 @@ class TestBlockShapes:
     def test_is_runtime_error_without_traceback(
         self, corpus_dir, trained_dir, tmp_path, capsys, command, shape, name
     ):
-        saved = trained_dir / "checkpoint.txt"
-        if name == "critic.phases":  # Only a v1 file stores the phases.
-            lines = v1_lines(trainer.load_checkpoint(str(saved)))
+        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        if name == "critic.phases":  # A v1 file, whose blocks are decimal as in v2.
+            lines, layout = v1_lines(checkpoint), V2
         else:
-            lines = saved.read_text().splitlines()
+            lines, layout = self.layout.lines(checkpoint), self.layout
         bad = tmp_path / "shape.txt"
-        bad.write_text("\n".join(with_block_shape(lines, name, SHAPES[shape])) + "\n")
+        bad.write_text("\n".join(with_block_shape(lines, name, SHAPES[shape], layout)) + "\n")
         argv = [command, "--checkpoint", str(bad)]
         if command == "eval":
             argv += ["--corpus", str(corpus_dir / "corpus.tsv")]
@@ -518,11 +541,10 @@ class TestBlockShapes:
     def test_order_zero_factors_name_the_echoed_order(
         self, corpus_dir, trained_dir, tmp_path, capsys, command
     ):
-        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
+        lines = self.layout.lines(trainer.load_checkpoint(str(trained_dir / "checkpoint.txt")))
         bad = tmp_path / "order0.txt"
-        bad.write_text(
-            "\n".join(with_block_shape(lines, "global.factors", lambda r, c: (0, c))) + "\n"
-        )
+        order0 = with_block_shape(lines, "global.factors", lambda r, c: (0, c), self.layout)
+        bad.write_text("\n".join(order0) + "\n")
         argv = [command, "--checkpoint", str(bad)]
         if command == "eval":
             argv += ["--corpus", str(corpus_dir / "corpus.tsv")]
@@ -533,17 +555,18 @@ class TestBlockShapes:
         assert "query_order=3" in err
 
 
-class TestCheckpointV2:
-    """Files leave critic.phases out; damage to what redraws them exits 1 with one error line."""
+class TestBlockShapesV3(TestBlockShapes):
+    layout = V3
 
-    def test_trained_file_is_v2_without_phases(self, trained_dir):
-        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
-        assert lines[0] == "qforage-checkpoint v2"
-        assert not any(l.startswith("[critic.phases ") for l in lines)
+
+class PhaseRedrawDamageCases:
+    """Damage to what redraws the phases exits 1 with one error line, in either layout."""
+
+    layout = V2
 
     def run_edited(self, corpus_dir, trained_dir, tmp_path, capsys, command, edit):
-        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
-        assert lines[0] == "qforage-checkpoint v2"
+        lines = self.layout.lines(trainer.load_checkpoint(str(trained_dir / "checkpoint.txt")))
+        assert lines[0] == self.layout.header
         bad = tmp_path / "edited.txt"
         bad.write_text("\n".join(edit(lines)) + "\n")
         argv = [command, "--checkpoint", str(bad)]
@@ -575,13 +598,33 @@ class TestCheckpointV2:
         err = self.run_edited(corpus_dir, trained_dir, tmp_path, capsys, command, edit)
         assert "not divisible by rank 0" in err
 
-    def test_inspect_says_the_phases_are_redrawn(self, trained_dir, capsys):
-        code, out, _ = run(
-            ["inspect", "--checkpoint", str(trained_dir / "checkpoint.txt")], capsys
-        )
+
+class TestCheckpointV2(PhaseRedrawDamageCases):
+    """v2 files leave critic.phases out; inspect says whether a file's phases are redrawn."""
+
+    def test_inspect_says_the_phases_are_redrawn(self, capsys):
+        code, out, _ = run(["inspect", "--checkpoint", str(CRITERION9_V2)], capsys)
         assert code == 0
+        assert out[0] == V2_HEADER
         phases = [l for l in out if l.startswith("critic.phases: ")]
         assert len(phases) == 1 and "redrawn from the echoed seed" in phases[0]
+
+    def test_inspect_doc_labels_a_v2_file_s_init_time_phases(
+        self, corpus_dir, trained_dir, tmp_path, capsys
+    ):
+        path = tmp_path / "v2.txt"
+        write_v2(trainer.load_checkpoint(str(trained_dir / "checkpoint.txt")), path)
+        corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)
+        argv = [
+            "inspect",
+            "--checkpoint", str(path),
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--doc", corpus.documents[0].doc_id,
+        ]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out[0] == V2_HEADER
+        assert any(l.startswith("top off-diagonals (init-time phases): ") for l in out)
 
     @pytest.mark.parametrize("source", ["fixture", "edited"])
     def test_inspect_says_a_v1_file_stores_its_phases(self, trained_dir, tmp_path, capsys, source):
@@ -615,6 +658,32 @@ class TestCheckpointV2:
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert any(l.startswith("top off-diagonals (stored phases): ") for l in out)
+
+
+class TestCheckpointV3(PhaseRedrawDamageCases):
+    """Training writes v3 files, which leave critic.phases out like v2."""
+
+    layout = V3
+
+    def test_trained_file_is_v3_without_phases(self, trained_dir):
+        lines = (trained_dir / "checkpoint.txt").read_text().splitlines()
+        assert lines[0] == "qforage-checkpoint v3"
+        assert not any(l.startswith("[critic.phases ") for l in lines)
+
+    def test_inspect_labels_the_phases_redrawn(self, corpus_dir, trained_dir, capsys):
+        corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)
+        argv = [
+            "inspect",
+            "--checkpoint", str(trained_dir / "checkpoint.txt"),
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--doc", corpus.documents[0].doc_id,
+        ]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out[0] == trainer.CHECKPOINT_HEADER == "qforage-checkpoint v3"
+        phases = [l for l in out if l.startswith("critic.phases: ")]
+        assert len(phases) == 1 and "redrawn from the echoed seed" in phases[0]
+        assert any(l.startswith("top off-diagonals (init-time phases): ") for l in out)
 
 
 class TestInspect:

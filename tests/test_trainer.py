@@ -7,14 +7,21 @@ actor update to plain reward-weighted score ascent reproducible by hand.
 Evaluation metrics are re-derived from scratch over the corpus.
 """
 
+import base64
 import copy
 import dataclasses
+import errno
 import itertools
+import os
+import stat
+import string
 from unittest import mock
 
 import numpy as np
 import pytest
-from checkpoint_v1 import CRITERION9_V1, v1_lines, write_v1
+from checkpoint_v1 import CRITERION9_V1, V1_HEADER, v1_lines, write_v1
+from checkpoint_v2 import CRITERION9_V2, V2, V2_HEADER, v2_lines, write_v2
+from checkpoint_v3 import V3, block_span, payload_lines, v3_block_lines, v3_lines
 from scent_reference import reference_scent
 
 from qforage import actor, critic, env, qcore, qrep, trainer
@@ -935,36 +942,48 @@ class TestNoDensityMatrixOnTrainingPaths:
             assert critic_state_bytes(critic_table) != critic_state_bytes(before)
 
 
-def init_checkpoint_file(tmp_path, **overrides):
-    """Init-time parameters over small_corpus(), saved to tmp_path / "checkpoint.txt"."""
+def init_checkpoint_file(tmp_path, write=trainer.save_checkpoint, **overrides):
+    """Init-time parameters over small_corpus(), written to tmp_path / "checkpoint.txt"."""
     corpus = small_corpus()
     config = small_config(**overrides)
     params, critic_table = trainer.init_params(corpus, config)
     checkpoint = trainer.make_checkpoint(params, critic_table, config)
     path = tmp_path / "checkpoint.txt"
-    trainer.save_checkpoint(checkpoint, str(path))
+    write(checkpoint, str(path))
     return corpus, config, params, critic_table, checkpoint, path
 
 
-class TestCheckpointFormat:
+CHECKPOINT_FIELDS = (
+    "actor_amplitudes",
+    "global_weights",
+    "global_factors",
+    "critic_amplitudes",
+    "critic_phases",
+    "critic_salience",
+)
+
+
+def assert_same_checkpoint_bits(loaded, checkpoint):
+    for name in CHECKPOINT_FIELDS:
+        original = getattr(checkpoint, name)
+        restored = getattr(loaded, name)
+        assert restored.shape == original.shape, name
+        assert restored.tobytes() == original.tobytes(), name
+
+
+class CheckpointFileCases:
+    """Round trips and damaged files, written once for either layout (`layout`)."""
+
+    layout = V2
+
     def make(self, tmp_path, **overrides):
-        return init_checkpoint_file(tmp_path, **overrides)
+        return init_checkpoint_file(tmp_path, self.layout.write, **overrides)
 
     def test_round_trip_is_bitwise(self, tmp_path):
         _, _, _, _, checkpoint, path = self.make(tmp_path)
         loaded = trainer.load_checkpoint(str(path))
-        for name in (
-            "actor_amplitudes",
-            "global_weights",
-            "global_factors",
-            "critic_amplitudes",
-            "critic_phases",
-            "critic_salience",
-        ):
-            original = getattr(checkpoint, name)
-            restored = getattr(loaded, name)
-            assert restored.shape == original.shape
-            assert restored.tobytes() == original.tobytes()
+        assert loaded.header == self.layout.header
+        assert_same_checkpoint_bits(loaded, checkpoint)
         assert loaded.config_echo == checkpoint.config_echo
 
     def test_restore_params_rebinds_bitwise(self, tmp_path):
@@ -974,6 +993,79 @@ class TestCheckpointFormat:
         assert actor_state_bytes(re_params) == actor_state_bytes(params)
         assert critic_state_bytes(re_critic) == critic_state_bytes(critic_table)
         assert re_config == config
+
+    def test_truncated_block_reports_line(self, tmp_path):
+        _, _, _, _, _, path = self.make(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert isinstance(excinfo.value.line, int)
+
+    def test_wrong_row_width_reports_line(self, tmp_path):
+        _, _, _, _, _, path = self.make(tmp_path)
+        lines = path.read_text().splitlines()
+        header = next(i for i, l in enumerate(lines) if l.startswith("[actor.amplitudes"))
+        lines[header + 1] = lines[header + 1] + " 0.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert excinfo.value.line == header + 2
+
+    def test_unknown_block_rejected(self, tmp_path):
+        _, _, _, _, _, path = self.make(tmp_path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("".join(l + "\n" for l in self.layout.block_lines("mystery.block", [[0.0]])))
+        with pytest.raises(ParseError) as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert "mystery.block" in str(excinfo.value)
+
+    @pytest.mark.parametrize("shape", ["-1 1", "1 -1", "-1 -1"])
+    def test_negative_block_shape_reports_the_header_line(self, tmp_path, shape):
+        _, _, _, _, _, path = self.make(tmp_path)
+        lines = path.read_text().splitlines()
+        header = next(i for i, l in enumerate(lines) if l.startswith("[global.weights"))
+        lines[header] = f"[global.weights {shape}]"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="negative block shape") as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert excinfo.value.line == header + 1
+
+    def test_repeated_block_reports_the_second_header(self, tmp_path):
+        _, _, _, _, checkpoint, path = self.make(tmp_path)
+        # A later copy with two rows swapped: still unit rows, a pinned padding
+        # row and the right shape, so only the repetition gives it away.
+        order = np.arange(len(checkpoint.actor_amplitudes))
+        order[[2, 3]] = order[[3, 2]]
+        swapped = checkpoint.actor_amplitudes[order]
+        header = len(path.read_text().splitlines()) + 1
+        with open(path, "a", encoding="utf-8") as fh:
+            block = self.layout.block_lines("actor.amplitudes", swapped)
+            fh.write("".join(l + "\n" for l in block))
+        with pytest.raises(ParseError, match="twice") as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert excinfo.value.line == header
+
+    def test_missing_blocks_rejected(self, tmp_path):
+        path = tmp_path / "thin.txt"
+        path.write_text(self.layout.header + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert "missing" in str(excinfo.value)
+
+    def test_factor_rows_must_divide_by_rank(self, tmp_path):
+        _, _, _, _, _, path = self.make(tmp_path)
+        lines = path.read_text().splitlines()
+        start, end = block_span(lines, "global.weights")
+        lines[start:end] = self.layout.block_lines("global.weights", np.full((5, 1), 0.25))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert "divisible" in str(excinfo.value)
+
+
+class TestCheckpointFormat(CheckpointFileCases):
+    """v2 files, the in-memory checks, and what files before v3 may hold."""
 
     def test_stream_state_blocks_of_earlier_files_are_skipped(self, tmp_path):
         corpus, config, params, critic_table, _, path = self.make(tmp_path)
@@ -1035,24 +1127,6 @@ class TestCheckpointFormat:
         with pytest.raises(VersionMismatch):
             trainer.load_checkpoint(str(path))
 
-    def test_truncated_block_reports_line(self, tmp_path):
-        _, _, _, _, _, path = self.make(tmp_path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
-        assert isinstance(excinfo.value.line, int)
-
-    def test_wrong_row_width_reports_line(self, tmp_path):
-        _, _, _, _, _, path = self.make(tmp_path)
-        lines = path.read_text().splitlines()
-        header = next(i for i, l in enumerate(lines) if l.startswith("[actor.amplitudes"))
-        lines[header + 1] = lines[header + 1] + " 0.5"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
-        assert excinfo.value.line == header + 2
-
     def test_non_numeric_value_rejected(self, tmp_path):
         # A v1 file, the only layout that stores critic.phases.
         _, _, _, _, checkpoint, path = self.make(tmp_path)
@@ -1064,60 +1138,6 @@ class TestCheckpointFormat:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError):
             trainer.load_checkpoint(str(path))
-
-    def test_unknown_block_rejected(self, tmp_path):
-        _, _, _, _, _, path = self.make(tmp_path)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("[mystery.block 1 1]\n0.0\n")
-        with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
-        assert "mystery.block" in str(excinfo.value)
-
-    @pytest.mark.parametrize("shape", ["-1 1", "1 -1", "-1 -1"])
-    def test_negative_block_shape_reports_the_header_line(self, tmp_path, shape):
-        _, _, _, _, _, path = self.make(tmp_path)
-        lines = path.read_text().splitlines()
-        header = next(i for i, l in enumerate(lines) if l.startswith("[global.weights"))
-        lines[header] = f"[global.weights {shape}]"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="negative block shape") as excinfo:
-            trainer.load_checkpoint(str(path))
-        assert excinfo.value.line == header + 1
-
-    def test_repeated_block_reports_the_second_header(self, tmp_path):
-        _, _, _, _, checkpoint, path = self.make(tmp_path)
-        # A later copy with two rows swapped: still unit rows, a pinned padding
-        # row and the right shape, so only the repetition gives it away.
-        order = np.arange(len(checkpoint.actor_amplitudes))
-        order[[2, 3]] = order[[3, 2]]
-        swapped = checkpoint.actor_amplitudes[order]
-        rows, cols = swapped.shape
-        header = len(path.read_text().splitlines()) + 1
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(f"[actor.amplitudes {rows} {cols}]\n")
-            fh.write("".join(" ".join(map(trainer.format_float, row)) + "\n" for row in swapped))
-        with pytest.raises(ParseError, match="twice") as excinfo:
-            trainer.load_checkpoint(str(path))
-        assert excinfo.value.line == header
-
-    def test_missing_blocks_rejected(self, tmp_path):
-        path = tmp_path / "thin.txt"
-        path.write_text(trainer.CHECKPOINT_HEADER + "\n")
-        with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
-        assert "missing" in str(excinfo.value)
-
-    def test_factor_rows_must_divide_by_rank(self, tmp_path):
-        _, _, _, _, _, path = self.make(tmp_path)
-        lines = path.read_text().splitlines()
-        start = next(i for i, l in enumerate(lines) if l.startswith("[global.weights"))
-        rows = int(lines[start][1:-1].split()[1])
-        replacement = ["[global.weights 5 1]"] + ["0.25"] * 5
-        lines[start : start + 1 + rows] = replacement
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
-        assert "divisible" in str(excinfo.value)
 
     def test_restore_against_wrong_corpus(self, tmp_path):
         _, _, _, _, checkpoint, _ = self.make(tmp_path)
@@ -1169,13 +1189,214 @@ class TestCheckpointFormat:
             trainer.restore_params(checkpoint, other)
 
 
+
+#: The base64 alphabet in index order.
+B64_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
+# Edits of the full v3 payload line i that change its group or line widths.
+def _moved_space(lines, i):
+    lines[i] = lines[i][:76] + lines[i][77] + " " + lines[i][78:]
+
+
+def _extra_space(lines, i):
+    lines[i] = lines[i][:100] + " " + lines[i][101:]
+
+
+def _unbroken(lines, i):
+    lines[i] = lines[i].replace(" ", "")
+
+
+def _tab_separators(lines, i):
+    lines[i] = lines[i].replace(" ", "\t")
+
+
+def _trailing_space(lines, i):
+    lines[i] += " "
+
+
+def _fifteen_groups(lines, i):
+    """The line's last group moves to the start of the next line."""
+    lines[i : i + 2] = [lines[i][:-77], lines[i][-76:] + " " + lines[i + 1]]
+
+
+class TestCheckpointFormatV3(CheckpointFileCases):
+    """v3 files: the same cases, and a payload loads only as the writer writes it.
+
+    Every damaged payload raises a ParseError that names the block and the
+    file line.
+    """
+
+    layout = V3
+
+    def saved_lines(self, tmp_path):
+        path = self.make(tmp_path)[-1]
+        return path, path.read_text().splitlines()
+
+    @staticmethod
+    def load_error(path, lines):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            trainer.load_checkpoint(str(path))
+        return excinfo.value
+
+    def test_payload_truncated_at_the_end_of_the_file(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        assert lines[-2].startswith("[critic.salience ")
+        error = self.load_error(path, lines[:-1])
+        assert "block 'critic.salience' truncated at payload line 1 of 1" in str(error)
+        assert error.line == len(lines) - 1
+
+    def test_payload_truncated_before_the_next_block(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        start, end = block_span(lines, "actor.amplitudes")
+        assert end - start == 3
+        del lines[end - 1]
+        error = self.load_error(path, lines)
+        assert "block 'actor.amplitudes' truncated at payload line 2 of 2" in str(error)
+        assert error.line == end and lines[end - 1].startswith("[global.weights ")
+
+    def test_extra_payload_line(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        _, end = block_span(lines, "actor.amplitudes")
+        lines.insert(end, lines[end - 1])
+        error = self.load_error(path, lines)
+        assert "after the lines of block 'actor.amplitudes'" in str(error)
+        assert error.line == end + 1
+
+    @pytest.mark.parametrize(
+        "char, at",
+        [("!", 100), ("-", 100), ("_", 100), ("\t", 100), ("é", 100), ("=", 100), ("=", -1)],
+        ids=[
+            "bang", "dash", "underscore", "tab", "non-ascii", "padding-inside", "padding-at-line-end"
+        ],
+    )
+    def test_non_base64_character(self, tmp_path, char, at):
+        path, lines = self.saved_lines(tmp_path)
+        start, _ = block_span(lines, "critic.amplitudes")
+        line = lines[start + 2]
+        at %= len(line)
+        assert line[at] != " "
+        lines[start + 2] = line[:at] + char + line[at + 1 :]
+        error = self.load_error(path, lines)
+        assert "block 'critic.amplitudes' payload line is not base64" in str(error)
+        assert error.line == start + 3
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_moved_space, "not groups"),
+            (_extra_space, "not groups"),
+            (_unbroken, "characters, expected 1231"),
+            (_tab_separators, "not groups"),
+            (_trailing_space, "characters, expected 1231"),
+            (_fifteen_groups, "characters, expected 1231"),
+        ],
+        ids=["moved-space", "extra-space", "unbroken", "tabs", "trailing-space", "15-groups"],
+    )
+    def test_group_and_line_widths_must_be_the_writers(self, tmp_path, edit, message):
+        path, lines = self.saved_lines(tmp_path)
+        start, end = block_span(lines, "critic.amplitudes")
+        assert end - start == 4  # 1 968 bytes: two full lines and one of 144 bytes
+        edit(lines, start + 1)
+        error = self.load_error(path, lines)
+        assert "block 'critic.amplitudes' payload line" in str(error)
+        assert message in str(error)
+        assert error.line == start + 2
+
+    @pytest.mark.parametrize("edit", ["padding-removed", "spare-bits-set"])
+    def test_payload_must_decode_to_exactly_the_block(self, tmp_path, edit):
+        path, lines = self.saved_lines(tmp_path)
+        # critic.salience holds 41 values, 328 bytes: its last group ends in
+        # one byte, encoded "xy==", where y's low four bits are spare.
+        assert lines[-2] == "[critic.salience 41 1]" and lines[-1].endswith("==")
+        if edit == "padding-removed":
+            lines[-1] = lines[-1][:-2] + "AA"
+        else:
+            written, spare = lines[-1], lines[-1][-3]
+            lines[-1] = written[:-3] + B64_ALPHABET[B64_ALPHABET.index(spare) ^ 1] + "=="
+            # The same bytes, from text the writer never writes.
+            decoded = base64.b64decode(lines[-1].replace(" ", ""))
+            assert decoded == base64.b64decode(written.replace(" ", ""))
+        error = self.load_error(path, lines)
+        assert "block 'critic.salience' payload does not decode to its 328 bytes" in str(error)
+        assert error.line == len(lines)
+
+    def test_stream_state_blocks_are_unknown(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        error = self.load_error(path, lines + v3_block_lines("rng.env", np.zeros((1, 4))))
+        assert "unknown block 'rng.env'" in str(error)
+        assert error.line == len(lines) + 1
+
+    def test_blocks_without_values_have_no_payload_lines(self, tmp_path):
+        checkpoint = with_init_phases(random_checkpoint(np.random.default_rng(4), critic_rows=0))
+        path = tmp_path / "empty-critic.txt"
+        trainer.save_checkpoint(checkpoint, str(path))
+        lines = path.read_text().splitlines()
+        start = lines.index("[critic.amplitudes 0 6]")
+        assert lines[start + 1 :] == ["[critic.salience 0 1]"]
+        loaded = trainer.load_checkpoint(str(path))
+        assert_same_checkpoint_bits(loaded, checkpoint)
+
+
+class TestSaveIsDurable:
+    """A save fsyncs the temporary file, renames it onto the target, then fsyncs the directory."""
+
+    def test_fsync_file_then_rename_then_fsync_directory(self, tmp_path, monkeypatch):
+        _, _, _, _, checkpoint, path = init_checkpoint_file(tmp_path)
+        calls = []
+
+        def fsync(fd, real=os.fsync):
+            st = os.fstat(fd)
+            calls.append(("fsync", st.st_ino, None if stat.S_ISDIR(st.st_mode) else st.st_size))
+            real(fd)
+
+        def replace(src, dst, real=os.replace):
+            calls.append(("replace", os.path.basename(src), os.path.basename(dst)))
+            real(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        trainer.save_checkpoint(checkpoint, str(path))
+        assert calls == [
+            ("fsync", path.stat().st_ino, len(trainer.checkpoint_text(checkpoint).encode())),
+            ("replace", "checkpoint.txt.tmp", "checkpoint.txt"),
+            ("fsync", tmp_path.stat().st_ino, None),
+        ]
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["file", "directory"])
+    def test_failed_fsync_leaves_a_whole_file_and_no_temporary(
+        self, tmp_path, monkeypatch, failing
+    ):
+        corpus, config, _, _, _, path = init_checkpoint_file(tmp_path)
+        before = path.read_bytes()
+        later = trainer.train(config, corpus).checkpoint
+        calls = []
+
+        def fsync(fd, real=os.fsync):
+            calls.append(fd)
+            if len(calls) == failing:
+                raise OSError(errno.EIO, "fsync failed")
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError, match="fsync failed"):
+            trainer.save_checkpoint(later, str(path))
+        # Before the rename the earlier file stays; after it the new file is whole.
+        expected = before if failing == 1 else trainer.checkpoint_text(later).encode()
+        assert path.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.txt"]
+
+
 def phase_corpora():
     """Two corpora of different vocabulary sizes."""
     return [small_corpus(), small_corpus(seed=7, docs=20)]
 
 
-class TestCheckpointV2:
-    """v2 files leave critic.phases out; a load redraws them from the echoed seed."""
+class PhasesLeftOutCases:
+    """v2 and v3 files leave critic.phases out; a load redraws them from the echoed seed."""
+
+    layout = V2
 
     @pytest.mark.parametrize("seed", [0, 9, 2**40 + 3])
     def test_redraw_is_the_init_draw(self, tmp_path, seed):
@@ -1187,9 +1408,7 @@ class TestCheckpointV2:
                     keyword_count=corpus.keyword_count,
                 )
                 params, critic_table = trainer.init_params(corpus, config)
-                trainer.save_checkpoint(
-                    trainer.make_checkpoint(params, critic_table, config), str(path)
-                )
+                self.layout.write(trainer.make_checkpoint(params, critic_table, config), str(path))
                 assert "[critic.phases" not in path.read_text()
                 loaded = trainer.load_checkpoint(str(path))
                 assert loaded.critic_phases.shape == critic_table.phases.shape
@@ -1198,12 +1417,34 @@ class TestCheckpointV2:
     def test_trained_file_restores_every_parameter(self, tmp_path):
         corpus = small_corpus()
         path = tmp_path / "checkpoint.txt"
-        result = trainer.train(small_config(), corpus, str(path))
-        assert path.read_text().splitlines()[0] == "qforage-checkpoint v2"
+        result = trainer.train(small_config(), corpus)
+        self.layout.write(result.checkpoint, str(path))
+        assert path.read_text().splitlines()[0] == self.layout.header
         params, critic_table, _ = trainer.restore_params(trainer.load_checkpoint(str(path)), corpus)
         assert actor_state_bytes(params) == actor_state_bytes(result.params)
         assert critic_state_bytes(critic_table) == critic_state_bytes(result.critic_table)
 
+    @pytest.mark.parametrize("seed_line", [None, "# seed=", "# seed=1.5", "# seed=five"])
+    def test_seed_echo_must_be_an_integer(self, tmp_path, seed_line):
+        _, _, _, _, _, path = init_checkpoint_file(tmp_path, self.layout.write)
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("# seed=")]
+        if seed_line is not None:
+            lines.insert(1, seed_line)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointInvalid, match="redrawn from an integer seed"):
+            trainer.load_checkpoint(str(path))
+
+    def test_stored_phases_block_is_rejected(self, tmp_path):
+        _, _, _, critic_table, _, path = init_checkpoint_file(tmp_path, self.layout.write)
+        phases = self.layout.block_lines("critic.phases", critic_table.phases)
+        lines = path.read_text().splitlines() + phases
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="does not store block 'critic.phases'") as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert excinfo.value.line == len(lines) - len(phases) + 1
+
+
+class TestCheckpointV2(PhasesLeftOutCases):
     @pytest.mark.parametrize(
         "edit",
         [
@@ -1221,26 +1462,9 @@ class TestCheckpointV2:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.txt"]
 
-    @pytest.mark.parametrize("seed_line", [None, "# seed=", "# seed=1.5", "# seed=five"])
-    def test_seed_echo_must_be_an_integer(self, tmp_path, seed_line):
-        _, _, _, _, _, path = init_checkpoint_file(tmp_path)
-        lines = [l for l in path.read_text().splitlines() if not l.startswith("# seed=")]
-        if seed_line is not None:
-            lines.insert(1, seed_line)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointInvalid, match="redrawn from an integer seed"):
-            trainer.load_checkpoint(str(path))
 
-    def test_stored_phases_block_is_rejected(self, tmp_path):
-        _, _, _, critic_table, checkpoint, path = init_checkpoint_file(tmp_path)
-        v1 = v1_lines(checkpoint)
-        start = v1.index(next(l for l in v1 if l.startswith("[critic.phases ")))
-        phases = v1[start : start + 1 + len(critic_table.phases)]
-        lines = path.read_text().splitlines() + phases
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="does not store block 'critic.phases'") as excinfo:
-            trainer.load_checkpoint(str(path))
-        assert excinfo.value.line == len(lines) - len(phases) + 1
+class TestCheckpointV3(PhasesLeftOutCases):
+    layout = V3
 
 
 class TestCheckpointV1:
@@ -1261,7 +1485,7 @@ class TestCheckpointV1:
         assert restored_config == config
         assert actor_state_bytes(params) == actor_state_bytes(result.params)
         assert critic_state_bytes(critic_table) == critic_state_bytes(result.critic_table)
-        # Saving what a v1 file loads to writes the v2 file training writes.
+        # Saving what a v1 file loads to writes the v3 file training writes.
         ours, theirs = tmp_path / "ours.txt", tmp_path / "theirs.txt"
         trainer.save_checkpoint(loaded, str(ours))
         trainer.save_checkpoint(result.checkpoint, str(theirs))
@@ -1279,9 +1503,47 @@ class TestCheckpointV1:
         assert loaded.critic_phases.tobytes() == checkpoint.critic_phases.tobytes()
         _, critic_table, _ = trainer.restore_params(loaded, corpus)
         assert critic_table.phases.tobytes() == checkpoint.critic_phases.tobytes()
-        # No v2 file can hold them.
+        # No v3 file can hold them.
         with pytest.raises(CheckpointInvalid, match="critic.phases"):
-            trainer.save_checkpoint(loaded, str(tmp_path / "v2.txt"))
+            trainer.save_checkpoint(loaded, str(tmp_path / "v3.txt"))
+
+
+class TestCheckpointVersions:
+    """The committed v1 and v2 Criterion 9 files and the v3 file training writes hold one state."""
+
+    @pytest.fixture(scope="class")
+    def v3_file(self, tmp_path_factory):
+        corpus, config = TestCheckpointV1.criterion9()
+        path = tmp_path_factory.mktemp("criterion9") / "checkpoint.txt"
+        trainer.train(config, corpus, str(path))
+        return path
+
+    def test_every_version_loads_to_the_same_bits(self, v3_file):
+        v3 = trainer.load_checkpoint(str(v3_file))
+        assert v3.header == trainer.CHECKPOINT_HEADER
+        for path, header in ((CRITERION9_V2, V2_HEADER), (CRITERION9_V1, V1_HEADER)):
+            loaded = trainer.load_checkpoint(str(path))
+            assert loaded.header == header
+            assert_same_checkpoint_bits(loaded, v3)
+            assert loaded.config_echo == v3.config_echo
+
+    def test_saving_a_loaded_v2_file_writes_v3(self, v3_file, tmp_path):
+        path = tmp_path / "resaved.txt"
+        trainer.save_checkpoint(trainer.load_checkpoint(str(CRITERION9_V2)), str(path))
+        assert path.read_bytes() == v3_file.read_bytes()
+
+    def test_header_echo_and_block_lines_equal_v2_but_for_the_version(self, v3_file):
+        def frame(path):
+            """Every line that is not a block's values."""
+            lines = path.read_text().splitlines()
+            return [lines[0].rpartition(" ")[0]] + [l for l in lines[1:] if l[:1] in "#["]
+
+        v2 = CRITERION9_V2.read_text().splitlines()
+        assert v2[0] == V2_HEADER
+        assert v3_file.read_text().splitlines()[0] == trainer.CHECKPOINT_HEADER
+        assert frame(v3_file) == frame(CRITERION9_V2)
+        echo = [l for l in v2 if l.startswith("#")]
+        assert v3_file.read_text().splitlines()[1 : 1 + len(echo)] == echo
 
 
 #: Every line break str.splitlines splits at. A file object in text mode
@@ -1292,14 +1554,11 @@ LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u
 class TestLineNumbersFollowSplitlines:
     """A ParseError names the bad line's str.splitlines index + 1, whatever breaks precede it."""
 
-    @staticmethod
-    def saved_lines(tmp_path):
-        path = init_checkpoint_file(tmp_path)[-1]
-        return path, path.read_text().splitlines()
+    layout = V2
 
-    @staticmethod
-    def block_start(lines, name):
-        return next(i for i, l in enumerate(lines) if l.startswith(f"[{name} "))
+    def saved_lines(self, tmp_path):
+        path = init_checkpoint_file(tmp_path, self.layout.write)[-1]
+        return path, path.read_text().splitlines()
 
     def assert_reported_at(self, path, lines, is_bad):
         text = "\n".join(lines) + "\n"
@@ -1312,7 +1571,8 @@ class TestLineNumbersFollowSplitlines:
     @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
     def test_break_inside_a_row(self, tmp_path, brk):
         path, lines = self.saved_lines(tmp_path)
-        row = self.block_start(lines, "actor.amplitudes") + 3
+        start, end = block_span(lines, "actor.amplitudes")
+        row = min(start + 3, end - 1)
         first, *rest = lines[row].split()
         lines[row] = f"{first}{brk}{' '.join(rest)}"
         self.assert_reported_at(path, lines, lambda l: l == first)
@@ -1323,17 +1583,20 @@ class TestLineNumbersFollowSplitlines:
         # One break splits an echo line in two comments, and one leaves a
         # blank line after the actor block's last row.
         lines[1] = f"{lines[1]}{brk}# a second comment"
-        start = self.block_start(lines, "actor.amplitudes")
-        last = start + int(lines[start][1:-1].split()[1])
-        lines[last] = f"{lines[last]}{brk} "
-        bad = self.block_start(lines, "critic.amplitudes") + 2
+        _, end = block_span(lines, "actor.amplitudes")
+        lines[end - 1] = f"{lines[end - 1]}{brk} "
+        bad = block_span(lines, "critic.amplitudes")[0] + 2
         lines[bad] = "chewy " + lines[bad].partition(" ")[2]
         self.assert_reported_at(path, lines, lambda l: l.startswith("chewy"))
 
 
+class TestLineNumbersFollowSplitlinesV3(TestLineNumbersFollowSplitlines):
+    layout = V3
+
+
 def reference_lines(checkpoint):
-    """The checkpoint's lines, each value formatted on its own; critic.phases is not stored."""
-    lines = [trainer.CHECKPOINT_HEADER]
+    """The checkpoint's v2 lines, each value formatted on its own; critic.phases is not stored."""
+    lines = [V2_HEADER]
     lines.extend(f"# {key}={value}" for key, value in checkpoint.config_echo.items())
     for name, block in checkpoint.blocks().items():
         if name == "critic.phases":
@@ -1417,13 +1680,20 @@ class TestBlockTextMatchesPerValueReference:
     def test_written_lines_and_parsed_bits(self, tmp_path, seed, critic_rows):
         checkpoint = random_checkpoint(np.random.default_rng(seed), critic_rows)
         lines = reference_lines(checkpoint)
-        assert trainer.checkpoint_lines(checkpoint) == lines
+        assert v2_lines(checkpoint) == lines
         path = tmp_path / "random.txt"
         saved = with_init_phases(checkpoint)
-        trainer.save_checkpoint(saved, str(path))
+        write_v2(saved, path)
         assert path.read_text() == "".join(line + "\n" for line in lines)
         loaded = self.assert_parsed_bits(path, lines)
         assert loaded.critic_phases.tobytes() == saved.critic_phases.tobytes()
+
+        # A v3 file holds each block's bytes, encoded one group at a time by
+        # the reference, and loads to every bit of them.
+        assert trainer.checkpoint_lines(checkpoint) == v3_lines(checkpoint)
+        trainer.save_checkpoint(saved, str(path))
+        assert path.read_text() == "".join(line + "\n" for line in v3_lines(checkpoint))
+        assert_same_checkpoint_bits(trainer.load_checkpoint(str(path)), saved)
 
         # Random phases are not the init draw, so only a v1 file holds them.
         write_v1(checkpoint, path)
@@ -1445,7 +1715,7 @@ class TestBlockTextMatchesPerValueReference:
 
     def test_every_special_value_round_trips(self, tmp_path):
         block = np.array(SPECIAL_VALUES).reshape(3, 4)
-        text = trainer.checkpoint_lines(
+        text = v2_lines(
             trainer.Checkpoint(
                 actor_amplitudes=block,
                 global_weights=np.ones(1),
@@ -1460,6 +1730,8 @@ class TestBlockTextMatchesPerValueReference:
         parsed = trainer._parse_block(text[2:5], "actor.amplitudes", 3, 4, 2)
         assert parsed.tobytes() == reference_block(text, 2, "actor.amplitudes", 3, 4).tobytes()
         assert parsed.tobytes() == block.tobytes()
+        decoded = trainer._decode_block(payload_lines(block), "actor.amplitudes", 3, 4, 2)
+        assert decoded.tobytes() == block.tobytes()
 
     # Each edit is applied to the first row of a 3 x 2 block on lines 2-4; the
     # block parser must return the reference's bits or raise its ParseError.
@@ -1512,7 +1784,7 @@ class TestBlockTextMatchesPerValueReference:
     def test_bad_row_is_named_in_a_saved_file(self, tmp_path):
         checkpoint = with_init_phases(random_checkpoint(np.random.default_rng(5), 4))
         path = tmp_path / "bad.txt"
-        trainer.save_checkpoint(checkpoint, str(path))
+        write_v2(checkpoint, path)
         lines = path.read_text().splitlines()
         header = lines.index("[critic.amplitudes 4 6]")
         lines[header + 3] = lines[header + 3].replace(" ", "\t", 2) + " #"
@@ -1547,7 +1819,11 @@ class TestRestoreRejectsBrokenInvariants:
     """restore_params refuses states training never produces, naming the block and row.
 
     SMALL has query order 3, so factor (r, i) is row 3 r + i of global.factors.
+    The damaged state is written as a v2 file here and as a v3 file in the
+    subclass below.
     """
+
+    layout = V2
 
     @pytest.mark.parametrize(
         "damage, block, row",
@@ -1594,14 +1870,19 @@ class TestRestoreRejectsBrokenInvariants:
         if block == "critic.phases":  # Only a v1 file stores phases that are not the init draw.
             write_v1(checkpoint, path)
         else:
-            trainer.save_checkpoint(checkpoint, str(path))
+            self.layout.write(checkpoint, str(path))
         loaded = trainer.load_checkpoint(str(path))
+        assert loaded.header == (V1_HEADER if block == "critic.phases" else self.layout.header)
         with pytest.raises(CheckpointInvalid) as excinfo:
             trainer.restore_params(loaded, corpus)
         message = str(excinfo.value)
         assert f"{block!r} row {row} " in message
         assert reason in message
         trainer.restore_params(result.checkpoint, corpus)
+
+
+class TestRestoreRejectsBrokenInvariantsV3(TestRestoreRejectsBrokenInvariants):
+    layout = V3
 
 
 class TestTrain:
