@@ -86,11 +86,14 @@ phases they store. A load reads the file block by block, numbering lines as
 str.splitlines numbers the whole text, and decodes each v3 block in one call
 (a decimal block parses in one np.loadtxt call); only a block that fails is
 walked line by line, to name the bad line. A save builds the whole file as
-one string, writes it to a temporary file, fsyncs it, renames it onto the
-target and fsyncs the directory, so neither a failed save nor an OS crash
-leaves a truncated checkpoint at the target. checkpoint_config is the one
-check of a loaded checkpoint: its echo, then its block shapes, then its
-invariants.
+bytes with array operations: each block's base64, viewed as a byte array, is
+copied into 77-byte cells of a group and its separator in one reshape. It
+writes them once to a temporary file opened in binary mode, so the bytes are
+the same on every platform (text mode would turn each newline into \r\n on
+Windows), fsyncs it, renames it onto the target and fsyncs the directory, so
+neither a failed save nor an OS crash leaves a truncated checkpoint at the
+target. checkpoint_config is the one check of a loaded checkpoint: its echo,
+then its block shapes, then its invariants.
 The vocabulary-to-row mapping is not stored; it is rebuilt as (null, unk) +
 sorted corpus vocabulary, and bind_params rejects a checkpoint paired with
 the wrong corpus.
@@ -137,6 +140,9 @@ _V1_BLOCKS = _STORED_BLOCKS + ("critic.phases",)
 #: line holds up to 16 groups, so every full line encodes 912 bytes.
 _GROUP_CHARS = 76
 _LINE_GROUPS = 16
+#: The writer's cell: a group and the space, or after a line's last group the
+#: newline, that follows it.
+_CELL = _GROUP_CHARS + 1
 
 
 def format_float(x: float) -> str:
@@ -591,49 +597,62 @@ def echoed_init_phases(
     )[-1]
 
 
-def _payload(block: np.ndarray) -> str:
-    """A v3 block's payload lines: its little-endian float64 bytes in base64, wrapped.
+def _payload(block: np.ndarray) -> np.ndarray:
+    """A v3 block's payload lines as bytes: its little-endian float64 bytes in base64, wrapped.
 
     Each line is up to _LINE_GROUPS groups of _GROUP_CHARS characters,
     space-separated, and ends in a newline; a block without values has none.
+    The full groups are copied into _CELL-byte cells, a group and its
+    separator, in one reshape; the block's short last group follows them.
     """
-    text = base64.b64encode(block.astype("<f8").tobytes()).decode("ascii")
-    groups = [text[i : i + _GROUP_CHARS] for i in range(0, len(text), _GROUP_CHARS)]
-    return "".join(
-        " ".join(groups[i : i + _LINE_GROUPS]) + "\n" for i in range(0, len(groups), _LINE_GROUPS)
+    encoded = np.frombuffer(
+        base64.b64encode(np.ascontiguousarray(block, dtype="<f8")), dtype=np.uint8
     )
+    full = len(encoded) // _GROUP_CHARS
+    groups = -(-len(encoded) // _GROUP_CHARS)
+    out = np.empty(len(encoded) + groups, dtype=np.uint8)  # each group and its separator
+    cells = out[: full * _CELL].reshape(full, _CELL)
+    cells[:, :-1] = encoded[: full * _GROUP_CHARS].reshape(full, _GROUP_CHARS)
+    cells[:, -1] = ord(" ")
+    cells[_LINE_GROUPS - 1 :: _LINE_GROUPS, -1] = ord("\n")
+    if groups:
+        out[full * _CELL : -1] = encoded[full * _GROUP_CHARS :]
+        out[-1] = ord("\n")  # ends the last line, whether its last group is full or short
+    return out
 
 
-def checkpoint_text(checkpoint: Checkpoint) -> str:
+def checkpoint_bytes(checkpoint: Checkpoint) -> bytes:
     """The whole v3 file: header and echo, then each stored block's header and payload.
 
     critic.phases is not stored; a loader redraws it (echoed_init_phases).
     """
     blocks = checkpoint.blocks()
-    return "".join(
-        [CHECKPOINT_HEADER + "\n"]
-        + [f"# {key}={value}\n" for key, value in checkpoint.config_echo.items()]
-        + [
-            f"[{name} {blocks[name].shape[0]} {blocks[name].shape[1]}]\n" + _payload(blocks[name])
-            for name in _STORED_BLOCKS
-        ]
+    head = CHECKPOINT_HEADER + "\n" + "".join(
+        f"# {key}={value}\n" for key, value in checkpoint.config_echo.items()
     )
+    parts = [head.encode("utf-8")]
+    for name in _STORED_BLOCKS:
+        rows, cols = blocks[name].shape
+        parts += [f"[{name} {rows} {cols}]\n".encode("ascii"), _payload(blocks[name])]
+    return b"".join(parts)
 
 
 def checkpoint_lines(checkpoint: Checkpoint) -> list[str]:
     """The v3 file's lines, without newlines."""
-    return checkpoint_text(checkpoint).split("\n")[:-1]
+    return checkpoint_bytes(checkpoint).decode("utf-8").split("\n")[:-1]
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Write the v3 file beside `path`, fsync it, rename it into place, fsync the directory.
 
-    Phases that are not bit for bit the echoed seed's init draw would load
-    back as other phases, so they raise CheckpointInvalid before anything is
-    written. A save that fails before the rename leaves any earlier file at
-    `path` as it was and no temporary file behind; one whose directory fsync
-    fails raises with the new file whole at `path`. Once both fsyncs
-    return, an OS crash cannot leave an empty or partial file at `path`.
+    The file is checkpoint_bytes, written once in binary mode, so it has the
+    same bytes on every platform. Phases that are not bit for bit the echoed
+    seed's init draw would load back as other phases, so they raise
+    CheckpointInvalid before anything is written. A save that fails before
+    the rename leaves any earlier file at `path` as it was and no temporary
+    file behind; one whose directory fsync fails raises with the new file
+    whole at `path`. Once both fsyncs return, an OS crash cannot leave an
+    empty or partial file at `path`.
     """
     redrawn = echoed_init_phases(
         checkpoint.config_echo,
@@ -642,16 +661,21 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         checkpoint.critic_amplitudes,
     )
     phases = checkpoint.critic_phases
-    if phases.shape != redrawn.shape or phases.tobytes() != redrawn.tobytes():
+    # Compared as bits: -0.0 is not 0.0, and a NaN equals only its own bits.
+    if not (
+        phases.shape == redrawn.shape
+        and phases.dtype == redrawn.dtype
+        and np.array_equal(phases.view(np.uint64), redrawn.view(np.uint64))
+    ):
         raise CheckpointInvalid(
             f"block 'critic.phases' is not the init draw of the echoed "
             f"seed={checkpoint.config_echo['seed']}, and a checkpoint does not store it"
         )
-    text = checkpoint_text(checkpoint)
+    data = checkpoint_bytes(checkpoint)
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

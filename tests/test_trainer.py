@@ -1108,7 +1108,7 @@ class TestCheckpointFormat(CheckpointFileCases):
         def fail(_checkpoint):
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(trainer, "checkpoint_text", fail)
+        monkeypatch.setattr(trainer, "checkpoint_bytes", fail)
         with pytest.raises(RuntimeError):
             trainer.save_checkpoint(checkpoint, str(path))
         assert path.read_bytes() == before
@@ -1359,7 +1359,7 @@ class TestSaveIsDurable:
         monkeypatch.setattr(os, "replace", replace)
         trainer.save_checkpoint(checkpoint, str(path))
         assert calls == [
-            ("fsync", path.stat().st_ino, len(trainer.checkpoint_text(checkpoint).encode())),
+            ("fsync", path.stat().st_ino, len(trainer.checkpoint_bytes(checkpoint))),
             ("replace", "checkpoint.txt.tmp", "checkpoint.txt"),
             ("fsync", tmp_path.stat().st_ino, None),
         ]
@@ -1383,7 +1383,7 @@ class TestSaveIsDurable:
         with pytest.raises(OSError, match="fsync failed"):
             trainer.save_checkpoint(later, str(path))
         # Before the rename the earlier file stays; after it the new file is whole.
-        expected = before if failing == 1 else trainer.checkpoint_text(later).encode()
+        expected = before if failing == 1 else trainer.checkpoint_bytes(later)
         assert path.read_bytes() == expected
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.txt"]
 
@@ -1531,6 +1531,19 @@ class TestCheckpointVersions:
         path = tmp_path / "resaved.txt"
         trainer.save_checkpoint(trainer.load_checkpoint(str(CRITERION9_V2)), str(path))
         assert path.read_bytes() == v3_file.read_bytes()
+
+    def test_a_crlf_copy_loads_to_the_same_bits(self, v3_file, tmp_path):
+        # A copy whose line ends became \r\n (a Windows checkout, say) holds
+        # the same state; the loader reads the file in text mode.
+        data = v3_file.read_bytes()
+        assert b"\r" not in data
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+        v3 = trainer.load_checkpoint(str(v3_file))
+        loaded = trainer.load_checkpoint(str(crlf))
+        assert loaded.header == v3.header
+        assert loaded.config_echo == v3.config_echo
+        assert_same_checkpoint_bits(loaded, v3)
 
     def test_header_echo_and_block_lines_equal_v2_but_for_the_version(self, v3_file):
         def frame(path):
@@ -1793,6 +1806,47 @@ class TestBlockTextMatchesPerValueReference:
             trainer.load_checkpoint(str(path))
         assert excinfo.value.line == header + 4
         assert "row has 7 values, expected 6" in str(excinfo.value)
+
+
+class TestPayloadMatchesPerGroupReference:
+    """The writer's reshaped payload is the per-group reference's at every wrap edge."""
+
+    @staticmethod
+    def assert_written_as_reference(tmp_path, block):
+        """`block`, saved as actor.amplitudes, is written as the reference writes its
+        C-ordered little-endian copy, and loads back to that copy's bits."""
+        copy = np.ascontiguousarray(block, dtype="<f8")
+        expected = "".join(line + "\n" for line in payload_lines(copy))
+        assert bytes(trainer._payload(block)) == expected.encode("ascii")
+        checkpoint = with_init_phases(
+            dataclasses.replace(
+                random_checkpoint(np.random.default_rng(0), 3), actor_amplitudes=block
+            )
+        )
+        path = tmp_path / "wrapped.txt"
+        trainer.save_checkpoint(checkpoint, str(path))
+        reference = dataclasses.replace(checkpoint, actor_amplitudes=copy)
+        assert path.read_bytes() == "".join(line + "\n" for line in v3_lines(reference)).encode()
+        loaded = trainer.load_checkpoint(str(path))
+        assert_same_checkpoint_bits(loaded, reference)
+
+    # 0-3 values give every byte count mod 3; 57 values are 456 bytes, eight
+    # whole groups; 114 values are 912 bytes, one whole line; 228 are two.
+    @pytest.mark.parametrize("values", [0, 1, 2, 3, 56, 57, 58, 113, 114, 115, 228])
+    def test_block_sizes_at_the_wrap_edges(self, tmp_path, values):
+        block = random_block(np.random.default_rng(values), values, 1)
+        self.assert_written_as_reference(tmp_path, block)
+
+    @pytest.mark.parametrize("layout", ["fortran", "big-endian", "strided"])
+    def test_other_layouts_write_their_c_ordered_little_endian_copy(self, tmp_path, layout):
+        values = random_block(np.random.default_rng(11), 40, 12)
+        block = {
+            "fortran": np.asfortranarray(values),
+            "big-endian": values.astype(">f8"),
+            "strided": values[::2, ::3],
+        }[layout]
+        assert not (block.flags.c_contiguous and block.dtype == np.dtype("<f8"))
+        self.assert_written_as_reference(tmp_path, block)
 
 
 def _scale_row(name, row, factor):
