@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import actor, critic, env, oracles, qrep, trainer
-from .errors import QForageError, SpecInvalid
+from .errors import QForageError, SpecInvalid, undecodable_line
 from .seeding import stream_rng
 
 EXIT_OK = 0
@@ -52,10 +52,14 @@ class UsageError(Exception):
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from None
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}:{undecodable_line(data, exc.start)}: not UTF-8 text") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -231,8 +231,26 @@ def parse_corpus_lines(lines: Iterable[str], keyword_count: int = DEFAULT_KEYWOR
 
 
 def load_corpus(path: str, keyword_count: int = DEFAULT_KEYWORD_COUNT) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_corpus_lines(fh, keyword_count=keyword_count)
+    """Parse a corpus file; a line holding bytes that are not UTF-8 raises ParseError."""
+    # The file is parsed as it is read, one line at a time, so no copy of the
+    # whole text is held; _utf8_lines checks each line on the way.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return parse_corpus_lines(_utf8_lines(fh), keyword_count=keyword_count)
+
+
+def _utf8_lines(fh) -> Iterable[str]:
+    """The lines of a file opened with errors="surrogateescape", each checked to be UTF-8.
+
+    That handler turns each undecodable byte into a lone surrogate, which
+    UTF-8 cannot encode, so the first line holding one is named in order.
+    """
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("not UTF-8 text", line=lineno) from None
+        yield line
 
 
 def corpus_lines(corpus: Corpus, echo: Sequence[str] = ()) -> list[str]:

@@ -92,6 +92,15 @@ class ParseError(QForageError):
         self.line = line
 
 
+def undecodable_line(data, start: int) -> int:
+    """The str.splitlines number (1-based) of the line holding byte `start` of `data`.
+
+    `data` is bytes-like, UTF-8 up to `start`: pass a UnicodeDecodeError's
+    start to name the line holding the first byte that does not decode.
+    """
+    return len((str(data[:start], "utf-8") + "?").splitlines())
+
+
 class BadLabel(ParseError):
     """A corpus line carries a label outside {-1, 0, 1}."""
 

@@ -82,14 +82,21 @@ reproduces every parameter bit for bit, and a load accepts a block's text
 only if it is what a save writes for the values it decodes to. v2 files,
 whose blocks are decimal rows printed with 17 significant digits, and v1
 files, which also store the phases block, still load; v1 files with the
-phases they store. A load reads the file block by block, numbering lines as
-str.splitlines numbers the whole text, and decodes each v3 block in one call
-(a decimal block parses in one np.loadtxt call); only a block that fails is
-walked line by line, to name the bad line. A save builds the whole file as
-bytes with array operations: each block's base64, viewed as a byte array, is
-copied into 77-byte cells of a group and its separator in one reshape. It
+phases they store. A load reads the file once, in binary mode, with \\r\\n
+and a lone \\r made \\n as text mode makes them, and numbers lines as
+str.splitlines numbers the whole text. It decodes the header, echo and
+block lines as UTF-8 one at a time; bytes that are not UTF-8 are a
+ParseError at their line. A v3 payload exactly as the writer writes it is
+decoded from its slice of the file's bytes, uncopied and never cut into
+lines: its separators are compared with the writer's, its groups copied out
+together and decoded by one strict base64 call. Any other payload is cut
+into lines and checked again, to name the bad line; a decimal block parses
+in one np.loadtxt call, and only one that fails is walked line by line.
+A save builds the whole file as bytes with array operations: each block's
+base64, viewed as a byte array, is copied into 77-byte cells of a group and
+its separator in one reshape. It
 writes them once to a temporary file opened in binary mode, so the bytes are
-the same on every platform (text mode would turn each newline into \r\n on
+the same on every platform (text mode would turn each newline into \\r\\n on
 Windows), fsyncs it, renames it onto the target and fsyncs the directory, so
 neither a failed save nor an OS crash leaves a truncated checkpoint at the
 target. checkpoint_config is the one check of a loaded checkpoint: its echo,
@@ -102,9 +109,9 @@ the wrong corpus.
 from __future__ import annotations
 
 import base64
+import binascii
 import contextlib
 import dataclasses
-import itertools
 import math
 import os
 import warnings
@@ -120,6 +127,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     VersionMismatch,
+    undecodable_line,
 )
 from .seeding import stream_rng
 
@@ -143,6 +151,8 @@ _LINE_GROUPS = 16
 #: The writer's cell: a group and the space, or after a line's last group the
 #: newline, that follows it.
 _CELL = _GROUP_CHARS + 1
+#: The separators after the groups of a full payload line.
+_LINE_END = b" " * (_LINE_GROUPS - 1) + b"\n"
 
 
 def format_float(x: float) -> str:
@@ -559,19 +569,29 @@ class Checkpoint:
         }
 
 
+def _live_arrays(
+    params: actor.ActorParams, critic_table: critic.ComplexEmbeddingTable
+) -> dict[str, np.ndarray]:
+    """The tables a checkpoint holds, by Checkpoint field, uncopied."""
+    return {
+        "actor_amplitudes": params.table.amplitudes,
+        "global_weights": params.global_rep.weights,
+        "global_factors": params.global_rep.factors,
+        "critic_amplitudes": critic_table.amplitudes,
+        "critic_phases": critic_table.phases,
+        "critic_salience": critic_table.salience,
+    }
+
+
 def make_checkpoint(
     params: actor.ActorParams,
     critic_table: critic.ComplexEmbeddingTable,
     config: TrainConfig,
 ) -> Checkpoint:
+    """A checkpoint of copies of the tables, which later training leaves as they are."""
+    arrays = _live_arrays(params, critic_table)
     return Checkpoint(
-        actor_amplitudes=params.table.amplitudes.copy(),
-        global_weights=params.global_rep.weights.copy(),
-        global_factors=params.global_rep.factors.copy(),
-        critic_amplitudes=critic_table.amplitudes.copy(),
-        critic_phases=critic_table.phases.copy(),
-        critic_salience=critic_table.salience.copy(),
-        config_echo=config.echo(),
+        **{field: array.copy() for field, array in arrays.items()}, config_echo=config.echo()
     )
 
 
@@ -691,17 +711,24 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
             os.close(directory)
 
 
-class _Lines:
-    """A text file's lines as str.splitlines cuts the whole text, read as they are asked for.
+class _Cursor:
+    """A file's bytes, handed out as the lines str.splitlines cuts from its text.
 
-    The file object cuts only at \\n, \\r and \\r\\n; str.splitlines also cuts
-    at \\x0b, \\x0c, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029. Each read joins
-    the file lines it takes and cuts them again, keeping the lines past the
-    request for the next read, so a line's number is its splitlines index + 1.
+    The bytes are the file read once in binary mode, with \\r\\n and a lone
+    \\r made \\n as text mode makes them. take decodes the file lines (up to
+    each \\n) it needs as UTF-8 and cuts them again as str.splitlines does,
+    which also cuts at \\x0b, \\x0c, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029,
+    keeping the lines past the request for the next take; so a line's number
+    is its splitlines index + 1. Bytes that are not UTF-8 raise ParseError at
+    the line that holds them. written hands out the bytes ahead uncopied.
     """
 
-    def __init__(self, fh):
-        self._fh = fh
+    def __init__(self, data: bytes):
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        self._data = data
+        self._view = memoryview(data)
+        self._pos = 0  # bytes before it are cut into lines
         self._ahead: list[str] = []
         self.count = 0  # lines handed out so far
 
@@ -709,16 +736,35 @@ class _Lines:
         """The next n lines without their line breaks; fewer at the end of the file."""
         lines = self._ahead[:n]
         del self._ahead[:n]
-        while len(lines) < n:
-            text = "".join(itertools.islice(self._fh, n - len(lines)))
-            if not text:
-                break
+        while len(lines) < n and self._pos < len(self._data):
+            end = self._pos
+            for _ in range(n - len(lines)):
+                end = self._data.find(b"\n", end) + 1 or len(self._data)
+                if end == len(self._data):
+                    break
+            try:
+                text = str(self._view[self._pos : end], "utf-8")
+            except UnicodeDecodeError as exc:
+                at = undecodable_line(self._view[self._pos : end], exc.start)
+                raise ParseError("not UTF-8 text", line=self.count + len(lines) + at) from None
+            self._pos = end
             more = text.splitlines()
             need = n - len(lines)
             lines += more[:need]
             self._ahead = more[need:]
         self.count += len(lines)
         return lines
+
+    def written(self, size: int) -> memoryview | None:
+        """The next `size` bytes, uncopied; None while cut lines are pending or past the end."""
+        if self._ahead or self._pos + size > len(self._data):
+            return None
+        return self._view[self._pos : self._pos + size]
+
+    def skip(self, size: int, lines: int) -> None:
+        """Pass the `size` bytes written gave, which hold `lines` whole lines."""
+        self._pos += size
+        self.count += lines
 
 
 def _parse_rows(rows: list[str]) -> np.ndarray:
@@ -818,109 +864,137 @@ def _payload_error(lines: list[str], name: str, size: int, base: int) -> ParseEr
     )
 
 
+def _written_values(payload, rows: int, cols: int) -> np.ndarray | None:
+    """The (rows, cols) values whose payload _payload writes as `payload`, or None if none is.
+
+    `payload` is any bytes-like object; it is read, not copied, and must be
+    the writer's bytes exactly: its length, the separator after each full
+    group (a space, or a newline after a line's 16th group and the block's
+    last group), the base64 alphabet with padding only at the end, one
+    strict decode to the block's size, and a last group that re-encodes to
+    itself. The array is writable and native-endian, as np.loadtxt returns it.
+    """
+    size = rows * cols * 8
+    chars = 4 * -(-size // 3)
+    full, rest = divmod(chars, _GROUP_CHARS)
+    text = np.frombuffer(payload, dtype=np.uint8)
+    if len(text) != chars + full + (rest > 0):
+        return None
+    cells = text[: full * _CELL].reshape(full, _CELL)
+    # The byte after each group; a short last group's is the payload's last byte.
+    full_lines, left = divmod(full + (rest > 0), _LINE_GROUPS)
+    separators = _LINE_END * full_lines + (b" " * (left - 1) + b"\n" if left else b"")
+    if cells[:, -1].tobytes() + text[full * _CELL + rest :].tobytes() != separators:
+        return None
+    encoded = bytearray(chars)  # b64decode takes a bytearray uncopied
+    groups = np.frombuffer(encoded, dtype=np.uint8)
+    groups[: full * _GROUP_CHARS].reshape(full, _GROUP_CHARS)[...] = cells[:, :-1]
+    groups[full * _GROUP_CHARS :] = text[full * _CELL : full * _CELL + rest]
+    try:
+        raw = base64.b64decode(encoded, validate=True)
+    except binascii.Error:
+        return None
+    tail = size % 3
+    if len(raw) != size or (tail and base64.b64encode(raw[-tail:]) != encoded[-4:]):
+        return None
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
+
+
 def _decode_block(lines: list[str], name: str, rows: int, cols: int, base: int = 0) -> np.ndarray:
-    """The (rows, cols) float64 values of a v3 block, decoded in one call.
+    """The (rows, cols) float64 values of a v3 block whose payload the file cuts into `lines`.
 
     `lines` are the block's payload lines as the file holds them, fewer than
     the writer writes if the file ends early; the first is file line
-    base + 1. Only the text _payload writes for these values is accepted:
-    line and group widths, single-space separators, the base64 alphabet with
-    padding only at the end, and a last group that re-encodes to itself. Any
-    other text raises ParseError at its first bad line (_payload_error).
-    The array is writable and native-endian, as np.loadtxt returns it.
+    base + 1. Each ends in a newline again, and the whole must be what
+    _payload writes (_written_values); any other text raises ParseError at
+    its first bad line (_payload_error).
     """
-    size = rows * cols * 8
-    widths = _payload_widths(size)
-    text = " ".join(lines)
-    separators = len(text) // (_GROUP_CHARS + 1)
-    if (
-        [len(line) for line in lines] != widths
-        or text[_GROUP_CHARS :: _GROUP_CHARS + 1] != " " * separators
-    ):
-        raise _payload_error(lines, name, size, base)
-    # A space anywhere else leaves too few characters to decode to `size` bytes.
-    encoded = text.replace(" ", "")
-    try:
-        raw = base64.b64decode(encoded, validate=True)
-    except ValueError:
-        raise _payload_error(lines, name, size, base) from None
-    tail = size % 3
-    if len(raw) != size or (tail and base64.b64encode(raw[-tail:]).decode("ascii") != encoded[-4:]):
-        raise _payload_error(lines, name, size, base)
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
+    data = _written_values("".join(line + "\n" for line in lines).encode("utf-8"), rows, cols)
+    if data is None:
+        raise _payload_error(lines, name, rows * cols * 8, base)
+    return data
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Parse a v3, v2 or v1 checkpoint; malformed structure raises ParseError with a line number.
 
-    The file is read block by block. Block shapes are nonnegative and each
-    parameter block appears once. A v3 block's payload is decoded whole
-    (_decode_block) and a v2 or v1 block's decimal rows are parsed whole
-    (_parse_block); rng.* blocks, which files before v3 may hold, are
+    The file is read once and cut into lines as they are needed (_Cursor).
+    Block shapes are nonnegative and each parameter block appears once. A
+    v3 block's payload is decoded from the file's bytes when it is exactly
+    what the writer writes (_written_values), and from its lines otherwise
+    (_decode_block); a v2 or v1 block's decimal rows are parsed whole
+    (_parse_block). rng.* blocks, which files before v3 may hold, are
     skipped. A v3 or v2 file's critic.phases are redrawn from its echoed seed
     and block shapes (echoed_init_phases) once the blocks have parsed; a v1
     file stores them.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _Lines(fh)
-        header = lines.take(1)
-        if header not in ([CHECKPOINT_HEADER], [V2_HEADER], [V1_HEADER]):
-            found = header[0] if header else "<empty file>"
-            raise VersionMismatch(
-                f"expected header {CHECKPOINT_HEADER!r}, {V2_HEADER!r} or {V1_HEADER!r}, "
-                f"found {found!r}"
+    with open(path, "rb") as fh:
+        lines = _Cursor(fh.read())
+    header = lines.take(1)
+    if header not in ([CHECKPOINT_HEADER], [V2_HEADER], [V1_HEADER]):
+        found = header[0] if header else "<empty file>"
+        raise VersionMismatch(
+            f"expected header {CHECKPOINT_HEADER!r}, {V2_HEADER!r} or {V1_HEADER!r}, "
+            f"found {found!r}"
+        )
+    version = header[0].rpartition(" ")[2]
+    stored = _V1_BLOCKS if version == "v1" else _STORED_BLOCKS
+    echo: dict[str, str] = {}
+    blocks: dict[str, np.ndarray] = {}
+    last = None  # the block read last, which a stray line follows
+    while taken := lines.take(1):
+        line = taken[0]
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                echo[key.strip()] = value
+            continue
+        if not (line.startswith("[") and line.endswith("]")):
+            shown = line if len(line) <= 40 else line[:40] + "..."
+            after = f" after the lines of block {last!r}" if last else ""
+            raise ParseError(
+                f"expected a block header{after}, got {shown!r}", line=lines.count
             )
-        version = header[0].rpartition(" ")[2]
-        stored = _V1_BLOCKS if version == "v1" else _STORED_BLOCKS
-        echo: dict[str, str] = {}
-        blocks: dict[str, np.ndarray] = {}
-        last = None  # the block read last, which a stray line follows
-        while taken := lines.take(1):
-            line = taken[0]
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    echo[key.strip()] = value
-                continue
-            if not (line.startswith("[") and line.endswith("]")):
-                shown = line if len(line) <= 40 else line[:40] + "..."
-                after = f" after the lines of block {last!r}" if last else ""
-                raise ParseError(
-                    f"expected a block header{after}, got {shown!r}", line=lines.count
-                )
-            parts = line[1:-1].split()
-            if len(parts) != 3:
-                raise ParseError(f"malformed block header {line!r}", line=lines.count)
-            name = parts[0]
-            try:
-                rows, cols = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"non-integer block shape in {line!r}", line=lines.count) from None
-            if rows < 0 or cols < 0:
-                raise ParseError(f"negative block shape in {line!r}", line=lines.count)
-            if name == "critic.phases" and name not in stored:
-                raise ParseError(
-                    f"a {version} file does not store block 'critic.phases'; it is redrawn "
-                    "from the echoed seed",
-                    line=lines.count,
-                )
-            if name not in stored and not (version != "v3" and name.startswith("rng.")):
-                raise ParseError(f"unknown block {name!r}", line=lines.count)
-            if name in blocks:
-                raise ParseError(f"block {name!r} appears twice", line=lines.count)
-            base = lines.count
-            if version == "v3":
-                payload = lines.take(len(_payload_widths(rows * cols * 8)))
-                data = _decode_block(payload, name, rows, cols, base)
+        parts = line[1:-1].split()
+        if len(parts) != 3:
+            raise ParseError(f"malformed block header {line!r}", line=lines.count)
+        name = parts[0]
+        try:
+            rows, cols = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(f"non-integer block shape in {line!r}", line=lines.count) from None
+        if rows < 0 or cols < 0:
+            raise ParseError(f"negative block shape in {line!r}", line=lines.count)
+        if name == "critic.phases" and name not in stored:
+            raise ParseError(
+                f"a {version} file does not store block 'critic.phases'; it is redrawn "
+                "from the echoed seed",
+                line=lines.count,
+            )
+        if name not in stored and not (version != "v3" and name.startswith("rng.")):
+            raise ParseError(f"unknown block {name!r}", line=lines.count)
+        if name in blocks:
+            raise ParseError(f"block {name!r} appears twice", line=lines.count)
+        base = lines.count
+        if version == "v3":
+            widths = _payload_widths(rows * cols * 8)
+            # A payload as the writer wrote it is decoded from the file's bytes
+            # without being cut into lines; any other is cut and checked.
+            written = lines.written(sum(widths) + len(widths))
+            data = None if written is None else _written_values(written, rows, cols)
+            if data is None:
+                data = _decode_block(lines.take(len(widths)), name, rows, cols, base)
             else:
-                data = _parse_block(lines.take(rows), name, rows, cols, base)
-            last = name
-            # rng.* blocks hold stream states earlier versions wrote; nothing reads them.
-            if not name.startswith("rng."):
-                blocks[name] = data
+                lines.skip(len(written), len(widths))
+        else:
+            data = _parse_block(lines.take(rows), name, rows, cols, base)
+        last = name
+        # rng.* blocks hold stream states earlier versions wrote; nothing reads them.
+        if not name.startswith("rng."):
+            blocks[name] = data
     missing = [b for b in stored if b not in blocks]
     if missing:
         raise ParseError(f"missing parameter blocks: {missing}", line=lines.count)
@@ -1140,9 +1214,11 @@ def train(config: TrainConfig, corpus: env.Corpus, checkpoint_path: str | None =
                 scent_scalar=scent_scalar,
             )
         )
-        # The final state is saved once, after the loop.
+        # The final state is saved once, after the loop. An earlier save only
+        # writes the tables, so it reads them where they are.
         if checkpoint_path and episode != config.episodes:
-            save_checkpoint(make_checkpoint(params, critic_table, config), checkpoint_path)
+            live = Checkpoint(**_live_arrays(params, critic_table), config_echo=config.echo())
+            save_checkpoint(live, checkpoint_path)
 
     plan = compile_step_plan(corpus.compiled, config.query_order)
     for episode in range(1, config.episodes + 1):

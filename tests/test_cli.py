@@ -920,6 +920,40 @@ class TestInspect:
         assert (tmp_path / "insp" / "inspect.txt").read_text().splitlines() == out
 
 
+class TestBytesThatAreNotUtf8:
+    """A file holding a byte that is not UTF-8 is refused with one error line naming its line."""
+
+    @staticmethod
+    def assert_one_error_line(code, expected_code, out, err, message):
+        assert code == expected_code
+        assert out == []
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_checkpoint_is_runtime_error(self, trained_dir, tmp_path, capsys):
+        lines = (trained_dir / "checkpoint.txt").read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        bad = tmp_path / "checkpoint.txt"
+        bad.write_bytes(b"\n".join(lines))
+        code, out, err = run(["inspect", "--checkpoint", str(bad)], capsys)
+        self.assert_one_error_line(code, 1, out, err, "line 3: not UTF-8 text")
+
+    def test_corpus_is_runtime_error(self, corpus_dir, trained_dir, tmp_path, capsys):
+        lines = (corpus_dir / "corpus.tsv").read_bytes().split(b"\n")
+        lines[-3] = lines[-3].replace(b"\t", b"\xff\t", 1)
+        bad = tmp_path / "corpus.tsv"
+        bad.write_bytes(b"\n".join(lines))
+        argv = ["eval", "--corpus", str(bad), "--checkpoint", str(trained_dir / "checkpoint.txt")]
+        code, out, err = run(argv, capsys)
+        self.assert_one_error_line(code, 1, out, err, f"line {len(lines) - 2}: not UTF-8 text")
+
+    def test_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_bytes("# café\r\ndocs=4\r\n".encode() + b"patches=2\xff\n")
+        code, out, err = run(["gen-corpus", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+        self.assert_one_error_line(code, 2, out, err, f"{cfg}:3: not UTF-8 text")
+
+
 class TestOracle:
     def test_default_suite_passes(self, capsys):
         code, out, _ = run(["oracle", "--seed", "1"], capsys)

@@ -104,6 +104,20 @@ class TestParseCorpus:
         with pytest.raises(ParseError):
             parse_corpus_lines(lines)
 
+    @pytest.mark.parametrize(
+        "bad", [b"\xff", b"\xe2\x82", b"\xed\xa0\x80"], ids=["ff", "cut-short", "surrogate"]
+    )
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, bad):
+        lines = [line.encode() for line in ["# café", *WELL_FORMED]]
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert len(load_corpus(str(path)).documents) == 2
+        lines[4] = lines[4].replace(b"epsilon", b"eps" + bad + b"ilon")
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        with pytest.raises(ParseError, match="not UTF-8 text") as excinfo:
+            load_corpus(str(path))
+        assert excinfo.value.line == 5
+
     def test_round_trip_through_file(self, tmp_path):
         corpus = parse_corpus_lines(WELL_FORMED)
         path = tmp_path / "corpus.tsv"

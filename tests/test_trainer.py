@@ -1508,6 +1508,59 @@ class TestCheckpointV1:
             trainer.save_checkpoint(loaded, str(tmp_path / "v3.txt"))
 
 
+def _after_first_echo_line(brk):
+    def edit(data):
+        end = data.index(b"\n", data.index(b"\n# ") + 1)
+        return data[:end] + brk + data[end:]
+
+    return edit
+
+
+def _as_last_newline(brk):
+    return lambda data: data[:-1] + brk
+
+
+def _as_first_payload_newline(brk):
+    """The edit that makes the newline after actor.amplitudes' first payload line `brk`."""
+
+    def edit(data):
+        end = data.index(b"\n", data.index(b"\n", data.index(b"[actor.amplitudes ")) + 1)
+        return data[:end] + brk + data[end + 1 :]
+
+    return edit
+
+
+#: Edits of a saved v3 file after which it loads to the same state.
+SAME_STATE_EDITS = {
+    "no-final-newline": lambda d: d[:-1],
+    "crlf": lambda d: d.replace(b"\n", b"\r\n"),
+    "crlf-no-final-newline": lambda d: d.replace(b"\n", b"\r\n")[:-2],
+    "lone-cr": lambda d: d.replace(b"\n", b"\r"),
+    "trailing-blank-lines": lambda d: d + b"\n\n",
+    "trailing-space-lines": lambda d: d + b"   \n \n  ",
+    "blank-lines-between-blocks": lambda d: d.replace(b"\n[", b"\n\n  \n["),
+    **{
+        f"{ascii(brk)[1:-1]}-{where}": edit(brk.encode())
+        for brk in ("\x0c", "\x85", "\u2028")
+        for where, edit in (
+            ("after-an-echo-line", _after_first_echo_line),
+            ("as-the-last-newline", _as_last_newline),
+            ("as-a-payload-newline", _as_first_payload_newline),
+        )
+    },
+}
+
+
+def refuse_line_walk(monkeypatch):
+    """Make cutting a v3 payload into lines, or naming a bad payload line, fail the test."""
+
+    def refuse(*args):
+        raise AssertionError("a payload was cut into lines")
+
+    monkeypatch.setattr(trainer, "_decode_block", refuse)
+    monkeypatch.setattr(trainer, "_payload_error", refuse)
+
+
 class TestCheckpointVersions:
     """The committed v1 and v2 Criterion 9 files and the v3 file training writes hold one state."""
 
@@ -1534,7 +1587,7 @@ class TestCheckpointVersions:
 
     def test_a_crlf_copy_loads_to_the_same_bits(self, v3_file, tmp_path):
         # A copy whose line ends became \r\n (a Windows checkout, say) holds
-        # the same state; the loader reads the file in text mode.
+        # the same state; the loader makes \r\n a newline, as text mode does.
         data = v3_file.read_bytes()
         assert b"\r" not in data
         crlf = tmp_path / "crlf.txt"
@@ -1544,6 +1597,43 @@ class TestCheckpointVersions:
         assert loaded.header == v3.header
         assert loaded.config_echo == v3.config_echo
         assert_same_checkpoint_bits(loaded, v3)
+
+    @pytest.mark.parametrize("edit", SAME_STATE_EDITS.values(), ids=SAME_STATE_EDITS.keys())
+    def test_edited_line_breaks_load_to_the_same_bits(self, v3_file, tmp_path, edit):
+        data = v3_file.read_bytes()
+        edited = tmp_path / "edited.txt"
+        edited.write_bytes(edit(data))
+        assert edited.read_bytes() != data
+        v3 = trainer.load_checkpoint(str(v3_file))
+        loaded = trainer.load_checkpoint(str(edited))
+        assert loaded.header == v3.header
+        assert loaded.config_echo == v3.config_echo
+        assert_same_checkpoint_bits(loaded, v3)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["saved", "crlf", "lone-cr"])
+    def test_the_saved_file_is_decoded_without_cutting_lines(
+        self, v3_file, tmp_path, monkeypatch, newline
+    ):
+        v2 = trainer.load_checkpoint(str(CRITERION9_V2))
+        copy = tmp_path / "copy.txt"
+        copy.write_bytes(v3_file.read_bytes().replace(b"\n", newline))
+        refuse_line_walk(monkeypatch)
+        assert_same_checkpoint_bits(trainer.load_checkpoint(str(copy)), v2)
+
+    def test_a_line_cut_from_a_block_header_is_read_as_its_first_payload_line(
+        self, v3_file, tmp_path
+    ):
+        # str.splitlines cuts "# x" from the header line, so it stands where
+        # the payload starts, though the payload after it is whole.
+        lines = v3_file.read_text().splitlines()
+        header = next(i for i, l in enumerate(lines) if l.startswith("[actor.amplitudes "))
+        lines[header] += "\x0c# x"
+        edited = tmp_path / "edited.txt"
+        edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = "'actor.amplitudes' payload line has 3 characters"
+        with pytest.raises(ParseError, match=message) as excinfo:
+            trainer.load_checkpoint(str(edited))
+        assert excinfo.value.line == header + 2
 
     def test_header_echo_and_block_lines_equal_v2_but_for_the_version(self, v3_file):
         def frame(path):
@@ -1605,6 +1695,41 @@ class TestLineNumbersFollowSplitlines:
 
 class TestLineNumbersFollowSplitlinesV3(TestLineNumbersFollowSplitlines):
     layout = V3
+
+
+class TestBytesThatAreNotUtf8:
+    """A byte that is not UTF-8 raises ParseError at the str.splitlines line holding it."""
+
+    @staticmethod
+    def assert_named(path, data):
+        path.write_bytes(data)
+        lines = data.decode("utf-8", "surrogateescape").splitlines()
+        expected = next(i for i, l in enumerate(lines) if "\udcff" in l) + 1
+        with pytest.raises(ParseError, match="not UTF-8 text") as excinfo:
+            trainer.load_checkpoint(str(path))
+        assert excinfo.value.line == expected
+
+    @pytest.mark.parametrize("layout", [V2, V3], ids=["v2", "v3"])
+    @pytest.mark.parametrize(
+        "where", ["header", "echo", "echo-after-breaks", "block-header", "block-line", "last-byte"]
+    )
+    def test_the_line_holding_it_is_named(self, tmp_path, layout, where):
+        path = init_checkpoint_file(tmp_path, layout.write)[-1]
+        lines = path.read_bytes().split(b"\n")
+        start, _ = block_span([l.decode() for l in lines], "critic.amplitudes")
+        if where == "header":
+            lines[0] = lines[0].replace(b"checkpoint", b"check\xffpoint")
+        elif where == "echo":
+            lines[2] += b"\xff"
+        elif where == "echo-after-breaks":
+            lines[2] += "\x0c# a\u2028# b\x85\xe9".encode() + b"\xff"
+        elif where == "block-header":
+            lines[start] = lines[start][:-1] + b"\xff]"
+        elif where == "block-line":
+            lines[start + 2] = lines[start + 2][:9] + b"\xff" + lines[start + 2][10:]
+        else:
+            lines[-1] = b"\xff"
+        self.assert_named(path, b"\n".join(lines))
 
 
 def reference_lines(checkpoint):
@@ -1837,6 +1962,19 @@ class TestPayloadMatchesPerGroupReference:
         block = random_block(np.random.default_rng(values), values, 1)
         self.assert_written_as_reference(tmp_path, block)
 
+    @pytest.mark.parametrize("values", [0, 1, 2, 3, 56, 57, 58, 113, 114, 115, 228, 229])
+    def test_saved_payloads_are_decoded_without_cutting_lines(self, tmp_path, monkeypatch, values):
+        block = random_block(np.random.default_rng(values), values, 1)
+        checkpoint = with_init_phases(
+            dataclasses.replace(
+                random_checkpoint(np.random.default_rng(0), 3), actor_amplitudes=block
+            )
+        )
+        path = tmp_path / "saved.txt"
+        trainer.save_checkpoint(checkpoint, str(path))
+        refuse_line_walk(monkeypatch)
+        assert_same_checkpoint_bits(trainer.load_checkpoint(str(path)), checkpoint)
+
     @pytest.mark.parametrize("layout", ["fortran", "big-endian", "strided"])
     def test_other_layouts_write_their_c_ordered_little_endian_copy(self, tmp_path, layout):
         values = random_block(np.random.default_rng(11), 40, 12)
@@ -1966,9 +2104,30 @@ class TestTrain:
         ) as make:
             result = trainer.train(config, small_corpus(), str(path))
         assert len(result.metrics) == records
-        assert save.call_count == make.call_count == max(records, 1)
+        # Only the final checkpoint is made (copied); earlier saves read the live tables.
+        assert save.call_count == max(records, 1)
+        assert make.call_count == 1
         loaded = trainer.load_checkpoint(str(path))
         assert trainer.checkpoint_lines(loaded) == trainer.checkpoint_lines(result.checkpoint)
+
+    def test_interval_saves_write_the_state_at_their_record(self, tmp_path):
+        corpus = small_corpus()
+        config = small_config(episodes=20, eval_interval=10)
+        written = []
+
+        def save(checkpoint, target, real=trainer.save_checkpoint):
+            real(checkpoint, target)
+            written.append(open(target, "rb").read())
+
+        with mock.patch.object(trainer, "save_checkpoint", save):
+            result = trainer.train(config, corpus, str(tmp_path / "checkpoint.txt"))
+        # Evaluation draws nothing, so ten episodes of a shorter run reach the
+        # state of the first record.
+        early = trainer.train(small_config(episodes=10, eval_interval=0), corpus)
+        assert written == [
+            trainer.checkpoint_bytes(trainer.make_checkpoint(early.params, early.critic_table, config)),
+            trainer.checkpoint_bytes(result.checkpoint),
+        ]
 
     def test_eval_interval_zero_records_nothing(self):
         result = trainer.train(small_config(eval_interval=0, episodes=5), small_corpus())
