@@ -107,7 +107,8 @@ def _ensure_out_dir(args: argparse.Namespace) -> str:
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    # newline="\n": the same bytes on every platform, not \r\n on Windows.
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
 

@@ -266,7 +266,8 @@ def corpus_lines(corpus: Corpus, echo: Sequence[str] = ()) -> list[str]:
 
 
 def save_corpus(corpus: Corpus, path: str, echo: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    # newline="\n": the same bytes on every platform, not \r\n on Windows.
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in corpus_lines(corpus, echo):
             fh.write(line + "\n")
 

@@ -69,11 +69,16 @@ Checkpoints are UTF-8 text: a `qforage-checkpoint v3` header, `# key=value`
 config echo lines, then named matrix blocks (Checkpoint.blocks) for
 everything but critic.phases. The phases are the init stream's last draw and
 training never changes them, so a load redraws them from the echoed seed and
-the block shapes (init_draws replays the whole stream, whose draws all have
-fixed sizes), and a save refuses phases that are not that draw, so no file
+the block shapes, and a save refuses phases that are not that draw, so no file
 loads back to other parameters. An edited seed echo therefore redraws other
 phases; they reach only the density-matrix views (inspect's off-diagonals
 and the demos), never train or evaluate, which read class block masses.
+The normals drawn before the phases take a varying number of the stream's
+raw outputs, so the first redraw for a seed and shapes replays the whole
+stream (init_draws). init_draws remembers the stream's state after the
+normals for the last few seeds and shapes, and a later redraw resumes from
+it and draws the phases alone: init_params draws the stream, so train's
+saves never replay it, and a load in a fresh process replays it once.
 A v3 block is a `[name rows cols]` line, then its values' little-endian
 float64 bytes in base64, wrapped the one way the writer wraps them: groups
 of 76 characters (57 bytes; the block's last group may be shorter), up to 16
@@ -153,6 +158,13 @@ _LINE_GROUPS = 16
 _CELL = _GROUP_CHARS + 1
 #: The separators after the groups of a full payload line.
 _LINE_END = b" " * (_LINE_GROUPS - 1) + b"\n"
+#: How many init streams' states after the normals init_draws remembers
+#: (_PHASE_STATES); a new one past this drops the oldest.
+_PHASE_STATES_BOUND = 16
+#: (seed, actor_shape, factor_shape, critic_shape) -> the init stream's
+#: bit-generator state just before its phase draw, oldest first. Only the
+#: state dicts are kept, never an array.
+_PHASE_STATES: dict[tuple, dict] = {}
 
 
 def format_float(x: float) -> str:
@@ -276,19 +288,32 @@ def init_draws(
 
     Standard normals for the actor table (V + 2, k), the factors (R, n, k)
     and the weights (R,) and the critic amplitudes (V + 1, d), then the
-    critic phases, uniform on [-pi, pi) of shape (V + 1, d). Every draw has
-    a fixed size, so a seed and the shapes give the same bits every time:
-    init_params builds its parameters from them, and a v3 or v2
-    checkpoint's phases are redrawn from them.
+    critic phases, uniform on [-pi, pi) of shape (V + 1, d). A seed and the
+    shapes give the same bits every time: init_params builds its parameters
+    from them, and a v3 or v2 checkpoint's phases are redrawn from them.
+    The normals take a varying number of the stream's outputs each, so the
+    phases cannot be reached without drawing them; the stream's state just
+    after them is remembered in _PHASE_STATES, from which echoed_init_phases
+    draws the phases alone.
     """
     rng = stream_rng(seed, "init")
-    return (
+    normals = (
         rng.standard_normal(actor_shape),
         rng.standard_normal(factor_shape),
         rng.standard_normal(factor_shape[0]),
         rng.standard_normal(critic_shape),
-        rng.uniform(-np.pi, np.pi, size=critic_shape),
     )
+    key = (seed, tuple(actor_shape), tuple(factor_shape), tuple(critic_shape))
+    _PHASE_STATES.pop(key, None)
+    _PHASE_STATES[key] = rng.bit_generator.state
+    if len(_PHASE_STATES) > _PHASE_STATES_BOUND:
+        del _PHASE_STATES[next(iter(_PHASE_STATES))]
+    return (*normals, _draw_phases(rng, critic_shape))
+
+
+def _draw_phases(rng: np.random.Generator, critic_shape: tuple[int, int]) -> np.ndarray:
+    """The critic phases: the init stream's last draw, uniform on [-pi, pi)."""
+    return rng.uniform(-np.pi, np.pi, size=critic_shape)
 
 
 def init_params(
@@ -603,7 +628,11 @@ def echoed_init_phases(
 ) -> np.ndarray:
     """The critic phases init_draws gives for the echoed seed and the blocks' shapes.
 
-    An echo without an integer seed raises CheckpointInvalid.
+    When init_draws has remembered the stream's state after the normals for
+    this seed and these shapes (_PHASE_STATES), only the phases are drawn,
+    from that state; otherwise the whole stream is replayed, which remembers
+    it. Both give the same bits. An echo without an integer seed raises
+    CheckpointInvalid.
     """
     try:
         seed = int(config_echo["seed"])
@@ -612,9 +641,13 @@ def echoed_init_phases(
         raise CheckpointInvalid(
             f"config echo: critic.phases are redrawn from an integer seed, found {found}"
         ) from None
-    return init_draws(
-        seed, actor_amplitudes.shape, global_factors.shape, critic_amplitudes.shape
-    )[-1]
+    shapes = (actor_amplitudes.shape, global_factors.shape, critic_amplitudes.shape)
+    state = _PHASE_STATES.get((seed, *shapes))
+    if state is None:
+        return init_draws(seed, *shapes)[-1]
+    bit_generator = np.random.PCG64(0)  # seeded, so no OS entropy is read before the state is set
+    bit_generator.state = state
+    return _draw_phases(np.random.Generator(bit_generator), critic_amplitudes.shape)
 
 
 def _payload(block: np.ndarray) -> np.ndarray:

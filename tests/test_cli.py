@@ -1055,3 +1055,36 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "projection" in proc.stdout
+
+
+class TestTextFilesEndLinesInNewline:
+    """Every file a command writes in text mode asks for \\n line ends, so its bytes
+    are the same on every platform (Windows would otherwise write \\r\\n)."""
+
+    def test_every_text_write_passes_newline(self, tmp_path, capsys):
+        real_open = open
+        newlines = {}
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if "b" not in mode and set(mode) & set("wax+"):
+                newlines[os.path.basename(file)] = kwargs.get("newline")
+            return real_open(file, mode, *args, **kwargs)
+
+        corpus = tmp_path / "corpus" / "corpus.tsv"
+        checkpoint = tmp_path / "run" / "checkpoint.txt"
+        commands = [
+            GEN_ARGS + ["--out", str(tmp_path / "corpus")],
+            ["train", "--corpus", str(corpus), *TRAIN_SIZES, "--out", str(tmp_path / "run")],
+            ["eval", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+             "--out", str(tmp_path / "eval")],
+            ["inspect", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "inspect")],
+            ["oracle", "--checks", "projection", "--out", str(tmp_path / "oracle")],
+        ]
+        with mock.patch("builtins.open", recording_open):
+            for argv in commands:
+                code, _, _ = run(argv, capsys)
+                assert code == 0
+        names = ("corpus.tsv", "metrics.tsv", "eval.txt", "inspect.txt", "oracle.txt")
+        assert newlines == {name: "\n" for name in names}
+        for name in names:
+            assert b"\r" not in next(tmp_path.rglob(name)).read_bytes()

@@ -1414,6 +1414,23 @@ class PhasesLeftOutCases:
                 assert loaded.critic_phases.shape == critic_table.phases.shape
                 assert loaded.critic_phases.tobytes() == critic_table.phases.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 9, 2**40 + 3])
+    def test_cold_redraw_is_the_init_draw(self, tmp_path, seed):
+        """As above, with no remembered init state: each load replays the whole stream."""
+        path = tmp_path / "checkpoint.txt"
+        for corpus in phase_corpora():
+            for k, n, rank, d in itertools.product((1, 4), (1, 5), (1, 10), (3, 12)):
+                config = trainer.TrainConfig(
+                    seed=seed, basis_dim=k, query_order=n, rank=rank, embed_dim=d,
+                    keyword_count=corpus.keyword_count,
+                )
+                params, critic_table = trainer.init_params(corpus, config)
+                self.layout.write(trainer.make_checkpoint(params, critic_table, config), str(path))
+                trainer._PHASE_STATES.clear()
+                loaded = trainer.load_checkpoint(str(path))
+                assert loaded.critic_phases.shape == critic_table.phases.shape
+                assert loaded.critic_phases.tobytes() == critic_table.phases.tobytes()
+
     def test_trained_file_restores_every_parameter(self, tmp_path):
         corpus = small_corpus()
         path = tmp_path / "checkpoint.txt"
@@ -1465,6 +1482,115 @@ class TestCheckpointV2(PhasesLeftOutCases):
 
 class TestCheckpointV3(PhasesLeftOutCases):
     layout = V3
+
+
+def replayed_phases(seed, actor_shape, factor_shape, critic_shape):
+    """The init stream's phases, drawn after its four normals from a fresh generator."""
+    rng = stream_rng(seed, "init")
+    for shape in (actor_shape, factor_shape, factor_shape[0], critic_shape):
+        rng.standard_normal(shape)
+    return rng.uniform(-np.pi, np.pi, size=critic_shape)
+
+
+def echoed_phases(seed, actor_shape, factor_shape, critic_shape):
+    return trainer.echoed_init_phases(
+        {"seed": str(seed)}, np.empty(actor_shape), np.empty(factor_shape), np.empty(critic_shape)
+    )
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestRememberedInitState:
+    """init_draws remembers the init stream's state after its normals, and
+    echoed_init_phases draws only the phases from it: the same bits as a replay."""
+
+    SHAPES = [
+        ((3, 1), (1, 1, 1), (1, 1)),
+        ((3, 4), (1, 5, 4), (1, 12)),
+        ((42, 3), (4, 3, 3), (41, 6)),
+        ((101, 4), (10, 5, 4), (100, 12)),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**40 + 3])
+    @pytest.mark.parametrize("shapes", SHAPES, ids=lambda s: f"critic{s[2]}")
+    def test_warm_draw_is_the_full_replay(self, seed, shapes):
+        trainer._PHASE_STATES.clear()
+        full = trainer.init_draws(seed, *shapes)[-1]
+        assert (seed, *shapes) in trainer._PHASE_STATES
+        with mock.patch.object(trainer, "init_draws", wraps=trainer.init_draws) as draws:
+            warm = echoed_phases(seed, *shapes)
+        assert draws.call_count == 0
+        assert same_bits(warm, full)
+        assert same_bits(warm, replayed_phases(seed, *shapes))
+
+    def test_save_and_load_after_init_params_draw_no_normals(self, tmp_path):
+        corpus = small_corpus()
+        config = small_config()
+        params, critic_table = trainer.init_params(corpus, config)
+        checkpoint = trainer.make_checkpoint(params, critic_table, config)
+        path = tmp_path / "checkpoint.txt"
+        with mock.patch.object(trainer, "init_draws", wraps=trainer.init_draws) as draws:
+            trainer.save_checkpoint(checkpoint, str(path))
+            loaded = trainer.load_checkpoint(str(path))
+        assert draws.call_count == 0
+        assert same_bits(loaded.critic_phases, critic_table.phases)
+
+    def test_train_saves_draw_no_normals(self, tmp_path):
+        corpus = small_corpus()
+        config = small_config()
+        with mock.patch.object(trainer, "init_draws", wraps=trainer.init_draws) as draws:
+            trainer.train(config, corpus, checkpoint_path=str(tmp_path / "checkpoint.txt"))
+        assert draws.call_count == 1  # init_params' own draw; the interval saves make none
+
+    @pytest.mark.parametrize("forget", ["cleared", "evicted"])
+    def test_fallback_replays_the_same_bits_and_remembers(self, forget):
+        seed, shapes = 2**40 + 3, self.SHAPES[2]
+        key = (seed, *shapes)
+        full = trainer.init_draws(seed, *shapes)[-1]
+        if forget == "cleared":
+            trainer._PHASE_STATES.clear()
+        else:
+            for other in range(trainer._PHASE_STATES_BOUND):
+                trainer.init_draws(other, *self.SHAPES[0])
+        assert key not in trainer._PHASE_STATES
+        with mock.patch.object(trainer, "init_draws", wraps=trainer.init_draws) as draws:
+            cold = echoed_phases(seed, *shapes)
+        assert draws.call_count == 1
+        assert same_bits(cold, full)
+        assert key in trainer._PHASE_STATES
+        assert same_bits(echoed_phases(seed, *shapes), full)
+
+    def test_warm_save_refuses_phases_one_bit_off(self, tmp_path):
+        _, _, _, _, checkpoint, path = init_checkpoint_file(tmp_path)
+        shapes = (
+            checkpoint.actor_amplitudes.shape,
+            checkpoint.global_factors.shape,
+            checkpoint.critic_amplitudes.shape,
+        )
+        assert (int(checkpoint.config_echo["seed"]), *shapes) in trainer._PHASE_STATES
+        before = path.read_bytes()
+        checkpoint.critic_phases.view(np.uint64)[2, 1] ^= 1
+        with pytest.raises(CheckpointInvalid, match="block 'critic.phases' is not the init draw"):
+            trainer.save_checkpoint(checkpoint, str(path))
+        assert path.read_bytes() == before
+
+    def test_memo_is_bounded_and_holds_no_arrays(self):
+        bound = trainer._PHASE_STATES_BOUND
+        drawn = []
+        for seed in range(3 * bound):
+            trainer.init_draws(seed, *self.SHAPES[0])
+            drawn.append((seed, *self.SHAPES[0]))
+            assert len(trainer._PHASE_STATES) <= bound
+        assert list(trainer._PHASE_STATES) == drawn[-bound:]  # the oldest are dropped
+
+        def arrays(value):
+            if isinstance(value, dict):
+                return [a for v in value.values() for a in arrays(v)]
+            return [value] if isinstance(value, np.ndarray) else []
+
+        assert arrays(trainer._PHASE_STATES) == []
 
 
 class TestCheckpointV1:
