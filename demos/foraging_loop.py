@@ -6,7 +6,7 @@ pipeline does, kept small enough to finish in a couple of seconds.
 
 import numpy as np
 
-from qforage import env, trainer
+from qforage import checkpoint, env, trainer
 
 # A two-patch corpus: each document offers one matching, one partially
 # matching, and one mismatching candidate query.
@@ -36,6 +36,6 @@ for patch_id, patch in ev.scent.per_patch.items():
     print(f"  patch {patch_id}: scent {patch.scalar:+.3f} over {patch.count} docs")
 
 # The same trained state round-trips through the text checkpoint format.
-lines = trainer.checkpoint_lines(result.checkpoint)
+lines = checkpoint.checkpoint_lines(result.checkpoint)
 print()
 print("checkpoint:", lines[0], "-", len(lines), "lines")

@@ -8,18 +8,20 @@ three-outcome observable whose eigenvalues are the rewards -1, 0, +1. An
 actor-critic loop trains both against a patchy synthetic corpus.
 
 Modules
-    qcore    Hilbert-space primitives: tensor products, densities, measurements
-    qrep     word amplitude tables, query states, the factored global space, CP fitting
-    actor    softmax policy over candidate queries and its exact gradients
-    critic   complex word embeddings, density construction, class measurement
-    env      corpus format, synthetic generator, bandit/session environment, scent
-    trainer  the training loop, evaluation, text checkpoints
-    oracles  self-checks comparing independent computations of the same quantity
-    cli      command-line entry points (gen-corpus, train, eval, inspect, oracle)
+    qcore       Hilbert-space primitives: tensor products, densities, measurements
+    qrep        word amplitude tables, query states, the factored global space, CP fitting
+    actor       softmax policy over candidate queries and its exact gradients
+    critic      complex word embeddings, density construction, class measurement
+    env         corpus format, synthetic generator, bandit/session environment, scent
+    trainer     the training loop and evaluation; binds checkpoints to a config and a corpus
+    checkpoint  the checkpoint file: its v3 writer and its v3, v2 and v1 loader
+    oracles     self-checks comparing independent computations of the same quantity
+    cli         command-line entry points (gen-corpus, train, eval, inspect, oracle)
 """
 
-from . import actor, cli, critic, env, oracles, qcore, qrep, trainer
+from . import actor, checkpoint, cli, critic, env, oracles, qcore, qrep, trainer
 from .actor import ActorParams, act, actor_forward, actor_gradients, select_action
+from .checkpoint import load_checkpoint, save_checkpoint
 from .critic import (
     ComplexEmbeddingTable,
     class_probabilities,
@@ -40,7 +42,7 @@ from .errors import QForageError
 from .qcore import DensityMatrix, Observable, born_probability, build_density, collapse_sample, tensor_product
 from .qrep import AmplitudeTable, GlobalRepresentation, QueryState, cp_decompose, embed_query, project
 from .seeding import stream_rng, stream_seed
-from .trainer import TrainConfig, evaluate, load_checkpoint, restore_params, save_checkpoint, train
+from .trainer import TrainConfig, evaluate, restore_params, train
 
 __version__ = "0.1.0"
 
@@ -63,6 +65,7 @@ __all__ = [
     "actor_gradients",
     "born_probability",
     "build_density",
+    "checkpoint",
     "class_probabilities",
     "cli",
     "collapse_sample",

@@ -31,6 +31,7 @@ import sys
 import numpy as np
 
 from . import actor, critic, env, oracles, qrep, trainer
+from .checkpoint import Checkpoint, load_checkpoint
 from .errors import QForageError, SpecInvalid, undecodable_line
 from .seeding import stream_rng
 
@@ -176,7 +177,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_for_eval(checkpoint: trainer.Checkpoint, corpus_path: str) -> tuple:
+def _load_for_eval(checkpoint: Checkpoint, corpus_path: str) -> tuple:
     """Check the checkpoint once, read the corpus with its keyword count, and bind the rows."""
     config = trainer.checkpoint_config(checkpoint)
     corpus = env.load_corpus(corpus_path, keyword_count=config.keyword_count)
@@ -194,7 +195,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     corpus, params, critic_table, config = _load_for_eval(
-        trainer.load_checkpoint(args.checkpoint), args.corpus
+        load_checkpoint(args.checkpoint), args.corpus
     )
     effective = {"scent_smoothing": config.scent_smoothing, **overrides}
     ev = trainer.evaluate(
@@ -233,7 +234,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         raise UsageError(f"{name} requires --doc")
     if off_diagonals < 0:
         raise UsageError(f"{name} must be >= 0, got {off_diagonals}")
-    checkpoint = trainer.load_checkpoint(args.checkpoint)
+    checkpoint = load_checkpoint(args.checkpoint)
     if args.doc is None:
         trainer.checkpoint_config(checkpoint)
     else:
@@ -247,7 +248,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     lines.append(f"global.factors: rank={rank} order={order} basis_dim={k}")
     lines.append(f"critic.amplitudes: {checkpoint.critic_amplitudes.shape}")
     # A v1 file stores its phases, which need not be the init draw.
-    redrawn = checkpoint.header != trainer.V1_HEADER
+    redrawn = not checkpoint.phases_stored
     source = "the init draw, redrawn from the echoed seed" if redrawn else "stored in the file"
     lines.append(
         f"critic.phases: {checkpoint.critic_phases.shape} {source}; training never updates them"

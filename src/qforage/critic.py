@@ -51,14 +51,6 @@ DEFAULT_EMBED_DIM = 12
 PROB_FLOOR = 1e-12
 
 
-def class_of_reward(reward: int) -> int:
-    """Map a reward in {-1, 0, +1} to its class index."""
-    try:
-        return CLASS_REWARDS.index(int(reward))
-    except (ValueError, TypeError):
-        raise InvalidLabel(f"reward {reward!r} is not one of {CLASS_REWARDS}") from None
-
-
 @lru_cache(maxsize=None)
 def class_observable(dim: int) -> qcore.Observable:
     """Three equal coordinate blocks with eigenvalues (-1, 0, +1)."""

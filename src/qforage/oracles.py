@@ -16,6 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import actor, critic, env, qcore, qrep, trainer
+from .checkpoint import checkpoint_lines
 from .seeding import stream_rng
 
 ORACLE_NAMES = ("projection", "born", "cp", "gradients", "determinism")
@@ -225,8 +226,8 @@ def check_determinism(seed: int = 0, perturb: float = 0.0) -> OracleReport:
     first = trainer.train(config, corpus)
     second_config = replace(config, seed=seed + 1 if perturb != 0.0 else seed)
     second = trainer.train(second_config, corpus)
-    lines_a = trainer.checkpoint_lines(first.checkpoint)
-    lines_b = trainer.checkpoint_lines(second.checkpoint)
+    lines_a = checkpoint_lines(first.checkpoint)
+    lines_b = checkpoint_lines(second.checkpoint)
     metrics_a = first.metric_lines()
     metrics_b = second.metric_lines()
     passed = lines_a == lines_b and metrics_a == metrics_b

@@ -12,7 +12,7 @@ import base64
 
 import numpy as np
 
-from qforage import trainer
+from qforage.checkpoint import save_checkpoint
 
 V3_HEADER = "qforage-checkpoint v3"
 
@@ -56,4 +56,4 @@ class V3:
     header = V3_HEADER
     block_lines = staticmethod(v3_block_lines)
     lines = staticmethod(v3_lines)
-    write = staticmethod(trainer.save_checkpoint)
+    write = staticmethod(save_checkpoint)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qforage import actor, critic, env, qcore, qrep, trainer
+from qforage import checkpoint as ckpt
 
 
 def report(number, name, detail):
@@ -378,8 +379,8 @@ class TestCriterion9Determinism:
         bytes_b = path.read_bytes()
         assert bytes_a == bytes_b
         assert result_a.metric_lines() == result_b.metric_lines()
-        loaded = trainer.load_checkpoint(str(path))
-        assert trainer.checkpoint_lines(loaded) == trainer.checkpoint_lines(result_b.checkpoint)
+        loaded = ckpt.load_checkpoint(str(path))
+        assert ckpt.checkpoint_lines(loaded) == ckpt.checkpoint_lines(result_b.checkpoint)
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0
         report(

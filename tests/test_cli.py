@@ -18,6 +18,7 @@ from checkpoint_v1 import CRITERION9_V1, V1_HEADER, v1_lines, write_v1
 from checkpoint_v2 import CRITERION9_V2, V2, V2_HEADER, write_v2
 from checkpoint_v3 import V3, block_span
 
+from qforage import checkpoint as ckpt
 from qforage import cli, critic, env, oracles, trainer
 
 GEN_ARGS = [
@@ -258,7 +259,7 @@ class EvalRefusesDamagedFiles:
 
     def trained_lines(self, trained_dir):
         """The trained checkpoint's lines in this layout."""
-        return self.layout.lines(trainer.load_checkpoint(str(trained_dir / "checkpoint.txt")))
+        return self.layout.lines(ckpt.load_checkpoint(str(trained_dir / "checkpoint.txt")))
 
     def test_negative_block_shape_is_runtime_error(self, corpus_dir, trained_dir, tmp_path, capsys):
         lines = self.trained_lines(trained_dir)
@@ -278,7 +279,7 @@ class EvalRefusesDamagedFiles:
     def test_non_finite_actor_rows_are_runtime_error(
         self, corpus_dir, trained_dir, tmp_path, capsys
     ):
-        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint = ckpt.load_checkpoint(str(trained_dir / "checkpoint.txt"))
         checkpoint.actor_amplitudes[:] = np.nan
         bad = tmp_path / "nan.txt"
         self.layout.write(checkpoint, str(bad))
@@ -294,7 +295,7 @@ class EvalRefusesDamagedFiles:
     def test_actor_row_off_the_unit_sphere_is_runtime_error(
         self, corpus_dir, trained_dir, tmp_path, capsys
     ):
-        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint = ckpt.load_checkpoint(str(trained_dir / "checkpoint.txt"))
         checkpoint.actor_amplitudes[3] *= 3.0
         bad = tmp_path / "scaled.txt"
         self.layout.write(checkpoint, str(bad))
@@ -311,7 +312,7 @@ class EvalRefusesDamagedFiles:
     def test_broken_checkpoint_is_refused_before_the_corpus_is_read(
         self, trained_dir, tmp_path, capsys
     ):
-        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint = ckpt.load_checkpoint(str(trained_dir / "checkpoint.txt"))
         checkpoint.actor_amplitudes[4, 1] = np.nan
         bad = tmp_path / "nan.txt"
         self.layout.write(checkpoint, str(bad))
@@ -522,7 +523,7 @@ class TestBlockShapes:
     def test_is_runtime_error_without_traceback(
         self, corpus_dir, trained_dir, tmp_path, capsys, command, shape, name
     ):
-        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint = ckpt.load_checkpoint(str(trained_dir / "checkpoint.txt"))
         if name == "critic.phases":  # A v1 file, whose blocks are decimal as in v2.
             lines, layout = v1_lines(checkpoint), V2
         else:
@@ -541,7 +542,7 @@ class TestBlockShapes:
     def test_order_zero_factors_name_the_echoed_order(
         self, corpus_dir, trained_dir, tmp_path, capsys, command
     ):
-        lines = self.layout.lines(trainer.load_checkpoint(str(trained_dir / "checkpoint.txt")))
+        lines = self.layout.lines(ckpt.load_checkpoint(str(trained_dir / "checkpoint.txt")))
         bad = tmp_path / "order0.txt"
         order0 = with_block_shape(lines, "global.factors", lambda r, c: (0, c), self.layout)
         bad.write_text("\n".join(order0) + "\n")
@@ -565,7 +566,7 @@ class PhaseRedrawDamageCases:
     layout = V2
 
     def run_edited(self, corpus_dir, trained_dir, tmp_path, capsys, command, edit):
-        lines = self.layout.lines(trainer.load_checkpoint(str(trained_dir / "checkpoint.txt")))
+        lines = self.layout.lines(ckpt.load_checkpoint(str(trained_dir / "checkpoint.txt")))
         assert lines[0] == self.layout.header
         bad = tmp_path / "edited.txt"
         bad.write_text("\n".join(edit(lines)) + "\n")
@@ -613,7 +614,7 @@ class TestCheckpointV2(PhaseRedrawDamageCases):
         self, corpus_dir, trained_dir, tmp_path, capsys
     ):
         path = tmp_path / "v2.txt"
-        write_v2(trainer.load_checkpoint(str(trained_dir / "checkpoint.txt")), path)
+        write_v2(ckpt.load_checkpoint(str(trained_dir / "checkpoint.txt")), path)
         corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)
         argv = [
             "inspect",
@@ -630,7 +631,7 @@ class TestCheckpointV2(PhaseRedrawDamageCases):
     def test_inspect_says_a_v1_file_stores_its_phases(self, trained_dir, tmp_path, capsys, source):
         path = CRITERION9_V1
         if source == "edited":  # phases that are not the init draw of the echoed seed
-            checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+            checkpoint = ckpt.load_checkpoint(str(trained_dir / "checkpoint.txt"))
             checkpoint.critic_phases = -checkpoint.critic_phases
             path = tmp_path / "v1.txt"
             write_v1(checkpoint, path)
@@ -644,7 +645,7 @@ class TestCheckpointV2(PhaseRedrawDamageCases):
     def test_inspect_doc_labels_a_v1_file_s_stored_phases(
         self, corpus_dir, trained_dir, tmp_path, capsys
     ):
-        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint = ckpt.load_checkpoint(str(trained_dir / "checkpoint.txt"))
         checkpoint.critic_phases = np.zeros_like(checkpoint.critic_phases)
         path = tmp_path / "v1.txt"
         write_v1(checkpoint, path)
@@ -680,7 +681,7 @@ class TestCheckpointV3(PhaseRedrawDamageCases):
         ]
         code, out, _ = run(argv, capsys)
         assert code == 0
-        assert out[0] == trainer.CHECKPOINT_HEADER == "qforage-checkpoint v3"
+        assert out[0] == ckpt.CHECKPOINT_HEADER == "qforage-checkpoint v3"
         phases = [l for l in out if l.startswith("critic.phases: ")]
         assert len(phases) == 1 and "redrawn from the echoed seed" in phases[0]
         assert any(l.startswith("top off-diagonals (init-time phases): ") for l in out)
@@ -692,14 +693,14 @@ class TestInspect:
             ["inspect", "--checkpoint", str(trained_dir / "checkpoint.txt")], capsys
         )
         assert code == 0
-        assert out[0] == trainer.CHECKPOINT_HEADER
+        assert out[0] == ckpt.CHECKPOINT_HEADER
         assert any(l.startswith("global.factors: rank=4") for l in out)
 
     def test_actor_row_off_the_unit_sphere_is_runtime_error(self, trained_dir, tmp_path, capsys):
-        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint = ckpt.load_checkpoint(str(trained_dir / "checkpoint.txt"))
         checkpoint.actor_amplitudes[3] *= 3.0
         bad = tmp_path / "scaled.txt"
-        trainer.save_checkpoint(checkpoint, str(bad))
+        ckpt.save_checkpoint(checkpoint, str(bad))
         code, out, err = run(["inspect", "--checkpoint", str(bad)], capsys)
         assert code == 1
         assert out == []
@@ -732,7 +733,7 @@ class TestInspect:
 
     def test_document_diagnostics_judge_as_eval_does(self, corpus_dir, trained_dir, capsys):
         corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)
-        checkpoint = trainer.load_checkpoint(str(trained_dir / "checkpoint.txt"))
+        checkpoint = ckpt.load_checkpoint(str(trained_dir / "checkpoint.txt"))
         _, critic_table, _ = trainer.restore_params(checkpoint, corpus)
         compiled = corpus.compiled
         judged = critic.batch_class_probabilities(
@@ -757,12 +758,11 @@ class TestInspect:
     def test_document_diagnostics_parse_and_check_the_checkpoint_once(
         self, corpus_dir, trained_dir, capsys, monkeypatch
     ):
-        spies = {
-            name: mock.Mock(wraps=getattr(trainer, name))
-            for name in ("load_checkpoint", "check_invariants")
-        }
+        # Each spy patches the module that looks the name up.
+        owners = {"load_checkpoint": cli, "check_invariants": trainer}
+        spies = {name: mock.Mock(wraps=getattr(owner, name)) for name, owner in owners.items()}
         for name, spy in spies.items():
-            monkeypatch.setattr(trainer, name, spy)
+            monkeypatch.setattr(owners[name], name, spy)
         corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)
         argv = [
             "inspect",

@@ -10,10 +10,8 @@ import pytest
 
 from qforage import qcore
 from qforage.critic import (
-    CLASS_REWARDS,
     ComplexEmbeddingTable,
     class_observable,
-    class_of_reward,
     class_probabilities,
     critic_density,
     critic_loss_and_gradients,
@@ -285,11 +283,6 @@ class TestQValue:
             rho = critic_density(tokens, [], table)
             expectation = class_observable(rho.dim).expectation(rho)
             assert q_value(measure_classes(rho)) == pytest.approx(expectation, abs=1e-12)
-
-    def test_class_of_reward_mapping(self):
-        assert [class_of_reward(r) for r in CLASS_REWARDS] == [0, 1, 2]
-        with pytest.raises(InvalidLabel):
-            class_of_reward(2)
 
 
 def label_probability(amplitudes, phases, salience, words, tokens, label):

@@ -8,11 +8,13 @@ Evaluation metrics are re-derived from scratch over the corpus.
 """
 
 import base64
+import binascii
 import copy
 import dataclasses
 import errno
 import itertools
 import os
+import re
 import stat
 import string
 from unittest import mock
@@ -25,6 +27,7 @@ from checkpoint_v3 import V3, block_span, payload_lines, v3_block_lines, v3_line
 from scent_reference import reference_scent
 
 from qforage import actor, critic, env, qcore, qrep, trainer
+from qforage import checkpoint as ckpt
 from qforage.errors import (
     CheckpointInvalid,
     CheckpointMismatch,
@@ -319,7 +322,7 @@ def string_path_step(params, critic_table, keywords, drawn, config, rng):
     tokens = list(keywords) + list(chosen.tokens)
     ids = np.asarray([critic_table.word_id(t) for t in tokens], dtype=np.int64)
     _, probabilities, rows, amplitude_rows, salience_rows = critic.critic_loss_and_gradients(
-        ids, critic.class_of_reward(chosen.label), critic_table
+        ids, critic.CLASS_REWARDS.index(chosen.label), critic_table
     )
     q_estimate = float(np.dot(critic.CLASS_REWARDS, probabilities))
     critic_table.amplitudes[rows] -= config.critic_lr * amplitude_rows
@@ -469,8 +472,8 @@ class TestWordIndexIsBuiltOnFirstLookup:
         params, critic_table = trainer.init_params(corpus, config)
         if source == "restore_params":
             path = tmp_path / "checkpoint.txt"
-            trainer.save_checkpoint(trainer.make_checkpoint(params, critic_table, config), str(path))
-            params, critic_table, _ = trainer.restore_params(trainer.load_checkpoint(str(path)), corpus)
+            ckpt.save_checkpoint(trainer.make_checkpoint(params, critic_table, config), str(path))
+            params, critic_table, _ = trainer.restore_params(ckpt.load_checkpoint(str(path)), corpus)
         for table, module in ((params.table, qrep), (critic_table, critic)):
             assert "_index" not in vars(table)
             rows = [table.word_id(word) for word in corpus.vocabulary]
@@ -608,7 +611,7 @@ class TestEvaluate:
                     list(doc.keywords) + list(cand.tokens), critic_table
                 )
                 critic_hits += int(
-                    int(np.argmax(p)) == critic.class_of_reward(cand.label)
+                    int(np.argmax(p)) == critic.CLASS_REWARDS.index(cand.label)
                 )
                 total += 1
         assert ev.greedy_accuracy == hits / len(corpus.documents)
@@ -787,7 +790,7 @@ def per_document_recount(params, critic_table, corpus):
         choices.append((doc.doc_id, doc.candidates[index].tokens, reward))
         for cand in doc.candidates:
             p = critic.class_probabilities(list(doc.keywords) + list(cand.tokens), critic_table)
-            probabilities.append((p, critic.class_of_reward(cand.label)))
+            probabilities.append((p, critic.CLASS_REWARDS.index(cand.label)))
     return rewards, patch_ids, choices, probabilities
 
 
@@ -942,7 +945,7 @@ class TestNoDensityMatrixOnTrainingPaths:
             assert critic_state_bytes(critic_table) != critic_state_bytes(before)
 
 
-def init_checkpoint_file(tmp_path, write=trainer.save_checkpoint, **overrides):
+def init_checkpoint_file(tmp_path, write=ckpt.save_checkpoint, **overrides):
     """Init-time parameters over small_corpus(), written to tmp_path / "checkpoint.txt"."""
     corpus = small_corpus()
     config = small_config(**overrides)
@@ -981,14 +984,14 @@ class CheckpointFileCases:
 
     def test_round_trip_is_bitwise(self, tmp_path):
         _, _, _, _, checkpoint, path = self.make(tmp_path)
-        loaded = trainer.load_checkpoint(str(path))
+        loaded = ckpt.load_checkpoint(str(path))
         assert loaded.header == self.layout.header
         assert_same_checkpoint_bits(loaded, checkpoint)
         assert loaded.config_echo == checkpoint.config_echo
 
     def test_restore_params_rebinds_bitwise(self, tmp_path):
         corpus, config, params, critic_table, _, path = self.make(tmp_path)
-        loaded = trainer.load_checkpoint(str(path))
+        loaded = ckpt.load_checkpoint(str(path))
         re_params, re_critic, re_config = trainer.restore_params(loaded, corpus)
         assert actor_state_bytes(re_params) == actor_state_bytes(params)
         assert critic_state_bytes(re_critic) == critic_state_bytes(critic_table)
@@ -999,7 +1002,7 @@ class CheckpointFileCases:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         assert isinstance(excinfo.value.line, int)
 
     def test_wrong_row_width_reports_line(self, tmp_path):
@@ -1009,7 +1012,7 @@ class CheckpointFileCases:
         lines[header + 1] = lines[header + 1] + " 0.5"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         assert excinfo.value.line == header + 2
 
     def test_unknown_block_rejected(self, tmp_path):
@@ -1017,7 +1020,7 @@ class CheckpointFileCases:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("".join(l + "\n" for l in self.layout.block_lines("mystery.block", [[0.0]])))
         with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         assert "mystery.block" in str(excinfo.value)
 
     @pytest.mark.parametrize("shape", ["-1 1", "1 -1", "-1 -1"])
@@ -1028,7 +1031,7 @@ class CheckpointFileCases:
         lines[header] = f"[global.weights {shape}]"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="negative block shape") as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         assert excinfo.value.line == header + 1
 
     def test_repeated_block_reports_the_second_header(self, tmp_path):
@@ -1043,14 +1046,14 @@ class CheckpointFileCases:
             block = self.layout.block_lines("actor.amplitudes", swapped)
             fh.write("".join(l + "\n" for l in block))
         with pytest.raises(ParseError, match="twice") as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         assert excinfo.value.line == header
 
     def test_missing_blocks_rejected(self, tmp_path):
         path = tmp_path / "thin.txt"
         path.write_text(self.layout.header + "\n")
         with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         assert "missing" in str(excinfo.value)
 
     def test_factor_rows_must_divide_by_rank(self, tmp_path):
@@ -1060,7 +1063,7 @@ class CheckpointFileCases:
         lines[start:end] = self.layout.block_lines("global.weights", np.full((5, 1), 0.25))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         assert "divisible" in str(excinfo.value)
 
 
@@ -1076,7 +1079,7 @@ class TestCheckpointFormat(CheckpointFileCases):
                 st = stream_rng(config.seed, name).bit_generator.state
                 fields = (st["state"]["state"], st["state"]["inc"], st["has_uint32"], st["uinteger"])
                 fh.write(f"[rng.{name} 1 4]\n{' '.join(str(int(v)) for v in fields)}\n")
-        loaded = trainer.load_checkpoint(str(path))
+        loaded = ckpt.load_checkpoint(str(path))
         re_params, re_critic, _ = trainer.restore_params(loaded, corpus)
         assert actor_state_bytes(re_params) == actor_state_bytes(params)
         assert critic_state_bytes(re_critic) == critic_state_bytes(critic_table)
@@ -1090,7 +1093,7 @@ class TestCheckpointFormat(CheckpointFileCases):
         lines.insert(1, "# discount=0.9")
         lines.insert(10, "# checkpoint_path=out/checkpoint.txt")
         path.write_text("\n".join(lines) + "\n")
-        loaded = trainer.load_checkpoint(str(path))
+        loaded = ckpt.load_checkpoint(str(path))
         assert loaded.config_echo["discount"] == "0.9"
         assert loaded.config_echo["checkpoint_path"] == "out/checkpoint.txt"
         re_params, re_critic, re_config = trainer.restore_params(loaded, corpus)
@@ -1108,9 +1111,9 @@ class TestCheckpointFormat(CheckpointFileCases):
         def fail(_checkpoint):
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(trainer, "checkpoint_bytes", fail)
+        monkeypatch.setattr(ckpt, "checkpoint_bytes", fail)
         with pytest.raises(RuntimeError):
-            trainer.save_checkpoint(checkpoint, str(path))
+            ckpt.save_checkpoint(checkpoint, str(path))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.txt"]
 
@@ -1118,14 +1121,14 @@ class TestCheckpointFormat(CheckpointFileCases):
         path = tmp_path / "empty.txt"
         path.write_text("")
         with pytest.raises(VersionMismatch) as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         assert "<empty file>" in str(excinfo.value)
 
     def test_wrong_header_is_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("qforage-checkpoint v999\n")
         with pytest.raises(VersionMismatch):
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
 
     def test_non_numeric_value_rejected(self, tmp_path):
         # A v1 file, the only layout that stores critic.phases.
@@ -1137,7 +1140,7 @@ class TestCheckpointFormat(CheckpointFileCases):
         lines[header + 1] = " ".join(row)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError):
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
 
     def test_restore_against_wrong_corpus(self, tmp_path):
         _, _, _, _, checkpoint, _ = self.make(tmp_path)
@@ -1237,7 +1240,7 @@ class TestCheckpointFormatV3(CheckpointFileCases):
     def load_error(path, lines):
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         return excinfo.value
 
     def test_payload_truncated_at_the_end_of_the_file(self, tmp_path):
@@ -1331,11 +1334,11 @@ class TestCheckpointFormatV3(CheckpointFileCases):
     def test_blocks_without_values_have_no_payload_lines(self, tmp_path):
         checkpoint = with_init_phases(random_checkpoint(np.random.default_rng(4), critic_rows=0))
         path = tmp_path / "empty-critic.txt"
-        trainer.save_checkpoint(checkpoint, str(path))
+        ckpt.save_checkpoint(checkpoint, str(path))
         lines = path.read_text().splitlines()
         start = lines.index("[critic.amplitudes 0 6]")
         assert lines[start + 1 :] == ["[critic.salience 0 1]"]
-        loaded = trainer.load_checkpoint(str(path))
+        loaded = ckpt.load_checkpoint(str(path))
         assert_same_checkpoint_bits(loaded, checkpoint)
 
 
@@ -1357,9 +1360,9 @@ class TestSaveIsDurable:
 
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
-        trainer.save_checkpoint(checkpoint, str(path))
+        ckpt.save_checkpoint(checkpoint, str(path))
         assert calls == [
-            ("fsync", path.stat().st_ino, len(trainer.checkpoint_bytes(checkpoint))),
+            ("fsync", path.stat().st_ino, len(ckpt.checkpoint_bytes(checkpoint))),
             ("replace", "checkpoint.txt.tmp", "checkpoint.txt"),
             ("fsync", tmp_path.stat().st_ino, None),
         ]
@@ -1381,9 +1384,9 @@ class TestSaveIsDurable:
 
         monkeypatch.setattr(os, "fsync", fsync)
         with pytest.raises(OSError, match="fsync failed"):
-            trainer.save_checkpoint(later, str(path))
+            ckpt.save_checkpoint(later, str(path))
         # Before the rename the earlier file stays; after it the new file is whole.
-        expected = before if failing == 1 else trainer.checkpoint_bytes(later)
+        expected = before if failing == 1 else ckpt.checkpoint_bytes(later)
         assert path.read_bytes() == expected
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.txt"]
 
@@ -1410,7 +1413,7 @@ class PhasesLeftOutCases:
                 params, critic_table = trainer.init_params(corpus, config)
                 self.layout.write(trainer.make_checkpoint(params, critic_table, config), str(path))
                 assert "[critic.phases" not in path.read_text()
-                loaded = trainer.load_checkpoint(str(path))
+                loaded = ckpt.load_checkpoint(str(path))
                 assert loaded.critic_phases.shape == critic_table.phases.shape
                 assert loaded.critic_phases.tobytes() == critic_table.phases.tobytes()
 
@@ -1426,8 +1429,8 @@ class PhasesLeftOutCases:
                 )
                 params, critic_table = trainer.init_params(corpus, config)
                 self.layout.write(trainer.make_checkpoint(params, critic_table, config), str(path))
-                trainer._PHASE_STATES.clear()
-                loaded = trainer.load_checkpoint(str(path))
+                ckpt._PHASE_STATES.clear()
+                loaded = ckpt.load_checkpoint(str(path))
                 assert loaded.critic_phases.shape == critic_table.phases.shape
                 assert loaded.critic_phases.tobytes() == critic_table.phases.tobytes()
 
@@ -1437,7 +1440,7 @@ class PhasesLeftOutCases:
         result = trainer.train(small_config(), corpus)
         self.layout.write(result.checkpoint, str(path))
         assert path.read_text().splitlines()[0] == self.layout.header
-        params, critic_table, _ = trainer.restore_params(trainer.load_checkpoint(str(path)), corpus)
+        params, critic_table, _ = trainer.restore_params(ckpt.load_checkpoint(str(path)), corpus)
         assert actor_state_bytes(params) == actor_state_bytes(result.params)
         assert critic_state_bytes(critic_table) == critic_state_bytes(result.critic_table)
 
@@ -1449,7 +1452,7 @@ class PhasesLeftOutCases:
             lines.insert(1, seed_line)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointInvalid, match="redrawn from an integer seed"):
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
 
     def test_stored_phases_block_is_rejected(self, tmp_path):
         _, _, _, critic_table, _, path = init_checkpoint_file(tmp_path, self.layout.write)
@@ -1457,7 +1460,7 @@ class PhasesLeftOutCases:
         lines = path.read_text().splitlines() + phases
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="does not store block 'critic.phases'") as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         assert excinfo.value.line == len(lines) - len(phases) + 1
 
 
@@ -1475,7 +1478,7 @@ class TestCheckpointV2(PhasesLeftOutCases):
         before = path.read_bytes()
         edit(checkpoint)
         with pytest.raises(CheckpointInvalid, match="block 'critic.phases' is not the init draw"):
-            trainer.save_checkpoint(checkpoint, str(path))
+            ckpt.save_checkpoint(checkpoint, str(path))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.txt"]
 
@@ -1493,7 +1496,7 @@ def replayed_phases(seed, actor_shape, factor_shape, critic_shape):
 
 
 def echoed_phases(seed, actor_shape, factor_shape, critic_shape):
-    return trainer.echoed_init_phases(
+    return ckpt.echoed_init_phases(
         {"seed": str(seed)}, np.empty(actor_shape), np.empty(factor_shape), np.empty(critic_shape)
     )
 
@@ -1516,10 +1519,10 @@ class TestRememberedInitState:
     @pytest.mark.parametrize("seed", [0, 9, 2**40 + 3])
     @pytest.mark.parametrize("shapes", SHAPES, ids=lambda s: f"critic{s[2]}")
     def test_warm_draw_is_the_full_replay(self, seed, shapes):
-        trainer._PHASE_STATES.clear()
-        full = trainer.init_draws(seed, *shapes)[-1]
-        assert (seed, *shapes) in trainer._PHASE_STATES
-        with mock.patch.object(trainer, "init_draws", wraps=trainer.init_draws) as draws:
+        ckpt._PHASE_STATES.clear()
+        full = ckpt.init_draws(seed, *shapes)[-1]
+        assert (seed, *shapes) in ckpt._PHASE_STATES
+        with mock.patch.object(ckpt, "init_draws", wraps=ckpt.init_draws) as draws:
             warm = echoed_phases(seed, *shapes)
         assert draws.call_count == 0
         assert same_bits(warm, full)
@@ -1531,16 +1534,20 @@ class TestRememberedInitState:
         params, critic_table = trainer.init_params(corpus, config)
         checkpoint = trainer.make_checkpoint(params, critic_table, config)
         path = tmp_path / "checkpoint.txt"
-        with mock.patch.object(trainer, "init_draws", wraps=trainer.init_draws) as draws:
-            trainer.save_checkpoint(checkpoint, str(path))
-            loaded = trainer.load_checkpoint(str(path))
+        with mock.patch.object(ckpt, "init_draws", wraps=ckpt.init_draws) as draws:
+            ckpt.save_checkpoint(checkpoint, str(path))
+            loaded = ckpt.load_checkpoint(str(path))
         assert draws.call_count == 0
         assert same_bits(loaded.critic_phases, critic_table.phases)
 
     def test_train_saves_draw_no_normals(self, tmp_path):
         corpus = small_corpus()
         config = small_config()
-        with mock.patch.object(trainer, "init_draws", wraps=trainer.init_draws) as draws:
+        # init_params looks init_draws up in trainer and a save in checkpoint.
+        draws = mock.Mock(wraps=ckpt.init_draws)
+        with mock.patch.object(trainer, "init_draws", draws), mock.patch.object(
+            ckpt, "init_draws", draws
+        ):
             trainer.train(config, corpus, checkpoint_path=str(tmp_path / "checkpoint.txt"))
         assert draws.call_count == 1  # init_params' own draw; the interval saves make none
 
@@ -1548,18 +1555,18 @@ class TestRememberedInitState:
     def test_fallback_replays_the_same_bits_and_remembers(self, forget):
         seed, shapes = 2**40 + 3, self.SHAPES[2]
         key = (seed, *shapes)
-        full = trainer.init_draws(seed, *shapes)[-1]
+        full = ckpt.init_draws(seed, *shapes)[-1]
         if forget == "cleared":
-            trainer._PHASE_STATES.clear()
+            ckpt._PHASE_STATES.clear()
         else:
-            for other in range(trainer._PHASE_STATES_BOUND):
-                trainer.init_draws(other, *self.SHAPES[0])
-        assert key not in trainer._PHASE_STATES
-        with mock.patch.object(trainer, "init_draws", wraps=trainer.init_draws) as draws:
+            for other in range(ckpt._PHASE_STATES_BOUND):
+                ckpt.init_draws(other, *self.SHAPES[0])
+        assert key not in ckpt._PHASE_STATES
+        with mock.patch.object(ckpt, "init_draws", wraps=ckpt.init_draws) as draws:
             cold = echoed_phases(seed, *shapes)
         assert draws.call_count == 1
         assert same_bits(cold, full)
-        assert key in trainer._PHASE_STATES
+        assert key in ckpt._PHASE_STATES
         assert same_bits(echoed_phases(seed, *shapes), full)
 
     def test_warm_save_refuses_phases_one_bit_off(self, tmp_path):
@@ -1569,28 +1576,28 @@ class TestRememberedInitState:
             checkpoint.global_factors.shape,
             checkpoint.critic_amplitudes.shape,
         )
-        assert (int(checkpoint.config_echo["seed"]), *shapes) in trainer._PHASE_STATES
+        assert (int(checkpoint.config_echo["seed"]), *shapes) in ckpt._PHASE_STATES
         before = path.read_bytes()
         checkpoint.critic_phases.view(np.uint64)[2, 1] ^= 1
         with pytest.raises(CheckpointInvalid, match="block 'critic.phases' is not the init draw"):
-            trainer.save_checkpoint(checkpoint, str(path))
+            ckpt.save_checkpoint(checkpoint, str(path))
         assert path.read_bytes() == before
 
     def test_memo_is_bounded_and_holds_no_arrays(self):
-        bound = trainer._PHASE_STATES_BOUND
+        bound = ckpt._PHASE_STATES_BOUND
         drawn = []
         for seed in range(3 * bound):
-            trainer.init_draws(seed, *self.SHAPES[0])
+            ckpt.init_draws(seed, *self.SHAPES[0])
             drawn.append((seed, *self.SHAPES[0]))
-            assert len(trainer._PHASE_STATES) <= bound
-        assert list(trainer._PHASE_STATES) == drawn[-bound:]  # the oldest are dropped
+            assert len(ckpt._PHASE_STATES) <= bound
+        assert list(ckpt._PHASE_STATES) == drawn[-bound:]  # the oldest are dropped
 
         def arrays(value):
             if isinstance(value, dict):
                 return [a for v in value.values() for a in arrays(v)]
             return [value] if isinstance(value, np.ndarray) else []
 
-        assert arrays(trainer._PHASE_STATES) == []
+        assert arrays(ckpt._PHASE_STATES) == []
 
 
 class TestCheckpointV1:
@@ -1606,32 +1613,32 @@ class TestCheckpointV1:
     def test_committed_file_restores_what_training_gives(self, tmp_path):
         corpus, config = self.criterion9()
         result = trainer.train(config, corpus)
-        loaded = trainer.load_checkpoint(str(CRITERION9_V1))
+        loaded = ckpt.load_checkpoint(str(CRITERION9_V1))
         params, critic_table, restored_config = trainer.restore_params(loaded, corpus)
         assert restored_config == config
         assert actor_state_bytes(params) == actor_state_bytes(result.params)
         assert critic_state_bytes(critic_table) == critic_state_bytes(result.critic_table)
         # Saving what a v1 file loads to writes the v3 file training writes.
         ours, theirs = tmp_path / "ours.txt", tmp_path / "theirs.txt"
-        trainer.save_checkpoint(loaded, str(ours))
-        trainer.save_checkpoint(result.checkpoint, str(theirs))
+        ckpt.save_checkpoint(loaded, str(ours))
+        ckpt.save_checkpoint(result.checkpoint, str(theirs))
         assert ours.read_bytes() == theirs.read_bytes()
 
     def test_stored_phases_that_are_not_the_init_draw_are_kept(self, tmp_path):
         corpus, _ = self.criterion9()
-        checkpoint = trainer.load_checkpoint(str(CRITERION9_V1))
+        checkpoint = ckpt.load_checkpoint(str(CRITERION9_V1))
         checkpoint.critic_phases = np.random.default_rng(4).uniform(
             -np.pi, np.pi, checkpoint.critic_phases.shape
         )
         path = tmp_path / "edited-v1.txt"
         write_v1(checkpoint, path)
-        loaded = trainer.load_checkpoint(str(path))
+        loaded = ckpt.load_checkpoint(str(path))
         assert loaded.critic_phases.tobytes() == checkpoint.critic_phases.tobytes()
         _, critic_table, _ = trainer.restore_params(loaded, corpus)
         assert critic_table.phases.tobytes() == checkpoint.critic_phases.tobytes()
         # No v3 file can hold them.
         with pytest.raises(CheckpointInvalid, match="critic.phases"):
-            trainer.save_checkpoint(loaded, str(tmp_path / "v3.txt"))
+            ckpt.save_checkpoint(loaded, str(tmp_path / "v3.txt"))
 
 
 def _after_first_echo_line(brk):
@@ -1677,14 +1684,22 @@ SAME_STATE_EDITS = {
 }
 
 
+def b64decode_3_10(s, altchars=None, validate=False):
+    """base64.b64decode as Python 3.10 defines it: an alphabet check, then a plain decode."""
+    assert altchars is None
+    s = base64._bytes_from_decode_data(s)
+    if validate and not re.fullmatch(b"[A-Za-z0-9+/]*={0,2}", s):
+        raise binascii.Error("Non-base64 digit found")
+    return binascii.a2b_base64(s)
+
+
 def refuse_line_walk(monkeypatch):
-    """Make cutting a v3 payload into lines, or naming a bad payload line, fail the test."""
+    """Make naming a bad payload line, the one path that cuts a v3 payload into lines, fail."""
 
     def refuse(*args):
         raise AssertionError("a payload was cut into lines")
 
-    monkeypatch.setattr(trainer, "_decode_block", refuse)
-    monkeypatch.setattr(trainer, "_payload_error", refuse)
+    monkeypatch.setattr(ckpt, "_payload_error", refuse)
 
 
 class TestCheckpointVersions:
@@ -1698,17 +1713,17 @@ class TestCheckpointVersions:
         return path
 
     def test_every_version_loads_to_the_same_bits(self, v3_file):
-        v3 = trainer.load_checkpoint(str(v3_file))
-        assert v3.header == trainer.CHECKPOINT_HEADER
+        v3 = ckpt.load_checkpoint(str(v3_file))
+        assert v3.header == ckpt.CHECKPOINT_HEADER
         for path, header in ((CRITERION9_V2, V2_HEADER), (CRITERION9_V1, V1_HEADER)):
-            loaded = trainer.load_checkpoint(str(path))
+            loaded = ckpt.load_checkpoint(str(path))
             assert loaded.header == header
             assert_same_checkpoint_bits(loaded, v3)
             assert loaded.config_echo == v3.config_echo
 
     def test_saving_a_loaded_v2_file_writes_v3(self, v3_file, tmp_path):
         path = tmp_path / "resaved.txt"
-        trainer.save_checkpoint(trainer.load_checkpoint(str(CRITERION9_V2)), str(path))
+        ckpt.save_checkpoint(ckpt.load_checkpoint(str(CRITERION9_V2)), str(path))
         assert path.read_bytes() == v3_file.read_bytes()
 
     def test_a_crlf_copy_loads_to_the_same_bits(self, v3_file, tmp_path):
@@ -1718,8 +1733,8 @@ class TestCheckpointVersions:
         assert b"\r" not in data
         crlf = tmp_path / "crlf.txt"
         crlf.write_bytes(data.replace(b"\n", b"\r\n"))
-        v3 = trainer.load_checkpoint(str(v3_file))
-        loaded = trainer.load_checkpoint(str(crlf))
+        v3 = ckpt.load_checkpoint(str(v3_file))
+        loaded = ckpt.load_checkpoint(str(crlf))
         assert loaded.header == v3.header
         assert loaded.config_echo == v3.config_echo
         assert_same_checkpoint_bits(loaded, v3)
@@ -1730,21 +1745,46 @@ class TestCheckpointVersions:
         edited = tmp_path / "edited.txt"
         edited.write_bytes(edit(data))
         assert edited.read_bytes() != data
-        v3 = trainer.load_checkpoint(str(v3_file))
-        loaded = trainer.load_checkpoint(str(edited))
+        v3 = ckpt.load_checkpoint(str(v3_file))
+        loaded = ckpt.load_checkpoint(str(edited))
         assert loaded.header == v3.header
         assert loaded.config_echo == v3.config_echo
         assert_same_checkpoint_bits(loaded, v3)
 
-    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["saved", "crlf", "lone-cr"])
+    @pytest.mark.parametrize(
+        "edit", [lambda d: d, *SAME_STATE_EDITS.values()], ids=["saved", *SAME_STATE_EDITS]
+    )
     def test_the_saved_file_is_decoded_without_cutting_lines(
-        self, v3_file, tmp_path, monkeypatch, newline
+        self, v3_file, tmp_path, monkeypatch, edit
     ):
-        v2 = trainer.load_checkpoint(str(CRITERION9_V2))
+        v2 = ckpt.load_checkpoint(str(CRITERION9_V2))
         copy = tmp_path / "copy.txt"
-        copy.write_bytes(v3_file.read_bytes().replace(b"\n", newline))
+        copy.write_bytes(edit(v3_file.read_bytes()))
         refuse_line_walk(monkeypatch)
-        assert_same_checkpoint_bits(trainer.load_checkpoint(str(copy)), v2)
+        assert_same_checkpoint_bits(ckpt.load_checkpoint(str(copy)), v2)
+
+    def test_python_3_10_base64_loads_the_same_bits_and_errors(
+        self, v3_file, tmp_path, monkeypatch
+    ):
+        # pyproject allows Python 3.10, whose binascii.a2b_base64 takes no
+        # strict_mode and whose b64decode validates by a regex; no 3.10
+        # interpreter runs these tests, so both stand in for it here.
+        lines = v3_file.read_text().splitlines()
+        start, _ = block_span(lines, "critic.amplitudes")
+        lines[start + 2] = "!" + lines[start + 2][1:]
+        damaged = tmp_path / "damaged.txt"
+        damaged.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = ckpt.load_checkpoint(str(v3_file))
+        with pytest.raises(ParseError, match="not base64") as refused:
+            ckpt.load_checkpoint(str(damaged))
+        a2b_base64 = binascii.a2b_base64
+        monkeypatch.setattr(binascii, "a2b_base64", lambda data, /: a2b_base64(data))
+        monkeypatch.setattr(base64, "b64decode", b64decode_3_10)
+        assert_same_checkpoint_bits(ckpt.load_checkpoint(str(v3_file)), expected)
+        with pytest.raises(ParseError) as excinfo:
+            ckpt.load_checkpoint(str(damaged))
+        assert str(excinfo.value) == str(refused.value)
+        assert excinfo.value.line == refused.value.line == start + 3
 
     def test_a_line_cut_from_a_block_header_is_read_as_its_first_payload_line(
         self, v3_file, tmp_path
@@ -1758,7 +1798,7 @@ class TestCheckpointVersions:
         edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
         message = "'actor.amplitudes' payload line has 3 characters"
         with pytest.raises(ParseError, match=message) as excinfo:
-            trainer.load_checkpoint(str(edited))
+            ckpt.load_checkpoint(str(edited))
         assert excinfo.value.line == header + 2
 
     def test_header_echo_and_block_lines_equal_v2_but_for_the_version(self, v3_file):
@@ -1769,7 +1809,7 @@ class TestCheckpointVersions:
 
         v2 = CRITERION9_V2.read_text().splitlines()
         assert v2[0] == V2_HEADER
-        assert v3_file.read_text().splitlines()[0] == trainer.CHECKPOINT_HEADER
+        assert v3_file.read_text().splitlines()[0] == ckpt.CHECKPOINT_HEADER
         assert frame(v3_file) == frame(CRITERION9_V2)
         echo = [l for l in v2 if l.startswith("#")]
         assert v3_file.read_text().splitlines()[1 : 1 + len(echo)] == echo
@@ -1794,7 +1834,7 @@ class TestLineNumbersFollowSplitlines:
         path.write_bytes(text.encode("utf-8"))
         expected = next(i for i, l in enumerate(text.splitlines()) if is_bad(l)) + 1
         with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         assert excinfo.value.line == expected
 
     @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
@@ -1826,13 +1866,31 @@ class TestLineNumbersFollowSplitlinesV3(TestLineNumbersFollowSplitlines):
 class TestBytesThatAreNotUtf8:
     """A byte that is not UTF-8 raises ParseError at the str.splitlines line holding it."""
 
+    @pytest.mark.parametrize(
+        "layout, message",
+        [(V2, "row has 1 values, expected 6"), (V3, "payload line has 9 characters")],
+        ids=["v2", "v3"],
+    )
+    def test_an_earlier_bad_line_is_named_first(self, tmp_path, layout, message):
+        # A break cuts the block's first line in two, and its last line holds
+        # a byte that is not UTF-8: the cut line comes first, so it is named.
+        path = init_checkpoint_file(tmp_path, layout.write)[-1]
+        lines = path.read_bytes().split(b"\n")
+        start, end = block_span([l.decode() for l in lines], "critic.amplitudes")
+        lines[start + 1] = lines[start + 1][:9] + b"\x0c" + lines[start + 1][9:]
+        lines[end - 1] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match=message) as excinfo:
+            ckpt.load_checkpoint(str(path))
+        assert excinfo.value.line == start + 2
+
     @staticmethod
     def assert_named(path, data):
         path.write_bytes(data)
         lines = data.decode("utf-8", "surrogateescape").splitlines()
         expected = next(i for i, l in enumerate(lines) if "\udcff" in l) + 1
         with pytest.raises(ParseError, match="not UTF-8 text") as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         assert excinfo.value.line == expected
 
     @pytest.mark.parametrize("layout", [V2, V3], ids=["v2", "v3"])
@@ -1915,7 +1973,7 @@ def random_block(rng, rows, cols):
 
 def random_checkpoint(rng, critic_rows):
     rank, order, k, d = 3, 2, 4, 6
-    return trainer.Checkpoint(
+    return ckpt.Checkpoint(
         actor_amplitudes=random_block(rng, 7, k),
         global_weights=random_block(rng, rank, 1).ravel(),
         global_factors=random_block(rng, rank * order, k).reshape(rank, order, k),
@@ -1928,7 +1986,7 @@ def random_checkpoint(rng, critic_rows):
 
 def with_init_phases(checkpoint):
     """The checkpoint with the phases its echoed seed and block shapes redraw, so it saves."""
-    phases = trainer.echoed_init_phases(
+    phases = ckpt.echoed_init_phases(
         checkpoint.config_echo,
         checkpoint.actor_amplitudes,
         checkpoint.global_factors,
@@ -1954,10 +2012,10 @@ class TestBlockTextMatchesPerValueReference:
 
         # A v3 file holds each block's bytes, encoded one group at a time by
         # the reference, and loads to every bit of them.
-        assert trainer.checkpoint_lines(checkpoint) == v3_lines(checkpoint)
-        trainer.save_checkpoint(saved, str(path))
+        assert ckpt.checkpoint_lines(checkpoint) == v3_lines(checkpoint)
+        ckpt.save_checkpoint(saved, str(path))
         assert path.read_text() == "".join(line + "\n" for line in v3_lines(checkpoint))
-        assert_same_checkpoint_bits(trainer.load_checkpoint(str(path)), saved)
+        assert_same_checkpoint_bits(ckpt.load_checkpoint(str(path)), saved)
 
         # Random phases are not the init draw, so only a v1 file holds them.
         write_v1(checkpoint, path)
@@ -1966,7 +2024,7 @@ class TestBlockTextMatchesPerValueReference:
     @staticmethod
     def assert_parsed_bits(path, lines):
         """Every block the file stores parses to the reference's bits."""
-        loaded = trainer.load_checkpoint(str(path))
+        loaded = ckpt.load_checkpoint(str(path))
         for name, block in loaded.blocks().items():
             header = f"[{name} {block.shape[0]} {block.shape[1]}]"
             if header not in lines:  # critic.phases, which a v2 file does not store
@@ -1980,7 +2038,7 @@ class TestBlockTextMatchesPerValueReference:
     def test_every_special_value_round_trips(self, tmp_path):
         block = np.array(SPECIAL_VALUES).reshape(3, 4)
         text = v2_lines(
-            trainer.Checkpoint(
+            ckpt.Checkpoint(
                 actor_amplitudes=block,
                 global_weights=np.ones(1),
                 global_factors=np.ones((1, 1, 1)),
@@ -1991,10 +2049,11 @@ class TestBlockTextMatchesPerValueReference:
             )
         )
         assert text[2:5] == [" ".join(f"{float(v):.17g}" for v in row) for row in block]
-        parsed = trainer._parse_block(text[2:5], "actor.amplitudes", 3, 4, 2)
+        parsed = ckpt._parse_block(text[2:5], "actor.amplitudes", 3, 4, 2)
         assert parsed.tobytes() == reference_block(text, 2, "actor.amplitudes", 3, 4).tobytes()
         assert parsed.tobytes() == block.tobytes()
-        decoded = trainer._decode_block(payload_lines(block), "actor.amplitudes", 3, 4, 2)
+        payload = "".join(line + "\n" for line in payload_lines(block)).encode("ascii")
+        decoded = ckpt._written_values(payload, 3, 4)
         assert decoded.tobytes() == block.tobytes()
 
     # Each edit is applied to the first row of a 3 x 2 block on lines 2-4; the
@@ -2022,17 +2081,17 @@ class TestBlockTextMatchesPerValueReference:
             expected = reference_block(lines, 2, "actor.amplitudes", 3, 2)
         except ParseError as exc:
             with pytest.raises(ParseError) as excinfo:
-                trainer._parse_block(lines[2:5], "actor.amplitudes", 3, 2, 2)
+                ckpt._parse_block(lines[2:5], "actor.amplitudes", 3, 2, 2)
             assert str(excinfo.value) == str(exc)
             assert excinfo.value.line == exc.line
         else:
-            parsed = trainer._parse_block(lines[2:5], "actor.amplitudes", 3, 2, 2)
+            parsed = ckpt._parse_block(lines[2:5], "actor.amplitudes", 3, 2, 2)
             assert parsed.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("rows, cols", [(0, 3), (2, 0)])
     def test_blocks_without_values_match_the_reference(self, rows, cols):
         lines = ["header", f"[critic.phases {rows} {cols}]"] + [""] * rows + ["0.5 1"]
-        parsed = trainer._parse_block(lines[2 : 2 + rows], "critic.phases", rows, cols, 2)
+        parsed = ckpt._parse_block(lines[2 : 2 + rows], "critic.phases", rows, cols, 2)
         assert parsed.shape == reference_block(lines, 2, "critic.phases", rows, cols).shape
 
     def test_underscore_numerals_are_rejected(self):
@@ -2041,7 +2100,7 @@ class TestBlockTextMatchesPerValueReference:
         lines = ["header", "[actor.amplitudes 2 2]", "0.5 1", "1_0 2"]
         assert reference_block(lines, 2, "actor.amplitudes", 2, 2)[1, 0] == 10.0
         with pytest.raises(ParseError) as excinfo:
-            trainer._parse_block(lines[2:4], "actor.amplitudes", 2, 2, 2)
+            ckpt._parse_block(lines[2:4], "actor.amplitudes", 2, 2, 2)
         assert excinfo.value.line == 4
         assert "non-numeric" in str(excinfo.value)
 
@@ -2054,7 +2113,7 @@ class TestBlockTextMatchesPerValueReference:
         lines[header + 3] = lines[header + 3].replace(" ", "\t", 2) + " #"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as excinfo:
-            trainer.load_checkpoint(str(path))
+            ckpt.load_checkpoint(str(path))
         assert excinfo.value.line == header + 4
         assert "row has 7 values, expected 6" in str(excinfo.value)
 
@@ -2068,17 +2127,17 @@ class TestPayloadMatchesPerGroupReference:
         C-ordered little-endian copy, and loads back to that copy's bits."""
         copy = np.ascontiguousarray(block, dtype="<f8")
         expected = "".join(line + "\n" for line in payload_lines(copy))
-        assert bytes(trainer._payload(block)) == expected.encode("ascii")
+        assert bytes(ckpt._payload(block)) == expected.encode("ascii")
         checkpoint = with_init_phases(
             dataclasses.replace(
                 random_checkpoint(np.random.default_rng(0), 3), actor_amplitudes=block
             )
         )
         path = tmp_path / "wrapped.txt"
-        trainer.save_checkpoint(checkpoint, str(path))
+        ckpt.save_checkpoint(checkpoint, str(path))
         reference = dataclasses.replace(checkpoint, actor_amplitudes=copy)
         assert path.read_bytes() == "".join(line + "\n" for line in v3_lines(reference)).encode()
-        loaded = trainer.load_checkpoint(str(path))
+        loaded = ckpt.load_checkpoint(str(path))
         assert_same_checkpoint_bits(loaded, reference)
 
     # 0-3 values give every byte count mod 3; 57 values are 456 bytes, eight
@@ -2097,9 +2156,9 @@ class TestPayloadMatchesPerGroupReference:
             )
         )
         path = tmp_path / "saved.txt"
-        trainer.save_checkpoint(checkpoint, str(path))
+        ckpt.save_checkpoint(checkpoint, str(path))
         refuse_line_walk(monkeypatch)
-        assert_same_checkpoint_bits(trainer.load_checkpoint(str(path)), checkpoint)
+        assert_same_checkpoint_bits(ckpt.load_checkpoint(str(path)), checkpoint)
 
     @pytest.mark.parametrize("layout", ["fortran", "big-endian", "strided"])
     def test_other_layouts_write_their_c_ordered_little_endian_copy(self, tmp_path, layout):
@@ -2189,7 +2248,7 @@ class TestRestoreRejectsBrokenInvariants:
             write_v1(checkpoint, path)
         else:
             self.layout.write(checkpoint, str(path))
-        loaded = trainer.load_checkpoint(str(path))
+        loaded = ckpt.load_checkpoint(str(path))
         assert loaded.header == (V1_HEADER if block == "critic.phases" else self.layout.header)
         with pytest.raises(CheckpointInvalid) as excinfo:
             trainer.restore_params(loaded, corpus)
@@ -2216,15 +2275,15 @@ class TestTrain:
         corpus = small_corpus()
         path = tmp_path / "final.txt"
         result = trainer.train(small_config(), corpus, str(path))
-        loaded = trainer.load_checkpoint(str(path))
-        assert trainer.checkpoint_lines(loaded) == trainer.checkpoint_lines(result.checkpoint)
+        loaded = ckpt.load_checkpoint(str(path))
+        assert ckpt.checkpoint_lines(loaded) == ckpt.checkpoint_lines(result.checkpoint)
 
     @pytest.mark.parametrize("episodes, interval, records", [(20, 10, 2), (25, 10, 3), (5, 0, 0)])
     def test_each_checkpoint_is_made_and_saved_once(self, tmp_path, episodes, interval, records):
         path = tmp_path / "checkpoint.txt"
         config = small_config(episodes=episodes, eval_interval=interval)
         with mock.patch.object(
-            trainer, "save_checkpoint", wraps=trainer.save_checkpoint
+            trainer, "save_checkpoint", wraps=ckpt.save_checkpoint
         ) as save, mock.patch.object(
             trainer, "make_checkpoint", wraps=trainer.make_checkpoint
         ) as make:
@@ -2233,15 +2292,15 @@ class TestTrain:
         # Only the final checkpoint is made (copied); earlier saves read the live tables.
         assert save.call_count == max(records, 1)
         assert make.call_count == 1
-        loaded = trainer.load_checkpoint(str(path))
-        assert trainer.checkpoint_lines(loaded) == trainer.checkpoint_lines(result.checkpoint)
+        loaded = ckpt.load_checkpoint(str(path))
+        assert ckpt.checkpoint_lines(loaded) == ckpt.checkpoint_lines(result.checkpoint)
 
     def test_interval_saves_write_the_state_at_their_record(self, tmp_path):
         corpus = small_corpus()
         config = small_config(episodes=20, eval_interval=10)
         written = []
 
-        def save(checkpoint, target, real=trainer.save_checkpoint):
+        def save(checkpoint, target, real=ckpt.save_checkpoint):
             real(checkpoint, target)
             written.append(open(target, "rb").read())
 
@@ -2251,8 +2310,8 @@ class TestTrain:
         # state of the first record.
         early = trainer.train(small_config(episodes=10, eval_interval=0), corpus)
         assert written == [
-            trainer.checkpoint_bytes(trainer.make_checkpoint(early.params, early.critic_table, config)),
-            trainer.checkpoint_bytes(result.checkpoint),
+            ckpt.checkpoint_bytes(trainer.make_checkpoint(early.params, early.critic_table, config)),
+            ckpt.checkpoint_bytes(result.checkpoint),
         ]
 
     def test_eval_interval_zero_records_nothing(self):
