@@ -18,6 +18,7 @@ returns, so each quantity is computed one way and has one shape.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,9 +115,9 @@ def _draw(
     fixed index sequence.
     """
     probabilities = e / total
-    cdf = probabilities.cumsum()
-    u = rng.random() * cdf[-1]
-    index = min(int(cdf.searchsorted(u, side="right")), probabilities.shape[0] - 1)
+    cdf = np.add.accumulate(probabilities)
+    u = rng.random() * cdf.item(-1)
+    index = min(bisect.bisect_right(cdf, u), probabilities.shape[0] - 1)
     return index, float(z[index] - np.log(total)), probabilities
 
 

@@ -228,7 +228,10 @@ def _class_masses(
     sequence of a batch takes the arithmetic of a single one, bit for bit.
     """
     beta = _softmax(table.salience[ids])
-    s = block_masses(table.amplitudes[ids]) if word_masses is None else word_masses[ids]
+    if word_masses is None:
+        s = block_masses(table.amplitudes[ids])
+    else:
+        s = word_masses.take(ids, axis=0)
     return beta, s, np.matmul(beta[..., None, :], s)[..., 0, :]
 
 

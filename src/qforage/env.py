@@ -437,6 +437,9 @@ class Environment:
         self.corpus = corpus
         self.mode = mode
         self._rng = rng
+        offsets = corpus.compiled.offsets
+        self._offsets = offsets.tolist()
+        self._counts = np.diff(offsets, append=corpus.compiled.labels.shape[0]).tolist()
         self._queue: deque[tuple[int, bool]] = deque()
         self.last_of_patch = True
 
@@ -464,8 +467,7 @@ class Environment:
             if not self._queue:
                 self._refill_session_queue()
             j, self.last_of_patch = self._queue.popleft()
-        count = len(self.corpus.documents[j].candidates)
-        return j, self.corpus.compiled.offsets[j] + self._rng.permutation(count)
+        return j, self._offsets[j] + self._rng.permutation(self._counts[j])
 
     def reset(self) -> Observation:
         """Next observation: draw()'s document with its candidates in the drawn order."""

@@ -41,10 +41,6 @@ def vector_norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
-def is_normalized(v: np.ndarray, tol: float = UNIT_TOL) -> bool:
-    return abs(vector_norm(v) - 1.0) <= tol
-
-
 def _check_unit_norm(norm: float, what: str) -> None:
     # Written as "not <=" so that a NaN norm fails the check instead of passing it.
     if not abs(norm - 1.0) <= UNIT_TOL:

@@ -351,14 +351,16 @@ def project_rows(
     The one scoring arithmetic: training, evaluation, inspect, product_pool
     and project all come here. One einsum takes every (candidate, rank,
     position) inner product, and each score is the weighted sum of its
-    pooled row, one dot product per candidate (a matrix-vector product would
-    sum in another order), so a score does not depend on the batch around
-    it. The shapes are not checked here (product_pool, project and the
-    checked actor entry points check them).
+    pooled row: one BLAS dot product per candidate, all taken in one batched
+    vector-vector np.matmul, whose (1, R) x (R,) items each go to the dot
+    that weights.dot(row) calls. pooled @ weights would be a matrix-vector
+    product and would sum in another order. So a score does not depend on the
+    batch around it. The shapes are not checked here (product_pool, project
+    and the checked actor entry points check them).
     """
     dots = np.einsum("rik,cik->cri", g.factors, rows)
     pooled = dots.prod(axis=2)
-    scores = np.fromiter(map(g.weights.dot, pooled), dtype=np.float64, count=pooled.shape[0])
+    scores = np.matmul(pooled[:, None, :], g.weights)[:, 0]
     return scores, pooled, dots
 
 

@@ -36,7 +36,7 @@ each token's index among them. One qrep.segment_unique call builds each side
 for every document or pair at once, with one np.sort of keys that pack each
 id's segment, value and position. A step takes the drawn document's
 candidates as compiled rows (env.Environment.draw), gathers their amplitude
-rows in one indexing operation and slices everything else from the plan.
+rows in one take and slices everything else from the plan.
 The drawn rows' positions, read in drawn order, are what np.unique gives for
 the gathered ids, so the gradients add into the merged rows in the same
 order, with the same bits, as a step from token strings through
@@ -61,7 +61,11 @@ quantity is computed one way and has one shape; training never calls them.
 Evaluation is one batched pass, not a loop over documents: every candidate is
 scored at once by qrep.project_rows, the scoring a training step uses, and
 every (document, candidate) pair is judged at once from per-word block
-masses. Scores and class probabilities keep the bits of a per-document pass.
+masses. project_rows takes each score as one BLAS dot per candidate, all in
+one batched vector-vector np.matmul (pooled @ weights would be a
+matrix-vector product and sum in another order), and the amplitude rows and
+block masses are gathered with ndarray.take(ids, axis=0), an exact copy.
+Scores and class probabilities keep the bits of a per-document pass.
 Scent statistics come from the array of chosen rewards (env.reward_scent),
 and training's scent scalar uses the same recurrence.
 
@@ -337,9 +341,9 @@ def train_step(
     re-checks nothing the compiled corpus or ActorParams settles (see the
     module docstring).
     """
-    ids = plan.query_ids[rows]
+    ids = plan.query_ids.take(rows, axis=0)
     g = params.global_rep
-    amplitude_rows = params.table.amplitudes[ids]
+    amplitude_rows = params.table.amplitudes.take(ids, axis=0)
     index, log_probability, probabilities, _, pooled, dots = actor.sample_rows(
         g, amplitude_rows, params.temperature, rng
     )
@@ -421,7 +425,7 @@ def evaluate(
     compiled = corpus.compiled
 
     ids = query_row_ids(compiled, params.global_rep.order)
-    scores = qrep.project_rows(params.global_rep, params.table.amplitudes[ids])[0]
+    scores = qrep.project_rows(params.global_rep, params.table.amplitudes.take(ids, axis=0))[0]
     chosen = actor.first_argmax(scores, compiled.offsets)
     rewards = compiled.labels[compiled.offsets + chosen]
 

@@ -204,6 +204,34 @@ class TestSelectAction:
         with pytest.raises(NonFiniteScore):
             select_action(np.array([np.inf, 0.0]), 1.0, np.random.default_rng(0))
 
+    def test_index_is_the_right_searchsorted_of_the_cdf(self):
+        rng = np.random.default_rng(39)
+        for seed in range(10_000):
+            count = int(rng.integers(1, 9))
+            scores = rng.standard_normal(count) * 3.0
+            temperature = float(rng.uniform(0.1, 2.0))
+            index = select_action(scores, temperature, np.random.default_rng(seed))[0]
+            cdf = np.cumsum(policy_probabilities(scores, temperature))
+            u = np.random.default_rng(seed).random() * cdf[-1]
+            reference = min(int(np.searchsorted(cdf, u, side="right")), count - 1)
+            assert index == reference
+
+    @pytest.mark.parametrize(
+        "scores, uniform, expected",
+        [
+            ([0.0, 0.0], 0.5, 1),  # u on a bin edge goes right
+            ([0.0, -1e4, 0.0], 0.5, 2),  # past an empty bin
+            ([0.0, 0.0, 0.0], 0.0, 0),
+            ([0.0, 0.0, 0.0], 1.0, 2),  # u at the total stays in range
+        ],
+    )
+    def test_edges_go_right(self, scores, uniform, expected):
+        class FixedUniform:
+            def random(self):
+                return uniform
+
+        assert select_action(np.array(scores), 1.0, FixedUniform())[0] == expected
+
 
 class TestAct:
     def test_single_candidate_certain(self):

@@ -26,7 +26,7 @@ from qforage.qcore import (
     born_probability,
     build_density,
     collapse_sample,
-    is_normalized,
+    ensure_normalized,
     normalize,
     projector,
     tensor_product,
@@ -98,7 +98,7 @@ class TestTensorProduct:
 
 class TestNormalize:
     def test_scales_to_unit_norm(self):
-        assert is_normalized(normalize(np.array([3.0, 4.0])))
+        ensure_normalized(normalize(np.array([3.0, 4.0])))
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from qforage.qrep import (
     materialize_local,
     product_pool,
     project,
+    project_rows,
     renormalize_rows,
     segment_unique,
 )
@@ -454,6 +455,38 @@ class TestProductPool:
             g = random_global(rng, rank=3, order=3, basis_dim=3)
             q = random_state(rng, order=3, basis_dim=3)
             assert float(np.dot(g.weights, product_pool(g, q))) == project(g, q)
+
+
+
+class TestProjectRowsScoresAreRowDots:
+    """Each score is weights.dot of its pooled row, whatever the batch.
+
+    The reference is one BLAS dot per row, taken outside project_rows, so a
+    scoring that sums the ranks in another order (a matrix-vector product, a
+    pairwise sum) fails here even where it would agree with a recount through
+    project_rows itself.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 3, 4000])
+    @pytest.mark.parametrize("rank", [1, 5, 37])
+    def test_each_score_is_the_dot_of_its_pooled_row(self, batch, rank):
+        rng = np.random.default_rng(1000 * rank + batch)
+        g = random_global(rng, rank, order=3, basis_dim=4)
+        rows = rng.standard_normal((batch, 3, 4))
+        scores, pooled, _ = project_rows(g, rows)
+        expected = np.array([float(g.weights.dot(pooled[i])) for i in range(batch)])
+        assert scores.shape == (batch,)
+        assert scores.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rank", [5, 37])
+    def test_a_row_alone_scores_as_in_a_shuffled_batch(self, rank):
+        rng = np.random.default_rng(rank)
+        g = random_global(rng, rank, order=3, basis_dim=4)
+        rows = rng.standard_normal((4000, 3, 4))
+        perm = rng.permutation(rows.shape[0])
+        shuffled = project_rows(g, rows[perm])[0]
+        alone = np.array([project_rows(g, rows[i : i + 1])[0][0] for i in perm])
+        assert shuffled.tobytes() == alone.tobytes()
 
 
 class TestGlobalRepresentation:
