@@ -12,6 +12,8 @@ Shared flags: every subcommand takes --config (flat key=value text) and --out
 random numbers, take --seed. Each config key is also a flag, "--" plus the
 key with dashes (actor_lr is --actor-lr), except vocab_size, candidates_per_doc
 and keyword_count, whose flags are --vocab, --candidates and --keywords.
+keyword_count is a train key only: a corpus file stores no keywords, and eval
+reads the count from the checkpoint.
 Precedence is flag > config file > built-in default, and unknown config keys
 are rejected. The effective configuration is echoed as `# key=value` lines at
 the top of every output file, so artifacts are self-describing and two
@@ -123,6 +125,7 @@ def _report(args: argparse.Namespace, filename: str, lines: list[str]) -> None:
 
 
 _GEN_KEYS = {**trainer.field_parsers(env.CorpusSpec), "seed": int}
+_GEN_KEYS.pop("keyword_count")  # a corpus file stores no keywords
 _TRAIN_KEYS = trainer.field_parsers(trainer.TrainConfig)
 _EVAL_KEYS: dict[str, type] = {"scent_smoothing": float}
 _INSPECT_KEYS: dict[str, type] = {"off_diagonals": int}
@@ -132,6 +135,7 @@ _ORACLE_KEYS: dict[str, type] = {"seed": int, "perturb": float, "checks": str}
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
     defaults = {**dataclasses.asdict(env.CorpusSpec()), "seed": 0}
+    del defaults["keyword_count"]
     effective = _effective(_GEN_KEYS, defaults, args)
     spec = env.CorpusSpec(**{k: v for k, v in effective.items() if k != "seed"})
     try:

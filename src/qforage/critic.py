@@ -113,10 +113,6 @@ class ComplexEmbeddingTable:
     def embed_dim(self) -> int:
         return self.amplitudes.shape[1]
 
-    @property
-    def num_rows(self) -> int:
-        return self.amplitudes.shape[0]
-
     @cached_property
     def _index(self) -> dict[str, int]:
         """Word -> table row, built on the first word_id call; training never reads it."""

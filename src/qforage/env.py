@@ -144,13 +144,13 @@ class Corpus:
 
 
 def top_keywords(tokens: Sequence[str], count: int) -> tuple[str, ...]:
-    """Most frequent tokens, ties broken by first appearance."""
+    """Most frequent tokens, ties broken by first appearance.
+
+    A Counter iterates in first-appearance order and sorted is stable, so
+    equal counts keep that order.
+    """
     counts = Counter(tokens)
-    first = {}
-    for i, t in enumerate(tokens):
-        first.setdefault(t, i)
-    ranked = sorted(counts, key=lambda t: (-counts[t], first[t]))
-    return tuple(ranked[:count])
+    return tuple(sorted(counts, key=lambda t: -counts[t])[:count])
 
 
 def _build_corpus(
@@ -189,6 +189,8 @@ def _build_corpus(
 
 def parse_corpus_lines(lines: Iterable[str], keyword_count: int = DEFAULT_KEYWORD_COUNT) -> Corpus:
     """Parse corpus records from text lines; see the module docstring for the format."""
+    if keyword_count < 1:
+        raise ValueError(f"keyword_count must be >= 1, got {keyword_count}")
     records: dict[str, dict] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")

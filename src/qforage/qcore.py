@@ -37,10 +37,6 @@ DENSE_CAP = 4096
 UNIT_TOL = 1e-9
 
 
-def vector_norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
-
-
 def _check_unit_norm(norm: float, what: str) -> None:
     # Written as "not <=" so that a NaN norm fails the check instead of passing it.
     if not abs(norm - 1.0) <= UNIT_TOL:
@@ -48,22 +44,7 @@ def _check_unit_norm(norm: float, what: str) -> None:
 
 
 def ensure_normalized(v: np.ndarray, what: str = "state vector") -> None:
-    _check_unit_norm(vector_norm(np.asarray(v)), what)
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Return v scaled to unit norm.
-
-    A zero vector has no direction, and a NaN or infinite entry no finite
-    norm to divide by; both are rejected.
-    """
-    v = np.asarray(v)
-    norm = vector_norm(v)
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    if not math.isfinite(norm):
-        raise ValueError(f"cannot normalize a vector of non-finite norm {norm!r}")
-    return v / norm
+    _check_unit_norm(float(np.linalg.norm(np.asarray(v))), what)
 
 
 def basis_vector(dim: int, index: int, dtype=np.float64) -> np.ndarray:

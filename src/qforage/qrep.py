@@ -172,10 +172,6 @@ class AmplitudeTable:
     def basis_dim(self) -> int:
         return self.amplitudes.shape[1]
 
-    @property
-    def num_rows(self) -> int:
-        return self.amplitudes.shape[0]
-
     @cached_property
     def _index(self) -> dict[str, int]:
         """Word -> table row, built on the first word_id call; training never reads it."""
@@ -238,7 +234,7 @@ def embed_query(tokens: Sequence[str], table: AmplitudeTable, order: int) -> Que
     ids = [table.word_id(t) for t in tokens[:order]]
     ids.extend([NULL_ID] * (order - len(ids)))
     id_array = np.asarray(ids, dtype=np.int64)
-    return QueryState(word_ids=id_array, rows=table.amplitudes[id_array].copy())
+    return QueryState(word_ids=id_array, rows=table.amplitudes[id_array])
 
 
 @dataclass(eq=False)
@@ -395,20 +391,6 @@ class CPFitReport:
     restarts_run: int
 
 
-def _khatri_rao_columns(factor_mats: list[np.ndarray], rank: int) -> np.ndarray:
-    """Column-wise Kronecker product; column r is the chained kron of column r of each factor."""
-    total = 1
-    for a in factor_mats:
-        total *= a.shape[0]
-    out = np.ones((total, rank))
-    for r in range(rank):
-        col = np.ones(1)
-        for a in factor_mats:
-            col = np.kron(col, a[:, r])
-        out[:, r] = col
-    return out
-
-
 def _from_als(weights: np.ndarray, factor_mats: list[np.ndarray]) -> GlobalRepresentation:
     """The factored form of ALS weights and per-mode (k, R) factor matrices, copied."""
     factors = np.ascontiguousarray(np.stack(factor_mats).transpose(2, 0, 1))
@@ -543,14 +525,11 @@ def cp_decompose(
             sweeps = sweep
             for mode in range(n):
                 others = [factor_mats[i] for i in range(n) if i != mode]
-                if others:
-                    gram = np.ones((rank, rank))
-                    for a in others:
-                        gram *= a.T @ a
-                    kr = _khatri_rao_columns(others, rank)
-                else:
-                    gram = np.ones((rank, rank))
-                    kr = np.ones((1, rank))
+                gram = reduce(lambda acc, a: acc * (a.T @ a), others, np.ones((rank, rank)))
+                # Khatri-Rao product: column r is the chained kron of column r of each factor.
+                kr = reduce(
+                    lambda acc, a: (acc[:, None, :] * a).reshape(-1, rank), others, np.ones((1, rank))
+                )
                 unfolded = np.moveaxis(t, mode, 0).reshape(k, -1)
                 mttkrp = unfolded @ kr
                 cond = np.linalg.cond(gram)
@@ -561,11 +540,10 @@ def cp_decompose(
                 except np.linalg.LinAlgError:
                     solved = np.linalg.solve(gram + CP_RIDGE * np.eye(rank), mttkrp.T).T
                 weights = np.linalg.norm(solved, axis=0)
-                for r in range(rank):
-                    if weights[r] > 0.0:
-                        factor_mats[mode][:, r] = solved[:, r] / weights[r]
-                    else:
-                        factor_mats[mode][:, r] = qcore.basis_vector(k, 0)
+                # Written in place: solved is Fortran-ordered, and a factor in that
+                # order would send the next a.T @ a down another BLAS path.
+                factor_mats[mode][...] = qcore.basis_vector(k, 0)[:, None]
+                np.divide(solved, weights, out=factor_mats[mode], where=weights > 0.0)
             fitted = _from_als(weights, factor_mats)
             err = float(np.linalg.norm(t - cp_reconstruct(fitted))) / norm_t
             if err <= CP_EARLY_STOP or abs(prev_err - err) < CP_TOL:

@@ -253,7 +253,6 @@ class StepPlan:
 
     query_ids: np.ndarray         # (N, order)
     labels: np.ndarray            # (N,)
-    document: np.ndarray          # (N,) document of each compiled row
     actor_rows: np.ndarray
     actor_bounds: np.ndarray      # (D + 1,)
     actor_positions: np.ndarray   # (N, order)
@@ -263,12 +262,11 @@ class StepPlan:
     critic_rows: np.ndarray
     critic_bounds: np.ndarray     # (N + 1,)
 
-    def actor_unique(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def actor_unique(self, j: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sorted unique rows of query_ids[rows] and each id's index among them.
 
-        `rows` hold every candidate of one document, in any order.
+        `rows` hold every candidate of document `j`, in any order.
         """
-        j = self.document[rows[0]]
         return (
             self.actor_rows[self.actor_bounds[j] : self.actor_bounds[j + 1]],
             self.actor_positions[rows].ravel(),
@@ -306,7 +304,6 @@ def compile_step_plan(compiled: env.CompiledCorpus, order: int) -> StepPlan:
     return StepPlan(
         query_ids=query_ids,
         labels=compiled.labels,
-        document=np.repeat(np.arange(len(candidates)), candidates),
         actor_rows=actor_rows,
         actor_bounds=_bounds(actor_counts),
         actor_positions=positions.reshape(num_rows, order),
@@ -322,14 +319,15 @@ def train_step(
     params: actor.ActorParams,
     critic_table: critic.ComplexEmbeddingTable,
     plan: StepPlan,
+    j: int,
     rows: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> StepMetrics:
     """Sample, collect the reward, judge, then update the critic and the actor.
 
-    `rows` are one document's candidates as compiled rows in the order the
-    environment drew them (env.Environment.draw), and `plan` is
+    `j` is the document the environment drew (env.Environment.draw) and
+    `rows` are its candidates as compiled rows in the drawn order, and `plan` is
     compile_step_plan of the corpus they come from. The candidates'
     amplitude rows are gathered once; the reward, the critic's rows and the
     rows each gradient merges into are sliced from the plan. The critic's
@@ -360,7 +358,7 @@ def train_step(
 
     advantage = reward - q_estimate
     if config.actor_lr != 0.0 and advantage != 0.0:
-        table_ids, position_row = plan.actor_unique(rows)
+        table_ids, position_row = plan.actor_unique(j, rows)
         table_grad, weights_grad, factors_grad = actor.policy_gradient(
             g,
             params.temperature,
@@ -635,8 +633,8 @@ def train(config: TrainConfig, corpus: env.Corpus, checkpoint_path: str | None =
     plan = compile_step_plan(corpus.compiled, config.query_order)
     for episode in range(1, config.episodes + 1):
         while True:
-            _, rows = environment.draw()
-            step_metrics = train_step(params, critic_table, plan, rows, config, policy_rng)
+            j, rows = environment.draw()
+            step_metrics = train_step(params, critic_table, plan, j, rows, config, policy_rng)
             rewards.append(step_metrics.reward)
             if environment.last_of_patch:
                 break

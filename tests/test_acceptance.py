@@ -351,7 +351,7 @@ class TestCriterion8RewardMapping:
         stepped = set()
         for _ in corpus.documents:
             j, rows = environment.draw()
-            metrics = trainer.train_step(params, critic_table, plan, rows, config, rng)
+            metrics = trainer.train_step(params, critic_table, plan, j, rows, config, rng)
             position = rows[metrics.chosen_index] - compiled.offsets[j]
             assert metrics.reward == corpus.documents[j].candidates[position].label
             stepped.add(j)

@@ -26,7 +26,6 @@ GEN_ARGS = [
     "--docs", "6",
     "--patches", "2",
     "--vocab", "40",
-    "--keywords", "3",
     "--seed", "3",
 ]
 
@@ -82,6 +81,25 @@ class TestGenCorpus:
         run(GEN_ARGS + ["--out", str(a)], capsys)
         run(GEN_ARGS + ["--out", str(b)], capsys)
         assert (a / "corpus.tsv").read_bytes() == (b / "corpus.tsv").read_bytes()
+
+    def test_echo_has_no_keyword_count(self, corpus_dir):
+        lines = (corpus_dir / "corpus.tsv").read_text().splitlines()
+        assert not any(line.startswith("# keyword_count=") for line in lines)
+
+    def test_keywords_flag_is_usage_error(self, tmp_path, capsys):
+        code, _, _ = run(GEN_ARGS + ["--keywords", "3", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert not (tmp_path / "corpus.tsv").exists()
+
+    def test_keyword_count_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("keyword_count=3\n")
+        code, _, err = run(
+            ["gen-corpus", "--config", str(cfg), "--out", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert "keyword_count" in err
+        assert not (tmp_path / "corpus.tsv").exists()
 
     def test_zero_docs_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(

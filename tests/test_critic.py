@@ -154,7 +154,7 @@ class TestComplexEmbeddingTable:
             table.descend(ids, 0.1, amplitude_grad, salience_grad)
         else:
             expected = table.amplitudes.copy()
-            renormalize_reference(expected, np.arange(table.num_rows))
+            renormalize_reference(expected, np.arange(table.amplitudes.shape[0]))
             table.renormalize()
         assert table.amplitudes.tobytes() == expected.tobytes()
         assert table.amplitudes[[1, 4]].tobytes() == np.full((2, 6), 1.0 / np.sqrt(6)).tobytes()
@@ -312,9 +312,9 @@ def dense_reference_gradients(tokens, label, table):
     d_masses = np.ones(3) / total
     d_masses[label] -= 1.0 / float(masses[label])
     d_beta = s @ d_masses
-    salience = np.zeros(table.num_rows)
+    salience = np.zeros(table.amplitudes.shape[0])
     np.add.at(salience, ids, beta * (d_beta - float(np.dot(beta, d_beta))))
-    word_coeff = np.zeros(table.num_rows)
+    word_coeff = np.zeros(table.amplitudes.shape[0])
     np.add.at(word_coeff, ids, beta)
     amplitudes = np.zeros_like(table.amplitudes)
     for c in range(3):
@@ -328,7 +328,7 @@ class TestSparseCriticGradients:
         for seed in range(20):
             rng = np.random.default_rng(400 + seed)
             table = make_table(rng, embed_dim=int(rng.choice([3, 6, 12])))
-            table.salience[:] = 0.5 * rng.standard_normal(table.num_rows)
+            table.salience[:] = 0.5 * rng.standard_normal(table.amplitudes.shape[0])
             tokens = [VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(int(rng.integers(1, 8)))]
             tokens.append("zzzunseen")
             label = int(rng.integers(3))
@@ -356,7 +356,7 @@ class TestSparseCriticGradients:
                 token_ids(tokens, table), 2, table
             )
             assert amplitude_rows.shape[0] <= len(tokens)
-            assert rows.max() < table.num_rows == size
+            assert rows.max() < table.amplitudes.shape[0] == size
             shapes.append((rows.shape, amplitude_rows.shape, salience_rows.shape))
         assert shapes[0] == shapes[1] == ((5,), (5, 12), (5,))
 

@@ -118,6 +118,17 @@ class TestParseCorpus:
             load_corpus(str(path))
         assert excinfo.value.line == 5
 
+    @pytest.mark.parametrize("count", [-1, 0])
+    def test_keyword_count_below_one_rejected(self, tmp_path, count):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("\n".join(WELL_FORMED) + "\n")
+        with pytest.raises(ValueError, match="keyword_count"):
+            load_corpus(str(path), keyword_count=count)
+        lines = iter(WELL_FORMED)
+        with pytest.raises(ValueError, match="keyword_count"):
+            parse_corpus_lines(lines, keyword_count=count)
+        assert next(lines) == WELL_FORMED[0]
+
     def test_round_trip_through_file(self, tmp_path):
         corpus = parse_corpus_lines(WELL_FORMED)
         path = tmp_path / "corpus.tsv"

@@ -100,7 +100,7 @@ class TestAmplitudeTable:
         np.testing.assert_allclose(np.linalg.norm(table.amplitudes[ids], axis=1), 1.0, atol=1e-9)
         np.testing.assert_array_equal(table.amplitudes[NULL_ID], [1.0, 0.0, 0.0])
         assert table.amplitudes[3].tobytes() == before[3].tobytes()
-        untouched = np.setdiff1d(np.arange(table.num_rows), ids)
+        untouched = np.setdiff1d(np.arange(table.amplitudes.shape[0]), ids)
         assert table.amplitudes[untouched].tobytes() == before[untouched].tobytes()
 
 
@@ -536,6 +536,16 @@ class TestCPDecompose:
         fitted, report = cp_decompose(t, rank=1, rng=np.random.default_rng(0))
         assert report.relative_error < 1e-10
         np.testing.assert_allclose(cp_reconstruct(fitted), t, atol=1e-9)
+
+    # Order 1 fits against no other mode, and order 4 takes the Khatri-Rao
+    # product of three factors; the orders 2 and 3 of the other cases reach neither.
+    @pytest.mark.parametrize("order, basis_dim", [(1, 2), (1, 3), (4, 2), (4, 3)])
+    def test_planted_rank_one_of_order_one_and_four(self, order, basis_dim):
+        rng = np.random.default_rng(10 * order + basis_dim)
+        t = cp_reconstruct(random_global(rng, rank=1, order=order, basis_dim=basis_dim))
+        fitted, report = cp_decompose(t, rank=1, rng=np.random.default_rng(order))
+        assert report.relative_error < 1e-12
+        assert np.linalg.norm(cp_reconstruct(fitted) - t) / np.linalg.norm(t) < 1e-12
 
     def test_constructed_rank_two(self):
         rng = np.random.default_rng(103)

@@ -86,9 +86,9 @@ def doc_rows(corpus, j):
     return corpus.compiled.offsets[j] + np.arange(len(corpus.documents[j].candidates))
 
 
-def run_step(params, critic_table, corpus, rows, config, rng):
+def run_step(params, critic_table, corpus, j, rows, config, rng):
     plan = trainer.compile_step_plan(corpus.compiled, config.query_order)
-    return trainer.train_step(params, critic_table, plan, rows, config, rng)
+    return trainer.train_step(params, critic_table, plan, j, rows, config, rng)
 
 
 def drawn_candidates(corpus, j, rows):
@@ -187,7 +187,7 @@ class TestTrainStep:
         before_actor = actor_state_bytes(params)
         before_critic = critic_state_bytes(critic_table)
         metrics = run_step(
-            params, critic_table, neutral, doc_rows(neutral, 0), config, np.random.default_rng(9)
+            params, critic_table, neutral, 0, doc_rows(neutral, 0), config, np.random.default_rng(9)
         )
         assert metrics.reward == 0
         assert metrics.q_estimate == 0.0
@@ -201,7 +201,7 @@ class TestTrainStep:
         params, critic_table = trainer.init_params(corpus, small_config())
         before = actor_state_bytes(params)
         rows = doc_rows(corpus, 0)
-        run_step(params, critic_table, corpus, rows, config, np.random.default_rng(9))
+        run_step(params, critic_table, corpus, 0, rows, config, np.random.default_rng(9))
         assert actor_state_bytes(params) == before
 
     def test_zero_critic_lr_freezes_critic(self):
@@ -210,7 +210,7 @@ class TestTrainStep:
         params, critic_table = trainer.init_params(corpus, small_config())
         before = critic_state_bytes(critic_table)
         rows = doc_rows(corpus, 0)
-        run_step(params, critic_table, corpus, rows, config, np.random.default_rng(9))
+        run_step(params, critic_table, corpus, 0, rows, config, np.random.default_rng(9))
         assert critic_state_bytes(critic_table) == before
 
     def test_uniform_critic_reduces_to_reward_weighted_ascent(self):
@@ -222,7 +222,7 @@ class TestTrainStep:
         doc = corpus.documents[0]
 
         metrics = run_step(
-            params_a, critic_table, corpus, doc_rows(corpus, 0), config, np.random.default_rng(21)
+            params_a, critic_table, corpus, 0, doc_rows(corpus, 0), config, np.random.default_rng(21)
         )
         assert metrics.advantage == metrics.reward
 
@@ -260,7 +260,7 @@ class TestTrainStep:
             params, np.stack([q.rows for q in candidates]), np.random.default_rng(33)
         )
         metrics = run_step(
-            params, critic_table, corpus, doc_rows(corpus, 0), config, np.random.default_rng(33)
+            params, critic_table, corpus, 0, doc_rows(corpus, 0), config, np.random.default_rng(33)
         )
         assert metrics.chosen_index == index
         assert metrics.reward == doc.candidates[metrics.chosen_index].label
@@ -278,8 +278,8 @@ class TestTrainStep:
             rng = np.random.default_rng(77)
             environment = env.Environment(corpus, np.random.default_rng(78))
             for _ in range(10):
-                _, rows = environment.draw()
-                run_step(params, critic_table, corpus, rows, config, rng)
+                j, rows = environment.draw()
+                run_step(params, critic_table, corpus, j, rows, config, rng)
             states.append(actor_state_bytes(params) + critic_state_bytes(critic_table))
         assert states[0] == states[1]
 
@@ -290,8 +290,8 @@ class TestTrainStep:
         rng = np.random.default_rng(55)
         environment = env.Environment(corpus, np.random.default_rng(56))
         for _ in range(25):
-            _, rows = environment.draw()
-            run_step(params, critic_table, corpus, rows, config, rng)
+            j, rows = environment.draw()
+            run_step(params, critic_table, corpus, j, rows, config, rng)
         np.testing.assert_allclose(
             np.linalg.norm(params.table.amplitudes, axis=1), 1.0, atol=1e-9
         )
@@ -357,7 +357,7 @@ class TestCompiledStep:
         rewards = set()
         for _ in range(50):
             j, rows = environment.draw()
-            metrics = trainer.train_step(params, critic_table, plan, rows, config, rng)
+            metrics = trainer.train_step(params, critic_table, plan, j, rows, config, rng)
             index, reward = string_path_step(
                 ref_params,
                 ref_critic,
@@ -477,7 +477,7 @@ class TestWordIndexIsBuiltOnFirstLookup:
         for table, module in ((params.table, qrep), (critic_table, critic)):
             assert "_index" not in vars(table)
             rows = [table.word_id(word) for word in corpus.vocabulary]
-            assert rows == list(range(module.WORD_ROW_OFFSET, table.num_rows))
+            assert rows == list(range(module.WORD_ROW_OFFSET, table.amplitudes.shape[0]))
             assert table.word_id("not-a-vocabulary-word") == module.UNK_ID
             assert "_index" in vars(table)
 
@@ -538,7 +538,7 @@ class TestSparseStep:
                 critic_table.amplitudes.copy(),
                 critic_table.salience.copy()[:, None],
             )
-            metrics = run_step(params, critic_table, corpus, rows, config, rng)
+            metrics = run_step(params, critic_table, corpus, j, rows, config, rng)
             actor_rows, critic_rows = step_rows(
                 params, critic_table, corpus.documents[j].keywords,
                 drawn_candidates(corpus, j, rows), metrics.chosen_index, config.query_order,
@@ -562,7 +562,7 @@ class TestSparseStep:
             ids = np.stack([q.word_ids for q in candidates])
             table_ids, table_rows, _, _ = actor.actor_gradients(params, ids, 2, 0.7)
             assert table_rows.shape[0] <= len(candidates) * order
-            assert table_ids.max() < table.num_rows == size
+            assert table_ids.max() < table.amplitudes.shape[0] == size
             shapes.append((table_ids.shape, table_rows.shape))
         # null, unk, w3, w7, w12, w40, w41
         assert shapes[0] == shapes[1] == ((7,), (7, 4))
@@ -729,12 +729,12 @@ class TestStepPlan:
         assert plan.labels.tobytes() == compiled.labels.tobytes()
         rng = np.random.default_rng(order)
         counts = np.diff(np.append(compiled.offsets, len(compiled.labels)))
-        for first, count in zip(compiled.offsets, counts):
+        for j, (first, count) in enumerate(zip(compiled.offsets, counts)):
             rows = first + rng.permutation(count)
             expected_rows, expected_positions = np.unique(
                 query_ids[rows].ravel(), return_inverse=True
             )
-            table_ids, positions = plan.actor_unique(rows)
+            table_ids, positions = plan.actor_unique(j, rows)
             assert table_ids.tolist() == expected_rows.tolist()
             assert positions.tolist() == expected_positions.tolist()
         for row in range(len(compiled.labels)):
@@ -937,7 +937,7 @@ class TestNoDensityMatrixOnTrainingPaths:
         for _ in range(10):
             j, rows = environment.draw()
             before = copy.deepcopy(critic_table)
-            metrics = run_step(params, critic_table, corpus, rows, config, rng)
+            metrics = run_step(params, critic_table, corpus, j, rows, config, rng)
             chosen = drawn_candidates(corpus, j, rows)[metrics.chosen_index]
             tokens = list(corpus.documents[j].keywords) + list(chosen.tokens)
             p = critic.class_probabilities(tokens, before)
