@@ -141,10 +141,9 @@ def first_argmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     counts = np.diff(offsets, append=scores.shape[0])
     if counts.size == 0 or counts.min() < 1:
         raise NoCandidates("every document needs at least one candidate")
-    first_row = np.repeat(offsets, counts)
     at_top = scores == np.repeat(np.maximum.reduceat(scores, offsets), counts)
-    position = np.arange(scores.shape[0]) - first_row
-    return np.minimum.reduceat(np.where(at_top, position, scores.shape[0]), offsets)
+    rows = np.where(at_top, np.arange(scores.shape[0]), scores.shape[0])
+    return np.minimum.reduceat(rows, offsets) - offsets
 
 
 def sample_rows(

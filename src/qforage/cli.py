@@ -263,10 +263,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             doc = corpus.document(args.doc)
         except KeyError:
             raise QForageError(f"document id {args.doc!r} not found in {args.corpus}") from None
-        first = int(corpus.compiled.offsets[corpus.documents.index(doc)])
-        rows = slice(first, first + len(doc.candidates))
-        ids = trainer.query_row_ids(corpus.compiled, config.query_order)[rows]
-        scores, pooled, _ = qrep.project_rows(params.global_rep, params.table.amplitudes[ids])
+        rows = [qrep.embed_query(c.tokens, params.table, config.query_order).rows for c in doc.candidates]
+        scores, pooled, _ = qrep.project_rows(params.global_rep, np.stack(rows))
         probs = actor.policy_probabilities(scores, params.temperature)
         chosen = int(actor.first_argmax(scores, [0])[0])
         lines.append(f"doc {doc.doc_id} patch {doc.patch_id}")
@@ -290,13 +288,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         rho = critic.critic_density(doc.keywords, query, critic_table)
         diag = rho.matrix.diagonal().real
         lines.append("rho diagonal: " + " ".join(fmt(v) for v in diag))
-        dim = rho.dim
-        magnitudes = np.abs(rho.matrix)
-        iu = np.triu_indices(dim, k=1)
-        top = np.argsort(magnitudes[iu])[::-1][:off_diagonals]
-        pairs = ", ".join(
-            f"({iu[0][t]},{iu[1][t]})={fmt(magnitudes[iu][t])}" for t in top
-        )
+        iu = np.triu_indices(rho.dim, k=1)
+        magnitudes = np.abs(rho.matrix)[iu]
+        top = np.argsort(magnitudes)[::-1][:off_diagonals]
+        pairs = ", ".join(f"({iu[0][t]},{iu[1][t]})={fmt(magnitudes[t])}" for t in top)
         phases = "init-time" if redrawn else "stored"
         lines.append(f"top off-diagonals ({phases} phases): {pairs}")
 

@@ -66,13 +66,13 @@ class Document:
 class CompiledCorpus:
     """A corpus as read-only arrays, one row per candidate in corpus order.
 
-    Tokens are vocabulary indices, each row padded with -1 past its length.
+    Tokens are vocabulary indices, each row padded with -1 past its length,
+    so the padding marks where each row ends.
     Documents occupy consecutive rows: document j's candidates start at row
     offsets[j], and patches[j] indexes its patch in Corpus.patch_ids.
     """
 
     query_tokens: np.ndarray    # (N, Q) candidate tokens
-    query_lengths: np.ndarray   # (N,)
     pair_tokens: np.ndarray     # (N, P) document keywords, then candidate tokens
     pair_lengths: np.ndarray    # (N,)
     labels: np.ndarray          # (N,)
@@ -109,7 +109,7 @@ def compile_corpus(corpus: "Corpus") -> CompiledCorpus:
     if not set(labels) <= set(REWARD_VALUES):
         raise InvalidLabel(f"candidate labels {sorted(set(labels))} are not all in {REWARD_VALUES}")
     arrays = (
-        *_padded(queries),
+        _padded(queries)[0],
         *_padded(pairs),
         np.asarray(labels, dtype=np.int64),
         np.asarray(offsets, dtype=np.int64),
@@ -358,11 +358,9 @@ def gen_corpus(spec: CorpusSpec, rng: np.random.Generator) -> Corpus:
             candidates = []
             for c in range(spec.candidates_per_doc):
                 label = (1, 0, -1)[c % 3]
-                if label == 1:
-                    k_doc = int(rng.integers(match_lo, length + 1))
-                    tokens = _pick(rng, doc_tokens, k_doc) + _pick(rng, noise_pool, length - k_doc)
-                elif label == 0:
-                    k_doc = int(rng.integers(partial_lo, partial_hi + 1))
+                if label >= 0:
+                    lo, hi = (match_lo, length) if label == 1 else (partial_lo, partial_hi)
+                    k_doc = int(rng.integers(lo, hi + 1))
                     tokens = _pick(rng, doc_tokens, k_doc) + _pick(rng, noise_pool, length - k_doc)
                 else:
                     if rng.integers(2) == 0:
@@ -559,7 +557,7 @@ def reward_scent(
         per_patch={
             pid: PatchScent(
                 scalar=smoothed(patch_rewards.tolist(), smoothing),
-                frequencies=patch_counts / size,
+                frequencies=patch_counts / max(size, 1),
                 count=int(size),
             )
             for pid, patch_rewards, patch_counts, size in zip(patch_ids, by_patch, counts, sizes)

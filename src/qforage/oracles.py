@@ -19,8 +19,6 @@ from . import actor, critic, env, qcore, qrep, trainer
 from .checkpoint import checkpoint_lines
 from .seeding import stream_rng
 
-ORACLE_NAMES = ("projection", "born", "cp", "gradients", "determinism")
-
 #: How many random instances each drawing check takes.
 PROJECTION_INSTANCES = 50
 BORN_INSTANCES = 50
@@ -249,6 +247,7 @@ _CHECKS = {
     "gradients": check_gradients,
     "determinism": check_determinism,
 }
+ORACLE_NAMES = tuple(_CHECKS)
 
 
 def run_oracles(

@@ -76,10 +76,11 @@ def segment_unique(
 
     `values` (M,) are nonnegative integers cut into consecutive segments of
     `counts` values each; without `counts` they are one segment. Returns
-    (unique, unique_counts, inverse): `unique` holds every segment's sorted
-    distinct values back to back, unique_counts[s] of them for segment s,
+    (unique, bounds, inverse): `unique` holds every segment's sorted
+    distinct values back to back, segment s's at unique[bounds[s]:bounds[s + 1]],
     and inverse[m] is the index of values[m] among its own segment's. For
-    one segment this is what np.unique(values, return_inverse=True) gives.
+    one segment, unique and inverse are what np.unique(values,
+    return_inverse=True) gives.
 
     Every segment takes part in one np.sort, of the key segment * width +
     value (width = max(values) + 1) shifted left by `bits`, the bit length
@@ -119,12 +120,12 @@ def segment_unique(
     # those of earlier segments, it gives each value's index in its own.
     seen = np.zeros(size + 1, dtype=np.intp)
     np.cumsum(first, out=seen[1:])
-    unique_counts = np.diff(seen[bounds])
+    unique_bounds = seen[bounds]
     index = seen[1:]
-    index -= np.repeat(seen[bounds[:-1]] + 1, counts)
+    index -= np.repeat(unique_bounds[:-1] + 1, counts)
     inverse = np.empty(size, dtype=np.intp)
     inverse[order] = index
-    return unique, unique_counts, inverse
+    return unique, unique_bounds, inverse
 
 
 @dataclass(eq=False)
@@ -520,9 +521,7 @@ def cp_decompose(
         weights = np.ones(rank)
         prev_err = np.inf
         err = np.inf
-        sweeps = 0
         for sweep in range(1, CP_MAX_SWEEPS + 1):
-            sweeps = sweep
             for mode in range(n):
                 others = [factor_mats[i] for i in range(n) if i != mode]
                 gram = reduce(lambda acc, a: acc * (a.T @ a), others, np.ones((rank, rank)))
@@ -552,7 +551,7 @@ def cp_decompose(
         if err < best_err:
             best_err = err
             best = fitted
-            best_sweeps = sweeps
+            best_sweeps = sweep
         if best_err <= CP_EARLY_STOP:
             break
 

@@ -26,17 +26,17 @@ picks the document order (env.Environment): a bandit episode is one document,
 a session episode one pass through a patch.
 
 Training and evaluation both run on the corpus compiled once into arrays of
-vocabulary indices (env.Corpus.compiled); query_row_ids turns it into every
-candidate's actor table rows. What only the corpus and the query order
-decide is compiled once per train call into a StepPlan (compile_step_plan),
-and a step reads nothing else off the corpus: the query rows, the labels,
-each document's sorted unique actor rows with each candidate's positions
-into them, and each pair's critic rows with their sorted unique values and
-each token's index among them. One qrep.segment_unique call builds each side
-for every document or pair at once, with one np.sort of keys that pack each
-id's segment, value and position. A step takes the drawn document's
-candidates as compiled rows (env.Environment.draw), gathers their amplitude
-rows in one take and slices everything else from the plan.
+vocabulary indices (env.Corpus.compiled); query_row_ids turns its -1-padded
+query tokens into every candidate's actor table rows. What only the corpus and
+the query order decide is compiled once per train call into a StepPlan
+(compile_step_plan), and a step reads nothing else off the corpus: the query
+rows, the labels, each document's sorted unique actor rows with each
+candidate's positions into them, and each pair's critic rows with their sorted
+unique values and each token's index among them. One qrep.segment_unique call
+builds each side for every document or pair at once, with one np.sort of keys
+that pack each id's segment, value and position. A step takes the drawn
+document's candidates as compiled rows (env.Environment.draw), gathers their
+amplitude rows in one take and slices everything else from the plan.
 The drawn rows' positions, read in drawn order, are what np.unique gives for
 the gathered ids, so the gradients add into the merged rows in the same
 order, with the same bits, as a step from token strings through
@@ -225,15 +225,14 @@ def init_params(
 def query_row_ids(compiled: env.CompiledCorpus, order: int) -> np.ndarray:
     """The (N, order) actor table rows of every compiled candidate query.
 
-    Rows pad with qrep.NULL_ID and truncate at `order`; for a table built
-    over the corpus vocabulary, row i is what qrep.embed_query gives as
-    word_ids for candidate i.
+    The compiled tokens' -1 padding becomes qrep.NULL_ID, and rows pad with
+    it or truncate at `order`; for a table built over the corpus vocabulary,
+    row i is what qrep.embed_query gives as word_ids for candidate i.
     """
     tokens = compiled.query_tokens[:, :order]
     if tokens.shape[1] < order:
         tokens = np.pad(tokens, ((0, 0), (0, order - tokens.shape[1])), constant_values=-1)
-    in_query = np.arange(order) < compiled.query_lengths[:, None]
-    return np.where(in_query, tokens + qrep.WORD_ROW_OFFSET, qrep.NULL_ID)
+    return np.where(tokens >= 0, tokens + qrep.WORD_ROW_OFFSET, qrep.NULL_ID)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,10 +281,6 @@ class StepPlan:
         )
 
 
-def _bounds(counts: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0], np.cumsum(counts)))
-
-
 def compile_step_plan(compiled: env.CompiledCorpus, order: int) -> StepPlan:
     """The StepPlan of a compiled corpus for queries of `order` words.
 
@@ -295,23 +290,23 @@ def compile_step_plan(compiled: env.CompiledCorpus, order: int) -> StepPlan:
     query_ids = query_row_ids(compiled, order)
     num_rows = query_ids.shape[0]
     candidates = np.diff(compiled.offsets, append=num_rows)
-    actor_rows, actor_counts, positions = qrep.segment_unique(
+    actor_rows, actor_bounds, positions = qrep.segment_unique(
         query_ids.ravel(), candidates * order
     )
     in_pair = np.arange(compiled.pair_tokens.shape[1]) < compiled.pair_lengths[:, None]
     pair_ids = compiled.pair_tokens[in_pair] + critic.WORD_ROW_OFFSET
-    critic_rows, critic_counts, occurrence = qrep.segment_unique(pair_ids, compiled.pair_lengths)
+    critic_rows, critic_bounds, occurrence = qrep.segment_unique(pair_ids, compiled.pair_lengths)
     return StepPlan(
         query_ids=query_ids,
         labels=compiled.labels,
         actor_rows=actor_rows,
-        actor_bounds=_bounds(actor_counts),
+        actor_bounds=actor_bounds,
         actor_positions=positions.reshape(num_rows, order),
         pair_ids=pair_ids,
         occurrence=occurrence,
-        pair_bounds=_bounds(compiled.pair_lengths),
+        pair_bounds=np.concatenate(([0], np.cumsum(compiled.pair_lengths))),
         critic_rows=critic_rows,
-        critic_bounds=_bounds(critic_counts),
+        critic_bounds=critic_bounds,
     )
 
 
@@ -638,11 +633,10 @@ def train(config: TrainConfig, corpus: env.Corpus, checkpoint_path: str | None =
             rewards.append(step_metrics.reward)
             if environment.last_of_patch:
                 break
-        if config.eval_interval > 0 and episode % config.eval_interval == 0:
+        if config.eval_interval > 0 and (
+            episode % config.eval_interval == 0 or episode == config.episodes
+        ):
             record(episode)
-
-    if config.eval_interval > 0 and (not metrics or metrics[-1].episode != config.episodes):
-        record(config.episodes)
 
     checkpoint = make_checkpoint(params, critic_table, config)
     if checkpoint_path:

@@ -795,6 +795,22 @@ class TestInspect:
             "check_invariants": 1,
         }
 
+    def test_document_diagnostics_compile_no_corpus(
+        self, corpus_dir, trained_dir, capsys, monkeypatch
+    ):
+        spy = mock.Mock(wraps=env.compile_corpus)
+        monkeypatch.setattr(env, "compile_corpus", spy)
+        corpus = env.load_corpus(str(corpus_dir / "corpus.tsv"), keyword_count=3)
+        argv = [
+            "inspect",
+            "--checkpoint", str(trained_dir / "checkpoint.txt"),
+            "--corpus", str(corpus_dir / "corpus.tsv"),
+            "--doc", corpus.documents[-1].doc_id,
+        ]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        assert spy.call_count == 0
+
     def test_doc_without_corpus_is_usage_error(self, trained_dir, capsys):
         argv = [
             "inspect",

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script and the README's library quick start run to completion
+against the package sources."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,12 @@ def test_demo_exits_cleanly(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # The block writes checkpoint.txt into the working directory.
+    (code,) = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert (tmp_path / "checkpoint.txt").exists()
+    assert capsys.readouterr().out

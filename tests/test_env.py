@@ -462,6 +462,12 @@ class TestRewardScent:
         assert (patch.scalar, patch.count) == (-0.25, 1)
         np.testing.assert_array_equal(patch.frequencies, [1.0, 0.0, 0.0])
 
+    def test_patch_without_rewards_gives_zeros(self):
+        stats = reward_scent(np.array([1]), np.array([0]), ("a", "b"), 0.5)
+        empty = stats.per_patch["b"]
+        assert (empty.scalar, empty.count) == (0.0, 0)
+        assert empty.frequencies.tobytes() == np.zeros(3).tobytes()
+
     @pytest.mark.parametrize("bad", [2, -2, 0.5])
     def test_out_of_range_reward_rejected(self, bad):
         with pytest.raises(InvalidLabel, match="rewards"):

@@ -219,7 +219,8 @@ class TestSegmentUnique:
 
     @staticmethod
     def assert_matches_np_unique(values, counts):
-        unique, unique_counts, inverse = segment_unique(values, counts)
+        unique, unique_bounds, inverse = segment_unique(values, counts)
+        unique_counts = np.diff(unique_bounds)
         assert len(unique_counts) == len(counts)
         starts = np.cumsum(counts) - counts
         unique_starts = np.cumsum(unique_counts) - unique_counts
@@ -243,17 +244,18 @@ class TestSegmentUnique:
     @pytest.mark.parametrize("values", [[5], [4, 4, 4], [9, 2, 9, 0, 2, 11]])
     def test_one_segment_is_np_unique(self, values):
         values = np.array(values)
-        unique, unique_counts, inverse = segment_unique(values)
+        unique, unique_bounds, inverse = segment_unique(values)
         expected, expected_inverse = np.unique(values, return_inverse=True)
         assert unique.tolist() == expected.tolist()
-        assert unique_counts.tolist() == [len(expected)]
+        assert np.diff(unique_bounds).tolist() == [len(expected)]
         assert inverse.tolist() == expected_inverse.tolist()
         assert inverse.dtype == expected_inverse.dtype
 
     def test_empty_values(self):
         values = np.array([], dtype=np.int64)
-        unique, unique_counts, inverse = segment_unique(values)
-        assert unique.tolist() == [] and unique_counts.tolist() == [0] and inverse.tolist() == []
+        unique, unique_bounds, inverse = segment_unique(values)
+        assert unique.tolist() == [] and inverse.tolist() == []
+        assert np.diff(unique_bounds).tolist() == [0]
         self.assert_matches_np_unique(values, np.array([0, 0, 0]))
 
     def test_segments_of_count_zero(self):

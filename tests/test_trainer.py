@@ -711,12 +711,13 @@ class TestStepPlan:
         compiled = self.plan_corpus().compiled
         counts = np.diff(np.append(compiled.offsets, len(compiled.labels)))
         assert set(counts.tolist()) == {1, 2, 3, 4}
-        assert compiled.query_lengths.min() < 3 < compiled.query_lengths.max()
+        query_lengths = (compiled.query_tokens >= 0).sum(axis=1)
+        assert query_lengths.min() < 3 < query_lengths.max()
         ids = trainer.query_row_ids(compiled, 3)
         # Short queries repeat NULL_ID; some query repeats a word; some document repeats one.
         assert any((row == qrep.NULL_ID).sum() >= 2 for row in ids)
         assert any(len(set(q[:n].tolist())) < n for q, n in zip(
-            compiled.query_tokens, np.minimum(compiled.query_lengths, 3)))
+            compiled.query_tokens, np.minimum(query_lengths, 3)))
         pairs = [p[:n].tolist() for p, n in zip(compiled.pair_tokens, compiled.pair_lengths)]
         assert any(len(set(p)) < len(p) for p in pairs)
 
@@ -806,7 +807,8 @@ class TestBatchedEvaluate:
         compiled = corpus.compiled
         counts = np.diff(np.append(compiled.offsets, len(compiled.labels)))
         assert sorted(set(counts.tolist())) == [2, 4]
-        assert compiled.query_lengths.min() < 3 < compiled.query_lengths.max()
+        query_lengths = (compiled.query_tokens >= 0).sum(axis=1)
+        assert query_lengths.min() < 3 < query_lengths.max()
         assert len(set(compiled.pair_lengths.tolist())) >= 4
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
