@@ -17,82 +17,18 @@ Modules
     checkpoint  the checkpoint file: its v3 writer and its v3, v2 and v1 loader
     oracles     self-checks comparing independent computations of the same quantity
     cli         command-line entry points (gen-corpus, train, eval, inspect, oracle)
+    errors      the exception types, all derived from QForageError
+    seeding     named random streams derived from one root seed
+
+The root exports these modules and nothing else: import each routine from its
+module, as in `from qforage import trainer` and then `trainer.train(...)`.
 """
 
-from . import actor, checkpoint, cli, critic, env, oracles, qcore, qrep, trainer
-from .actor import ActorParams, act, actor_forward, actor_gradients, select_action
-from .checkpoint import load_checkpoint, save_checkpoint
-from .critic import (
-    ComplexEmbeddingTable,
-    class_probabilities,
-    critic_density,
-    critic_loss_and_gradients,
-    measure_classes,
-    q_value,
-)
-from .env import (
-    Corpus,
-    CorpusSpec,
-    Environment,
-    gen_corpus,
-    load_corpus,
-    save_corpus,
-)
-from .errors import QForageError
-from .qcore import DensityMatrix, Observable, born_probability, build_density, collapse_sample, tensor_product
-from .qrep import AmplitudeTable, GlobalRepresentation, QueryState, cp_decompose, embed_query, project
-from .seeding import stream_rng, stream_seed
-from .trainer import TrainConfig, evaluate, restore_params, train
+from . import actor, checkpoint, cli, critic, env, errors, oracles, qcore, qrep, seeding, trainer
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActorParams",
-    "AmplitudeTable",
-    "ComplexEmbeddingTable",
-    "Corpus",
-    "CorpusSpec",
-    "DensityMatrix",
-    "Environment",
-    "GlobalRepresentation",
-    "Observable",
-    "QForageError",
-    "QueryState",
-    "TrainConfig",
-    "act",
-    "actor",
-    "actor_forward",
-    "actor_gradients",
-    "born_probability",
-    "build_density",
-    "checkpoint",
-    "class_probabilities",
-    "cli",
-    "collapse_sample",
-    "cp_decompose",
-    "critic",
-    "critic_density",
-    "critic_loss_and_gradients",
-    "embed_query",
-    "env",
-    "evaluate",
-    "gen_corpus",
-    "load_checkpoint",
-    "load_corpus",
-    "measure_classes",
-    "oracles",
-    "project",
-    "q_value",
-    "qcore",
-    "qrep",
-    "restore_params",
-    "save_checkpoint",
-    "save_corpus",
-    "select_action",
-    "stream_rng",
-    "stream_seed",
-    "tensor_product",
-    "train",
-    "trainer",
-    "__version__",
+    "actor", "checkpoint", "cli", "critic", "env", "errors",
+    "oracles", "qcore", "qrep", "seeding", "trainer", "__version__",
 ]

@@ -231,6 +231,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     if args.doc is not None and not args.corpus:
         raise UsageError("--doc requires --corpus")
+    if args.doc is None and args.corpus:
+        raise UsageError("--corpus requires --doc")
     effective = _effective(_INSPECT_KEYS, {}, args)
     off_diagonals = effective.get("off_diagonals", DEFAULT_OFF_DIAGONALS)
     name = "--off-diagonals" if args.off_diagonals is not None else "config key 'off_diagonals'"
@@ -330,7 +332,7 @@ _HELP = {
     "oracle": "run the self-check suite",
     "config": "flat key=value config file",
     "out": "output directory (default: current)",
-    "corpus": "corpus file (inspect needs it with --doc)",
+    "corpus": "corpus file (inspect takes it with --doc, and only then)",
     "doc": "document id to diagnose",
     "seed": "root seed for all randomness",
     "noise": "label noise rate in [0, 1]",

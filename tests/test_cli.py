@@ -17,6 +17,7 @@ import pytest
 from checkpoint_v1 import CRITERION9_V1, V1_HEADER, v1_lines, write_v1
 from checkpoint_v2 import CRITERION9_V2, V2, V2_HEADER, write_v2
 from checkpoint_v3 import V3, block_span
+from warning_flags import WARNING_FLAGS
 
 from qforage import checkpoint as ckpt
 from qforage import cli, critic, env, oracles, trainer
@@ -820,6 +821,19 @@ class TestInspect:
         code, _, _ = run(argv, capsys)
         assert code == 2
 
+    def test_corpus_without_doc_is_usage_error(self, trained_dir, tmp_path, capsys):
+        argv = [
+            "inspect",
+            "--checkpoint", str(trained_dir / "checkpoint.txt"),
+            "--corpus", str(tmp_path / "missing.tsv"),
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == []
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: --corpus requires --doc"
+        ]
+
     @pytest.mark.parametrize(
         "flags, config, name",
         [
@@ -1082,7 +1096,7 @@ class TestEntryPoints:
     def test_module_invocation(self):
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
-            [sys.executable, "-m", "qforage", "oracle", "--checks", "projection"],
+            [sys.executable, *WARNING_FLAGS, "-m", "qforage", "oracle", "--checks", "projection"],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True,
             text=True,
