@@ -18,7 +18,8 @@ straight = ["dogs", "chase", "cats"]
 negated = ["dogs", "do", "not", "chase", "cats"]
 
 # Labeled experience: the straight reading matches (+1), the negated one
-# contradicts (-1). Class indices run (mismatch, neutral, match) = (0, 1, 2).
+# contradicts (-1). Class indices 0, 1, 2 name critic.CLASS_NAMES in order:
+# mismatch, partial, match.
 lessons = [
     (keywords + straight, 2),
     (keywords + negated, 0),
@@ -30,17 +31,16 @@ for step in range(200):
             critic.token_ids(tokens, table), label, table
         )
         # Only the judged words' rows have gradients; phases have none.
-        table.descend(rows, 0.3, amplitude_grad, salience_grad)
+        # descend steps a copy of those rows and writes it back.
+        table.descend(rows, 0.3, amplitude_grad, salience_grad, table.amplitudes[rows])
     if step % 50 == 0:
         print(f"step {step:3d}  loss on last pair: {loss:.4f}")
 
 for name, candidate in (("straight", straight), ("negated ", negated)):
     p = critic.measure_classes(critic.critic_density(keywords, candidate, table))
     q = critic.q_value(p)
-    print(
-        f"{name}: p(mismatch)={p[0]:.3f} p(neutral)={p[1]:.3f} "
-        f"p(match)={p[2]:.3f}  q={q:+.3f}"
-    )
+    classes = " ".join(f"p({c})={v:.3f}" for c, v in zip(critic.CLASS_NAMES, p))
+    print(f"{name}: {classes}  q={q:+.3f}")
 
 # The density matrices themselves differ: negation pushes interference
 # terms around even though the bag of shared words overlaps heavily.

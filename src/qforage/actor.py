@@ -11,9 +11,12 @@ accumulation, never division, so exactly-zero inner products are safe.
 
 A training step calls the array routines sample_rows and policy_gradient:
 they return tuples of arrays and skip the shape and temperature checks that
-the compiled corpus and ActorParams already settle. actor_forward, act and
-actor_gradients check their inputs, then return what the routine they wrap
-returns, so each quantity is computed one way and has one shape.
+the compiled corpus and ActorParams already settle. policy_gradient adds the
+table gradient into its distinct rows with one np.bincount over flat cells
+(gradient_cells), and descend is the one actor update: the touched table rows
+and every factor row are stepped and renormalized as one block. actor_forward,
+act and actor_gradients check their inputs, then return what the routine they
+wrap returns, so each quantity is computed one way and has one shape.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def actor_forward(
 
 
 def _check_finite(scores: np.ndarray) -> None:
-    if not np.isfinite(scores).all():
+    if not np.logical_and.reduce(np.isfinite(scores)):
         raise NonFiniteScore(f"scores contain non-finite values: {scores!r}")
 
 
@@ -87,9 +90,9 @@ def _logits(scores: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndar
     shift makes the sum >= 1, so a log probability never rounds above 0.
     """
     z = scores / temperature
-    z = z - z.max()
+    z = z - np.maximum.reduce(z)
     e = np.exp(z)
-    return z, e, e.sum()
+    return z, e, np.add.reduce(e)
 
 
 def _softmax(scores: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -182,6 +185,18 @@ def act(
     return sample_rows(g, rows, params.temperature, rng)
 
 
+def gradient_cells(positions: np.ndarray, basis_dim: int) -> np.ndarray:
+    """Flat cells of the table gradient that each position's k entries add into.
+
+    `positions` (..., n) index the distinct table rows; the entries of row p
+    are cells p * basis_dim + (0, ..., basis_dim - 1) of the gradient
+    flattened row by row. The last axis becomes n * basis_dim cells, in
+    (position, basis) order.
+    """
+    cells = positions[..., None] * basis_dim + np.arange(basis_dim)
+    return cells.reshape(positions.shape[:-1] + (-1,))
+
+
 def policy_gradient(
     g: qrep.GlobalRepresentation,
     temperature: float,
@@ -191,20 +206,23 @@ def policy_gradient(
     probabilities: np.ndarray,
     chosen: int,
     advantage: float,
-    position_row: np.ndarray,
+    cells: np.ndarray,
     num_unique: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of loss = -advantage * log pi(chosen): (table rows, weights, factors).
 
     `rows`, `pooled`, `dots` and `probabilities` are the pass the choice was
-    sampled from (sample_rows). Repeated words share one table row:
-    position_row maps each (candidate, position) to its index among the
-    num_unique distinct rows, and their gradients add there in that order.
+    sampled from (sample_rows). Repeated words share one table row: `cells`
+    are gradient_cells of each (candidate, position)'s index among the
+    num_unique distinct rows, flattened in candidate order, and the
+    gradients add there in that order (one np.bincount).
     """
-    one_hot = np.zeros(probabilities.shape)
-    one_hot[chosen] = 1.0
+    # one_hot(chosen) - probabilities; 0.0 - p keeps the sign of a zero
+    # probability as the subtraction from a zero one-hot entry does.
+    d_scores = 0.0 - probabilities
+    d_scores[chosen] += 1.0
     # d loss / d score_c; the 1/temperature comes from the softmax logits.
-    g_scores = -advantage * (one_hot - probabilities) / temperature
+    g_scores = -advantage * d_scores / temperature
 
     # Leave-one-out products along the position axis: the product of the
     # positions before i times the product of those after it. A running
@@ -214,15 +232,45 @@ def policy_gradient(
     np.multiply.accumulate(dots[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
     w_loo = g.weights[None, :, None] * (prefix * suffix)    # (C, R, n)
 
-    k = g.basis_dim
     per_row = np.einsum("c,crn,rnk->cnk", g_scores, w_loo, g.factors)
-    table_rows = np.zeros((num_unique, k))
-    np.add.at(table_rows, position_row, per_row.reshape(-1, k))
+    k = per_row.shape[2]
+    table_rows = np.bincount(cells, weights=per_row.ravel(), minlength=num_unique * k)
     return (
-        table_rows,
+        table_rows.reshape(num_unique, k),
         g_scores @ pooled,
         np.einsum("c,crn,cnk->rnk", g_scores, w_loo, rows),
     )
+
+
+def descend(
+    params: ActorParams,
+    ids: np.ndarray,
+    lr: float,
+    table_grad: np.ndarray,
+    weights_grad: np.ndarray,
+    factors_grad: np.ndarray,
+) -> None:
+    """One SGD step on the actor: table rows `ids`, the weights and the factors.
+
+    `ids` are sorted distinct table rows and table_grad their gradient rows
+    (policy_gradient). The gathered table rows and the (R * n, k) factor
+    rows are stepped as one block, scaled to unit length by one
+    qrep.renormalize_rows (each row's arithmetic is its own, so stacking
+    keeps its bits), and written back. The padding row is re-pinned only
+    when it is among the ids: a row the step does not touch stays pinned.
+    """
+    table = params.table
+    g = params.global_rep
+    k = g.basis_dim
+    m = ids.shape[0]
+    g.weights -= lr * weights_grad
+    block = np.concatenate((table.amplitudes.take(ids, axis=0), g.factors.reshape(-1, k)))
+    block -= lr * np.concatenate((table_grad, factors_grad.reshape(-1, k)))
+    qrep.renormalize_rows(block)
+    table.amplitudes[ids] = block[:m]
+    g.factors[...] = block[m:].reshape(g.factors.shape)
+    if ids[0] == qrep.NULL_ID:
+        table.pin_padding()
 
 
 def actor_gradients(
@@ -247,7 +295,7 @@ def actor_gradients(
         raise NoCandidates("actor_gradients needs at least one candidate")
     if not (0 <= chosen < ids.shape[0]):
         raise IndexOutOfRange(f"chosen index {chosen} outside 0..{ids.shape[0] - 1}")
-    table_ids, _, position_row = qrep.segment_unique(ids.ravel())
+    table_ids, _, positions = qrep.segment_unique(ids.ravel())
     if advantage == 0.0:
         return (
             table_ids,
@@ -267,6 +315,6 @@ def actor_gradients(
         probabilities,
         chosen,
         advantage,
-        position_row,
+        gradient_cells(positions.reshape(ids.shape), g.basis_dim).ravel(),
         table_ids.shape[0],
     )

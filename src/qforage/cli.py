@@ -332,7 +332,8 @@ _HELP = {
     "oracle": "run the self-check suite",
     "config": "flat key=value config file",
     "out": "output directory (default: current)",
-    "corpus": "corpus file (inspect takes it with --doc, and only then)",
+    "corpus": "corpus file",
+    "inspect corpus": "corpus file (inspect takes it with --doc, and only then)",
     "doc": "document id to diagnose",
     "seed": "root seed for all randomness",
     "noise": "label noise rate in [0, 1]",
@@ -360,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=_HELP[name])
         for key, required in {"config": False, "out": False, **files}.items():
-            p.add_argument(f"--{key}", required=required, help=_HELP.get(key))
+            # A subcommand's own text for a key ("inspect corpus") comes first.
+            text = _HELP.get(f"{name} {key}", _HELP.get(key))
+            p.add_argument(f"--{key}", required=required, help=text)
         for key, parse in keys.items():
             flag = _SHORT_FLAGS.get(key, "--" + key.replace("_", "-"))
             p.add_argument(flag, type=parse, dest=key, help=_HELP.get(key))

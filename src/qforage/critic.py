@@ -18,6 +18,11 @@ block masses, which equal the Born probabilities on unit rows, and q_value
 weights them by the rewards. The density matrix (critic_density,
 measure_classes) is the reference for tests and oracles, and shows inspect
 its diagonal and off-diagonals.
+
+A training step calls loss_gradient_rows, which gathers the judged pair's
+distinct amplitude rows once and reads every token's block masses from them,
+and ComplexEmbeddingTable.descend, which steps that same gathered block and
+writes it back, so the rows are gathered once per step.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ CLASS_NAMES = ("mismatch", "partial", "match")
 CLASS_REWARDS = (-1, 0, 1)
 #: CLASS_REWARDS as floats: the class observable's eigenvalues and q_value's weights.
 _REWARD_WEIGHTS = np.array(CLASS_REWARDS, dtype=np.float64)
+#: d log(sum_c m_c) / d m_c before the division by the total: one per class.
+_CLASS_ONES = np.ones(3)
 
 DEFAULT_EMBED_DIM = 12
 
@@ -130,18 +137,23 @@ class ComplexEmbeddingTable:
         _project_rows(self.amplitudes)
 
     def descend(
-        self, ids: np.ndarray, lr: float, amplitude_grad: np.ndarray, salience_grad: np.ndarray
+        self,
+        ids: np.ndarray,
+        lr: float,
+        amplitude_grad: np.ndarray,
+        salience_grad: np.ndarray,
+        block: np.ndarray,
     ) -> None:
         """One SGD step on rows `ids` (unique), then _project_rows on them.
 
-        The amplitude rows are gathered once, stepped and projected, and
-        written back once.
+        `block` is a copy of the amplitude rows `ids` as they are now, the one
+        loss_gradient_rows gathered; it is stepped and projected in place
+        and written back once.
         """
         self.salience[ids] -= lr * salience_grad
-        rows = self.amplitudes[ids]
-        rows -= lr * amplitude_grad
-        _project_rows(rows)
-        self.amplitudes[ids] = rows
+        block -= lr * amplitude_grad
+        _project_rows(block)
+        self.amplitudes[ids] = block
 
 
 def _project_rows(rows: np.ndarray) -> None:
@@ -155,17 +167,22 @@ def _project_rows(rows: np.ndarray) -> None:
     np.maximum(rows, 0.0, out=rows)
     sq = np.einsum("ij,ij->i", rows, rows)
     dead = sq <= 1e-300
-    if dead.any():
+    if np.logical_or.reduce(dead):
         rows[dead] = 1.0 / np.sqrt(rows.shape[1])
         sq = np.einsum("ij,ij->i", rows, rows)
     qrep.scale_to_unit(rows, sq)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax along the last axis."""
-    z = z - z.max(axis=-1, keepdims=True)
+    """Max-shifted softmax along the last axis.
+
+    A 1-D sequence is shifted and divided by scalars; a batch keeps the
+    reduced axis to broadcast. Each row's arithmetic is the same either way.
+    """
+    keep = z.ndim > 1
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=keep)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=keep)
 
 
 def token_ids(tokens: Sequence[str], table: ComplexEmbeddingTable) -> np.ndarray:
@@ -209,26 +226,23 @@ def block_masses(amplitudes: np.ndarray) -> np.ndarray:
     """Squared-amplitude mass of each class block, row by row: (..., d) to (..., 3)."""
     block = amplitudes.shape[-1] // 3
     sq = amplitudes ** 2
-    return sq.reshape(*sq.shape[:-1], 3, block).sum(axis=-1)
+    return np.add.reduce(sq.reshape(*sq.shape[:-1], 3, block), axis=-1)
 
 
 def _class_masses(
-    ids: np.ndarray, table: ComplexEmbeddingTable, word_masses: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-token block masses and mixture weights, for ids of shape (..., L).
+    ids: np.ndarray, table: ComplexEmbeddingTable, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture weights and class masses, for ids of shape (..., L).
 
-    Returns (beta over tokens, S with S[..., t, c] = block-c squared-amplitude
-    mass of token t's word, masses m_c = sum_t beta_t S[..., t, c]).
-    `word_masses` is block_masses of the whole amplitude table, for callers
-    that judge many sequences at once; the values read are the same. Every
-    sequence of a batch takes the arithmetic of a single one, bit for bit.
+    `s` holds the per-token block masses, S[..., t, c] = block-c
+    squared-amplitude mass of token t's word: block_masses of the tokens'
+    rows, read by each caller from the rows it holds, every way giving the
+    same values. Returns (beta over tokens, masses m_c = sum_t beta_t
+    S[..., t, c]). Every sequence of a batch takes the arithmetic of a
+    single one, bit for bit.
     """
     beta = _softmax(table.salience[ids])
-    if word_masses is None:
-        s = block_masses(table.amplitudes[ids])
-    else:
-        s = word_masses.take(ids, axis=0)
-    return beta, s, np.matmul(beta[..., None, :], s)[..., 0, :]
+    return beta, np.matmul(beta[..., None, :], s)[..., 0, :]
 
 
 def class_probabilities(tokens: Sequence[str], table: ComplexEmbeddingTable) -> np.ndarray:
@@ -240,7 +254,7 @@ def class_probabilities(tokens: Sequence[str], table: ComplexEmbeddingTable) -> 
     loss differentiates.
     """
     ids = token_ids(tokens, table)
-    _, _, masses = _class_masses(ids, table)
+    _, masses = _class_masses(ids, table, block_masses(table.amplitudes[ids]))
     return masses / masses.sum(axis=-1, keepdims=True)
 
 
@@ -257,7 +271,8 @@ def batch_class_probabilities(
     probabilities = np.empty((ids.shape[0], 3))
     for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)
-        _, _, masses = _class_masses(ids[rows, :length], table, word_masses)
+        judged = ids[rows, :length]
+        _, masses = _class_masses(judged, table, word_masses.take(judged, axis=0))
         probabilities[rows] = masses / masses.sum(axis=-1, keepdims=True)
     return probabilities
 
@@ -268,11 +283,15 @@ def loss_gradient_rows(
     label: int,
     rows: np.ndarray,
     occurrence: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Cross-entropy against class `label`: (loss, probabilities, amplitude rows, salience rows).
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cross-entropy against class `label`, its gradient rows, and the rows it read.
 
+    Returns (loss, probabilities, amplitude rows, salience rows, block).
     `ids` are the table rows of the judged tokens in order, `rows` their
     sorted distinct values and occurrence[t] the index of ids[t] among them.
+    The amplitude rows `rows` are gathered once, as `block` (a copy), which
+    is returned for ComplexEmbeddingTable.descend to step; the per-token
+    block masses are the distinct rows' masses read at occurrence.
     loss = -log p_label, floored at p >= 1e-12 (below the floor the loss is
     constant, so gradients are zero there). Gradients are reverse mode
     through the salience softmax and the squared-amplitude block masses;
@@ -281,8 +300,10 @@ def loss_gradient_rows(
     probabilities are the masses over their total. The label and the ids are
     not checked here (critic_loss_and_gradients checks them).
     """
-    beta, s, masses = _class_masses(ids, table)
-    total = float(masses.sum())
+    block = table.amplitudes.take(rows, axis=0)
+    s = block_masses(block).take(occurrence, axis=0)
+    beta, masses = _class_masses(ids, table, s)
+    total = float(np.add.reduce(masses))
     probabilities = masses / total
     p_label = float(probabilities[label])
     loss = -float(np.log(max(p_label, PROB_FLOOR)))
@@ -290,12 +311,13 @@ def loss_gradient_rows(
         return (
             loss,
             probabilities,
-            np.zeros((rows.shape[0], table.embed_dim)),
+            np.zeros(block.shape),
             np.zeros(rows.shape[0]),
+            block,
         )
 
     # loss = -log(m_label) + log(sum_c m_c)
-    d_masses = np.ones(3) / total
+    d_masses = _CLASS_ONES / total
     d_masses[label] -= 1.0 / float(masses[label])
 
     # Salience path: d loss / d beta_t, then softmax backward, then sum
@@ -306,9 +328,9 @@ def loss_gradient_rows(
 
     # Amplitude path: m_c picks up 2 * beta_t * a_{w,j} for j in block c.
     word_coeff = np.bincount(occurrence, weights=beta, minlength=rows.shape[0])
-    block_scale = (2.0 * d_masses).repeat(table.embed_dim // 3)
-    amplitude_rows = block_scale[None, :] * word_coeff[:, None] * table.amplitudes[rows]
-    return loss, probabilities, amplitude_rows, salience_rows
+    block_scale = (2.0 * d_masses).repeat(block.shape[1] // 3)
+    amplitude_rows = np.multiply.outer(word_coeff, block_scale) * block
+    return loss, probabilities, amplitude_rows, salience_rows, block
 
 
 def critic_loss_and_gradients(
@@ -327,7 +349,7 @@ def critic_loss_and_gradients(
     if ids.ndim != 1 or ids.shape[0] == 0:
         raise EmptyInput(f"critic needs a non-empty 1-D sequence of rows, got shape {ids.shape}")
     rows, _, occurrence = qrep.segment_unique(ids)
-    loss, probabilities, amplitude_rows, salience_rows = loss_gradient_rows(
+    loss, probabilities, amplitude_rows, salience_rows, _ = loss_gradient_rows(
         table, ids, label, rows, occurrence
     )
     return loss, probabilities, rows, amplitude_rows, salience_rows

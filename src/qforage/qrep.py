@@ -184,21 +184,10 @@ class AmplitudeTable:
     def renormalize(self) -> None:
         """Restore every row to unit length; re-pins the padding row."""
         renormalize_rows(self.amplitudes)
-        self._pin_padding()
+        self.pin_padding()
 
-    def descend(self, ids: np.ndarray, lr: float, grad: np.ndarray) -> None:
-        """One SGD step on rows `ids` (unique), renormalized; re-pins the padding row.
-
-        The rows are gathered once, stepped and scaled to unit length, and
-        written back once.
-        """
-        block = self.amplitudes[ids]
-        block -= lr * grad
-        renormalize_rows(block)
-        self.amplitudes[ids] = block
-        self._pin_padding()
-
-    def _pin_padding(self) -> None:
+    def pin_padding(self) -> None:
+        """Set the padding row back to the first basis vector."""
         self.amplitudes[NULL_ID] = 0.0
         self.amplitudes[NULL_ID, 0] = 1.0
 
@@ -298,12 +287,6 @@ class GlobalRepresentation:
         """Restore unit factor vectors after an optimizer step."""
         renormalize_rows(self.factors.reshape(-1, self.basis_dim))
 
-    def descend(self, lr: float, weights_grad: np.ndarray, factors_grad: np.ndarray) -> None:
-        """One SGD step on the weights and factors, then unit factor vectors again."""
-        self.weights -= lr * weights_grad
-        self.factors -= lr * factors_grad
-        renormalize_rows(self.factors.reshape(-1, self.basis_dim))
-
 
 def _check_compatible(g: GlobalRepresentation, q: QueryState) -> None:
     if (g.order, g.basis_dim) != (q.order, q.basis_dim):
@@ -356,7 +339,7 @@ def project_rows(
     and the checked actor entry points check them).
     """
     dots = np.einsum("rik,cik->cri", g.factors, rows)
-    pooled = dots.prod(axis=2)
+    pooled = np.multiply.reduce(dots, axis=2)
     scores = np.matmul(pooled[:, None, :], g.weights)[:, 0]
     return scores, pooled, dots
 

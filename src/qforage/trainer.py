@@ -12,13 +12,15 @@ forward pass and the softmax the action was sampled from, and the critic's
 estimate is read from the class probabilities its loss is taken on.
 
 A step touches only its tokens' rows: gradients come as the rows of the
-touched ids, and each table's update gathers those rows once, subtracts the
-step, clamps (critic only), renormalizes and writes them back once, so its
-cost does not grow with the vocabulary. Every other row has zero gradient and
-is already unit within the renormalization dead band, so the result is the
-same as a dense update. After every step every unit-norm row (actor amplitudes,
-factor vectors, critic amplitudes) is unit again, the actor padding row stays
-pinned, and critic amplitudes stay nonnegative.
+touched ids, and each side's update steps those rows once, clamps (critic
+only), renormalizes and writes them back once, so its cost does not grow with
+the vocabulary. The critic steps the rows its loss gathered; the actor steps
+its gathered table rows and its factor rows as one block. Every other row has
+zero gradient and is already unit within the renormalization dead band, so
+the result is the same as a dense update. After every step every unit-norm
+row (actor amplitudes, factor vectors, critic amplitudes) is unit again, the
+actor padding row stays pinned (re-pinned when the step touched it), and
+critic amplitudes stay nonnegative.
 
 Both modes run the same step: the next document never depends on the action,
 so each step updates the actor at once with its one-step advantage. Mode only
@@ -30,28 +32,32 @@ vocabulary indices (env.Corpus.compiled); query_row_ids turns its -1-padded
 query tokens into every candidate's actor table rows. What only the corpus and
 the query order decide is compiled once per train call into a StepPlan
 (compile_step_plan), and a step reads nothing else off the corpus: the query
-rows, the labels, each document's sorted unique actor rows with each
-candidate's positions into them, and each pair's critic rows with their sorted
-unique values and each token's index among them. One qrep.segment_unique call
-builds each side for every document or pair at once, with one np.sort of keys
-that pack each id's segment, value and position. A step takes the drawn
-document's candidates as compiled rows (env.Environment.draw), gathers their
-amplitude rows in one take and slices everything else from the plan.
-The drawn rows' positions, read in drawn order, are what np.unique gives for
-the gathered ids, so the gradients add into the merged rows in the same
-order, with the same bits, as a step from token strings through
+rows, the labels, each document's sorted unique actor rows with the gradient
+cells of each candidate's positions into them (actor.gradient_cells), and
+each pair's critic rows with their sorted unique values and each token's index
+among them. One qrep.segment_unique call builds each side for every document
+or pair at once, with one np.sort of keys that pack each id's segment, value
+and position; the plan's bounds are Python lists, built once. A step takes
+the drawn document's candidates as compiled rows (env.Environment.draw),
+gathers their amplitude rows in one take and slices everything else from the
+plan. The drawn rows' positions, read in drawn order, are what np.unique
+gives for the gathered ids, so the gradients add into the merged rows in the
+same order, with the same bits, as a step from token strings through
 qrep.embed_query.
 
 A step runs on plain arrays, one array routine per layer, each called
 through its module: actor.sample_rows scores and samples,
-critic.loss_gradient_rows takes the critic's loss and gradient rows,
-actor.policy_gradient the policy gradient, and the descend methods of
-qrep.AmplitudeTable, qrep.GlobalRepresentation and
-critic.ComplexEmbeddingTable each update one table; descend is the only
-update that touches part of a table. The step builds no dataclass but the
-StepMetrics it returns, and re-checks nothing that compile or validate time
-settles: env.compile_corpus checks the labels, so the critic's class is
-reward + 1; ActorParams checks the temperature; the plan fixes the
+critic.loss_gradient_rows takes the critic's loss and gradient rows and
+the rows it gathered, critic.ComplexEmbeddingTable.descend steps those,
+actor.policy_gradient takes the policy gradient and actor.descend makes the
+one actor update; the two descend routines are the only updates that touch
+part of a table. Each quantity has one computation, written with as few
+NumPy calls as keep its bits: ufunc reductions in place of the array
+methods that wrap them, one np.bincount in place of np.add.at, no buffers
+allocated per step for constants. The step builds no dataclass; the
+StepMetrics it returns is a NamedTuple. It re-checks nothing that compile or
+validate time settles: env.compile_corpus checks the labels, so the critic's
+class is reward + 1; ActorParams checks the temperature; the plan fixes the
 candidates' shape and count, and the sampler clamps the drawn index. It does
 check every step that the scores are finite. The checked entry points
 (actor.act, actor.actor_gradients, critic.critic_loss_and_gradients) check
@@ -82,6 +88,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,8 +175,7 @@ class TrainConfig:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class StepMetrics:
+class StepMetrics(NamedTuple):
     chosen_index: int  # position of the chosen candidate in the step's rows
     reward: int
     q_estimate: float
@@ -239,12 +245,14 @@ def query_row_ids(compiled: env.CompiledCorpus, order: int) -> np.ndarray:
 class StepPlan:
     """Everything a training step reads off the corpus, fixed by it and the query order.
 
-    Flat arrays cut by bounds arrays, built once per train call
-    (compile_step_plan). query_ids are query_row_ids of the compiled corpus
-    and labels its compiled labels. Document j's sorted unique actor table
-    rows are actor_rows[actor_bounds[j]:actor_bounds[j + 1]], and
-    actor_positions[i] are candidate i's (order,) indices into them.
-    Compiled pair i's critic table rows, in token order, are
+    Flat arrays cut by bounds, built once per train call
+    (compile_step_plan); the bounds are lists, so a step slices with
+    Python ints. query_ids are query_row_ids of the compiled corpus and
+    labels its compiled labels. Document j's sorted unique actor table rows
+    are actor_rows[actor_bounds[j]:actor_bounds[j + 1]], and actor_cells[i]
+    are actor.gradient_cells of candidate i's (order,) indices into them:
+    the flat cells of the table gradient its (order, k) gradient rows add
+    into. Compiled pair i's critic table rows, in token order, are
     pair_ids[pair_bounds[i]:pair_bounds[i + 1]], their indices into the
     pair's sorted unique rows lie at the same slice of occurrence, and those
     rows are critic_rows[critic_bounds[i]:critic_bounds[i + 1]].
@@ -253,22 +261,23 @@ class StepPlan:
     query_ids: np.ndarray         # (N, order)
     labels: np.ndarray            # (N,)
     actor_rows: np.ndarray
-    actor_bounds: np.ndarray      # (D + 1,)
-    actor_positions: np.ndarray   # (N, order)
+    actor_bounds: list[int]       # D + 1
+    actor_cells: np.ndarray       # (N, order * k)
     pair_ids: np.ndarray
     occurrence: np.ndarray
-    pair_bounds: np.ndarray       # (N + 1,)
+    pair_bounds: list[int]        # N + 1
     critic_rows: np.ndarray
-    critic_bounds: np.ndarray     # (N + 1,)
+    critic_bounds: list[int]      # N + 1
 
     def actor_unique(self, j: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted unique rows of query_ids[rows] and each id's index among them.
+        """Sorted unique rows of query_ids[rows] and the gradient cells of every id.
 
-        `rows` hold every candidate of document `j`, in any order.
+        `rows` hold every candidate of document `j`, in any order; the cells
+        come flat in that order (actor.policy_gradient's `cells`).
         """
         return (
             self.actor_rows[self.actor_bounds[j] : self.actor_bounds[j + 1]],
-            self.actor_positions[rows].ravel(),
+            self.actor_cells.take(rows, axis=0).ravel(),
         )
 
     def critic_unique(self, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,8 +290,8 @@ class StepPlan:
         )
 
 
-def compile_step_plan(compiled: env.CompiledCorpus, order: int) -> StepPlan:
-    """The StepPlan of a compiled corpus for queries of `order` words.
+def compile_step_plan(compiled: env.CompiledCorpus, order: int, basis_dim: int) -> StepPlan:
+    """The StepPlan of a compiled corpus for queries of `order` words over k = basis_dim.
 
     One qrep.segment_unique call takes every document and one every pair,
     so the indices are what np.unique gives each of them alone.
@@ -300,13 +309,13 @@ def compile_step_plan(compiled: env.CompiledCorpus, order: int) -> StepPlan:
         query_ids=query_ids,
         labels=compiled.labels,
         actor_rows=actor_rows,
-        actor_bounds=actor_bounds,
-        actor_positions=positions.reshape(num_rows, order),
+        actor_bounds=actor_bounds.tolist(),
+        actor_cells=actor.gradient_cells(positions.reshape(num_rows, order), basis_dim),
         pair_ids=pair_ids,
         occurrence=occurrence,
-        pair_bounds=np.concatenate(([0], np.cumsum(compiled.pair_lengths))),
+        pair_bounds=[0] + np.cumsum(compiled.pair_lengths).tolist(),
         critic_rows=critic_rows,
-        critic_bounds=critic_bounds,
+        critic_bounds=critic_bounds.tolist(),
     )
 
 
@@ -344,16 +353,18 @@ def train_step(
     reward = int(plan.labels[row])
 
     pair, critic_rows, occurrence = plan.critic_unique(row)
-    critic_loss, class_probabilities, amplitude_grad, salience_grad = critic.loss_gradient_rows(
-        critic_table, pair, reward + 1, critic_rows, occurrence
+    critic_loss, class_probabilities, amplitude_grad, salience_grad, critic_block = (
+        critic.loss_gradient_rows(critic_table, pair, reward + 1, critic_rows, occurrence)
     )
     q_estimate = critic.q_value(class_probabilities)
     if config.critic_lr != 0.0:
-        critic_table.descend(critic_rows, config.critic_lr, amplitude_grad, salience_grad)
+        critic_table.descend(
+            critic_rows, config.critic_lr, amplitude_grad, salience_grad, critic_block
+        )
 
     advantage = reward - q_estimate
     if config.actor_lr != 0.0 and advantage != 0.0:
-        table_ids, position_row = plan.actor_unique(j, rows)
+        table_ids, cells = plan.actor_unique(j, rows)
         table_grad, weights_grad, factors_grad = actor.policy_gradient(
             g,
             params.temperature,
@@ -363,20 +374,12 @@ def train_step(
             probabilities,
             index,
             advantage,
-            position_row,
+            cells,
             table_ids.shape[0],
         )
-        params.table.descend(table_ids, config.actor_lr, table_grad)
-        g.descend(config.actor_lr, weights_grad, factors_grad)
+        actor.descend(params, table_ids, config.actor_lr, table_grad, weights_grad, factors_grad)
 
-    return StepMetrics(
-        chosen_index=index,
-        reward=reward,
-        q_estimate=q_estimate,
-        advantage=advantage,
-        critic_loss=critic_loss,
-        log_probability=log_probability,
-    )
+    return StepMetrics(index, reward, q_estimate, advantage, critic_loss, log_probability)
 
 
 @dataclass(eq=False)
@@ -625,7 +628,7 @@ def train(config: TrainConfig, corpus: env.Corpus, checkpoint_path: str | None =
             live = Checkpoint(**_live_arrays(params, critic_table), config_echo=config.echo())
             save_checkpoint(live, checkpoint_path)
 
-    plan = compile_step_plan(corpus.compiled, config.query_order)
+    plan = compile_step_plan(corpus.compiled, config.query_order, config.basis_dim)
     for episode in range(1, config.episodes + 1):
         while True:
             j, rows = environment.draw()

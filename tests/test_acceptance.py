@@ -345,7 +345,7 @@ class TestCriterion8RewardMapping:
         # one session pass serves every document once.
         config = trainer.TrainConfig(seed=1008)
         params, critic_table = trainer.init_params(corpus, config)
-        plan = trainer.compile_step_plan(compiled, config.query_order)
+        plan = trainer.compile_step_plan(compiled, config.query_order, config.basis_dim)
         environment = env.Environment(corpus, np.random.default_rng(1008), mode="session")
         rng = np.random.default_rng(1008)
         stepped = set()

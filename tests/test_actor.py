@@ -14,6 +14,7 @@ from qforage.actor import (
     act,
     actor_forward,
     actor_gradients,
+    descend,
     first_argmax,
     policy_probabilities,
     select_action,
@@ -376,3 +377,67 @@ class TestActorGradients:
         refreshed = make_candidates(params.table, 2, token_lists)
         after = qrep.project_rows(params.global_rep, rows_of(refreshed))[0]
         assert after[0] - after[1] > before[0] - before[1]
+
+
+def descend_apart_reference(params, ids, lr, table_grad, weights_grad, factors_grad):
+    """The actor update as two table updates: the stepped rows, then the global space.
+
+    Returns the amplitudes, weights and factors it gives, each renormalized
+    on its own; the padding row is re-pinned whenever it was stepped.
+    """
+    k = params.global_rep.basis_dim
+    amplitudes = params.table.amplitudes.copy()
+    block = amplitudes[ids] - lr * table_grad
+    qrep.renormalize_rows(block)
+    amplitudes[ids] = block
+    if qrep.NULL_ID in ids:
+        amplitudes[qrep.NULL_ID] = 0.0
+        amplitudes[qrep.NULL_ID, 0] = 1.0
+    factors = params.global_rep.factors - lr * factors_grad
+    qrep.renormalize_rows(factors.reshape(-1, k))
+    return amplitudes, params.global_rep.weights - lr * weights_grad, factors
+
+
+class TestDescend:
+    """One block update of the touched table rows and every factor row, bit for bit."""
+
+    @pytest.mark.parametrize("basis_dim", [1, 3, 4])
+    @pytest.mark.parametrize("ids", [[0, 2, 3, 5], [1, 3, 4]])
+    def test_equals_the_table_and_global_updates_apart(self, basis_dim, ids):
+        rng = np.random.default_rng(70 + basis_dim)
+        params = make_params(rng, basis_dim=basis_dim, order=3, rank=4)
+        ids = np.array(ids)
+        table_grad = rng.standard_normal((len(ids), basis_dim))
+        table_grad[1] = 0.0  # a unit row that is not stepped keeps its bits
+        weights_grad = rng.standard_normal(4)
+        factors_grad = rng.standard_normal((4, 3, basis_dim))
+        expected = descend_apart_reference(
+            params, ids, 0.2, table_grad, weights_grad, factors_grad
+        )
+        before = params.table.amplitudes.copy()
+        descend(params, ids, 0.2, table_grad, weights_grad, factors_grad)
+        g = params.global_rep
+        assert params.table.amplitudes.tobytes() == expected[0].tobytes()
+        assert g.weights.tobytes() == expected[1].tobytes()
+        assert g.factors.tobytes() == expected[2].tobytes()
+        assert params.table.amplitudes[ids[1]].tobytes() == before[ids[1]].tobytes()
+        untouched = np.setdiff1d(np.arange(before.shape[0]), ids)
+        assert params.table.amplitudes[untouched].tobytes() == before[untouched].tobytes()
+
+    def test_padding_row_pinned_after_a_step_that_touched_it(self):
+        rng = np.random.default_rng(75)
+        params = make_params(rng, basis_dim=3)
+        ids = np.array([qrep.NULL_ID, 2])
+        descend(params, ids, 0.5, rng.standard_normal((2, 3)), np.zeros(2), np.zeros((2, 2, 3)))
+        assert params.table.amplitudes[qrep.NULL_ID].tolist() == [1.0, 0.0, 0.0]
+        assert params.table.amplitudes[2].tolist() != [1.0, 0.0, 0.0]
+
+    def test_step_without_the_padding_row_leaves_it_bit_identical(self):
+        rng = np.random.default_rng(76)
+        params = make_params(rng, basis_dim=3)
+        # An unpinned unit row, so that any write to it would show.
+        params.table.amplitudes[qrep.NULL_ID] = [0.6, 0.8, 0.0]
+        before = params.table.amplitudes[qrep.NULL_ID].tobytes()
+        ids = np.array([1, 3])
+        descend(params, ids, 0.5, rng.standard_normal((2, 3)), np.zeros(2), np.zeros((2, 2, 3)))
+        assert params.table.amplitudes[qrep.NULL_ID].tobytes() == before

@@ -1089,6 +1089,25 @@ class TestConfigKeysMatchFlags:
             assert not actions[key].required
 
 
+class TestCorpusHelp:
+    """--corpus help: a plain corpus file for train and eval, inspect's own rule for inspect."""
+
+    def help_text(self, name, capsys):
+        assert cli.main([name, "--help"]) == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("name", ["train", "eval"])
+    def test_train_and_eval_describe_a_corpus_file(self, name, capsys):
+        text = self.help_text(name, capsys)
+        assert "--corpus CORPUS corpus file" in text
+        assert "inspect" not in text
+        assert "--doc" not in text
+
+    def test_inspect_keeps_its_rule(self, capsys):
+        text = self.help_text("inspect", capsys)
+        assert "corpus file (inspect takes it with --doc, and only then)" in text
+
+
 class TestEntryPoints:
     def test_no_arguments_is_usage_error(self, capsys):
         assert cli.main([]) == 2

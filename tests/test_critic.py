@@ -8,13 +8,15 @@ independent probability evaluation.
 import numpy as np
 import pytest
 
-from qforage import qcore
+from qforage import qcore, qrep
 from qforage.critic import (
     ComplexEmbeddingTable,
+    block_masses,
     class_observable,
     class_probabilities,
     critic_density,
     critic_loss_and_gradients,
+    loss_gradient_rows,
     measure_classes,
     q_value,
     token_ids,
@@ -123,7 +125,7 @@ class TestComplexEmbeddingTable:
         salience_grad = rng.standard_normal(3)
         expected = descend_reference(table, ids, 0.5, amplitude_grad, salience_grad)
         before = table.amplitudes.copy(), table.salience.copy()
-        table.descend(ids, 0.5, amplitude_grad, salience_grad)
+        table.descend(ids, 0.5, amplitude_grad, salience_grad, table.amplitudes[ids])
         assert table.amplitudes.tobytes() == expected[0].tobytes()
         assert table.salience.tobytes() == expected[1].tobytes()
         assert np.all(table.amplitudes[ids] >= 0.0)
@@ -151,7 +153,7 @@ class TestComplexEmbeddingTable:
             amplitude_grad[[2, 6]] = np.random.default_rng(21).standard_normal((2, 6))
             salience_grad = np.zeros(len(ids))
             expected, _ = descend_reference(table, ids, 0.1, amplitude_grad, salience_grad)
-            table.descend(ids, 0.1, amplitude_grad, salience_grad)
+            table.descend(ids, 0.1, amplitude_grad, salience_grad, table.amplitudes[ids])
         else:
             expected = table.amplitudes.copy()
             renormalize_reference(expected, np.arange(table.amplitudes.shape[0]))
@@ -359,6 +361,30 @@ class TestSparseCriticGradients:
             assert rows.max() < table.amplitudes.shape[0] == size
             shapes.append((rows.shape, amplitude_rows.shape, salience_rows.shape))
         assert shapes[0] == shapes[1] == ((5,), (5, 12), (5,))
+
+    @pytest.mark.parametrize("embed_dim", [3, 6, 12, 24])
+    def test_gathered_once_masses_equal_the_per_token_gather(self, embed_dim):
+        # loss_gradient_rows reads each token's block masses from its word's
+        # distinct row, gathered once, not from one gathered row per token.
+        words = tuple(f"w{i}" for i in range(9))
+        for seed in range(30):
+            rng = np.random.default_rng(500 + seed)
+            table = make_table(rng, embed_dim=embed_dim, words=words)
+            table.amplitudes *= rng.uniform(0.5, 2.0, (len(words) + 1, 1))
+            ids = rng.integers(0, len(words) + 1, int(rng.integers(1, 16)))
+            rows, _, occurrence = qrep.segment_unique(ids)
+            once = block_masses(table.amplitudes.take(rows, axis=0)).take(occurrence, axis=0)
+            assert once.tobytes() == block_masses(table.amplitudes[ids]).tobytes()
+
+    def test_returned_block_is_a_copy_of_the_gathered_rows(self):
+        table = make_table(np.random.default_rng(72))
+        ids = token_ids(["cats", "not", "dogs", "cats"], table)
+        rows, _, occurrence = qrep.segment_unique(ids)
+        block = loss_gradient_rows(table, ids, 0, rows, occurrence)[4]
+        assert block.tobytes() == table.amplitudes[rows].tobytes()
+        before = table.amplitudes.tobytes()
+        block[:] = 0.0
+        assert table.amplitudes.tobytes() == before
 
     def test_probabilities_are_the_class_probabilities(self):
         rng = np.random.default_rng(71)

@@ -8,7 +8,7 @@ against constructed ground truth built from known factors.
 import numpy as np
 import pytest
 
-from qforage import qcore, qrep
+from qforage import actor, qcore, qrep
 from qforage.errors import (
     DenseCapExceeded,
     EmptyQuery,
@@ -95,7 +95,7 @@ class TestAmplitudeTable:
         grad[2] = 0.0
         expected = descend_reference(table.amplitudes, ids, 0.3, grad)
         before = table.amplitudes.copy()
-        table.descend(ids, 0.3, grad)
+        descend_table(table.amplitudes, ids, 0.3, grad)
         assert table.amplitudes.tobytes() == expected.tobytes()
         np.testing.assert_allclose(np.linalg.norm(table.amplitudes[ids], axis=1), 1.0, atol=1e-9)
         np.testing.assert_array_equal(table.amplitudes[NULL_ID], [1.0, 0.0, 0.0])
@@ -113,18 +113,32 @@ def per_row_reference(rows, ids=None):
 
 
 def descend_reference(amplitudes, ids, lr, grad):
-    """AmplitudeTable.descend one row at a time: step, per-row scaling, padding pinned."""
+    """actor.descend's table rows, one row at a time: step, per-row scaling, padding pinned if stepped."""
     stepped = amplitudes.copy()
     for r, i in enumerate(ids):
         stepped[i] = amplitudes[i] - lr * grad[r]
     per_row_reference(stepped, ids)
-    stepped[NULL_ID] = qcore.basis_vector(stepped.shape[1], 0)
+    if NULL_ID in ids:
+        stepped[NULL_ID] = qcore.basis_vector(stepped.shape[1], 0)
     return stepped
 
 
 def word_table(rows):
     """An AmplitudeTable over the given (V + 2, k) rows, without copying them."""
     return AmplitudeTable(words=tuple(f"w{i}" for i in range(rows.shape[0] - 2)), amplitudes=rows)
+
+
+def descend_table(rows, ids, lr, grad):
+    """actor.descend of table rows `ids` of `rows`, in place, beside a global space it leaves as it is.
+
+    The global space takes a zero step: its unit factor rows stay inside
+    the dead band and share the renormalized block with the table rows.
+    """
+    g = GlobalRepresentation.from_random(2, rows.shape[1], 3, np.random.default_rng(0))
+    before = g.weights.tobytes(), g.factors.tobytes()
+    params = actor.ActorParams(table=word_table(rows), global_rep=g)
+    actor.descend(params, ids, lr, grad, np.zeros(3), np.zeros_like(g.factors))
+    assert (g.weights.tobytes(), g.factors.tobytes()) == before
 
 
 class TestRenormalizeRows:
@@ -150,7 +164,7 @@ class TestRenormalizeRows:
 
     @pytest.mark.parametrize("basis_dim", [1, 3, 4, 12])
     def test_selected_rows_match_per_row_loop_bitwise(self, basis_dim):
-        # AmplitudeTable.descend is the one update of selected rows.
+        # actor.descend is the one update of selected rows; the padding row is not among them.
         rng = np.random.default_rng(50 + basis_dim)
         rows = self.rows_around_the_dead_band(rng, basis_dim)
         before = rows.copy()
@@ -158,11 +172,30 @@ class TestRenormalizeRows:
         grad = rng.standard_normal((len(ids), basis_dim))
         grad[:4] = 0.0  # the band edges and the NaN row keep their norms
         expected = descend_reference(rows, ids, 0.05, grad)
-        word_table(rows).descend(ids, 0.05, grad)
+        descend_table(rows, ids, 0.05, grad)
         assert rows.tobytes() == expected.tobytes()
+        assert rows[NULL_ID].tobytes() == before[NULL_ID].tobytes()
         assert rows[1].tobytes() == before[1].tobytes()
         assert rows[3].tobytes() != before[3].tobytes()
         assert np.isnan(rows[5]).all()
+
+    def test_stacked_block_equals_each_part_alone(self):
+        # actor.descend renormalizes the table rows and the factor rows as one
+        # stacked block; each row's squared norm and scale must be its own.
+        rng = np.random.default_rng(60)
+        for _ in range(300):
+            basis_dim = int(rng.integers(1, 13))
+            parts = [
+                rng.standard_normal((int(rng.integers(1, 40)), basis_dim))
+                * rng.uniform(0.2, 3.0, (1, 1))
+                for _ in range(2)
+            ]
+            parts[0][0] /= np.linalg.norm(parts[0][0])  # one row inside the dead band
+            stacked = np.concatenate(parts)
+            renormalize_rows(stacked)
+            for part in parts:
+                renormalize_rows(part)
+            assert stacked.tobytes() == np.concatenate(parts).tobytes()
 
     def test_band_edges_and_non_finite_rows(self):
         rows = self.rows_around_the_dead_band(np.random.default_rng(71), 4)
@@ -189,12 +222,12 @@ class TestRenormalizeRows:
     def test_special_rows_match_per_row_loop_bitwise(self, basis_dim, selected):
         rows = self.rows_with_special_values(np.random.default_rng(90 + basis_dim), basis_dim)
         with np.errstate(invalid="ignore", divide="ignore"):
-            if selected:  # Through AmplitudeTable.descend, padding row 0 among the ids.
+            if selected:  # Through actor.descend, padding row 0 among the ids.
                 ids = np.array([0, 1, 2, 3, 4, 5, 8, 21, 22, 23, 24, 25, 26, 33])
                 grad = np.zeros((len(ids), basis_dim))
                 grad[[6, 13]] = np.random.default_rng(basis_dim).standard_normal((2, basis_dim))
                 expected = descend_reference(rows, ids, 0.05, grad)
-                word_table(rows).descend(ids, 0.05, grad)
+                descend_table(rows, ids, 0.05, grad)
             else:
                 expected = rows.copy()
                 per_row_reference(expected)
@@ -520,7 +553,11 @@ class TestGlobalRepresentation:
         expected = (g.factors - 0.1 * factors_grad).reshape(-1, 4)
         per_row_reference(expected)
         before = g.factors[1, 2].copy()
-        g.descend(0.1, weights_grad, factors_grad)
+        table = make_table(rng, basis_dim=4)
+        actor.descend(
+            actor.ActorParams(table=table, global_rep=g),
+            np.array([2]), 0.1, np.zeros((1, 4)), weights_grad, factors_grad,
+        )
         assert g.weights.tobytes() == expected_weights.tobytes()
         assert g.factors.tobytes() == expected.tobytes()
         assert g.factors[1, 2].tobytes() == before.tobytes()

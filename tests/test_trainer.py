@@ -87,7 +87,7 @@ def doc_rows(corpus, j):
 
 
 def run_step(params, critic_table, corpus, j, rows, config, rng):
-    plan = trainer.compile_step_plan(corpus.compiled, config.query_order)
+    plan = trainer.compile_step_plan(corpus.compiled, config.query_order, config.basis_dim)
     return trainer.train_step(params, critic_table, plan, j, rows, config, rng)
 
 
@@ -350,7 +350,7 @@ class TestCompiledStep:
         config = small_config(mode=mode)
         params, critic_table = trainer.init_params(corpus, config)
         ref_params, ref_critic = copy.deepcopy(params), copy.deepcopy(critic_table)
-        plan = trainer.compile_step_plan(corpus.compiled, config.query_order)
+        plan = trainer.compile_step_plan(corpus.compiled, config.query_order, config.basis_dim)
         # One draw feeds both sides: compiled rows here, the Documents' candidates there.
         environment = env.Environment(corpus, np.random.default_rng(90), mode=mode)
         rng, ref_rng = np.random.default_rng(91), np.random.default_rng(91)
@@ -724,7 +724,8 @@ class TestStepPlan:
     @pytest.mark.parametrize("order", [1, 3, 5])
     def test_slices_equal_np_unique_per_document_and_pair(self, order):
         compiled = self.plan_corpus().compiled
-        plan = trainer.compile_step_plan(compiled, order)
+        k = 3
+        plan = trainer.compile_step_plan(compiled, order, k)
         query_ids = trainer.query_row_ids(compiled, order)
         assert plan.query_ids.tobytes() == query_ids.tobytes()
         assert plan.labels.tobytes() == compiled.labels.tobytes()
@@ -735,9 +736,11 @@ class TestStepPlan:
             expected_rows, expected_positions = np.unique(
                 query_ids[rows].ravel(), return_inverse=True
             )
-            table_ids, positions = plan.actor_unique(j, rows)
+            table_ids, cells = plan.actor_unique(j, rows)
             assert table_ids.tolist() == expected_rows.tolist()
-            assert positions.tolist() == expected_positions.tolist()
+            # Position p's k gradient entries are the flat cells p * k .. p * k + k - 1.
+            expected_cells = [p * k + b for p in expected_positions.tolist() for b in range(k)]
+            assert cells.tolist() == expected_cells
         for row in range(len(compiled.labels)):
             pair = compiled.pair_tokens[row, : compiled.pair_lengths[row]] + critic.WORD_ROW_OFFSET
             ids, unique, occurrence = plan.critic_unique(row)
@@ -745,6 +748,80 @@ class TestStepPlan:
             expected_rows, expected_occurrence = np.unique(pair, return_inverse=True)
             assert unique.tolist() == expected_rows.tolist()
             assert occurrence.tolist() == expected_occurrence.tolist()
+
+    @pytest.mark.parametrize("basis_dim", [1, 3, 4])
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_plan_cells_give_the_dense_reference_gradient(self, basis_dim, order):
+        # The step's table gradient: policy_gradient's np.bincount over the
+        # plan's cells, against np.add.at into a full table, bit for bit.
+        corpus = self.plan_corpus()
+        config = small_config(basis_dim=basis_dim, query_order=order)
+        params, _ = trainer.init_params(corpus, config)
+        plan = trainer.compile_step_plan(corpus.compiled, order, basis_dim)
+        g = params.global_rep
+        rng = np.random.default_rng(10 * basis_dim + order)
+        repeated = False
+        for j, doc in enumerate(corpus.documents):
+            rows = corpus.compiled.offsets[j] + rng.permutation(len(doc.candidates))
+            candidates = [
+                qrep.embed_query(c.tokens, params.table, order)
+                for c in drawn_candidates(corpus, j, rows)
+            ]
+            amplitude_rows = np.stack([q.rows for q in candidates])
+            scores, pooled, dots = qrep.project_rows(g, amplitude_rows)
+            probabilities = actor.policy_probabilities(scores, params.temperature)
+            chosen = int(rng.integers(len(candidates)))
+            advantage = float(rng.uniform(-1.5, 1.5))
+            table_ids, cells = plan.actor_unique(j, rows)
+            table_rows, _, _ = actor.policy_gradient(
+                g, params.temperature, amplitude_rows, pooled, dots, probabilities,
+                chosen, advantage, cells, table_ids.shape[0],
+            )
+            dense = dense_reference_table_gradient(params, candidates, chosen, advantage)
+            got = np.zeros_like(dense)
+            got[table_ids] = table_rows
+            assert got.tobytes() == dense.tobytes()
+            repeated |= table_ids.shape[0] < len(candidates) * order
+        assert repeated
+
+    @pytest.mark.parametrize("mode", ["bandit", "session"])
+    def test_step_makes_no_add_at_and_at_most_five_einsums(self, monkeypatch, mode):
+        corpus = small_corpus()
+        config = small_config(mode=mode)
+        params, critic_table = trainer.init_params(corpus, config)
+        plan = trainer.compile_step_plan(corpus.compiled, config.query_order, config.basis_dim)
+        environment = env.Environment(corpus, np.random.default_rng(95), mode=mode)
+        rng = np.random.default_rng(96)
+        calls = {"einsum": 0, "add.at": 0}
+        real_einsum = np.einsum
+
+        def counting_einsum(*args, **kwargs):
+            calls["einsum"] += 1
+            return real_einsum(*args, **kwargs)
+
+        class CountingAdd:
+            """np.add with its .at counted; everything else is np.add's own."""
+
+            def __getattr__(self, name):
+                return getattr(real_add, name)
+
+            def __call__(self, *args, **kwargs):
+                return real_add(*args, **kwargs)
+
+            def at(self, *args, **kwargs):
+                calls["add.at"] += 1
+                return real_add.at(*args, **kwargs)
+
+        real_add = np.add
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        monkeypatch.setattr(np, "add", CountingAdd())
+        steps = 40
+        for _ in range(steps):
+            j, rows = environment.draw()
+            metrics = trainer.train_step(params, critic_table, plan, j, rows, config, rng)
+            assert metrics.advantage != 0.0  # every step updates the actor
+        assert calls["add.at"] == 0
+        assert calls["einsum"] <= 5 * steps
 
     @pytest.mark.parametrize("mode", ["bandit", "session"])
     def test_train_calls_np_unique_on_no_step(self, monkeypatch, mode):
