@@ -1,7 +1,8 @@
 """Policy head: scores candidate queries against the global semantic space.
 
 Each candidate's score is its projection onto the factored space, taken by
-qrep.project_rows, the one scoring arithmetic; the policy is a temperature
+qrep.project_rows (evaluation's qrep.project_slots gives the same bits from
+table row ids); the policy is a temperature
 softmax over scores, taken once per step: the probabilities and the chosen
 candidate's log probability come from the same logits.
 

@@ -112,8 +112,10 @@ class ComplexEmbeddingTable:
         cls, words: Sequence[str], normal: np.ndarray, phases: np.ndarray
     ) -> "ComplexEmbeddingTable":
         """The from_vocab table of its normal and uniform(-pi, pi) draws, both (rows, d)."""
-        amps = np.abs(normal) + 1e-3
-        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        amps = np.abs(normal)
+        amps += 1e-3
+        # np.linalg.norm's sum of squares, without its conj() copy.
+        amps /= np.sqrt(np.add.reduce(amps * amps, axis=1, keepdims=True))
         return cls(words=tuple(words), amplitudes=amps, phases=phases, salience=np.zeros(len(amps)))
 
     @property

@@ -11,7 +11,10 @@ between the two is the projection
 
 computed in O(R * n * k) without materializing any k^n object. project_rows
 takes it for a batch of candidates, and product_pool (the per-rank products)
-and project (their weighted sum) are its row for one query.
+and project (their weighted sum) are its row for one query. project_slots
+gives project_rows' bits for candidates given as table row ids, taking each
+distinct (position, row) inner product once; both weight the per-rank
+products by pooled_scores.
 
 cp_decompose goes the other way: alternating least squares recovers a rank-R
 factored form from a small dense tensor. It exists for oracle and analysis
@@ -328,20 +331,57 @@ def project_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(scores, pooled, dots) of an (N, n, k) batch of candidate amplitude rows.
 
-    The one scoring arithmetic: training, evaluation, inspect, product_pool
-    and project all come here. One einsum takes every (candidate, rank,
-    position) inner product, and each score is the weighted sum of its
-    pooled row: one BLAS dot product per candidate, all taken in one batched
-    vector-vector np.matmul, whose (1, R) x (R,) items each go to the dot
-    that weights.dot(row) calls. pooled @ weights would be a matrix-vector
-    product and would sum in another order. So a score does not depend on the
-    batch around it. The shapes are not checked here (product_pool, project
-    and the checked actor entry points check them).
+    The scoring arithmetic of training, inspect, the oracles, product_pool
+    and project; project_slots gives evaluation the same bits from table row
+    ids. One einsum takes every (candidate, rank, position) inner product,
+    and each score is pooled_scores of its pooled row. The shapes are not
+    checked here (product_pool, project and the checked actor entry points
+    check them).
     """
     dots = np.einsum("rik,cik->cri", g.factors, rows)
     pooled = np.multiply.reduce(dots, axis=2)
-    scores = np.matmul(pooled[:, None, :], g.weights)[:, 0]
-    return scores, pooled, dots
+    return pooled_scores(g, pooled), pooled, dots
+
+
+def pooled_scores(g: GlobalRepresentation, pooled: np.ndarray) -> np.ndarray:
+    """The (N,) weighted sums of (N, R) pooled rows: the one score formula.
+
+    One BLAS dot product per row, all taken in one batched vector-vector
+    np.matmul, whose (1, R) x (R,) items each go to the dot that
+    weights.dot(row) calls. pooled @ weights would be a matrix-vector
+    product and would sum in another order. So a score does not depend on
+    the batch around it.
+    """
+    return np.matmul(pooled[:, None, :], g.weights)[:, 0]
+
+
+def project_slots(
+    g: GlobalRepresentation, amplitudes: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """project_rows' (scores, pooled) of the candidates whose (N, n) table rows are `ids`.
+
+    A candidate's dots at position i depend only on the table row there, so
+    each distinct (position, row) slot is taken once: one segment_unique
+    call over the position-major ids gives each position's sorted distinct
+    rows and every slot's index among them, and each position takes one
+    einsum of its factors with its distinct rows, the contiguous length-k
+    reduction that project_rows' einsum makes for every slot. pooled is the
+    product, in position order, of each position's dots read at the slots,
+    which is what np.multiply.reduce over the positions gives. So scores and
+    pooled have project_rows' bits on amplitudes.take(ids, axis=0).
+    """
+    num, order = ids.shape
+    distinct, bounds, inverse = segment_unique(ids.T.ravel(), np.full(order, num))
+
+    def slot_dots(i: int) -> np.ndarray:
+        rows = amplitudes.take(distinct[bounds[i] : bounds[i + 1]], axis=0)
+        dots = np.einsum("rk,uk->ur", g.factors[:, i, :], rows)
+        return dots.take(inverse[i * num : (i + 1) * num], axis=0)
+
+    pooled = slot_dots(0)
+    for i in range(1, order):
+        pooled *= slot_dots(i)
+    return pooled_scores(g, pooled), pooled
 
 
 def product_pool(g: GlobalRepresentation, q: QueryState) -> np.ndarray:

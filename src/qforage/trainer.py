@@ -65,15 +65,18 @@ their inputs and return the tuples of the routines they wrap, so each
 quantity is computed one way and has one shape; training never calls them.
 
 Evaluation is one batched pass, not a loop over documents: every candidate is
-scored at once by qrep.project_rows, the scoring a training step uses, and
-every (document, candidate) pair is judged at once from per-word block
-masses. project_rows takes each score as one BLAS dot per candidate, all in
-one batched vector-vector np.matmul (pooled @ weights would be a
-matrix-vector product and sum in another order), and the amplitude rows and
-block masses are gathered with ndarray.take(ids, axis=0), an exact copy.
-Scores and class probabilities keep the bits of a per-document pass.
-Scent statistics come from the array of chosen rewards (env.reward_scent),
-and training's scent scalar uses the same recurrence.
+scored at once by qrep.project_slots, and every (document, candidate) pair is
+judged at once from per-word block masses. A candidate's inner products at a
+position depend only on the table row there, so project_slots takes each
+distinct (position, row) slot's R dots once, with the length-k einsum
+reduction that qrep.project_rows, the scoring a training step uses, makes
+for every slot; it multiplies them in position order and weights them by
+qrep.pooled_scores, the score formula project_rows also calls. So scores
+keep project_rows' bits. Block masses are gathered with
+ndarray.take(ids, axis=0), an exact copy. Scores and class probabilities
+keep the bits of a per-document pass. Scent statistics come from the array
+of chosen rewards (env.reward_scent), and training's scent scalar uses the
+same recurrence.
 
 The checkpoint module holds the file format and the init stream's draw order
 (init_draws), which init_params builds fresh parameters from. checkpoint_config
@@ -405,10 +408,13 @@ def evaluate(
 
     One batched pass over the corpus's compiled form (env.Corpus.compiled,
     built once per corpus): every candidate is scored at once by
-    qrep.project_rows, the scoring a training step uses, each document's choice
-    is the first argmax of its segment, and every pair is judged at once by
-    critic.batch_class_probabilities. Each score and class probability has
-    the bits a per-document pass would give. Scent is env.reward_scent of the
+    qrep.project_slots, which takes each distinct (position, row) slot once
+    and gives the bits of qrep.project_rows, the scoring a training step
+    uses; each document's choice is the first argmax of its segment, and
+    every pair is judged at once by critic.batch_class_probabilities. Each
+    score and class probability has the bits a per-document pass would give,
+    and a non-finite score raises NonFiniteScore (actor.first_argmax); a
+    table row no candidate uses is never read. Scent is env.reward_scent of the
     array of chosen rewards. Both tables must be built over the corpus
     vocabulary, as init_params and restore_params build them.
     """
@@ -421,7 +427,7 @@ def evaluate(
     compiled = corpus.compiled
 
     ids = query_row_ids(compiled, params.global_rep.order)
-    scores = qrep.project_rows(params.global_rep, params.table.amplitudes.take(ids, axis=0))[0]
+    scores = qrep.project_slots(params.global_rep, params.table.amplitudes, ids)[0]
     chosen = actor.first_argmax(scores, compiled.offsets)
     rewards = compiled.labels[compiled.offsets + chosen]
 

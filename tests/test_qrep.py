@@ -28,6 +28,7 @@ from qforage.qrep import (
     product_pool,
     project,
     project_rows,
+    project_slots,
     renormalize_rows,
     segment_unique,
 )
@@ -522,6 +523,53 @@ class TestProjectRowsScoresAreRowDots:
         shuffled = project_rows(g, rows[perm])[0]
         alone = np.array([project_rows(g, rows[i : i + 1])[0][0] for i in perm])
         assert shuffled.tobytes() == alone.tobytes()
+
+
+class TestProjectSlotsEqualsProjectRows:
+    """project_slots against project_rows on the gathered (N, n, k) rows, byte for byte.
+
+    Queries of 1 to LONGEST words are drawn from six word rows and the
+    unknown row, so words repeat within a query and across the batch, and
+    they pad with NULL_ID or are cut at the order, as evaluation's ids are.
+    The first query is the longest, with repeats and the unknown row, and
+    the second the shortest, so every order below LONGEST cuts a query and
+    every batch of two pads one.
+    """
+
+    LONGEST = 6
+    WORDS = qrep.WORD_ROW_OFFSET + np.arange(6)
+    FIRST = [WORDS[0], UNK_ID, WORDS[0], WORDS[1], UNK_ID, WORDS[2]]
+
+    def query_ids(self, rng, batch, order):
+        pool = np.append(self.WORDS, UNK_ID)
+        queries = [self.FIRST, [self.WORDS[3]]]
+        for length in rng.integers(1, self.LONGEST + 1, size=max(batch - 2, 0)):
+            queries.append(rng.choice(pool, size=length).tolist())
+        return np.array([(q + [NULL_ID] * order)[:order] for q in queries[:batch]])
+
+    @pytest.mark.parametrize("batch", [1, 2, 57, 4000])
+    @pytest.mark.parametrize("order", [3, LONGEST, 8])
+    @pytest.mark.parametrize("rank", [1, 5, 37])
+    @pytest.mark.parametrize("basis_dim", [1, 2, 3, 4, 5, 8, 12])
+    def test_scores_and_pooled_equal_project_rows(self, basis_dim, rank, order, batch):
+        rng = np.random.default_rng([basis_dim, rank, order, batch])
+        amplitudes = rng.standard_normal((qrep.WORD_ROW_OFFSET + len(self.WORDS), basis_dim))
+        amplitudes[NULL_ID] = qcore.basis_vector(basis_dim, 0)
+        g = random_global(rng, rank, order, basis_dim)
+        ids = self.query_ids(rng, batch, order)
+        scores, pooled = project_slots(g, amplitudes, ids)
+        expected_scores, expected_pooled, _ = project_rows(g, amplitudes.take(ids, axis=0))
+        assert scores.tobytes() == expected_scores.tobytes()
+        assert pooled.tobytes() == expected_pooled.tobytes()
+
+    @pytest.mark.parametrize("order", [3, LONGEST, 8])
+    def test_a_batch_holds_every_kind_of_slot(self, order):
+        ids = self.query_ids(np.random.default_rng(order), 57, order)
+        assert (ids == UNK_ID).any() and (ids[1] == NULL_ID).any()
+        assert ids[0].tolist() == (self.FIRST + [NULL_ID] * order)[:order]
+        assert len(set(ids[0].tolist())) < order
+        # Most (position, row) slots repeat, the case project_slots saves on.
+        assert sum(len(set(column.tolist())) for column in ids.T) < ids.size / 4
 
 
 class TestGlobalRepresentation:

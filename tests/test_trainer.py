@@ -650,6 +650,38 @@ class TestEvaluate:
         with pytest.raises(NonFiniteScore):
             trainer.evaluate(params, critic_table, corpus)
 
+    @staticmethod
+    def used_and_unused_rows(corpus, order):
+        used = np.unique(trainer.query_row_ids(corpus.compiled, order))
+        unused = np.setdiff1d(np.arange(len(corpus.vocabulary) + qrep.WORD_ROW_OFFSET), used)
+        return used, unused
+
+    @pytest.mark.parametrize("pick", [0, -1])
+    def test_a_nan_in_one_row_a_candidate_uses_is_rejected(self, pick):
+        corpus = env.gen_corpus(env.CorpusSpec(docs=10, patches=2), np.random.default_rng(3))
+        params, critic_table = trainer.init_params(corpus, trainer.TrainConfig())
+        used, _ = self.used_and_unused_rows(corpus, params.global_rep.order)
+        params.table.amplitudes[used[pick], 1] = np.nan
+        with pytest.raises(NonFiniteScore):
+            trainer.evaluate(params, critic_table, corpus)
+
+    def test_a_nan_in_rows_no_candidate_uses_changes_nothing(self):
+        corpus = env.gen_corpus(env.CorpusSpec(docs=10, patches=2), np.random.default_rng(3))
+        params, critic_table = trainer.init_params(corpus, trainer.TrainConfig())
+        before = trainer.evaluate(params, critic_table, corpus)
+        _, unused = self.used_and_unused_rows(corpus, params.global_rep.order)
+        assert qrep.UNK_ID in unused and len(unused) > 1
+        params.table.amplitudes[unused] = np.nan
+        after = trainer.evaluate(params, critic_table, corpus)
+        assert after.choices == before.choices
+        assert (after.greedy_accuracy, after.mean_reward, after.critic_accuracy) == (
+            before.greedy_accuracy,
+            before.mean_reward,
+            before.critic_accuracy,
+        )
+        assert after.scent.scalar == before.scent.scalar
+        assert after.scent.frequencies.tobytes() == before.scent.frequencies.tobytes()
+
 
 # Documents of 2 and 4 candidates; queries shorter (padded) and longer
 # (truncated) than query_order 3; keyword lists of 1 to 3 words, so the
@@ -873,7 +905,7 @@ def per_document_recount(params, critic_table, corpus):
 
 
 class TestBatchedEvaluate:
-    """The batched pass against a per-document recount on a hand-built corpus."""
+    """The batched pass against a per-document recount on hand-built and generated corpora."""
 
     def trained(self, corpus, seed):
         result = trainer.train(small_config(seed=seed, episodes=30, eval_interval=0), corpus)
@@ -888,10 +920,8 @@ class TestBatchedEvaluate:
         assert query_lengths.min() < 3 < query_lengths.max()
         assert len(set(compiled.pair_lengths.tolist())) >= 4
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_metrics_equal_a_per_document_recount(self, seed):
-        corpus = hand_corpus()
-        params, critic_table = self.trained(corpus, seed)
+    @staticmethod
+    def assert_equals_recount(params, critic_table, corpus):
         ev = trainer.evaluate(params, critic_table, corpus, scent_smoothing=0.3)
         rewards, patch_ids, choices, probabilities = per_document_recount(
             params, critic_table, corpus
@@ -902,6 +932,29 @@ class TestBatchedEvaluate:
         hits = sum(int(np.argmax(p)) == label for p, label in probabilities)
         assert ev.critic_accuracy == hits / len(probabilities)
         assert_scent_equals_reference(ev.scent, rewards, patch_ids, 0.3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_metrics_equal_a_per_document_recount(self, seed):
+        corpus = hand_corpus()
+        self.assert_equals_recount(*self.trained(corpus, seed), corpus)
+
+    # Generated corpora whose (position, row) slots repeat heavily: queries
+    # of 4 words padded to order 5, and of 7 words cut at it, with label noise.
+    GENERATED = [
+        env.CorpusSpec(docs=200, patches=4, vocab_size=600),
+        env.CorpusSpec(
+            docs=120, patches=3, vocab_size=150, candidates_per_doc=4, query_len=7, noise=0.2
+        ),
+    ]
+
+    @pytest.mark.parametrize("spec", GENERATED)
+    def test_generated_corpus_metrics_equal_a_per_document_recount(self, spec):
+        corpus = env.gen_corpus(spec, np.random.default_rng(spec.docs))
+        config = trainer.TrainConfig(episodes=60, eval_interval=0, seed=spec.docs)
+        result = trainer.train(config, corpus)
+        ids = trainer.query_row_ids(corpus.compiled, config.query_order)
+        assert sum(len(set(column.tolist())) for column in ids.T) < ids.size / 2
+        self.assert_equals_recount(result.params, result.critic_table, corpus)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_interleaved_patches_keep_first_appearance_order(self, seed):
