@@ -260,20 +260,38 @@ def class_probabilities(tokens: Sequence[str], table: ComplexEmbeddingTable) -> 
     return masses / masses.sum(axis=-1, keepdims=True)
 
 
-def batch_class_probabilities(
-    ids: np.ndarray, lengths: np.ndarray, table: ComplexEmbeddingTable
-) -> np.ndarray:
-    """class_probabilities of every row of an (N, L) array of table rows, bit for bit.
+def pair_groups(ids: np.ndarray, lengths: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The rows of an (N, L) array of table rows, grouped by sequence length.
 
-    Row i holds its sequence in its first lengths[i] entries. Rows of one
-    length are judged together, so no padding enters a sum; every block mass
-    is read from the (V, 3) per-word masses, never from gathered amplitudes.
+    Row i holds its sequence in its first lengths[i] entries. Each group,
+    one per distinct length in increasing order, is (rows, judged): the
+    indices of the rows of that length and their (count, length) sequences,
+    without padding. The arrays are read-only, so groups can be kept and
+    reused.
     """
-    word_masses = block_masses(table.amplitudes)
-    probabilities = np.empty((ids.shape[0], 3))
+    groups = []
     for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)
         judged = ids[rows, :length]
+        rows.flags.writeable = False
+        judged.flags.writeable = False
+        groups.append((rows, judged))
+    return tuple(groups)
+
+
+def batch_class_probabilities(
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...], table: ComplexEmbeddingTable
+) -> np.ndarray:
+    """class_probabilities of every row that pair_groups grouped, bit for bit.
+
+    Rows of one length are judged together, so no padding enters a sum; every
+    block mass is read from the (V, 3) per-word masses, never from gathered
+    amplitudes. The groups depend only on the table rows, so they can be
+    built once for many tables.
+    """
+    word_masses = block_masses(table.amplitudes)
+    probabilities = np.empty((sum(rows.shape[0] for rows, _ in groups), 3))
+    for rows, judged in groups:
         _, masses = _class_masses(judged, table, word_masses.take(judged, axis=0))
         probabilities[rows] = masses / masses.sum(axis=-1, keepdims=True)
     return probabilities

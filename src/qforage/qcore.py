@@ -240,10 +240,6 @@ class Observable:
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "eigenvalues", eigs)
 
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
     @classmethod
     def coordinate_blocks(cls, dim: int, blocks: int, eigenvalues) -> "Observable":
         """Observable whose projectors select contiguous coordinate blocks of equal size."""

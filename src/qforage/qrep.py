@@ -12,9 +12,9 @@ between the two is the projection
 computed in O(R * n * k) without materializing any k^n object. project_rows
 takes it for a batch of candidates, and product_pool (the per-rank products)
 and project (their weighted sum) are its row for one query. project_slots
-gives project_rows' bits for candidates given as table row ids, taking each
-distinct (position, row) inner product once; both weight the per-rank
-products by pooled_scores.
+gives project_rows' bits for candidates given by the slot map of their table
+row ids (slot_map), taking each distinct (position, row) inner product once;
+both weight the per-rank products by pooled_scores.
 
 cp_decompose goes the other way: alternating least squares recovers a rank-R
 factored form from a small dense tensor. It exists for oracle and analysis
@@ -332,11 +332,11 @@ def project_rows(
     """(scores, pooled, dots) of an (N, n, k) batch of candidate amplitude rows.
 
     The scoring arithmetic of training, inspect, the oracles, product_pool
-    and project; project_slots gives evaluation the same bits from table row
-    ids. One einsum takes every (candidate, rank, position) inner product,
-    and each score is pooled_scores of its pooled row. The shapes are not
-    checked here (product_pool, project and the checked actor entry points
-    check them).
+    and project; project_slots gives evaluation the same bits from the slot
+    map of table row ids. One einsum takes every (candidate, rank, position)
+    inner product, and each score is pooled_scores of its pooled row. The
+    shapes are not checked here (product_pool, project and the checked actor
+    entry points check them).
     """
     dots = np.einsum("rik,cik->cri", g.factors, rows)
     pooled = np.multiply.reduce(dots, axis=2)
@@ -355,31 +355,49 @@ def pooled_scores(g: GlobalRepresentation, pooled: np.ndarray) -> np.ndarray:
     return np.matmul(pooled[:, None, :], g.weights)[:, 0]
 
 
-def project_slots(
-    g: GlobalRepresentation, amplitudes: np.ndarray, ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """project_rows' (scores, pooled) of the candidates whose (N, n) table rows are `ids`.
+def slot_map(ids: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (position, row) slots of the candidates whose (N, n) table rows are `ids`.
 
-    A candidate's dots at position i depend only on the table row there, so
-    each distinct (position, row) slot is taken once: one segment_unique
-    call over the position-major ids gives each position's sorted distinct
-    rows and every slot's index among them, and each position takes one
-    einsum of its factors with its distinct rows, the contiguous length-k
-    reduction that project_rows' einsum makes for every slot. pooled is the
-    product, in position order, of each position's dots read at the slots,
-    which is what np.multiply.reduce over the positions gives. So scores and
-    pooled have project_rows' bits on amplitudes.take(ids, axis=0).
+    Position i's entry is (distinct, inverse): the sorted distinct rows at
+    that position and the (N,) index of each candidate's row among them.
+    One segment_unique call over the position-major ids gives every
+    position's. The arrays are read-only, so a map can be kept and reused.
     """
     num, order = ids.shape
     distinct, bounds, inverse = segment_unique(ids.T.ravel(), np.full(order, num))
+    distinct.flags.writeable = False
+    inverse.flags.writeable = False
+    return tuple(
+        (distinct[bounds[i] : bounds[i + 1]], inverse[i * num : (i + 1) * num])
+        for i in range(order)
+    )
+
+
+def project_slots(
+    g: GlobalRepresentation,
+    amplitudes: np.ndarray,
+    slots: tuple[tuple[np.ndarray, np.ndarray], ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """project_rows' (scores, pooled) of the candidates whose slot map is `slots`.
+
+    `slots` is slot_map of the candidates' (N, n) table rows. A candidate's
+    dots at position i depend only on the table row there, so each distinct
+    (position, row) slot is taken once: each position takes one einsum of
+    its factors with its distinct rows, the contiguous length-k reduction
+    that project_rows' einsum makes for every slot. pooled is the product,
+    in position order, of each position's dots read at the slots, which is
+    what np.multiply.reduce over the positions gives. So scores and pooled
+    have project_rows' bits on amplitudes.take(ids, axis=0). The map depends
+    only on the ids, so it can be built once for many parameter values.
+    """
 
     def slot_dots(i: int) -> np.ndarray:
-        rows = amplitudes.take(distinct[bounds[i] : bounds[i + 1]], axis=0)
-        dots = np.einsum("rk,uk->ur", g.factors[:, i, :], rows)
-        return dots.take(inverse[i * num : (i + 1) * num], axis=0)
+        distinct, inverse = slots[i]
+        dots = np.einsum("rk,uk->ur", g.factors[:, i, :], amplitudes.take(distinct, axis=0))
+        return dots.take(inverse, axis=0)
 
     pooled = slot_dots(0)
-    for i in range(1, order):
+    for i in range(1, len(slots)):
         pooled *= slot_dots(i)
     return pooled_scores(g, pooled), pooled
 

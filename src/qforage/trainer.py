@@ -66,13 +66,19 @@ quantity is computed one way and has one shape; training never calls them.
 
 Evaluation is one batched pass, not a loop over documents: every candidate is
 scored at once by qrep.project_slots, and every (document, candidate) pair is
-judged at once from per-word block masses. A candidate's inner products at a
-position depend only on the table row there, so project_slots takes each
-distinct (position, row) slot's R dots once, with the length-k einsum
-reduction that qrep.project_rows, the scoring a training step uses, makes
-for every slot; it multiplies them in position order and weights them by
-qrep.pooled_scores, the score formula project_rows also calls. So scores
-keep project_rows' bits. Block masses are gathered with
+judged at once from per-word block masses. What only the corpus and the query
+order decide is compiled into an EvalPlan (eval_plan): the slot map of the
+candidates' query rows (qrep.slot_map) and the pairs' critic rows grouped by
+length (critic.pair_groups), all read-only. eval_plan keeps one plan per
+compiled corpus and order, weakly keyed by the CompiledCorpus, which hashes
+by identity, so later calls read it and a dropped corpus frees it. Only
+evaluate builds it, so training allocates what it did without it. A
+candidate's inner products at a position depend only on the table row
+there, so project_slots takes each distinct (position, row) slot's R dots
+once, with the length-k einsum reduction that qrep.project_rows, the scoring
+a training step uses, makes for every slot; it multiplies them in position
+order and weights them by qrep.pooled_scores, the score formula project_rows
+also calls. So scores keep project_rows' bits. Block masses are gathered with
 ndarray.take(ids, axis=0), an exact copy. Scores and class probabilities
 keep the bits of a per-document pass. Scent statistics come from the array
 of chosen rewards (env.reward_scent), and training's scent scalar uses the
@@ -90,6 +96,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -385,6 +392,39 @@ def train_step(
     return StepMetrics(index, reward, q_estimate, advantage, critic_loss, log_probability)
 
 
+@dataclass(frozen=True, eq=False)
+class EvalPlan:
+    """Everything evaluation reads off the corpus, fixed by it and the query order.
+
+    slots is qrep.slot_map of the candidates' query_row_ids, and
+    pair_groups is critic.pair_groups of every (document, candidate) pair's
+    critic table rows. Every array is read-only; nothing here depends on the
+    parameters.
+    """
+
+    slots: tuple[tuple[np.ndarray, np.ndarray], ...]
+    pair_groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+#: Each compiled corpus's evaluation plans by query order, kept while the
+#: compiled corpus lives. CompiledCorpus hashes by identity, so a lookup
+#: never reads the corpus's contents (a Corpus hash walks every document).
+_EVAL_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def eval_plan(compiled: env.CompiledCorpus, order: int) -> EvalPlan:
+    """The EvalPlan of a compiled corpus for queries of `order` words, built on first use."""
+    plans = _EVAL_PLANS.setdefault(compiled, {})
+    if order not in plans:
+        plans[order] = EvalPlan(
+            slots=qrep.slot_map(query_row_ids(compiled, order)),
+            pair_groups=critic.pair_groups(
+                compiled.pair_tokens + critic.WORD_ROW_OFFSET, compiled.pair_lengths
+            ),
+        )
+    return plans[order]
+
+
 @dataclass(eq=False)
 class EvalMetrics:
     greedy_accuracy: float
@@ -407,11 +447,13 @@ def evaluate(
     pairs whose most probable class matches the label.
 
     One batched pass over the corpus's compiled form (env.Corpus.compiled,
-    built once per corpus): every candidate is scored at once by
-    qrep.project_slots, which takes each distinct (position, row) slot once
-    and gives the bits of qrep.project_rows, the scoring a training step
-    uses; each document's choice is the first argmax of its segment, and
-    every pair is judged at once by critic.batch_class_probabilities. Each
+    built once per corpus) and its EvalPlan (eval_plan, built on the first
+    call for the compiled corpus and the query order, then read): every
+    candidate is scored at once by qrep.project_slots from the plan's slot
+    map, taking each distinct (position, row) slot once with the bits of
+    qrep.project_rows, the scoring a training step uses; each document's
+    choice is the first argmax of its segment, and every pair is judged at
+    once by critic.batch_class_probabilities from the plan's groups. Each
     score and class probability has the bits a per-document pass would give,
     and a non-finite score raises NonFiniteScore (actor.first_argmax); a
     table row no candidate uses is never read. Scent is env.reward_scent of the
@@ -422,18 +464,16 @@ def evaluate(
         raise EmptyCorpus("evaluate needs at least one document")
     env.check_smoothing(scent_smoothing)
     for name, table in (("actor", params.table), ("critic", critic_table)):
-        if table.words != corpus.vocabulary:
+        if table.words is not corpus.vocabulary and table.words != corpus.vocabulary:
             raise ShapeMismatch(f"{name} table rows are not built over the corpus vocabulary")
     compiled = corpus.compiled
 
-    ids = query_row_ids(compiled, params.global_rep.order)
-    scores = qrep.project_slots(params.global_rep, params.table.amplitudes, ids)[0]
+    plan = eval_plan(compiled, params.global_rep.order)
+    scores = qrep.project_slots(params.global_rep, params.table.amplitudes, plan.slots)[0]
     chosen = actor.first_argmax(scores, compiled.offsets)
     rewards = compiled.labels[compiled.offsets + chosen]
 
-    probabilities = critic.batch_class_probabilities(
-        compiled.pair_tokens + critic.WORD_ROW_OFFSET, compiled.pair_lengths, critic_table
-    )
+    probabilities = critic.batch_class_probabilities(plan.pair_groups, critic_table)
     critic_hits = int(np.count_nonzero(np.argmax(probabilities, axis=1) == compiled.labels + 1))
 
     return EvalMetrics(

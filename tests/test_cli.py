@@ -756,7 +756,8 @@ class TestInspect:
         _, critic_table, _ = trainer.restore_params(checkpoint, corpus)
         compiled = corpus.compiled
         judged = critic.batch_class_probabilities(
-            compiled.pair_tokens + critic.WORD_ROW_OFFSET, compiled.pair_lengths, critic_table
+            critic.pair_groups(compiled.pair_tokens + critic.WORD_ROW_OFFSET, compiled.pair_lengths),
+            critic_table,
         )
         fmt = trainer.format_float
         for d, doc in enumerate(corpus.documents):

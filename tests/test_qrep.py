@@ -31,6 +31,7 @@ from qforage.qrep import (
     project_slots,
     renormalize_rows,
     segment_unique,
+    slot_map,
 )
 
 VOCAB = ("cats", "chase", "dogs", "mice", "run")
@@ -557,7 +558,7 @@ class TestProjectSlotsEqualsProjectRows:
         amplitudes[NULL_ID] = qcore.basis_vector(basis_dim, 0)
         g = random_global(rng, rank, order, basis_dim)
         ids = self.query_ids(rng, batch, order)
-        scores, pooled = project_slots(g, amplitudes, ids)
+        scores, pooled = project_slots(g, amplitudes, slot_map(ids))
         expected_scores, expected_pooled, _ = project_rows(g, amplitudes.take(ids, axis=0))
         assert scores.tobytes() == expected_scores.tobytes()
         assert pooled.tobytes() == expected_pooled.tobytes()

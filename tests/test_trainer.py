@@ -12,11 +12,13 @@ import binascii
 import copy
 import dataclasses
 import errno
+import gc
 import itertools
 import os
 import re
 import stat
 import string
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -990,7 +992,8 @@ class TestBatchedEvaluate:
         params, critic_table = self.trained(corpus, seed)
         compiled = corpus.compiled
         batch = critic.batch_class_probabilities(
-            compiled.pair_tokens + critic.WORD_ROW_OFFSET, compiled.pair_lengths, critic_table
+            critic.pair_groups(compiled.pair_tokens + critic.WORD_ROW_OFFSET, compiled.pair_lengths),
+            critic_table,
         )
         *_, probabilities = per_document_recount(params, critic_table, corpus)
         assert len(probabilities) == len(batch)
@@ -1029,6 +1032,92 @@ class TestBatchedEvaluate:
         with pytest.raises(ValueError, match="scent smoothing"):
             trainer.evaluate(params, critic_table, corpus, scent_smoothing=smoothing)
         assert "compiled" not in vars(corpus)
+
+
+def evaluation_record(ev):
+    """Every field of an EvalMetrics, arrays as bytes, so two records compare with ==."""
+    return (
+        ev.greedy_accuracy,
+        ev.mean_reward,
+        ev.critic_accuracy,
+        ev.choices,
+        ev.scent.scalar,
+        ev.scent.frequencies.tobytes(),
+        [(p, s.scalar, s.frequencies.tobytes(), s.count) for p, s in ev.scent.per_patch.items()],
+    )
+
+
+class TestEvalPlan:
+    """Evaluation's corpus-only arrays are built once per compiled corpus and query order."""
+
+    def test_train_builds_each_plan_once(self, monkeypatch):
+        spies = {}
+        for module, name in (
+            (trainer, "query_row_ids"),
+            (qrep, "segment_unique"),
+            (critic, "pair_groups"),
+        ):
+            spies[name] = mock.Mock(wraps=getattr(module, name))
+            monkeypatch.setattr(module, name, spies[name])
+        result = trainer.train(small_config(episodes=20, eval_interval=5), small_corpus())
+        assert len(result.metrics) == 4
+        # The step plan and the evaluation plan build the query rows once each.
+        assert spies["query_row_ids"].call_count == 2
+        # Two for the step plan's documents and pairs, one for evaluation's slot map.
+        assert spies["segment_unique"].call_count == 3
+        assert spies["pair_groups"].call_count == 1
+
+    def test_alternating_orders_equal_a_fresh_corpus(self):
+        corpus = small_corpus()
+        models = [
+            trainer.train(small_config(query_order=order, episodes=30, eval_interval=0), corpus)
+            for order in (3, 5)
+        ]
+        for _ in range(2):
+            for model in models:
+                fresh = small_corpus()
+                assert fresh == corpus and fresh.compiled is not corpus.compiled
+                got = trainer.evaluate(model.params, model.critic_table, corpus)
+                expected = trainer.evaluate(model.params, model.critic_table, fresh)
+                assert evaluation_record(got) == evaluation_record(expected)
+        assert sorted(trainer._EVAL_PLANS[corpus.compiled]) == [3, 5]
+
+    def test_cached_arrays_are_read_only(self):
+        corpus = hand_corpus()
+        params, critic_table = trainer.init_params(corpus, small_config())
+        trainer.evaluate(params, critic_table, corpus)
+        plan = trainer.eval_plan(corpus.compiled, params.global_rep.order)
+        arrays = [a for pairs in (plan.slots, plan.pair_groups) for pair in pairs for a in pair]
+        assert len(arrays) == 2 * (len(plan.slots) + len(plan.pair_groups))
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_a_dropped_corpus_frees_its_plan(self):
+        corpus = small_corpus()
+        params, critic_table = trainer.init_params(corpus, small_config())
+        trainer.evaluate(params, critic_table, corpus)
+        compiled = weakref.ref(corpus.compiled)
+        plan = weakref.ref(trainer.eval_plan(corpus.compiled, params.global_rep.order))
+        assert compiled() in trainer._EVAL_PLANS
+        del corpus
+        gc.collect()
+        assert compiled() is None
+        assert plan() is None
+
+    def test_parameters_changed_between_calls_give_the_fresh_corpus_result(self):
+        corpus = small_corpus()
+        params, critic_table = trainer.init_params(corpus, small_config())
+        before = trainer.evaluate(params, critic_table, corpus)
+        trained = trainer.train(small_config(seed=9, episodes=30, eval_interval=0), corpus)
+        # The tables change in place, as training changes them between records.
+        sources = trainer._live_arrays(trained.params, trained.critic_table)
+        for name, target in trainer._live_arrays(params, critic_table).items():
+            target[...] = sources[name]
+        after = trainer.evaluate(params, critic_table, corpus)
+        expected = trainer.evaluate(params, critic_table, small_corpus())
+        assert evaluation_record(after) == evaluation_record(expected)
+        assert evaluation_record(after) != evaluation_record(before)
 
 
 class TestNoDensityMatrixOnTrainingPaths:
